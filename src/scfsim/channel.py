@@ -6,6 +6,7 @@ spatial correlation matrix follows a Gaussian local-scattering model evaluated
 by adaptive Gauss-Legendre quadrature.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,17 +154,30 @@ def los_steering(theta, n_antennas, beta_los):
     return np.sqrt(beta_los) * np.exp(phases)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n_nodes):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]. The adaptive
+    quadrature doubles from 64 nodes up to QUAD_MAX_NODES, so at most 12
+    node counts ever occur."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _correlation_rows(thetas, asd, n_antennas, n_nodes):
     """Toeplitz generator rows of the local-scattering integral, one per
     nominal angle, at a fixed Gauss-Legendre node count."""
     half = 20.0 * asd
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     delta = half * x
     weight = half * w / (np.sqrt(2.0 * np.pi) * asd) * np.exp(-delta**2 / (2.0 * asd**2))
     s = np.sin(np.asarray(thetas, dtype=float)[:, None] + delta[None, :])
     m = np.arange(n_antennas)
-    # row[j, m] = ∫ exp(jπ m sin(θ_j+δ)) N(δ; 0, asd²) dδ over ±20 asd
-    return np.exp(1j * np.pi * m[None, :, None] * s[:, None, :]) @ weight
+    # row[j, m] = ∫ exp(jπ m sin(θ_j+δ)) N(δ; 0, asd²) dδ over ±20 asd;
+    # exp in place halves the largest temporary of the statistics build
+    phase = 1j * np.pi * m[None, :, None] * s[:, None, :]
+    return np.exp(phase, out=phase) @ weight
 
 
 def _converged_rows(thetas, asd, n_antennas, rtol, max_nodes):

@@ -11,6 +11,15 @@ class ConfigError(ValueError):
     """Raised on unparseable files or invariant-violating field values."""
 
 
+# combining detectors per processing scheme, and the distributed second-stage
+# weightings the closed-form report accepts
+DETECTORS = {
+    "distributed": ("mrc", "lmmse", "lpmmse", "lpmmse-full"),
+    "centralized": ("mrc", "mmse", "pmmse", "pmmse-full"),
+}
+WEIGHTINGS = ("lsfd", "plsfd", "mr", "l2")
+
+
 @dataclass
 class SimConfig:
     # network geometry
@@ -71,8 +80,15 @@ class SimConfig:
                 raise ConfigError(f"{name} must be >= 1 or null (ideal), got {b}")
         if self.fading not in ("rician", "rayleigh"):
             raise ConfigError(f"fading must be rician|rayleigh, got {self.fading!r}")
-        if self.scheme not in ("distributed", "centralized"):
+        if self.scheme not in DETECTORS:
             raise ConfigError(f"scheme must be distributed|centralized, got {self.scheme!r}")
+        if self.detector not in DETECTORS[self.scheme]:
+            raise ConfigError(
+                f"detector {self.detector!r} is not available for the {self.scheme} "
+                f"scheme; choose from {'|'.join(DETECTORS[self.scheme])}")
+        if self.weighting not in WEIGHTINGS:
+            raise ConfigError(
+                f"weighting must be {'|'.join(WEIGHTINGS)}, got {self.weighting!r}")
         if self.sigma2_dbm is not None and not math.isfinite(self.sigma2_dbm):
             raise ConfigError("sigma2_dbm must be finite")
 

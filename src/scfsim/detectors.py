@@ -9,6 +9,7 @@ serving-AP subspace so the masked blocks stay exactly zero.
 import numpy as np
 
 from .numerics import hermitize
+from .pilots import context_memo
 from .quantization import received_noise_covariance
 
 
@@ -18,16 +19,6 @@ from .quantization import received_noise_covariance
 
 def mrc_local(hhat_kl):
     return np.array(hhat_kl)
-
-
-def _lmmse_static(ctx):
-    """Estimate-independent part of the L-MMSE system matrix per AP."""
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    static = np.array(ctx.c_n)
-    for l in range(ctx.L):
-        static[l] += one_ad2 * np.einsum(
-            "i,inm->nm", ctx.p_ddot, ctx.stats.R[:, l] - ctx.c_hhat[:, l])
-    return static
 
 
 def _lpmmse_static(ctx, cluster, full=False):
@@ -65,7 +56,8 @@ def local_combiners(hhat, ctx, cluster, method):
 
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     if method == "lmmse":
-        static = _lmmse_static(ctx)
+        # estimate-independent part: the error-plus-noise W_l of every AP
+        static = context_memo(ctx, centralized_error_noise)
         weights = {l: (np.arange(ctx.K), ctx.p_ddot) for l in range(ctx.L)}
     elif method in ("lpmmse", "lpmmse-full"):
         static = _lpmmse_static(ctx, cluster, full=(method == "lpmmse-full"))
@@ -144,7 +136,10 @@ class _single_ap_stats:
 # ---------------------------------------------------------------------------
 
 def centralized_error_noise(ctx):
-    """(L, N, N) per-AP W_l: full-K estimation-error power plus receive noise."""
+    """(L, N, N) per-AP W_l: full-K estimation-error power plus receive noise.
+
+    Callers share one read-only copy per context through ``context_memo``.
+    """
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     w = np.array(ctx.c_n)
     for l in range(ctx.L):
@@ -173,7 +168,7 @@ def centralized_system_matrices(ctx, cluster, method):
     """
     one_ad, n_ant = 1.0 - ctx.q.rho_ad, ctx.N
     one_ad2 = one_ad ** 2
-    w_full = centralized_error_noise(ctx)
+    w_full = context_memo(ctx, centralized_error_noise)
     out = {}
     for k in range(ctx.K):
         serving = cluster.serving[k]

@@ -278,18 +278,20 @@ def _run_point(args):
 
 
 def worker_count():
+    """Pool size from SCFSIM_WORKERS, at least 1 and at most the CPU count."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        requested = int(raw)
     except ValueError:
         raise ExperimentError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 def _map_points(name, cfg, seed, specs, workers):
     args = [(name, cfg.to_dict(), seed, spec) for spec in specs]
     if workers <= 1 or len(args) <= 1:
         return [_run_point(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
         return list(pool.map(_run_point, args))
 
 

@@ -12,6 +12,10 @@ interfering UE i:
 
 from which the interference-plus-noise matrix C_k (full-K sums) and its
 partial counterpart C_k^P (sums over the overlap set Q_k) are assembled.
+Every ingredient is a (K, |M_k|) array built by one contraction over the
+interferers. C_k and C_k^P are gathered through index arrays of the sum set
+and the co-pilot set into one (|set|, |M_k|, |M_k|) stack of per-interferer
+terms and reduced along it, with no Python loop over interferers.
 Under the ULA model all trace kernels are real; tiny imaginary residue from
 quadrature is dropped.
 """
@@ -71,8 +75,8 @@ def build_ingredients(k, ctx, cluster):
 
     b = np.zeros((ctx.K, len(serving)))
     tr_i_tk = np.einsum("imnp,mpn->im", r_all, t_k).real  # tr(R_il Psi^{-1} R_kl)
-    for i in copilot:
-        b[i] = one_ad2 * tau * np.sqrt(p[k] * p[i]) * tr_i_tk[i]
+    cp_idx = np.asarray(copilot, dtype=int)
+    b[cp_idx] = one_ad2 * tau * np.sqrt(p[k] * p[cp_idx])[:, None] * tr_i_tk[cp_idx]
 
     c = one_ad2 * tau * p[k] * np.einsum("imnp,mpn->im", r_all, s_k).real
     c += np.einsum("mn,imnp,mp->im", np.conj(h_bar_k), r_all, h_bar_k).real
@@ -93,21 +97,33 @@ def build_ingredients(k, ctx, cluster):
 
     signal = lam[k] + b[k]
 
-    def interference(sum_set, copilot_set):
-        acc = np.zeros((len(serving), len(serving)), dtype=complex)
-        for i in sum_set:
-            acc += p[i] * (np.outer(lam[i], np.conj(lam[i])) + np.diag(c[i]))
-        for i in copilot_set:
-            acc += p[i] * (np.outer(b[i], b[i])
-                           + np.outer(b[i], np.conj(lam[i]))
-                           + np.outer(lam[i], b[i]))
+    diag = np.arange(len(serving))
+
+    def interference(sum_idx, copilot_idx):
+        # Per-interferer terms p_i (lam_i lam_i^H + diag c_i) over the sum set,
+        # then p_i (b_i b_i^T + b_i lam_i^H + lam_i b_i^T) over the co-pilot
+        # set, stacked and summed along the stack in that order: the same
+        # additions in the same order as accumulating one UE at a time
+        # (cumsum, because sum turns pairwise when |M_k| = 1).
+        lam_s, lam_c, b_c = lam[sum_idx], lam[copilot_idx], b[copilot_idx]
+        los = lam_s[:, :, None] * np.conj(lam_s[:, None, :])
+        los[:, diag, diag] += c[sum_idx]
+        terms = np.concatenate((
+            p[sum_idx, None, None] * los,
+            p[copilot_idx, None, None] * (
+                b_c[:, :, None] * b_c[:, None, :]
+                + b_c[:, :, None] * np.conj(lam_c[:, None, :])
+                + lam_c[:, :, None] * b_c[:, None, :])))
+        acc = np.cumsum(terms, axis=0)[-1]
         acc *= one_ad2 / (1.0 - ctx.q.rho_da)
         acc -= one_ad2 * p[k] * np.outer(signal, np.conj(signal))
         acc += np.diag(d)
         return hermitize(acc)
 
-    c_mat = interference(range(ctx.K), copilot)
-    c_mat_partial = interference(overlap, sorted(set(copilot) & set(overlap)))
+    c_mat = interference(np.arange(ctx.K), cp_idx)
+    c_mat_partial = interference(
+        np.asarray(overlap, dtype=int),
+        np.asarray(sorted(set(copilot) & set(overlap)), dtype=int))
     return LsfdIngredients(
         k=k, serving=tuple(serving), copilot=tuple(copilot),
         overlap=tuple(overlap), lam=lam, b=b, c=c, d=d, c_mat=c_mat,

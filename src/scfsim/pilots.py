@@ -3,7 +3,10 @@
 The estimation context precomputes, per (pilot, AP) and per link, every matrix
 the detectors, closed forms, and Monte Carlo samplers reuse: receive-noise
 covariances, pilot-domain covariances Psi, estimator gains, and the estimate
-covariances.
+covariances. The per-link matrices are stored as (K, L, N, N) stacks and come
+from one batched solve of every (k, l) system against Psi of k's pilot.
+Derived matrices shared by several consumers (the centralized error-plus-noise
+W) are memoized per context with ``context_memo``.
 """
 
 from dataclasses import dataclass, field
@@ -131,17 +134,15 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
         for l in range(l_count):
             psi[t, l] = psi_matrix(t, l, stats, plan, p_ddot, q, c_n[l])
 
-    est_gain = np.empty((k_count, l_count, n_ant, n_ant), dtype=complex)
-    t_mat = np.empty_like(est_gain)
-    s_mat = np.empty_like(est_gain)
-    c_hhat = np.empty_like(est_gain)
-    for k in range(k_count):
-        t_k = plan.pilot_of[k]
-        for l in range(l_count):
-            t_mat[k, l] = np.linalg.solve(psi[t_k, l], stats.R[k, l])
-            s_mat[k, l] = hermitize(stats.R[k, l] @ t_mat[k, l])
-            est_gain[k, l] = one_ad * np.sqrt(p_ddot[k] * tau) * np.conj(t_mat[k, l].T)
-            c_hhat[k, l] = one_ad**2 * p_ddot[k] * tau * s_mat[k, l]
+    # every (k, l) system in one batched solve against k's pilot covariance
+    t_mat = np.linalg.solve(psi[plan.pilot_of], stats.R)
+    s_mat = hermitize(stats.R @ t_mat)
+    gain = one_ad * np.sqrt(p_ddot * tau)
+    # C order: the sampler's per-UE einsum over est_gain[k] is slower on the
+    # transposed layout the swapaxes product would otherwise keep
+    est_gain = np.ascontiguousarray(
+        gain[:, None, None, None] * np.conj(np.swapaxes(t_mat, -1, -2)))
+    c_hhat = (one_ad**2 * p_ddot * tau)[:, None, None, None] * s_mat
 
     # diag of E[x x^H] at the ADC input: full-power channel moments plus thermal
     p_raw = p_ddot / (1.0 - q.rho_da)
@@ -159,6 +160,23 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
                              psi=psi, est_gain=est_gain, t_mat=t_mat,
                              s_mat=s_mat, c_hhat=c_hhat, adc_diag=adc_diag,
                              nx_diag=nx_diag, nx_iso=nx_iso)
+
+
+def context_memo(ctx, build):
+    """``build(ctx)``, computed once per context and returned read-only.
+
+    The value is kept in ``ctx._cache`` under the builder's qualified name.
+    Context facades without a cache get a fresh read-only value each call.
+    """
+    cache = getattr(ctx, "_cache", None)
+    key = f"{build.__module__}.{build.__qualname__}"
+    if cache is not None and key in cache:
+        return cache[key]
+    value = build(ctx)
+    value.setflags(write=False)
+    if cache is not None:
+        cache[key] = value
+    return value
 
 
 def estimate_local(z_pilot_w, k, l, ctx):

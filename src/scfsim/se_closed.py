@@ -3,14 +3,19 @@
 Distributed scheme: the optimal-LSFD SE and the SE under an arbitrary
 weighting vector, both driven by the LsfdIngredients. Centralized scheme: the
 hardening-style approximation built from the estimate-moment kernels f^g, f^e.
-Also the four-case expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the
-distributed expressions rest on, kept standalone for oracle validation.
+Each UE k gets one vector kernel call that returns f^g and f^e against every
+interferer at once, contracted over k's serving APs and antennas; the
+per-AP error-plus-noise matrices W_l are computed once per estimation context
+and shared by every UE. Also the four-case expectation kernel
+E[hhat_k^H h_i h_i^H hhat_k] the distributed expressions rest on, kept
+standalone for oracle validation.
 """
 
 import numpy as np
 
 from .detectors import centralized_error_noise
 from .numerics import solve_hermitian
+from .pilots import context_memo
 
 
 def theorem1_kernel(k, i, l1, l2, ctx):
@@ -75,61 +80,57 @@ def se_distributed_closed(ing, weights, prelog):
     return prelog * np.log2(1.0 + num / den)
 
 
-def _f_kernels(k, i, ctx, cluster):
-    """Estimate-moment kernels (f^g, f^e) of UE pair (k, i) over k's cluster."""
+def _f_kernels(k, ctx, cluster):
+    """Estimate-moment kernels (f^g, f^e) of UE k against every UE i at once.
+
+    Returns two (K,) vectors indexed by the interferer i, each contracted
+    over k's serving APs and their antennas; f^e is zero off k's pilot.
+    """
     stats = ctx.stats
-    serving = cluster.serving[k]
+    m_idx = np.asarray(cluster.serving[k], dtype=int)
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     tau, p = ctx.tau, ctx.p_ddot
-    h_bar_k = stats.h_bar[k, serving].reshape(-1)
-    h_bar_i = stats.h_bar[i, serving].reshape(-1)
-    los_cross = np.vdot(h_bar_k, h_bar_i)
+    h_bar_k = stats.h_bar[k, m_idx]                      # (|M|, N)
+    h_bar = stats.h_bar[:, m_idx]                        # (K, |M|, N)
+    s_all = ctx.s_mat[:, m_idx]                          # (K, |M|, N, N)
+    s_k = ctx.s_mat[k, m_idx]
+    los_cross = np.einsum("mn,imn->i", np.conj(h_bar_k), h_bar)
+
+    tr_mix = np.einsum("imnp,mpn->i", s_all, s_k).real
+    # h_bar_k^H S_il h_bar_k and h_bar_i^H S_kl h_bar_i, summed over serving APs
+    quad_ki = np.einsum("mn,imnp,mp->i", np.conj(h_bar_k), s_all, h_bar_k).real
+    quad_ik = np.einsum("imn,mnp,imp->i", np.conj(h_bar), s_k, h_bar).real
+    # tr(R_il Psi_k^{-1} R_kl): the co-pilot coupling
+    tr_cross = np.einsum("imnp,mpn->i", stats.R[:, m_idx],
+                         ctx.t_mat[k, m_idx]).real
 
     f_g = np.abs(los_cross) ** 2
-    tr_mix = 0.0
-    quad_ki = 0.0     # h_bar_k^H [R_i Psi_i^{-1} R_i] h_bar_k per serving AP
-    quad_ik = 0.0     # h_bar_i^H [R_k Psi_k^{-1} R_k] h_bar_i
-    tr_cross = 0.0    # tr(R_i Psi_k^{-1} R_k), co-pilot coupling
-    for l in serving:
-        s_k, s_i = ctx.s_mat[k, l], ctx.s_mat[i, l]
-        tr_mix += np.trace(s_k @ s_i).real
-        quad_ki += np.vdot(stats.h_bar[k, l], s_i @ stats.h_bar[k, l]).real
-        quad_ik += np.vdot(stats.h_bar[i, l], s_k @ stats.h_bar[i, l]).real
-        tr_cross += np.trace(stats.R[i, l] @ ctx.t_mat[k, l]).real
-    f_g += one_ad2**2 * tau**2 * p[k] * p[i] * tr_mix
-    f_g += one_ad2 * tau * p[i] * quad_ki
+    f_g += one_ad2**2 * tau**2 * p[k] * p * tr_mix
+    f_g += one_ad2 * tau * p * quad_ki
     f_g += one_ad2 * tau * p[k] * quad_ik
 
-    if i in ctx.plan.copilot_sets[k]:
-        f_e = one_ad2**2 * tau**2 * p[k] * p[i] * tr_cross**2
-        f_e += 2.0 * one_ad2 * tau * np.sqrt(p[i] * p[k]) * np.real(
-            tr_cross * np.vdot(h_bar_i, h_bar_k))
-    else:
-        f_e = 0.0
-    return float(f_g), float(f_e)
+    f_e = one_ad2**2 * tau**2 * p[k] * p * tr_cross**2
+    f_e += 2.0 * one_ad2 * tau * np.sqrt(p * p[k]) * tr_cross * los_cross.real
+    f_e[ctx.plan.pilot_of != ctx.plan.pilot_of[k]] = 0.0
+    return f_g, f_e
 
 
 def se_centralized_closed(k, ctx, cluster, prelog):
     """Centralized MRC SE, hardening-style closed-form approximation."""
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     p = ctx.p_ddot
-    copilot = set(ctx.plan.copilot_sets[k])
-    num_g, num_e = _f_kernels(k, k, ctx, cluster)
-    num = one_ad2 * p[k] * (num_g + num_e)
+    f_g, f_e = _f_kernels(k, ctx, cluster)
+    num = one_ad2 * p[k] * (f_g[k] + f_e[k])
 
-    interference = 0.0
-    for i in range(ctx.K):
-        if i == k:
-            continue
-        f_g, f_e = _f_kernels(k, i, ctx, cluster)
-        interference += p[i] * f_g
-        if i in copilot:
-            interference += p[i] * f_e
-    w_full = centralized_error_noise(ctx)
-    noise = 0.0
-    for l in cluster.serving[k]:
-        e_hh = (np.outer(ctx.stats.h_bar[k, l], np.conj(ctx.stats.h_bar[k, l]))
-                + ctx.c_hhat[k, l])
-        noise += np.trace(w_full[l] @ e_hh).real
+    others = np.ones(ctx.K, dtype=bool)
+    others[k] = False
+    interference = np.dot(p[others], f_g[others] + f_e[others])
+
+    m_idx = np.asarray(cluster.serving[k], dtype=int)
+    h_bar_k = ctx.stats.h_bar[k, m_idx]
+    e_hh = (np.einsum("mn,mp->mnp", h_bar_k, np.conj(h_bar_k))
+            + ctx.c_hhat[k, m_idx])
+    w_full = context_memo(ctx, centralized_error_noise)
+    noise = np.einsum("mnp,mpn->", w_full[m_idx], e_hh).real
     den = one_ad2 * interference + noise
     return prelog * np.log2(1.0 + num / den)

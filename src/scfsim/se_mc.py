@@ -18,6 +18,7 @@ import numpy as np
 from .detectors import (centralized_combiners, centralized_error_noise,
                         centralized_system_matrices, local_combiners)
 from .numerics import solve_hermitian
+from .pilots import context_memo
 from .rng import substream
 from .sampling import sample_data_noise, sample_joint
 
@@ -162,7 +163,7 @@ def se_distributed_mc(k, ctx, cluster, detector, weighting, trials, seed,
 
 def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     """Per-UE centralized SE: E[log2(1 + instantaneous SINR)] over estimates."""
-    w_full = centralized_error_noise(ctx)
+    w_full = context_memo(ctx, centralized_error_noise)
     statics = (centralized_system_matrices(ctx, cluster, detector)
                if detector != "mrc" else {k: None for k in range(ctx.K)})
     w_sub = {}

@@ -1,0 +1,228 @@
+"""The batched closed-form kernels against explicit per-pair loops.
+
+The oracles below are the per-interferer formulas written out one UE pair
+and one serving AP at a time. On Rician and Rayleigh fading, under the full
+cluster plan and under the scheduled (Algorithm 1) plan, the reordered
+centralized kernels must agree with them to 1e-12 relative and the LSFD
+matrices, which keep the loop's order of additions, exactly.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from scfsim import detectors, se_closed, se_mc
+from scfsim.config import SimConfig
+from scfsim.detectors import (_single_ap_view, centralized_error_noise,
+                              l_mmse_local, local_combiners)
+from scfsim.harness import build_system, centralized_closed_report
+from scfsim.lsfd import build_ingredients
+from scfsim.pilots import context_memo
+from scfsim.rng import substream
+from scfsim.sampling import sample_joint
+from scfsim.scheduler import full_cluster_plan
+from scfsim.se_closed import _f_kernels, se_centralized_closed
+from scfsim.se_mc import centralized_mc_report
+
+REL = 1e-12
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)) <= REL * scale
+
+
+@pytest.fixture(scope="module",
+                params=[(f, p) for f in ("rician", "rayleigh")
+                        for p in ("full", "algorithm1")],
+                ids=lambda fp: f"{fp[0]}-{fp[1]}")
+def system(request):
+    fading, plan = request.param
+    cfg = SimConfig(L=6, K=9, N=2, tau=3, area_side=400.0, b_da=2, b_ad=3,
+                    fading=fading)
+    ctx, cluster, _ = build_system(cfg, 11)
+    if plan == "full":
+        cluster = full_cluster_plan(ctx.stats)
+    else:
+        assert any(len(m) < ctx.L for m in cluster.serving)
+    return ctx, cluster
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracles
+# ---------------------------------------------------------------------------
+
+def _f_kernels_pair(k, i, ctx, cluster):
+    """(f^g, f^e) of one UE pair, one serving AP at a time."""
+    stats = ctx.stats
+    serving = cluster.serving[k]
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    tau, p = ctx.tau, ctx.p_ddot
+    h_bar_k = stats.h_bar[k, serving].reshape(-1)
+    h_bar_i = stats.h_bar[i, serving].reshape(-1)
+    los_cross = np.vdot(h_bar_k, h_bar_i)
+
+    f_g = np.abs(los_cross) ** 2
+    tr_mix = quad_ki = quad_ik = tr_cross = 0.0
+    for l in serving:
+        s_k, s_i = ctx.s_mat[k, l], ctx.s_mat[i, l]
+        tr_mix += np.trace(s_k @ s_i).real
+        quad_ki += np.vdot(stats.h_bar[k, l], s_i @ stats.h_bar[k, l]).real
+        quad_ik += np.vdot(stats.h_bar[i, l], s_k @ stats.h_bar[i, l]).real
+        tr_cross += np.trace(stats.R[i, l] @ ctx.t_mat[k, l]).real
+    f_g += one_ad2**2 * tau**2 * p[k] * p[i] * tr_mix
+    f_g += one_ad2 * tau * p[i] * quad_ki
+    f_g += one_ad2 * tau * p[k] * quad_ik
+
+    if i in ctx.plan.copilot_sets[k]:
+        f_e = one_ad2**2 * tau**2 * p[k] * p[i] * tr_cross**2
+        f_e += 2.0 * one_ad2 * tau * np.sqrt(p[i] * p[k]) * np.real(
+            tr_cross * np.vdot(h_bar_i, h_bar_k))
+    else:
+        f_e = 0.0
+    return float(f_g), float(f_e)
+
+
+def _se_centralized_pairwise(k, ctx, cluster, prelog):
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    p = ctx.p_ddot
+    num_g, num_e = _f_kernels_pair(k, k, ctx, cluster)
+    num = one_ad2 * p[k] * (num_g + num_e)
+    interference = 0.0
+    for i in range(ctx.K):
+        if i != k:
+            f_g, f_e = _f_kernels_pair(k, i, ctx, cluster)
+            interference += p[i] * (f_g + f_e)
+    w_full = centralized_error_noise(ctx)
+    noise = 0.0
+    for l in cluster.serving[k]:
+        h_bar = ctx.stats.h_bar[k, l]
+        e_hh = np.outer(h_bar, np.conj(h_bar)) + ctx.c_hhat[k, l]
+        noise += np.trace(w_full[l] @ e_hh).real
+    return prelog * np.log2(1.0 + num / (one_ad2 * interference + noise))
+
+
+def _interference_outer(ing, ctx, sum_set, copilot_set):
+    """C_k as a sum of per-interferer outer products."""
+    p, k = ctx.p_ddot, ing.k
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    m = len(ing.serving)
+    acc = np.zeros((m, m), dtype=complex)
+    for i in sum_set:
+        acc += p[i] * (np.outer(ing.lam[i], np.conj(ing.lam[i]))
+                       + np.diag(ing.c[i]))
+    for i in copilot_set:
+        acc += p[i] * (np.outer(ing.b[i], ing.b[i])
+                       + np.outer(ing.b[i], np.conj(ing.lam[i]))
+                       + np.outer(ing.lam[i], ing.b[i]))
+    acc *= one_ad2 / (1.0 - ctx.q.rho_da)
+    acc -= one_ad2 * p[k] * np.outer(ing.signal, np.conj(ing.signal))
+    acc += np.diag(ing.d)
+    return 0.5 * (acc + acc.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+# ---------------------------------------------------------------------------
+
+def test_vector_f_kernels_match_pairwise(system):
+    ctx, cluster = system
+    for k in range(ctx.K):
+        f_g, f_e = _f_kernels(k, ctx, cluster)
+        want = np.array([_f_kernels_pair(k, i, ctx, cluster)
+                         for i in range(ctx.K)])
+        _assert_close(f_g, want[:, 0])
+        _assert_close(f_e, want[:, 1])
+        off_pilot = ctx.plan.pilot_of != ctx.plan.pilot_of[k]
+        assert np.all(f_e[off_pilot] == 0.0)
+
+
+def test_se_centralized_closed_matches_pairwise(system):
+    ctx, cluster = system
+    for k in range(ctx.K):
+        got = se_centralized_closed(k, ctx, cluster, 0.95)
+        want = _se_centralized_pairwise(k, ctx, cluster, 0.95)
+        assert abs(got - want) <= REL * want
+
+
+def test_lsfd_matrices_match_outer_products(system):
+    ctx, cluster = system
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    p = ctx.p_ddot
+    for k in range(ctx.K):
+        ing = build_ingredients(k, ctx, cluster)
+        copilot = ctx.plan.copilot_sets[k]
+        b_want = np.zeros_like(ing.b)
+        for i in copilot:
+            b_want[i] = [one_ad2 * ctx.tau * np.sqrt(p[k] * p[i]) * np.trace(
+                ctx.stats.R[i, l] @ ctx.t_mat[k, l]).real for l in ing.serving]
+        _assert_close(ing.b, b_want)
+        # same additions in the same order as the loop: equal, not just close
+        overlap = cluster.overlap[k]
+        assert np.array_equal(
+            ing.c_mat, _interference_outer(ing, ctx, range(ctx.K), copilot))
+        assert np.array_equal(ing.c_mat_partial, _interference_outer(
+            ing, ctx, overlap, sorted(set(copilot) & set(overlap))))
+
+
+# ---------------------------------------------------------------------------
+# the per-context error-plus-noise memo
+# ---------------------------------------------------------------------------
+
+def test_error_noise_computed_once_per_context(monkeypatch, system):
+    ctx, cluster = system
+    ctx = type(ctx)(**{f: getattr(ctx, f) for f in ctx.__dataclass_fields__
+                       if f != "_cache"})          # a fresh, empty cache
+    calls = []
+
+    @functools.wraps(centralized_error_noise)
+    def counting(c):
+        calls.append(c)
+        return centralized_error_noise(c)
+
+    for module in (detectors, se_closed, se_mc):
+        monkeypatch.setattr(module, "centralized_error_noise", counting)
+
+    centralized_closed_report(ctx, cluster, 0.95)
+    centralized_mc_report(ctx, cluster, "mmse", 8, 3, 0.95)
+    _, hhat = sample_joint(ctx, substream(5, "memo"), 2)
+    local_combiners(hhat, ctx, cluster, "lmmse")
+    assert len(calls) == 1
+
+    w = context_memo(ctx, centralized_error_noise)
+    assert len(calls) == 1
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 0.0
+    assert np.array_equal(w, centralized_error_noise(ctx))
+
+
+def _lmmse_static_formula(ctx):
+    """The L-MMSE static part as the former dedicated helper computed it."""
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    static = np.array(ctx.c_n)
+    for l in range(ctx.L):
+        static[l] += one_ad2 * np.einsum(
+            "i,inm->nm", ctx.p_ddot, ctx.stats.R[:, l] - ctx.c_hhat[:, l])
+    return static
+
+
+def test_lmmse_static_part_is_bit_identical(system):
+    ctx, cluster = system
+    assert np.array_equal(context_memo(ctx, centralized_error_noise),
+                          _lmmse_static_formula(ctx))
+    # the single-AP facade has no cache and gets a fresh read-only copy
+    view = _single_ap_view(ctx, 1)
+    w_view = context_memo(view, centralized_error_noise)
+    assert not w_view.flags.writeable
+    assert np.array_equal(w_view, _lmmse_static_formula(view))
+
+    # the cached (whole network) and uncached (one AP) paths agree bit for bit
+    _, hhat = sample_joint(ctx, substream(9, "lmmse"), 2)
+    v = local_combiners(hhat, ctx, cluster, "lmmse")
+    k = 2
+    l = int(cluster.primary[k])
+    assert np.array_equal(v[1, k, l], l_mmse_local(k, l, hhat[1, :, l], ctx))

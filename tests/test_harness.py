@@ -47,6 +47,23 @@ def test_load_config_single_override(tmp_path):
     assert cfg.replace(b_ad=SimConfig().b_ad) == SimConfig()
 
 
+def test_config_rejects_unknown_detector_and_weighting(tmp_path):
+    with pytest.raises(ConfigError, match="distributed scheme.*lpmmse-full"):
+        SimConfig(detector="nope")
+    with pytest.raises(ConfigError, match="weighting"):
+        SimConfig(weighting="nope")
+    # each scheme's detectors are rejected under the other scheme
+    with pytest.raises(ConfigError, match="centralized scheme.*pmmse"):
+        SimConfig(scheme="centralized", detector="lpmmse")
+    with pytest.raises(ConfigError, match="distributed scheme"):
+        SimConfig(detector="mmse")
+    assert SimConfig(scheme="centralized", detector="pmmse-full").detector == "pmmse-full"
+    path = tmp_path / "bad_detector.json"
+    path.write_text(json.dumps({"scheme": "centralized", "detector": "lmmse"}))
+    with pytest.raises(ConfigError, match="centralized"):
+        load_config(path)
+
+
 def test_config_hash_tracks_content():
     assert config_hash(SimConfig()) == config_hash(SimConfig())
     assert config_hash(SimConfig()) != config_hash(SimConfig(seed=1))
@@ -114,6 +131,7 @@ def test_worker_determinism():
 
 
 def test_worker_count_env(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.delenv("SCFSIM_WORKERS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("SCFSIM_WORKERS", "8")
@@ -121,6 +139,17 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SCFSIM_WORKERS", "zero")
     with pytest.raises(Exception):
         worker_count()
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SCFSIM_WORKERS", "64")
+    assert worker_count() == 2
+    monkeypatch.setenv("SCFSIM_WORKERS", "0")
+    assert worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)   # count unknown
+    monkeypatch.setenv("SCFSIM_WORKERS", "4")
+    assert worker_count() == 1
 
 
 def test_delta_se():

@@ -73,9 +73,9 @@ def test_f_kernels_orthogonal_pilot_has_no_copilot_term():
     _, _, _, _, plan, ctx, cluster = small_system(seed=44)
     other = [i for i in range(4) if i not in plan.copilot_sets[0]][0]
     copilot = [i for i in plan.copilot_sets[0] if i != 0][0]
-    _, f_e = _f_kernels(0, other, ctx, cluster)
-    assert f_e == 0.0
-    _, f_e_cp = _f_kernels(0, copilot, ctx, cluster)
+    _, f_e = _f_kernels(0, ctx, cluster)
+    assert f_e[other] == 0.0
+    f_e_cp = f_e[copilot]
     assert f_e_cp != 0.0
 
 
@@ -85,7 +85,7 @@ def test_f_kernels_rayleigh_drops_los_terms():
     one_ad2 = (1 - q.rho_ad) ** 2
     tau, p = ctx.tau, ctx.p_ddot
     k, i = 0, 1
-    f_g, _ = _f_kernels(k, i, ctx, cluster)
+    f_g = _f_kernels(k, ctx, cluster)[0][i]
     trace_only = one_ad2**2 * tau**2 * p[k] * p[i] * sum(
         np.trace(ctx.s_mat[k, l] @ ctx.s_mat[i, l]).real
         for l in cluster.serving[k])
