@@ -11,13 +11,13 @@ class ConfigError(ValueError):
     """Raised on unparseable files or invariant-violating field values."""
 
 
-# combining detectors per processing scheme, and the distributed second-stage
-# weightings the closed-form report accepts
+# combining detectors per processing scheme, and the second-stage weightings
+# of the distributed scheme (both engines; see lsfd.lsfd_weights)
 DETECTORS = {
     "distributed": ("mrc", "lmmse", "lpmmse", "lpmmse-full"),
     "centralized": ("mrc", "mmse", "pmmse", "pmmse-full"),
 }
-WEIGHTINGS = ("lsfd", "plsfd", "mr", "l2")
+WEIGHTINGS = ("lsfd", "plsfd", "l2")
 
 
 @dataclass
@@ -55,7 +55,7 @@ class SimConfig:
     # evaluation
     scheme: str = "distributed"   # "distributed" or "centralized"
     detector: str = "mrc"         # mrc | lmmse | lpmmse | lpmmse-full | mmse | pmmse | pmmse-full
-    weighting: str = "lsfd"       # lsfd | plsfd | l2 (distributed second stage)
+    weighting: str = "lsfd"       # one of WEIGHTINGS (distributed scheme only)
     trials: int = 1000            # Monte Carlo realizations
     seed: int = 0
 

@@ -19,12 +19,11 @@ import numpy as np
 from . import se_closed
 from .channel import channel_statistics, generate_scenario
 from .config import SimConfig, config_hash
-from .lsfd import build_ingredients, l2_lsfd, lsfd_mr, p_lsfd
+from .lsfd import build_ingredients, se_from_moments
 from .pilots import build_estimation_context, random_pilots
 from .quantization import QuantizerConfig
 from .rng import substream
 from .scheduler import run_algorithm1
-from .se_closed import se_distributed_closed, se_distributed_closed_max
 from .se_mc import SEReport, centralized_mc_report, distributed_mc_report
 from . import __version__
 
@@ -133,19 +132,8 @@ def build_system(cfg, seed, strategy="algorithm1", nu=None):
 
 def distributed_closed_report(ctx, cluster, weighting, prelog):
     """Closed-form per-UE distributed SE (MRC detection)."""
-    se = np.empty(ctx.K)
-    for k in range(ctx.K):
-        ing = build_ingredients(k, ctx, cluster)
-        if weighting == "lsfd":
-            se[k] = se_distributed_closed_max(ing, prelog)
-        elif weighting == "plsfd":
-            se[k] = se_distributed_closed(ing, p_lsfd(ing), prelog)
-        elif weighting == "mr":
-            se[k] = se_distributed_closed(ing, lsfd_mr(ing), prelog)
-        elif weighting == "l2":
-            se[k] = se_distributed_closed(ing, l2_lsfd(len(ing.serving)), prelog)
-        else:
-            raise ExperimentError(f"unknown weighting {weighting!r}")
+    se = np.array([se_from_moments(build_ingredients(k, ctx, cluster).moments,
+                                   weighting, prelog) for k in range(ctx.K)])
     return SEReport(se=se, prelog=prelog, scheme="distributed", detector="mrc",
                     weighting=weighting, evaluation="closed-form")
 
@@ -210,23 +198,16 @@ CENTRALIZED_CDF_STRATEGIES = ("mrc", "mmse", "pmmse", "pmmse-full")
 def _point_cdf_distributed(cfg, seed, detector, weighting, rep):
     rep_seed = substream(seed, "cdf-distributed", rep).integers(0, 2**63)
     ctx, cluster, _ = build_system(cfg, rep_seed)
-    if detector == "mrc":
-        report = distributed_closed_report(ctx, cluster, weighting, cfg.prelog)
-    else:
-        report = distributed_mc_report(ctx, cluster, detector, weighting,
-                                       cfg.trials, rep_seed, cfg.prelog)
-    return list(map(float, report.se))
+    point_cfg = cfg.replace(scheme="distributed", detector=detector,
+                            weighting=weighting)
+    return list(map(float, evaluate(point_cfg, ctx, cluster, rep_seed).se))
 
 
 def _point_cdf_centralized(cfg, seed, detector, rep):
     rep_seed = substream(seed, "cdf-centralized", rep).integers(0, 2**63)
     ctx, cluster, _ = build_system(cfg, rep_seed)
-    if detector == "mrc":
-        report = centralized_closed_report(ctx, cluster, cfg.prelog)
-    else:
-        report = centralized_mc_report(ctx, cluster, detector, cfg.trials,
-                                       rep_seed, cfg.prelog)
-    return list(map(float, report.se))
+    point_cfg = cfg.replace(scheme="centralized", detector=detector)
+    return list(map(float, evaluate(point_cfg, ctx, cluster, rep_seed).se))
 
 
 def _point_cdf_algorithm(cfg, seed, strategy, rep):

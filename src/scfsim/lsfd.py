@@ -1,8 +1,16 @@
-"""Closed-form ingredients of the distributed MRC+LSFD spectral efficiency
-and the second-stage weighting vectors.
+"""The distributed SE: one moment layer shared by the closed form and the
+Monte Carlo engine.
 
-For UE k served by the AP set M_k the ingredients are, per serving AP l and
-interfering UE i:
+The distributed scheme is MRC at the APs followed by a second-stage
+weighting, applied to three second moments of UE k served by the AP set
+M_k: E[g_kk], the interference-plus-noise matrix C_k (sums over all UEs) and
+its overlap-restricted counterpart C_k^P (sums over Q_k). ``Moments`` holds
+them; ``lsfd_weights`` maps a bundle and a weighting (one of
+``config.WEIGHTINGS``) to weights, ``se_from_moments`` to the SE.
+``build_ingredients`` builds the bundle in closed form, and
+``se_mc.DistributedSums.moments`` estimates it from samples.
+
+The closed-form ingredients are, per serving AP l and interfering UE i:
 
     lambda_kl^i = h_bar_kl^H h_bar_il                  (LOS alignment)
     b_kl^i      = (1-rho_ad)^2 tau sqrt(p̈_k p̈_i) tr(R_il Psi^{-1} R_kl)
@@ -10,21 +18,32 @@ interfering UE i:
     c_kl^i      = interference power kernel
     d_kl        = AP-local noise power seen through the estimate
 
-from which the interference-plus-noise matrix C_k (full-K sums) and its
-partial counterpart C_k^P (sums over the overlap set Q_k) are assembled.
 Every ingredient is a (K, |M_k|) array built by one contraction over the
 interferers. C_k and C_k^P are gathered through index arrays of the sum set
 and the co-pilot set into one (|set|, |M_k|, |M_k|) stack of per-interferer
 terms and reduced along it, with no Python loop over interferers.
 Under the ULA model all trace kernels are real; tiny imaginary residue from
-quadrature is dropped.
+quadrature is dropped. The LSFD levels follow Björnson & Sanguinetti,
+"Making Cell-Free Massive MIMO Competitive With MMSE Processing and
+Centralized Implementation" (IEEE TWC 2020).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import WEIGHTINGS
 from .numerics import hermitize, solve_hermitian
+
+
+@dataclass(frozen=True)
+class Moments:
+    """The second moments the distributed SE of one UE k rests on."""
+    signal: np.ndarray         # (|M_k|,) E[g_kk]
+    c_full: np.ndarray         # (|M_k|, |M_k|) C_k, sums over all UEs
+    c_partial: np.ndarray      # (|M_k|, |M_k|) C_k^P, sums over Q_k
+    p_ddot_k: float
+    one_ad2: float             # (1 - rho_ad)^2
 
 
 @dataclass(frozen=True)
@@ -37,22 +56,12 @@ class LsfdIngredients:
     b: np.ndarray              # (K, |M_k|) real; rows meaningful for i in P_k
     c: np.ndarray              # (K, |M_k|) real
     d: np.ndarray              # (|M_k|,) real
-    c_mat: np.ndarray          # (|M_k|, |M_k|) Hermitian, full-K sums
-    c_mat_partial: np.ndarray  # (|M_k|, |M_k|) Hermitian, Q_k sums
-    signal: np.ndarray         # (|M_k|,) = lambda_k^k + b_k^k = E[g_kk]
-    p_ddot_k: float
-    rho_ad: float
-    rho_da: float
-
-
-@dataclass(frozen=True)
-class LsfdVector:
-    a: np.ndarray
-    method: str
+    moments: Moments           # signal = lambda_k^k + b_k^k
 
 
 def build_ingredients(k, ctx, cluster):
-    """Assemble every Theorem-2 ingredient for UE k under the given plan."""
+    """Assemble every Theorem-2 ingredient and the Moments of UE k under
+    the given plan."""
     stats, plan = ctx.stats, ctx.plan
     serving = cluster.serving[k]
     if len(serving) == 0:
@@ -120,35 +129,43 @@ def build_ingredients(k, ctx, cluster):
         acc += np.diag(d)
         return hermitize(acc)
 
-    c_mat = interference(np.arange(ctx.K), cp_idx)
-    c_mat_partial = interference(
-        np.asarray(overlap, dtype=int),
-        np.asarray(sorted(set(copilot) & set(overlap)), dtype=int))
+    moments = Moments(
+        signal=signal,
+        c_full=interference(np.arange(ctx.K), cp_idx),
+        c_partial=interference(
+            np.asarray(overlap, dtype=int),
+            np.asarray(sorted(set(copilot) & set(overlap)), dtype=int)),
+        p_ddot_k=float(p[k]), one_ad2=one_ad2)
     return LsfdIngredients(
         k=k, serving=tuple(serving), copilot=tuple(copilot),
-        overlap=tuple(overlap), lam=lam, b=b, c=c, d=d, c_mat=c_mat,
-        c_mat_partial=c_mat_partial, signal=signal, p_ddot_k=float(p[k]),
-        rho_ad=ctx.q.rho_ad, rho_da=ctx.q.rho_da)
+        overlap=tuple(overlap), lam=lam, b=b, c=c, d=d, moments=moments)
 
 
-def lsfd_optimal(mean_g, b_matrix):
-    """Generalized-Rayleigh-optimal weights a = B^{-1} E[g_kk]."""
-    return LsfdVector(a=solve_hermitian(b_matrix, mean_g), method="optimal")
+def lsfd_weights(moments, weighting):
+    """Second-stage weights: C_k^{-1} E[g_kk] for lsfd, (C_k^P)^{-1} E[g_kk]
+    for the scalable plsfd, all ones for l2.
+
+    C_k has the mean-signal term removed, so C_k^{-1} E[g_kk] is the
+    Rayleigh-quotient optimum of the SINR in ``se_from_moments``.
+    """
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}; "
+                         f"choose from {'|'.join(WEIGHTINGS)}")
+    if weighting == "l2":
+        return np.ones(len(moments.signal), dtype=complex)
+    c = moments.c_full if weighting == "lsfd" else moments.c_partial
+    return solve_hermitian(c, moments.signal)
 
 
-def lsfd_mr(ing):
-    """Unscaled LSFD weights from the closed-form full-K matrix."""
-    return LsfdVector(a=solve_hermitian(ing.c_mat, ing.signal), method="mr")
+def se_from_moments(moments, weighting, prelog):
+    """Distributed SE of one UE from its Moments under the given weighting.
 
-
-def p_lsfd(ing):
-    """Partial LSFD weights: interference sums restricted to the overlap set."""
-    return LsfdVector(a=solve_hermitian(ing.c_mat_partial, ing.signal),
-                      method="p-mr")
-
-
-def l2_lsfd(size):
-    """Statistics-free all-ones weighting."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    return LsfdVector(a=np.ones(size, dtype=complex), method="l2")
+    The denominator always uses C_k, also when the weights came from C_k^P.
+    """
+    a = lsfd_weights(moments, weighting)
+    if not np.any(a):
+        raise ValueError("all-zero weighting vector")
+    num = moments.one_ad2 * moments.p_ddot_k * np.abs(
+        np.vdot(a, moments.signal)) ** 2
+    den = np.real(np.vdot(a, moments.c_full @ a))
+    return prelog * np.log2(1.0 + num / den)

@@ -1,20 +1,19 @@
 """Closed-form spectral-efficiency expressions (MRC detection).
 
-Distributed scheme: the optimal-LSFD SE and the SE under an arbitrary
-weighting vector, both driven by the LsfdIngredients. Centralized scheme: the
-hardening-style approximation built from the estimate-moment kernels f^g, f^e.
-Each UE k gets one vector kernel call that returns f^g and f^e against every
-interferer at once, contracted over k's serving APs and antennas; the
-per-AP error-plus-noise matrices W_l are computed once per estimation context
-and shared by every UE. Also the four-case expectation kernel
-E[hhat_k^H h_i h_i^H hhat_k] the distributed expressions rest on, kept
-standalone for oracle validation.
+Centralized scheme: the hardening-style approximation built from the
+estimate-moment kernels f^g, f^e. Each UE k gets one vector kernel call that
+returns f^g and f^e against every interferer at once, contracted over k's
+serving APs and antennas; the per-AP error-plus-noise matrices W_l are
+computed once per estimation context and shared by every UE. Also the
+four-case expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the distributed
+expressions rest on, kept standalone for oracle validation. The distributed
+closed form is ``lsfd.build_ingredients`` followed by
+``lsfd.se_from_moments``, the path the Monte Carlo engine shares.
 """
 
 import numpy as np
 
 from .detectors import centralized_error_noise
-from .numerics import solve_hermitian
 from .pilots import context_memo
 
 
@@ -55,29 +54,6 @@ def theorem1_kernel(k, i, l1, l2, ctx):
     value += one_ad2 * tau * np.sqrt(p[k] * p[i]) * (
         np.vdot(h_i2, h_k2) * tr1 + np.vdot(h_k1, h_i1) * tr2)
     return complex(value)
-
-
-def se_distributed_closed_max(ing, prelog):
-    """Distributed SE with MRC and the optimal LSFD weights (closed form)."""
-    one_ad2 = (1.0 - ing.rho_ad) ** 2
-    sinr = one_ad2 * ing.p_ddot_k * np.real(
-        np.vdot(ing.signal, solve_hermitian(ing.c_mat, ing.signal)))
-    return prelog * np.log2(1.0 + sinr)
-
-
-def se_distributed_closed(ing, weights, prelog):
-    """Distributed SE with MRC and arbitrary LSFD weights.
-
-    The denominator always uses the full interference matrix, also when the
-    weights came from the partial one.
-    """
-    a = weights.a
-    if not np.any(a):
-        raise ValueError("all-zero weighting vector")
-    one_ad2 = (1.0 - ing.rho_ad) ** 2
-    num = one_ad2 * ing.p_ddot_k * np.abs(np.vdot(a, ing.signal)) ** 2
-    den = np.real(np.vdot(a, ing.c_mat @ a))
-    return prelog * np.log2(1.0 + num / den)
 
 
 def _f_kernels(k, ctx, cluster):

@@ -1,9 +1,12 @@
 """Monte Carlo spectral-efficiency estimators.
 
 Distributed scheme: the hardening bound evaluated from jointly sampled
-(channel, estimate, receive-noise) trials — numerator and denominator share
-the same trials to keep the ratio variance down. Centralized scheme: the
-instantaneous-SINR bound averaged over estimate realizations.
+(channel, estimate, receive-noise) trials. The trials are summed into
+per-UE sample moments (``DistributedSums``), which give the same
+``lsfd.Moments`` bundle the closed form builds; ``lsfd.se_from_moments``
+turns it into weights and SE for both engines, so numerator and denominator
+share the same trials to keep the ratio variance down. Centralized scheme:
+the instantaneous-SINR bound averaged over estimate realizations.
 
 Trials are processed in fixed-size batches with per-batch derived RNG
 streams and summed in batch order, so results are bit-identical no matter
@@ -17,7 +20,7 @@ import numpy as np
 
 from .detectors import (centralized_combiners, centralized_error_noise,
                         centralized_system_matrices, local_combiners)
-from .numerics import solve_hermitian
+from .lsfd import Moments, se_from_moments
 from .pilots import context_memo
 from .rng import substream
 from .sampling import sample_data_noise, sample_joint
@@ -52,24 +55,32 @@ def batch_plan(trials, k_count, l_count, n_ant):
     """Deterministic batch sizes for a trial budget (independent of workers).
 
     Batches are capped by memory and also split roughly STDERR_GROUPS ways so
-    group-based standard errors exist whenever the budget allows.
+    group-based standard errors exist whenever the budget allows. Sizes
+    differ by at most one trial, and when there are more batches than stderr
+    groups their count is a multiple of the group count, so every group holds
+    the same number of trials, give or take one per batch.
     """
     per_trial = max(1, k_count * l_count * n_ant)
     by_groups = -(-trials // STDERR_GROUPS)
     size = int(max(64, min(by_groups, MC_BATCH_ELEMS // per_trial)))
-    edges = list(range(0, trials, size)) + [trials]
-    return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    count = -(-trials // size)
+    if count > STDERR_GROUPS:
+        count = -(-count // STDERR_GROUPS) * STDERR_GROUPS
+    edges = [trials * i // count for i in range(count + 1)]
+    return [(edges[i], edges[i + 1]) for i in range(count)]
 
 
 def _group_of(batch_idx, n_batches, groups):
     return batch_idx * groups // n_batches
 
 
-class _DistributedAccumulator:
+class DistributedSums:
     """Per-UE running sums of every Eq.-18 moment, split into stderr groups."""
 
-    def __init__(self, sizes, groups):
-        self.groups = groups
+    def __init__(self, ctx, sizes, groups):
+        self.p = ctx.p_ddot
+        self.one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+        self.rho_da = ctx.q.rho_da
         self.count = np.zeros(groups)
         self.g_sum = [np.zeros((groups, m), dtype=complex) for m in sizes]
         self.w_full = [np.zeros((groups, m, m), dtype=complex) for m in sizes]
@@ -77,34 +88,44 @@ class _DistributedAccumulator:
         self.f_outer = [np.zeros((groups, m, m), dtype=complex) for m in sizes]
         self.d_local = [np.zeros((groups, m)) for m in sizes]
 
+    @property
+    def groups(self):
+        return len(self.count)
 
-def _distributed_sinr_from_moments(ing, weighting, one_ad2, rho_da, p_k):
-    g_bar, w_full, w_overlap, f_mat, d_vec = ing
-    if weighting == "lsfd":
-        b_full = one_ad2 * w_full + f_mat - one_ad2 * p_k * np.outer(g_bar, np.conj(g_bar))
-        a = solve_hermitian(b_full, g_bar)
-    elif weighting == "plsfd":
-        b_part = (np.diag(d_vec) + one_ad2 / (1.0 - rho_da) * w_overlap
-                  - one_ad2 * p_k * np.outer(g_bar, np.conj(g_bar)))
-        a = solve_hermitian(b_part, g_bar)
-    elif weighting == "l2":
-        a = np.ones(len(g_bar), dtype=complex)
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
-    num = one_ad2 * p_k * np.abs(np.vdot(a, g_bar)) ** 2
-    den = np.real(np.vdot(a, (one_ad2 * w_full + f_mat) @ a)) - num
-    return num / den
+    def moments(self, k, sel=slice(None)):
+        """UE k's Moments from the trials of the stderr groups ``sel``:
+
+            C_k   = (1-rho_ad)^2 W + F - (1-rho_ad)^2 p̈_k g g^H
+            C_k^P = diag(d) + (1-rho_ad)^2/(1-rho_da) W_Q
+                    - (1-rho_ad)^2 p̈_k g g^H
+
+        with g the sample mean of g_kk, W and W_Q the power-weighted
+        interference Grams over all UEs and over Q_k, F the receive-noise
+        Gram and d its AP-local diagonal.
+        """
+        n = self.count[sel].sum()
+        g_bar = self.g_sum[k][sel].sum(axis=0) / n
+        w_full = self.w_full[k][sel].sum(axis=0) / n
+        w_overlap = self.w_overlap[k][sel].sum(axis=0) / n
+        f_mat = self.f_outer[k][sel].sum(axis=0) / n
+        d_vec = self.d_local[k][sel].sum(axis=0) / n
+        signal_term = self.one_ad2 * self.p[k] * np.outer(g_bar, np.conj(g_bar))
+        return Moments(
+            signal=g_bar,
+            c_full=self.one_ad2 * w_full + f_mat - signal_term,
+            c_partial=(np.diag(d_vec)
+                       + self.one_ad2 / (1.0 - self.rho_da) * w_overlap
+                       - signal_term),
+            p_ddot_k=float(self.p[k]), one_ad2=self.one_ad2)
 
 
-def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
-                          prelog):
-    """Per-UE distributed SE (hardening bound) by joint Monte Carlo."""
+def distributed_mc_sums(ctx, cluster, detector, trials, seed):
+    """Joint Monte Carlo sample sums of every UE's distributed moments."""
     serving = [np.asarray(cluster.serving[k], dtype=int) for k in range(ctx.K)]
     overlap = [np.asarray(cluster.overlap[k], dtype=int) for k in range(ctx.K)]
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
-    groups = min(STDERR_GROUPS, len(batches))
-    acc = _DistributedAccumulator([len(s) for s in serving], groups)
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    acc = DistributedSums(ctx, [len(s) for s in serving],
+                          min(STDERR_GROUPS, len(batches)))
     p = ctx.p_ddot
 
     for b_idx, (lo, hi) in enumerate(batches):
@@ -112,7 +133,7 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
         h, hhat = sample_joint(ctx, rng, hi - lo)
         noise = sample_data_noise(ctx, h, rng)
         v = local_combiners(hhat, ctx, cluster, detector)
-        g_idx = _group_of(b_idx, len(batches), groups)
+        g_idx = _group_of(b_idx, len(batches), acc.groups)
         acc.count[g_idx] += hi - lo
         for k in range(ctx.K):
             m_idx = serving[k]
@@ -129,36 +150,26 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
             acc.d_local[k][g_idx] += (
                 np.einsum("bmn,mn->m", v_abs2, ctx.nx_diag[m_idx])
                 + np.einsum("bmn,m->m", v_abs2, ctx.nx_iso[m_idx]))
+    return acc
 
+
+def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
+                          prelog):
+    """Per-UE distributed SE (hardening bound) by joint Monte Carlo."""
+    sums = distributed_mc_sums(ctx, cluster, detector, trials, seed)
+    groups = sums.groups
     se = np.empty(ctx.K)
     stderr = np.full(ctx.K, np.nan)
     for k in range(ctx.K):
-        def moments(sel):
-            n = acc.count[sel].sum()
-            return (acc.g_sum[k][sel].sum(axis=0) / n,
-                    acc.w_full[k][sel].sum(axis=0) / n,
-                    acc.w_overlap[k][sel].sum(axis=0) / n,
-                    acc.f_outer[k][sel].sum(axis=0) / n,
-                    acc.d_local[k][sel].sum(axis=0) / n)
-
-        sinr = _distributed_sinr_from_moments(
-            moments(slice(None)), weighting, one_ad2, ctx.q.rho_da, p[k])
-        se[k] = prelog * math.log2(1.0 + sinr)
+        se[k] = se_from_moments(sums.moments(k), weighting, prelog)
         if groups >= 2:
-            per_group = [prelog * math.log2(1.0 + _distributed_sinr_from_moments(
-                moments(slice(g_i, g_i + 1)), weighting, one_ad2,
-                ctx.q.rho_da, p[k])) for g_i in range(groups)]
+            per_group = [se_from_moments(sums.moments(k, slice(g_i, g_i + 1)),
+                                         weighting, prelog)
+                         for g_i in range(groups)]
             stderr[k] = np.std(per_group, ddof=1) / math.sqrt(groups)
     return SEReport(se=se, prelog=prelog, scheme="distributed",
                     detector=detector, weighting=weighting,
                     evaluation="monte-carlo", trials=trials, stderr=stderr)
-
-
-def se_distributed_mc(k, ctx, cluster, detector, weighting, trials, seed,
-                      prelog):
-    report = distributed_mc_report(ctx, cluster, detector, weighting, trials,
-                                   seed, prelog)
-    return report.se[k], report.stderr[k]
 
 
 def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
@@ -208,8 +219,3 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     return SEReport(se=se, prelog=prelog, scheme="centralized",
                     detector=detector, weighting=None,
                     evaluation="monte-carlo", trials=trials, stderr=stderr)
-
-
-def se_centralized_mc_exact(k, ctx, cluster, detector, trials, seed, prelog):
-    report = centralized_mc_report(ctx, cluster, detector, trials, seed, prelog)
-    return report.se[k], report.stderr[k]

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channel_statistics, generate_scenario
+from .harness import distributed_closed_report
 from .numerics import hermitize
 from .pilots import build_estimation_context
 from .quantization import QuantizerConfig
 from .rng import substream
 from .sampling import sample_joint
 from .scheduler import equal_power_plan, full_cluster_plan, run_algorithm1
-from .se_closed import se_distributed_closed_max, se_centralized_closed, theorem1_kernel
+from .se_closed import se_centralized_closed, theorem1_kernel
 from .se_mc import batch_plan, centralized_mc_report, distributed_mc_report
-from .lsfd import build_ingredients
 from .pilots import round_robin_pilots
 
 
@@ -100,8 +100,7 @@ def run_validation(cfg, seed):
                             float(abs(mc)), abs(closed - mc) / scale, 0.05))
 
     prelog = cfg.prelog
-    closed_se = np.array([se_distributed_closed_max(
-        build_ingredients(k, ctx, cluster), prelog) for k in range(cfg.K)])
+    closed_se = distributed_closed_report(ctx, cluster, "lsfd", prelog).se
     mc_report = distributed_mc_report(ctx, cluster, "mrc", "lsfd",
                                       cfg.trials, seed, prelog)
     for k in range(cfg.K):

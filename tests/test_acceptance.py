@@ -15,14 +15,14 @@ from scfsim.config import SimConfig
 from scfsim.harness import (build_system, centralized_closed_report, delta_se,
                             distributed_closed_report, emit_results,
                             run_experiment)
-from scfsim.lsfd import build_ingredients
+from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
 from scfsim.sampling import sample_joint
 from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce, cc_lsfd,
                               cc_plsfd, run_algorithm1)
-from scfsim.se_closed import se_distributed_closed_max, se_centralized_closed, theorem1_kernel
+from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.se_mc import centralized_mc_report, distributed_mc_report
 from conftest import small_system
 
@@ -81,8 +81,7 @@ def test_criterion_02_theorem2_vs_mc():
     cfg, stats, q, powers, plan, ctx, cluster = small_system(
         L=4, K=6, N=2, tau=3, b_da=1, b_ad=2, seed=3)
     prelog = cfg.prelog
-    closed = np.array([se_distributed_closed_max(
-        build_ingredients(k, ctx, cluster), prelog) for k in range(6)])
+    closed = distributed_closed_report(ctx, cluster, "lsfd", prelog).se
     mc = distributed_mc_report(ctx, cluster, "mrc", "lsfd", 100_000, 3, prelog)
     gaps = np.abs(closed - mc.se) / closed
     elapsed = time.time() - start
@@ -287,8 +286,8 @@ def test_criterion_09_degeneration_suite():
         got_v = l_mmse_local(k, 0, hhat_l, ctx)
         want_v = ideal.ideal_lmmse(k, 0, hhat_l, stats, plan, p, ctx.sigma2)
         worst = max(worst, np.max(np.abs(got_v - want_v)) / np.max(np.abs(want_v)))
-        got_se = se_distributed_closed_max(build_ingredients(k, ctx, cluster),
-                                           cfg.prelog)
+        got_se = se_from_moments(build_ingredients(k, ctx, cluster).moments,
+                                 "lsfd", cfg.prelog)
         want_se = ideal.ideal_se_mrc_lsfd(k, stats, plan, p, ctx.sigma2,
                                           cfg.prelog)
         worst = max(worst, abs(got_se - want_se) / abs(want_se))

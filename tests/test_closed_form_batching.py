@@ -119,7 +119,8 @@ def _interference_outer(ing, ctx, sum_set, copilot_set):
                        + np.outer(ing.b[i], np.conj(ing.lam[i]))
                        + np.outer(ing.lam[i], ing.b[i]))
     acc *= one_ad2 / (1.0 - ctx.q.rho_da)
-    acc -= one_ad2 * p[k] * np.outer(ing.signal, np.conj(ing.signal))
+    signal = ing.moments.signal
+    acc -= one_ad2 * p[k] * np.outer(signal, np.conj(signal))
     acc += np.diag(ing.d)
     return 0.5 * (acc + acc.conj().T)
 
@@ -163,8 +164,9 @@ def test_lsfd_matrices_match_outer_products(system):
         # same additions in the same order as the loop: equal, not just close
         overlap = cluster.overlap[k]
         assert np.array_equal(
-            ing.c_mat, _interference_outer(ing, ctx, range(ctx.K), copilot))
-        assert np.array_equal(ing.c_mat_partial, _interference_outer(
+            ing.moments.c_full,
+            _interference_outer(ing, ctx, range(ctx.K), copilot))
+        assert np.array_equal(ing.moments.c_partial, _interference_outer(
             ing, ctx, overlap, sorted(set(copilot) & set(overlap))))
 
 

@@ -50,8 +50,9 @@ def test_load_config_single_override(tmp_path):
 def test_config_rejects_unknown_detector_and_weighting(tmp_path):
     with pytest.raises(ConfigError, match="distributed scheme.*lpmmse-full"):
         SimConfig(detector="nope")
-    with pytest.raises(ConfigError, match="weighting"):
-        SimConfig(weighting="nope")
+    for weighting in ("nope", "mr"):
+        with pytest.raises(ConfigError, match="weighting"):
+            SimConfig(weighting=weighting)
     # each scheme's detectors are rejected under the other scheme
     with pytest.raises(ConfigError, match="centralized scheme.*pmmse"):
         SimConfig(scheme="centralized", detector="lpmmse")
@@ -61,6 +62,10 @@ def test_config_rejects_unknown_detector_and_weighting(tmp_path):
     path = tmp_path / "bad_detector.json"
     path.write_text(json.dumps({"scheme": "centralized", "detector": "lmmse"}))
     with pytest.raises(ConfigError, match="centralized"):
+        load_config(path)
+    path = tmp_path / "bad_weighting.json"
+    path.write_text(json.dumps({"weighting": "mr"}))
+    with pytest.raises(ConfigError, match="weighting"):
         load_config(path)
 
 

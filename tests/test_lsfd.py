@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from scfsim.lsfd import build_ingredients, l2_lsfd, lsfd_mr, lsfd_optimal, p_lsfd
+from scfsim.config import SimConfig
+from scfsim.harness import build_system
+from scfsim.lsfd import Moments, build_ingredients, lsfd_weights, se_from_moments
 from scfsim.rng import substream
 from scfsim.sampling import sample_data_noise, sample_joint
-from scfsim.se_closed import se_distributed_closed, se_distributed_closed_max
+from scfsim.scheduler import full_cluster_plan
+from scfsim.se_mc import distributed_mc_sums
 
 from conftest import small_system
 
@@ -29,7 +32,7 @@ def test_b_defined_only_for_copilot():
 def test_ingredients_match_monte_carlo_moments():
     _, stats, q, powers, plan, ctx, cluster = small_system(seed=32)
     k = 0
-    ing = build_ingredients(k, ctx, cluster)
+    m = build_ingredients(k, ctx, cluster).moments
     trials = 150000
     rng = substream(8, "moments")
     m_idx = np.asarray(cluster.serving[k])
@@ -54,54 +57,61 @@ def test_ingredients_match_monte_carlo_moments():
              - one_ad2 * powers.p_ddot[k] * np.outer(g_bar, np.conj(g_bar)))
 
     # E[g_kk] = lambda_k^k + b_k^k
-    scale = np.abs(ing.signal).max()
-    assert np.max(np.abs(g_bar - ing.signal)) < 0.02 * scale
+    scale = np.abs(m.signal).max()
+    assert np.max(np.abs(g_bar - m.signal)) < 0.02 * scale
     # closed-form C_k = Monte Carlo B_k^d
-    assert (np.linalg.norm(b_hat - ing.c_mat) / np.linalg.norm(ing.c_mat)) < 0.05
+    assert (np.linalg.norm(b_hat - m.c_full) / np.linalg.norm(m.c_full)) < 0.05
 
 
 def test_optimal_weights_identity_matrix():
     g = np.array([1 + 1j, 2.0, -3j])
-    vec = lsfd_optimal(g, np.eye(3))
-    assert np.allclose(vec.a, g)
+    m = Moments(signal=g, c_full=np.eye(3), c_partial=2.0 * np.eye(3),
+                p_ddot_k=1.0, one_ad2=1.0)
+    assert np.allclose(lsfd_weights(m, "lsfd"), g)
+    assert np.allclose(lsfd_weights(m, "plsfd"), g / 2.0)
+    assert np.array_equal(lsfd_weights(m, "l2"), np.ones(3))
+    with pytest.raises(ValueError, match="weighting"):
+        lsfd_weights(m, "mr")
 
 
 def test_optimal_weights_maximality():
     _, _, q, powers, _, ctx, cluster = small_system(seed=33)
-    ing = build_ingredients(1, ctx, cluster)
+    m = build_ingredients(1, ctx, cluster).moments
     one_ad2 = (1 - q.rho_ad) ** 2
 
     def sinr(a):
-        num = one_ad2 * ing.p_ddot_k * np.abs(np.vdot(a, ing.signal)) ** 2
-        return num / np.real(np.vdot(a, ing.c_mat @ a))
+        num = one_ad2 * m.p_ddot_k * np.abs(np.vdot(a, m.signal)) ** 2
+        return num / np.real(np.vdot(a, m.c_full @ a))
 
-    best = sinr(lsfd_mr(ing).a)
+    best = sinr(lsfd_weights(m, "lsfd"))
+    assert se_from_moments(m, "lsfd", 1.0) == pytest.approx(np.log2(1 + best),
+                                                           rel=1e-12)
     rng = substream(9, "rand-a")
     for _ in range(100):
-        a = rng.standard_normal(len(ing.serving)) + 1j * rng.standard_normal(len(ing.serving))
+        a = rng.standard_normal(len(m.signal)) + 1j * rng.standard_normal(len(m.signal))
         assert sinr(a) <= best * (1 + 1e-10)
-    assert sinr(5.0 * lsfd_mr(ing).a) == pytest.approx(best, rel=1e-12)
+    assert sinr(5.0 * lsfd_weights(m, "lsfd")) == pytest.approx(best, rel=1e-12)
 
 
-def test_plsfd_equals_mr_with_full_overlap():
+def test_plsfd_equals_lsfd_with_full_overlap():
     # full cluster plan: Q_k = {1..K}, M_k = {1..L}
     _, _, _, _, _, ctx, cluster = small_system(seed=34)
     for k in range(ctx.K):
-        ing = build_ingredients(k, ctx, cluster)
-        assert np.allclose(p_lsfd(ing).a, lsfd_mr(ing).a, rtol=1e-10)
-        assert np.allclose(ing.c_mat_partial, ing.c_mat, rtol=1e-12)
+        m = build_ingredients(k, ctx, cluster).moments
+        assert np.allclose(lsfd_weights(m, "plsfd"), lsfd_weights(m, "lsfd"),
+                           rtol=1e-10)
+        assert np.allclose(m.c_partial, m.c_full, rtol=1e-12)
 
 
 def test_l2_vector_and_se_ordering():
-    assert np.array_equal(l2_lsfd(3).a, np.ones(3))
-    with pytest.raises(ValueError):
-        l2_lsfd(0)
     _, _, _, _, _, ctx, cluster = small_system(seed=35)
     prelog = 0.95
     for k in range(ctx.K):
         ing = build_ingredients(k, ctx, cluster)
-        best = se_distributed_closed_max(ing, prelog)
-        l2 = se_distributed_closed(ing, l2_lsfd(len(ing.serving)), prelog)
+        assert np.array_equal(lsfd_weights(ing.moments, "l2"),
+                              np.ones(len(ing.serving)))
+        best = se_from_moments(ing.moments, "lsfd", prelog)
+        l2 = se_from_moments(ing.moments, "l2", prelog)
         assert l2 <= best * (1 + 1e-12)
 
 
@@ -110,8 +120,53 @@ def test_single_ap_weight_scale_invariance():
     from scfsim.scheduler import cluster_plan_from_indicators
     cluster = cluster_plan_from_indicators(np.ones((3, 1), dtype=bool),
                                            np.zeros(3, dtype=int))
-    ing = build_ingredients(0, ctx, cluster)
+    m = build_ingredients(0, ctx, cluster).moments
     prelog = 0.9
-    best = se_distributed_closed_max(ing, prelog)
-    one = se_distributed_closed(ing, l2_lsfd(1), prelog)
+    best = se_from_moments(m, "lsfd", prelog)
+    one = se_from_moments(m, "l2", prelog)
     assert one == pytest.approx(best, rel=1e-10)
+
+
+# Moment-by-moment oracle: the Monte Carlo engine's own Moments against the
+# closed-form bundle. Five independent MC seeds of ten stderr groups each give
+# 50 group estimates per entry, so the z-scores follow Student's t with 49
+# degrees of freedom; 6 group standard errors leaves a false alarm of about
+# 2e-7 per entry, while a wrong or missing term sits far outside.
+ORACLE_SEEDS = range(5)
+ORACLE_TRIALS = 4000
+ORACLE_Z = 6.0
+
+
+@pytest.fixture(scope="module",
+                params=[(f, p) for f in ("rician", "rayleigh")
+                        for p in ("full", "algorithm1")],
+                ids=lambda fp: f"{fp[0]}-{fp[1]}")
+def mrc_moments(request):
+    fading, plan = request.param
+    cfg = SimConfig(L=6, K=9, N=2, tau=3, area_side=400.0, b_da=2, b_ad=3,
+                    fading=fading)
+    ctx, cluster, _ = build_system(cfg, 11)
+    if plan == "full":
+        cluster = full_cluster_plan(ctx.stats)
+    else:
+        assert any(len(q) < ctx.K for q in cluster.overlap)
+    runs = [distributed_mc_sums(ctx, cluster, "mrc", ORACLE_TRIALS, seed)
+            for seed in ORACLE_SEEDS]
+    return ctx, cluster, runs
+
+
+@pytest.mark.parametrize("field", ["signal", "c_full", "c_partial"])
+def test_mc_moments_match_closed_form(mrc_moments, field):
+    ctx, cluster, runs = mrc_moments
+    worst = 0.0
+    for k in range(ctx.K):
+        want = getattr(build_ingredients(k, ctx, cluster).moments, field)
+        got = np.mean([getattr(r.moments(k), field) for r in runs], axis=0)
+        per_group = np.array([getattr(r.moments(k, slice(g, g + 1)), field)
+                              for r in runs for g in range(r.groups)])
+        floor = 1e-9 * np.max(np.abs(want))    # entries that are exactly zero
+        for part in (np.real, np.imag):
+            stderr = part(per_group).std(axis=0, ddof=1) / np.sqrt(len(per_group))
+            z = np.abs(part(got) - part(want)) / np.maximum(stderr, floor)
+            worst = max(worst, np.max(z))
+    assert worst <= ORACLE_Z, f"{field}: max |z| {worst:.2f}"

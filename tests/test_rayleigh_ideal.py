@@ -5,12 +5,11 @@ import numpy as np
 
 from scfsim import rayleigh_ideal as ideal
 from scfsim.detectors import l_mmse_local
-from scfsim.lsfd import build_ingredients
+from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.numerics import crandn
 from scfsim.pilots import build_estimation_context, estimate_local
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
-from scfsim.se_closed import se_distributed_closed_max
 
 from conftest import small_system
 
@@ -53,6 +52,7 @@ def test_closed_form_se_agrees():
     cfg, stats, p, plan, ctx, cluster = _ideal_system(seed=63)
     prelog = cfg.prelog
     for k in range(stats.K):
-        got = se_distributed_closed_max(build_ingredients(k, ctx, cluster), prelog)
+        got = se_from_moments(build_ingredients(k, ctx, cluster).moments,
+                              "lsfd", prelog)
         want = ideal.ideal_se_mrc_lsfd(k, stats, plan, p, ctx.sigma2, prelog)
         assert abs(got - want) <= 1e-8 * abs(want)

@@ -1,13 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from scfsim.lsfd import build_ingredients, lsfd_mr
+from scfsim.harness import distributed_closed_report
+from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.pilots import build_estimation_context, round_robin_pilots
 from scfsim.quantization import QuantizerConfig
 from scfsim.scheduler import cluster_plan_from_indicators, full_cluster_plan
-from scfsim.se_closed import (se_centralized_closed, se_distributed_closed,
-                              se_distributed_closed_max, theorem1_kernel,
-                              _f_kernels)
+from scfsim.se_closed import se_centralized_closed, theorem1_kernel, _f_kernels
 
 from conftest import small_system, synthetic_stats
 
@@ -43,28 +44,37 @@ def test_distributed_scalar_oracle():
     prelog = 0.9
     norm2 = np.vdot(stats.h_bar[0, 0], stats.h_bar[0, 0]).real
     expected = prelog * np.log2(1 + p[0] * norm2 / sigma2)
-    assert se_distributed_closed_max(ing, prelog) == pytest.approx(expected, rel=1e-10)
+    assert se_from_moments(ing.moments, "lsfd", prelog) == pytest.approx(
+        expected, rel=1e-10)
 
 
 def test_corollary_consistency_and_scale_invariance():
     _, _, _, _, _, ctx, cluster = small_system(seed=42)
     prelog = 0.95
     for k in range(ctx.K):
-        ing = build_ingredients(k, ctx, cluster)
-        a = lsfd_mr(ing)
-        best = se_distributed_closed_max(ing, prelog)
-        assert se_distributed_closed(ing, a, prelog) == pytest.approx(best, rel=1e-10)
-        scaled = type(a)(a=5.0 * a.a, method=a.method)
-        assert se_distributed_closed(ing, scaled, prelog) == pytest.approx(best, rel=1e-10)
-    with pytest.raises(ValueError):
-        se_distributed_closed(ing, type(a)(a=np.zeros(len(ing.serving)), method="x"), prelog)
+        m = build_ingredients(k, ctx, cluster).moments
+        # the LSFD SE is the Rayleigh-quotient optimum p̈ s^H C_k^{-1} s
+        quotient = m.one_ad2 * m.p_ddot_k * np.real(
+            np.vdot(m.signal, np.linalg.solve(m.c_full, m.signal)))
+        best = se_from_moments(m, "lsfd", prelog)
+        assert best == pytest.approx(prelog * np.log2(1 + quotient), rel=1e-10)
+        # rescaling g_kk (the combiner) leaves every weighting's SE unchanged
+        scaled = dataclasses.replace(m, signal=5.0 * m.signal,
+                                     c_full=25.0 * m.c_full,
+                                     c_partial=25.0 * m.c_partial)
+        for weighting in ("lsfd", "plsfd", "l2"):
+            assert se_from_moments(scaled, weighting, prelog) == pytest.approx(
+                se_from_moments(m, weighting, prelog), rel=1e-10)
+    with pytest.raises(ValueError, match="all-zero"):
+        se_from_moments(dataclasses.replace(m, signal=0.0 * m.signal), "lsfd",
+                        prelog)
 
 
 def test_prelog_scales_linearly():
     _, _, _, _, _, ctx, cluster = small_system(seed=43)
-    ing = build_ingredients(0, ctx, cluster)
-    se1 = se_distributed_closed_max(ing, 1.0)
-    assert se_distributed_closed_max(ing, 0.25) == pytest.approx(0.25 * se1, rel=1e-14)
+    m = build_ingredients(0, ctx, cluster).moments
+    se1 = se_from_moments(m, "lsfd", 1.0)
+    assert se_from_moments(m, "lsfd", 0.25) == pytest.approx(0.25 * se1, rel=1e-14)
     assert se_centralized_closed(0, ctx, cluster, 0.5) == pytest.approx(
         0.5 * se_centralized_closed(0, ctx, cluster, 1.0), rel=1e-14)
 
@@ -109,8 +119,7 @@ def test_se_monotone_in_resolution():
             ctx = build_estimation_context(stats, plan, powers.p_ddot, q,
                                            base[0].sigma2_mw)
             cluster = full_cluster_plan(stats)
-            se = np.array([se_distributed_closed_max(
-                build_ingredients(k, ctx, cluster), prelog) for k in range(4)])
+            se = distributed_closed_report(ctx, cluster, "lsfd", prelog).se
             if prev is not None:
                 assert np.all(se >= prev - 1e-12)
             prev = se

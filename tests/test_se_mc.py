@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from scfsim.pilots import build_estimation_context
-from scfsim.se_mc import (batch_plan, centralized_mc_report,
-                          distributed_mc_report, se_centralized_mc_exact,
-                          se_distributed_mc)
+from scfsim.se_mc import (MC_BATCH_ELEMS, STDERR_GROUPS, _group_of,
+                          batch_plan, centralized_mc_report,
+                          distributed_mc_report)
 
 from conftest import small_system
 
@@ -15,6 +15,27 @@ def test_batch_plan_covers_trials():
         assert plan[0][0] == 0 and plan[-1][1] == trials
         for (a, b), (c, _) in zip(plan, plan[1:]):
             assert b == c
+
+
+@pytest.mark.parametrize("trials, shape, count", [
+    (192, (150, 64, 3), 3),           # paper scale, the MC benchmark: 3 x 64
+    (100000, (6, 4, 2), 10),          # desk validation: 10 x 10000
+    (1000, (20, 16, 3), 10),          # desk scale: 10 x 100
+    (200, (150, 64, 3), 4),           # 4 x 50, not 64/64/64/8
+    (2000, (150, 64, 3), 30),         # 30 x 66-67, not 27 x 72 + 56
+])
+def test_batch_plan_groups_are_equal(trials, shape, count):
+    plan = batch_plan(trials, *shape)
+    sizes = [hi - lo for lo, hi in plan]
+    assert len(plan) == count and sum(sizes) == trials
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= max(64, MC_BATCH_ELEMS // np.prod(shape))
+    groups = min(STDERR_GROUPS, count)
+    assert count % groups == 0
+    per_group = np.zeros(groups)
+    for b_idx, size in enumerate(sizes):
+        per_group[_group_of(b_idx, count, groups)] += size
+    assert per_group.max() - per_group.min() <= count // groups
 
 
 def test_zero_power_ue_gets_zero_se():
@@ -62,29 +83,15 @@ def test_weighting_ordering_under_mc():
     assert np.all(l2.se <= opt.se * (1 + 1e-9))
 
 
-def test_per_ue_wrappers():
-    _, _, _, _, _, ctx, cluster = small_system(seed=55)
-    se, err = se_distributed_mc(1, ctx, cluster, "mrc", "lsfd", 4000, 4, 0.95)
-    report = distributed_mc_report(ctx, cluster, "mrc", "lsfd", 4000, 4, 0.95)
-    assert se == report.se[1] and err == report.stderr[1]
-    se_c, _ = se_centralized_mc_exact(0, ctx, cluster, "mrc", 2000, 4, 0.95)
-    assert se_c == centralized_mc_report(ctx, cluster, "mrc", 2000, 4, 0.95).se[0]
-
-
 def test_mc_plsfd_matches_corollary_closed_form():
     # the generic moment-restricted weighting must land on the closed form
     # when the detector is MRC, also under genuinely partial clusters
     from scfsim.config import SimConfig
-    from scfsim.harness import build_system
-    from scfsim.lsfd import build_ingredients, p_lsfd
-    from scfsim.se_closed import se_distributed_closed
+    from scfsim.harness import build_system, distributed_closed_report
     cfg = SimConfig(L=8, K=10, N=2, tau=4, b_da=1, b_ad=2)
     ctx, cluster, _ = build_system(cfg, seed=21)
     assert any(len(o) < cfg.K for o in cluster.overlap)
-    closed = np.array([se_distributed_closed(
-        build_ingredients(k, ctx, cluster),
-        p_lsfd(build_ingredients(k, ctx, cluster)), cfg.prelog)
-        for k in range(cfg.K)])
+    closed = distributed_closed_report(ctx, cluster, "plsfd", cfg.prelog).se
     mc = distributed_mc_report(ctx, cluster, "mrc", "plsfd", 30000, 3,
                                cfg.prelog)
     gaps = np.abs(closed - mc.se) / closed
