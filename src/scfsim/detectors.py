@@ -3,14 +3,20 @@
 Local (per-AP) detectors: MRC, the full L-MMSE, and the partial LP-MMSE that
 replaces non-primary UEs' instantaneous estimates with channel statistics.
 Centralized detectors: MMSE and the partial P-MMSE, both solved on the
-serving-AP subspace so the masked blocks stay exactly zero.
+serving-AP subspace so the masked blocks stay exactly zero. A batch is
+relaid out once (``ue_last``) so each UE's subspace is one gather
+(``serving_subspace``); the system matrix is a BLAS product of the
+sqrt-power-scaled estimates. The P-MMSE static parts sum one per-UE, per-AP
+moment stack over Q_k on the serving APs and pass it through the same
+receive-noise formula as ``quantization.received_noise_covariance``.
 """
 
 import numpy as np
 
 from .numerics import hermitize
-from .pilots import context_memo
-from .quantization import received_noise_covariance
+from .pilots import block_diag_cov, context_memo
+from .quantization import (moment_stack, noise_covariance_from_moments,
+                           received_noise_covariance)
 
 
 # ---------------------------------------------------------------------------
@@ -45,16 +51,15 @@ def _lpmmse_static(ctx, cluster, full=False):
     return static
 
 
-def local_combiners(hhat, ctx, cluster, method):
-    """Batched local combining vectors, (n, K, L, N); zero where l ∉ M_k.
+def local_statics(ctx, cluster, method):
+    """Estimate-independent parts of the local combiners, per AP.
 
-    ``method``: "mrc", "lmmse", "lpmmse" (partial), or "lpmmse-full"
-    (estimates for every served UE, the unreduced scalable baseline).
+    Returns (static, weights): the (L, N, N) static system matrices and, per
+    AP, the UEs whose instantaneous estimates enter (index array, powers).
+    Validates ``method`` (see ``local_combiners``).
     """
     if method == "mrc":
-        return hhat * cluster.D[None, :, :, None]
-
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+        return None
     if method == "lmmse":
         # estimate-independent part: the error-plus-noise W_l of every AP
         static = context_memo(ctx, centralized_error_noise)
@@ -69,7 +74,24 @@ def local_combiners(hhat, ctx, cluster, method):
             weights[l] = (idx, ctx.p_ddot[idx])
     else:
         raise ValueError(f"unknown local combining method {method!r}")
+    return static, weights
 
+
+def local_combiners(hhat, ctx, cluster, method, statics=None):
+    """Batched local combining vectors, (n, K, L, N); zero where l ∉ M_k.
+
+    ``method``: "mrc", "lmmse", "lpmmse" (partial), or "lpmmse-full"
+    (estimates for every served UE, the unreduced scalable baseline).
+    ``statics``: ``local_statics(ctx, cluster, method)``, when the caller
+    reuses it across batches.
+    """
+    if statics is None:
+        statics = local_statics(ctx, cluster, method)
+    if method == "mrc":
+        return hhat * cluster.D[None, :, :, None]
+
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    static, weights = statics
     v = np.zeros_like(hhat)
     for l in range(ctx.L):
         served = np.asarray(cluster.served[l], dtype=int)
@@ -148,14 +170,9 @@ def centralized_error_noise(ctx):
     return w
 
 
-def _block_on_subspace(per_ap, serving, n_antennas):
+def _block_on_subspace(per_ap, serving):
     """Block-diagonal matrix restricted to the serving APs' rows/columns."""
-    m = len(serving) * n_antennas
-    out = np.zeros((m, m), dtype=complex)
-    for j, l in enumerate(serving):
-        sl = slice(j * n_antennas, (j + 1) * n_antennas)
-        out[sl, sl] = per_ap[l]
-    return out
+    return block_diag_cov(per_ap[None, list(serving)])[0]
 
 
 def centralized_system_matrices(ctx, cluster, method):
@@ -164,75 +181,90 @@ def centralized_system_matrices(ctx, cluster, method):
     Returns dict k -> (matrix, estimate index set). "mmse" sums instantaneous
     outer products over every UE; "pmmse" only over overlap UEs served by k's
     primary AP, with statistics for the remaining overlap UEs; "pmmse-full"
-    uses estimates for the whole overlap set.
+    uses estimates for the whole overlap set. The partial detectors' noise
+    blocks come from one (K, L) moment stack, summed over Q_k on k's serving
+    APs only.
     """
-    one_ad, n_ant = 1.0 - ctx.q.rho_ad, ctx.N
-    one_ad2 = one_ad ** 2
-    w_full = context_memo(ctx, centralized_error_noise)
+    n_ant = ctx.N
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    if method == "mmse":
+        w_full = context_memo(ctx, centralized_error_noise)
+        every = np.arange(ctx.K)
+        return {k: (hermitize(_block_on_subspace(w_full, cluster.serving[k])),
+                    every)
+                for k in range(ctx.K)}
+    if method not in ("pmmse", "pmmse-full"):
+        raise ValueError(f"unknown centralized method {method!r}")
+
+    p = ctx.p_ddot
+    moments = moment_stack(ctx.stats, p)
+    error = p[:, None, None, None] * (ctx.stats.R - ctx.c_hhat)
+    nlos = p[:, None, None, None] * ctx.stats.R
     out = {}
     for k in range(ctx.K):
-        serving = cluster.serving[k]
-        m = len(serving) * n_ant
-        if method == "mmse":
-            static = _block_on_subspace(w_full, serving, n_ant)
-            est_set = np.arange(ctx.K)
-        elif method in ("pmmse", "pmmse-full"):
-            overlap = set(cluster.overlap[k])
-            primary_served = set(cluster.served[cluster.primary[k]])
-            if method == "pmmse":
-                est_set = sorted(overlap & primary_served)
-                stat_set = sorted(overlap - primary_served)
-            else:
-                est_set = sorted(overlap)
-                stat_set = []
-            noise = np.empty((ctx.L, n_ant, n_ant), dtype=complex)
-            for l in range(ctx.L):
-                noise[l] = received_noise_covariance(
-                    l, ctx.stats, ctx.p_ddot, ctx.q, ctx.sigma2, subset=overlap)
-            static = _block_on_subspace(noise, serving, n_ant)
-            for i in est_set:
-                static += one_ad2 * ctx.p_ddot[i] * _block_on_subspace(
-                    ctx.stats.R[i] - ctx.c_hhat[i], serving, n_ant)
-            for i in stat_set:
-                h_bar = ctx.stats.h_bar[i, serving].reshape(m)
-                static += one_ad2 * ctx.p_ddot[i] * np.outer(h_bar, np.conj(h_bar))
-                static += one_ad2 * ctx.p_ddot[i] * _block_on_subspace(
-                    ctx.stats.R[i], serving, n_ant)
-            est_set = np.asarray(est_set, dtype=int)
+        serving = np.asarray(cluster.serving[k], dtype=int)
+        overlap = np.asarray(cluster.overlap[k], dtype=int)
+        if method == "pmmse":
+            on_primary = cluster.D[overlap, cluster.primary[k]]
+            est_set, stat_set = overlap[on_primary], overlap[~on_primary]
         else:
-            raise ValueError(f"unknown centralized method {method!r}")
+            est_set, stat_set = overlap, overlap[:0]
+        noise = noise_covariance_from_moments(
+            hermitize(moments[np.ix_(overlap, serving)].sum(axis=0)),
+            ctx.q, ctx.sigma2)
+        blocks = noise + one_ad2 * (error[np.ix_(est_set, serving)].sum(axis=0)
+                                    + nlos[np.ix_(stat_set, serving)].sum(axis=0))
+        h_bar = ctx.stats.h_bar[np.ix_(stat_set, serving)].reshape(
+            stat_set.size, serving.size * n_ant)
+        static = block_diag_cov(blocks[None])[0] + (
+            (one_ad2 * p[stat_set]) * h_bar.T) @ np.conj(h_bar)
         out[k] = (hermitize(static), est_set)
     return out
 
 
-def centralized_combiners(hhat, ctx, cluster, method, k, static=None):
+def ue_last(hhat):
+    """(n, L, N, K) copy of an (n, K, L, N) batch: one AP's channels of every
+    UE are contiguous, so a serving subspace is a gather of |M_k| blocks."""
+    return np.ascontiguousarray(np.moveaxis(hhat, 1, -1))
+
+
+def serving_subspace(hhat_t, cluster, k):
+    """Every UE's channel on UE k's serving subspace, (n, |M_k| N, K).
+
+    ``hhat_t`` is a batch in the ``ue_last`` layout.
+    """
+    sub = np.take(hhat_t, cluster.serving[k], axis=1)
+    return sub.reshape(sub.shape[0], -1, sub.shape[-1])
+
+
+def centralized_combiners(sub, ctx, cluster, method, k, static=None):
     """Batched combining vectors for UE k on its serving subspace, (n, m).
 
-    ``hhat`` is (n, K, L, N); ``static`` the precomputed system-matrix part.
+    ``sub`` is ``serving_subspace`` of the batch; ``static`` the precomputed
+    system-matrix part.
     """
-    serving = cluster.serving[k]
-    n_ant = ctx.N
-    sub = hhat[:, :, serving, :].reshape(hhat.shape[0], ctx.K, -1)
     if method == "mrc":
-        return sub[:, k]
+        return sub[..., k]
     if static is None:
         static = centralized_system_matrices(ctx, cluster, method)[k]
     mat, est_set = static
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    a = mat[None] + one_ad2 * np.einsum(
-        "i,bin,bim->bnm", ctx.p_ddot[est_set], sub[:, est_set], np.conj(sub[:, est_set]))
-    return np.linalg.solve(a, sub[:, k][..., None])[..., 0]
+    scaled = np.take(sub, est_set, axis=-1) * np.sqrt(one_ad2 * ctx.p_ddot[est_set])
+    a = mat + scaled @ np.conj(np.swapaxes(scaled, -1, -2))
+    return np.linalg.solve(a, sub[..., k, None])[..., 0]
 
 
 def mmse_centralized(k, hhat_single, ctx, cluster):
     """One MMSE combining vector, embedded back into the full LN stack."""
-    v_sub = centralized_combiners(hhat_single[None], ctx, cluster, "mmse", k)[0]
+    sub = serving_subspace(ue_last(hhat_single[None]), cluster, k)
+    v_sub = centralized_combiners(sub, ctx, cluster, "mmse", k)[0]
     return embed_subspace(v_sub, cluster, k, ctx.L, ctx.N)
 
 
 def p_mmse_centralized(k, hhat_single, ctx, cluster, full=False):
     method = "pmmse-full" if full else "pmmse"
-    v_sub = centralized_combiners(hhat_single[None], ctx, cluster, method, k)[0]
+    sub = serving_subspace(ue_last(hhat_single[None]), cluster, k)
+    v_sub = centralized_combiners(sub, ctx, cluster, method, k)[0]
     return embed_subspace(v_sub, cluster, k, ctx.L, ctx.N)
 
 

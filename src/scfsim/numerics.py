@@ -26,11 +26,15 @@ def linear_to_db(x):
 def crandn(rng, shape, var=1.0):
     """Circularly symmetric complex Gaussian samples, elementwise variance ``var``.
 
-    ``var`` broadcasts against ``shape``; real and imaginary parts each carry
-    half the variance.
+    ``var`` broadcasts to ``shape``; real and imaginary parts each carry
+    half the variance. The parts are drawn real first, straight into one
+    complex array.
     """
-    scale = np.sqrt(np.asarray(var, dtype=float) / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= np.sqrt(np.asarray(var, dtype=float) / 2.0)
+    return out
 
 
 def hermitize(a):

@@ -70,6 +70,13 @@ def adc_apply(x, rho_ad, cov_diag_x, rng):
     return (1.0 - rho_ad) * x + noise
 
 
+def moment_stack(stats, p_ddot):
+    """(K, L, N, N) per-UE, per-AP channel moments p̈_i (h_bar h_bar^H + R)."""
+    h = stats.h_bar
+    outer = h[..., :, None] * np.conj(h[..., None, :])
+    return np.asarray(p_ddot, dtype=float)[:, None, None, None] * (outer + stats.R)
+
+
 def _moment_matrix(stats, l, p_ddot, subset=None):
     """Sum_i p̈_i (h_bar h_bar^H + R) at AP l, optionally over a UE subset."""
     idx = np.arange(stats.K) if subset is None else np.asarray(sorted(subset), dtype=int)
@@ -79,6 +86,23 @@ def _moment_matrix(stats, l, p_ddot, subset=None):
     return hermitize(m)
 
 
+def noise_covariance_from_moments(m, q, sigma2):
+    """Effective receive-noise covariance from the channel moment sum ``m``.
+
+    ``m`` is Sum_i p̈_i (h_bar h_bar^H + R) at one AP, (N, N), or a stack of
+    such sums (..., N, N); the result has the same shape.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    one_ad = 1.0 - q.rho_ad
+    cov = (one_ad**2 * q.rho_da / (1.0 - q.rho_da)) * m
+    diag = np.arange(m.shape[-1])
+    cov[..., diag, diag] += (q.rho_ad * one_ad / (1.0 - q.rho_da)) * np.real(
+        m[..., diag, diag])
+    cov[..., diag, diag] += one_ad * sigma2
+    return hermitize(cov)
+
+
 def received_noise_covariance(l, stats, p_ddot, q, sigma2, subset=None):
     """Covariance of the effective receive noise at AP l.
 
@@ -86,12 +110,5 @@ def received_noise_covariance(l, stats, p_ddot, q, sigma2, subset=None):
     AP-side ADC distortion, and thermal noise. With ``subset`` the channel
     sums run over that UE set only (used by the partial MMSE detectors).
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    n_ant = stats.N
-    m = _moment_matrix(stats, l, p_ddot, subset)
-    one_ad = 1.0 - q.rho_ad
-    cov = (one_ad**2 * q.rho_da / (1.0 - q.rho_da)) * m
-    cov += np.diag((q.rho_ad * one_ad / (1.0 - q.rho_da)) * np.real(np.diag(m)))
-    cov += one_ad * sigma2 * np.eye(n_ant)
-    return hermitize(cov)
+    return noise_covariance_from_moments(_moment_matrix(stats, l, p_ddot, subset),
+                                         q, sigma2)

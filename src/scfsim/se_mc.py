@@ -10,7 +10,12 @@ the instantaneous-SINR bound averaged over estimate realizations.
 
 Trials are processed in fixed-size batches with per-batch derived RNG
 streams and summed in batch order, so results are bit-identical no matter
-how the surrounding experiment is scheduled.
+how the surrounding experiment is scheduled. Within a batch the per-UE work
+is BLAS contractions on one relayout of the batch: the true channels
+AP-major for the distributed moments, the estimates UE-last for the
+centralized subspaces, each UE's serving APs gathered once. Estimate-free
+combiner parts (static matrices, error-plus-noise blocks) are built once
+per report, and detector and weighting names are checked before sampling.
 """
 
 import math
@@ -18,8 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import (centralized_combiners, centralized_error_noise,
-                        centralized_system_matrices, local_combiners)
+from .config import DETECTORS, WEIGHTINGS
+from .detectors import (_block_on_subspace, centralized_combiners,
+                        centralized_error_noise, centralized_system_matrices,
+                        local_combiners, local_statics, serving_subspace,
+                        ue_last)
 from .lsfd import Moments, se_from_moments
 from .pilots import context_memo
 from .rng import substream
@@ -119,43 +127,74 @@ class DistributedSums:
             p_ddot_k=float(self.p[k]), one_ad2=self.one_ad2)
 
 
+def _check_detector(scheme, detector):
+    if detector not in DETECTORS[scheme]:
+        raise ValueError(f"unknown {scheme} detector {detector!r}; "
+                         f"choose from {'|'.join(DETECTORS[scheme])}")
+
+
+def _gram(x):
+    """x x^H: the sum over columns of each row pair's products."""
+    return x @ np.conj(x.T)
+
+
 def distributed_mc_sums(ctx, cluster, detector, trials, seed):
-    """Joint Monte Carlo sample sums of every UE's distributed moments."""
+    """Joint Monte Carlo sample sums of every UE's distributed moments.
+
+    Each batch's true channels are laid out AP-major, (L, n, N, K), so UE
+    k's effective channels g (|M_k|, n, K) of every UE are one matmul over
+    its serving APs, and the interference Grams are BLAS products of
+    sqrt(p̈)-scaled g. When Q_k is every UE the overlap Gram is the full one.
+    """
+    _check_detector("distributed", detector)
     serving = [np.asarray(cluster.serving[k], dtype=int) for k in range(ctx.K)]
-    overlap = [np.asarray(cluster.overlap[k], dtype=int) for k in range(ctx.K)]
+    overlap = [None if len(cluster.overlap[k]) == ctx.K
+               else np.asarray(cluster.overlap[k], dtype=int) for k in range(ctx.K)]
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
     acc = DistributedSums(ctx, [len(s) for s in serving],
                           min(STDERR_GROUPS, len(batches)))
-    p = ctx.p_ddot
+    statics = local_statics(ctx, cluster, detector)
+    sqrt_p = np.sqrt(ctx.p_ddot)
 
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-distributed", b_idx)
         h, hhat = sample_joint(ctx, rng, hi - lo)
         noise = sample_data_noise(ctx, h, rng)
-        v = local_combiners(hhat, ctx, cluster, detector)
+        v = local_combiners(hhat, ctx, cluster, detector, statics)
+        del hhat
+        h_ap = np.ascontiguousarray(h.transpose(2, 0, 3, 1))
+        del h
         g_idx = _group_of(b_idx, len(batches), acc.groups)
         acc.count[g_idx] += hi - lo
         for k in range(ctx.K):
             m_idx = serving[k]
-            v_k = v[:, k, m_idx, :]
-            g = np.einsum("bmn,bimn->bim", np.conj(v_k), h[:, :, m_idx, :])
-            acc.g_sum[k][g_idx] += g[:, k].sum(axis=0)
-            acc.w_full[k][g_idx] += np.einsum("i,bim,bin->mn", p, g, np.conj(g))
+            v_k = v[:, k, m_idx, :]                              # (n, M, N)
+            g = (np.conj(v_k).transpose(1, 0, 2)[:, :, None, :]
+                 @ h_ap[m_idx])[:, :, 0]                         # (M, n, K)
+            acc.g_sum[k][g_idx] += g[:, :, k].sum(axis=1)
+            g *= sqrt_p
+            w_full = _gram(g.reshape(len(m_idx), -1))
+            acc.w_full[k][g_idx] += w_full
             q_idx = overlap[k]
-            acc.w_overlap[k][g_idx] += np.einsum(
-                "i,bim,bin->mn", p[q_idx], g[:, q_idx], np.conj(g[:, q_idx]))
-            f = np.einsum("bmn,bmn->bm", np.conj(v_k), noise[:, m_idx, :])
-            acc.f_outer[k][g_idx] += np.einsum("bm,bn->mn", f, np.conj(f))
-            v_abs2 = np.abs(v_k) ** 2
+            acc.w_overlap[k][g_idx] += (
+                w_full if q_idx is None
+                else _gram(g[:, :, q_idx].reshape(len(m_idx), -1)))
+            f = np.einsum("bmn,bmn->mb", np.conj(v_k), noise[:, m_idx, :])
+            acc.f_outer[k][g_idx] += _gram(f)
+            v_abs2 = np.sum(np.abs(v_k) ** 2, axis=0)           # (M, N)
             acc.d_local[k][g_idx] += (
-                np.einsum("bmn,mn->m", v_abs2, ctx.nx_diag[m_idx])
-                + np.einsum("bmn,m->m", v_abs2, ctx.nx_iso[m_idx]))
+                np.sum(v_abs2 * ctx.nx_diag[m_idx], axis=1)
+                + np.sum(v_abs2, axis=1) * ctx.nx_iso[m_idx])
     return acc
 
 
 def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
                           prelog):
     """Per-UE distributed SE (hardening bound) by joint Monte Carlo."""
+    # checked before any trial is drawn, like the detector in the sums
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}; "
+                         f"choose from {'|'.join(WEIGHTINGS)}")
     sums = distributed_mc_sums(ctx, cluster, detector, trials, seed)
     groups = sums.groups
     se = np.empty(ctx.K)
@@ -173,19 +212,16 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
 
 
 def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
-    """Per-UE centralized SE: E[log2(1 + instantaneous SINR)] over estimates."""
+    """Per-UE centralized SE: E[log2(1 + instantaneous SINR)] over estimates.
+
+    Each batch's estimates are laid out UE-last once, so every UE's serving
+    subspace is one gather shared by its combiner and its SINR.
+    """
+    _check_detector("centralized", detector)
     w_full = context_memo(ctx, centralized_error_noise)
     statics = (centralized_system_matrices(ctx, cluster, detector)
                if detector != "mrc" else {k: None for k in range(ctx.K)})
-    w_sub = {}
-    for k in range(ctx.K):
-        serving = cluster.serving[k]
-        m = len(serving) * ctx.N
-        w_k = np.zeros((m, m), dtype=complex)
-        for j, l in enumerate(serving):
-            sl = slice(j * ctx.N, (j + 1) * ctx.N)
-            w_k[sl, sl] = w_full[l]
-        w_sub[k] = w_k
+    w_sub = [_block_on_subspace(w_full, cluster.serving[k]) for k in range(ctx.K)]
 
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
     groups = min(STDERR_GROUPS, len(batches))
@@ -197,18 +233,19 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-centralized", b_idx)
         _, hhat = sample_joint(ctx, rng, hi - lo)
+        hhat_t = ue_last(hhat)
+        del hhat
         g_idx = _group_of(b_idx, len(batches), groups)
         count[g_idx] += hi - lo
         for k in range(ctx.K):
-            serving = cluster.serving[k]
-            sub = hhat[:, :, serving, :].reshape(hhat.shape[0], ctx.K, -1)
-            v = centralized_combiners(hhat, ctx, cluster, detector, k,
+            sub = serving_subspace(hhat_t, cluster, k)          # (n, m, K)
+            v = centralized_combiners(sub, ctx, cluster, detector, k,
                                       static=statics[k])
-            cross = np.einsum("bm,bim->bi", np.conj(v), sub)
-            num = one_ad2 * p[k] * np.abs(cross[:, k]) ** 2
-            inter = one_ad2 * (np.einsum("i,bi->b", p, np.abs(cross) ** 2)
-                               - p[k] * np.abs(cross[:, k]) ** 2)
-            noise = np.real(np.einsum("bm,mn,bn->b", np.conj(v), w_sub[k], v))
+            cross2 = np.abs((np.conj(v)[:, None, :] @ sub)[:, 0]) ** 2
+            own = p[k] * cross2[:, k]
+            num = one_ad2 * own
+            inter = one_ad2 * (cross2 @ p - own)
+            noise = np.real(np.sum(np.conj(v) * (v @ w_sub[k].T), axis=1))
             log_sum[g_idx, k] += np.sum(np.log2(1.0 + num / (inter + noise)))
 
     se = prelog * log_sum.sum(axis=0) / count.sum()

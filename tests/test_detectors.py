@@ -4,7 +4,8 @@ import pytest
 from scfsim.detectors import (centralized_combiners, centralized_error_noise,
                               centralized_system_matrices, embed_subspace,
                               l_mmse_local, local_combiners, lp_mmse_local,
-                              mmse_centralized, mrc_local, p_mmse_centralized)
+                              mmse_centralized, mrc_local, p_mmse_centralized,
+                              serving_subspace, ue_last)
 from scfsim.numerics import crandn, hermitize
 from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
@@ -137,7 +138,8 @@ def test_centralized_masking_and_residual():
     sub = hhat[0][:, cluster.serving[1], :].reshape(4, -1)
     a = static + (1 - q.rho_ad) ** 2 * np.einsum(
         "i,in,im->nm", powers.p_ddot[est], sub[est], np.conj(sub[est]))
-    v_sub = centralized_combiners(hhat, ctx, cluster, "mmse", 1)[0]
+    v_sub = centralized_combiners(serving_subspace(ue_last(hhat), cluster, 1),
+                                  ctx, cluster, "mmse", 1)[0]
     resid = np.linalg.norm(a @ v_sub - sub[1]) / np.linalg.norm(sub[1])
     assert resid < 1e-8
 
@@ -173,7 +175,8 @@ def test_sinr_scale_invariance():
         den += np.real(np.vdot(v, w_sub @ v))
         return num / den
 
-    v = centralized_combiners(hhat, ctx, cluster, "mmse", k)[0]
+    v = centralized_combiners(serving_subspace(ue_last(hhat), cluster, k),
+                              ctx, cluster, "mmse", k)[0]
     assert sinr(v) == pytest.approx(sinr((0.3 - 2.2j) * v), rel=1e-10)
 
 

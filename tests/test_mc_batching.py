@@ -1,0 +1,274 @@
+"""The batched Monte Carlo engine against explicit per-UE loops.
+
+The oracles below are the MC loops written one UE at a time: a fancy-index
+gather of every UE's channels on the serving APs, three-operand einsum
+Grams, and P-MMSE system matrices built from one ``received_noise_covariance``
+call per AP. On Rician and Rayleigh fading, under the full cluster plan and
+under the scheduled (Algorithm 1) plan, the batched engine must draw the
+same trials and agree with them to 1e-12 relative in SE and moments, 1e-10
+in stderr, and 1e-13 in the system matrices.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from scfsim import detectors, se_mc
+from scfsim.config import DETECTORS, SimConfig
+from scfsim.detectors import (centralized_error_noise,
+                              centralized_system_matrices, local_combiners)
+from scfsim.harness import build_system
+from scfsim.numerics import crandn, hermitize
+from scfsim.pilots import context_memo
+from scfsim.quantization import received_noise_covariance
+from scfsim.rng import substream
+from scfsim.sampling import sample_data_noise, sample_joint
+from scfsim.scheduler import full_cluster_plan
+from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, _group_of,
+                          batch_plan, centralized_mc_report,
+                          distributed_mc_report, distributed_mc_sums)
+
+SE_REL = 1e-12
+STDERR_REL = 1e-10
+MATRIX_REL = 1e-13
+TRIALS = 256          # four 64-trial batches, four stderr groups
+
+
+def _assert_close(got, want, rel):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert np.max(np.abs(got - want)) <= rel * scale
+
+
+def _assert_per_ue_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+@pytest.fixture(scope="module",
+                params=[(f, p) for f in ("rician", "rayleigh")
+                        for p in ("full", "algorithm1")],
+                ids=lambda fp: f"{fp[0]}-{fp[1]}")
+def system(request):
+    fading, plan = request.param
+    cfg = SimConfig(L=6, K=9, N=2, tau=3, area_side=400.0, b_da=2, b_ad=3,
+                    fading=fading)
+    ctx, cluster, _ = build_system(cfg, 11)
+    if plan == "full":
+        cluster = full_cluster_plan(ctx.stats)
+    else:
+        assert any(len(q) < ctx.K for q in cluster.overlap)
+        assert any(len(m) > 1 for m in cluster.serving)
+    return ctx, cluster, plan
+
+
+# ---------------------------------------------------------------------------
+# per-UE oracles
+# ---------------------------------------------------------------------------
+
+def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
+    """Every UE's moment sums, one fancy-index gather and einsum per UE."""
+    serving = [np.asarray(cluster.serving[k], dtype=int) for k in range(ctx.K)]
+    overlap = [np.asarray(cluster.overlap[k], dtype=int) for k in range(ctx.K)]
+    batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
+    acc = DistributedSums(ctx, [len(s) for s in serving],
+                          min(STDERR_GROUPS, len(batches)))
+    p = ctx.p_ddot
+    for b_idx, (lo, hi) in enumerate(batches):
+        rng = substream(seed, "mc-distributed", b_idx)
+        h, hhat = sample_joint(ctx, rng, hi - lo)
+        noise = sample_data_noise(ctx, h, rng)
+        v = local_combiners(hhat, ctx, cluster, detector)
+        g_idx = _group_of(b_idx, len(batches), acc.groups)
+        acc.count[g_idx] += hi - lo
+        for k in range(ctx.K):
+            m_idx = serving[k]
+            v_k = v[:, k, m_idx, :]
+            g = np.einsum("bmn,bimn->bim", np.conj(v_k), h[:, :, m_idx, :])
+            acc.g_sum[k][g_idx] += g[:, k].sum(axis=0)
+            acc.w_full[k][g_idx] += np.einsum("i,bim,bin->mn", p, g, np.conj(g))
+            q_idx = overlap[k]
+            acc.w_overlap[k][g_idx] += np.einsum(
+                "i,bim,bin->mn", p[q_idx], g[:, q_idx], np.conj(g[:, q_idx]))
+            f = np.einsum("bmn,bmn->bm", np.conj(v_k), noise[:, m_idx, :])
+            acc.f_outer[k][g_idx] += np.einsum("bm,bn->mn", f, np.conj(f))
+            v_abs2 = np.abs(v_k) ** 2
+            acc.d_local[k][g_idx] += (
+                np.einsum("bmn,mn->m", v_abs2, ctx.nx_diag[m_idx])
+                + np.einsum("bmn,m->m", v_abs2, ctx.nx_iso[m_idx]))
+    return acc
+
+
+def _block(per_ap, serving, n_ant):
+    m = len(serving) * n_ant
+    out = np.zeros((m, m), dtype=complex)
+    for j, l in enumerate(serving):
+        out[j * n_ant:(j + 1) * n_ant, j * n_ant:(j + 1) * n_ant] = per_ap[l]
+    return out
+
+
+def _system_matrices_loop(ctx, cluster, method):
+    """Per-UE static matrices, one received_noise_covariance call per AP."""
+    n_ant = ctx.N
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    w_full = centralized_error_noise(ctx)
+    out = {}
+    for k in range(ctx.K):
+        serving = cluster.serving[k]
+        m = len(serving) * n_ant
+        if method == "mmse":
+            out[k] = (_block(w_full, serving, n_ant), np.arange(ctx.K))
+            continue
+        overlap = set(cluster.overlap[k])
+        primary_served = set(cluster.served[cluster.primary[k]])
+        if method == "pmmse":
+            est_set = sorted(overlap & primary_served)
+            stat_set = sorted(overlap - primary_served)
+        else:
+            est_set, stat_set = sorted(overlap), []
+        noise = np.array([received_noise_covariance(
+            l, ctx.stats, ctx.p_ddot, ctx.q, ctx.sigma2, subset=overlap)
+            for l in range(ctx.L)])
+        static = _block(noise, serving, n_ant)
+        for i in est_set:
+            static += one_ad2 * ctx.p_ddot[i] * _block(
+                ctx.stats.R[i] - ctx.c_hhat[i], serving, n_ant)
+        for i in stat_set:
+            h_bar = ctx.stats.h_bar[i, serving].reshape(m)
+            static += one_ad2 * ctx.p_ddot[i] * np.outer(h_bar, np.conj(h_bar))
+            static += one_ad2 * ctx.p_ddot[i] * _block(ctx.stats.R[i], serving, n_ant)
+        out[k] = (hermitize(static), np.asarray(est_set, dtype=int))
+    return out
+
+
+def _centralized_report_loop(ctx, cluster, detector, trials, seed, prelog):
+    """Per-UE SE and stderr, gathering each UE's subspace from the batch."""
+    w_full = centralized_error_noise(ctx)
+    statics = (None if detector == "mrc"
+               else _system_matrices_loop(ctx, cluster, detector))
+    batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
+    groups = min(STDERR_GROUPS, len(batches))
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    p = ctx.p_ddot
+    log_sum = np.zeros((groups, ctx.K))
+    count = np.zeros(groups)
+    for b_idx, (lo, hi) in enumerate(batches):
+        rng = substream(seed, "mc-centralized", b_idx)
+        _, hhat = sample_joint(ctx, rng, hi - lo)
+        g_idx = _group_of(b_idx, len(batches), groups)
+        count[g_idx] += hi - lo
+        for k in range(ctx.K):
+            serving = cluster.serving[k]
+            sub = hhat[:, :, serving, :].reshape(hhat.shape[0], ctx.K, -1)
+            if detector == "mrc":
+                v = sub[:, k]
+            else:
+                mat, est = statics[k]
+                a = mat[None] + one_ad2 * np.einsum(
+                    "i,bin,bim->bnm", p[est], sub[:, est], np.conj(sub[:, est]))
+                v = np.linalg.solve(a, sub[:, k][..., None])[..., 0]
+            cross = np.einsum("bm,bim->bi", np.conj(v), sub)
+            num = one_ad2 * p[k] * np.abs(cross[:, k]) ** 2
+            inter = one_ad2 * (np.einsum("i,bi->b", p, np.abs(cross) ** 2)
+                               - p[k] * np.abs(cross[:, k]) ** 2)
+            noise = np.real(np.einsum("bm,mn,bn->b", np.conj(v),
+                                      _block(w_full, serving, ctx.N), v))
+            log_sum[g_idx, k] += np.sum(np.log2(1.0 + num / (inter + noise)))
+    se = prelog * log_sum.sum(axis=0) / count.sum()
+    per_group = prelog * log_sum / count[:, None]
+    stderr = np.std(per_group, axis=0, ddof=1) / math.sqrt(groups)
+    return se, stderr
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("detector", DETECTORS["distributed"])
+def test_distributed_sums_and_report_match_loop(system, detector, monkeypatch):
+    ctx, cluster, _ = system
+    got = distributed_mc_sums(ctx, cluster, detector, TRIALS, 5)
+    want = _distributed_sums_loop(ctx, cluster, detector, TRIALS, 5)
+    assert got.groups == want.groups >= 2
+    assert np.array_equal(got.count, want.count)
+    for field in ("g_sum", "w_full", "w_overlap", "f_outer", "d_local"):
+        for k in range(ctx.K):
+            _assert_close(getattr(got, field)[k], getattr(want, field)[k], SE_REL)
+
+    for weighting in ("lsfd", "plsfd"):
+        report = distributed_mc_report(ctx, cluster, detector, weighting,
+                                       TRIALS, 5, 0.95)
+        with monkeypatch.context() as patch:
+            patch.setattr(se_mc, "distributed_mc_sums", _distributed_sums_loop)
+            oracle = distributed_mc_report(ctx, cluster, detector, weighting,
+                                           TRIALS, 5, 0.95)
+        _assert_per_ue_close(report.se, oracle.se, SE_REL)
+        _assert_per_ue_close(report.stderr, oracle.stderr, STDERR_REL)
+
+
+@pytest.mark.parametrize("detector", DETECTORS["centralized"])
+def test_centralized_report_matches_loop(system, detector):
+    ctx, cluster, _ = system
+    report = centralized_mc_report(ctx, cluster, detector, TRIALS, 6, 0.95)
+    se, stderr = _centralized_report_loop(ctx, cluster, detector, TRIALS, 6, 0.95)
+    _assert_per_ue_close(report.se, se, SE_REL)
+    _assert_per_ue_close(report.stderr, stderr, STDERR_REL)
+
+
+@pytest.mark.parametrize("method", ("mmse", "pmmse", "pmmse-full"))
+def test_system_matrices_match_per_ap_noise(system, method):
+    ctx, cluster, _ = system
+    got = centralized_system_matrices(ctx, cluster, method)
+    want = _system_matrices_loop(ctx, cluster, method)
+    for k in range(ctx.K):
+        _assert_close(got[k][0], want[k][0], MATRIX_REL)
+        assert np.array_equal(got[k][1], want[k][1])
+
+
+def test_full_plan_overlap_gram_is_the_full_gram(system):
+    ctx, cluster, plan = system
+    sums = distributed_mc_sums(ctx, cluster, "mrc", TRIALS, 7)
+    for k in range(ctx.K):
+        full_overlap = len(cluster.overlap[k]) == ctx.K
+        assert full_overlap or plan != "full"
+        assert np.array_equal(sums.w_overlap[k], sums.w_full[k]) == full_overlap
+
+
+# ---------------------------------------------------------------------------
+# work done per report
+# ---------------------------------------------------------------------------
+
+def test_noise_covariance_calls_per_report(system, monkeypatch):
+    ctx, cluster, _ = system
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return received_noise_covariance(*args, **kwargs)
+
+    monkeypatch.setattr(detectors, "received_noise_covariance", counting)
+    centralized_mc_report(ctx, cluster, "pmmse", TRIALS, 1, 0.95)
+    assert calls == []
+    distributed_mc_report(ctx, cluster, "lpmmse", "plsfd", TRIALS, 1, 0.95)
+    assert sorted(calls) == list(range(ctx.L))   # once per AP, not per batch
+
+
+def test_error_noise_block_is_the_memo(system):
+    ctx, cluster, _ = system
+    w_full = context_memo(ctx, centralized_error_noise)
+    for k in range(ctx.K):
+        serving = cluster.serving[k]
+        assert np.array_equal(detectors._block_on_subspace(w_full, serving),
+                              _block(w_full, serving, ctx.N))
+
+
+def test_crandn_draws_are_unchanged():
+    var = np.linspace(0.5, 2.0, 3)
+    got = crandn(substream(3, "crandn"), (64, 5, 3), var)
+    rng = substream(3, "crandn")
+    want = np.sqrt(var / 2.0) * (rng.standard_normal((64, 5, 3))
+                                 + 1j * rng.standard_normal((64, 5, 3)))
+    assert np.array_equal(got, want)
+    assert got.dtype == complex and got.flags.c_contiguous

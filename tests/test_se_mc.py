@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scfsim import se_mc
 from scfsim.pilots import build_estimation_context
 from scfsim.se_mc import (MC_BATCH_ELEMS, STDERR_GROUPS, _group_of,
                           batch_plan, centralized_mc_report,
@@ -137,9 +138,27 @@ def test_centralized_exact_mc_scalar_oracle():
     assert abs(got - oracle) / oracle < 0.02
 
 
-def test_unknown_detector_or_weighting_raises():
+def test_unknown_detector_or_weighting_raises(monkeypatch):
     _, _, _, _, _, ctx, cluster = small_system(seed=56)
     with pytest.raises(ValueError):
         distributed_mc_report(ctx, cluster, "zf", "lsfd", 256, 0, 0.95)
     with pytest.raises(ValueError):
         distributed_mc_report(ctx, cluster, "mrc", "magic", 256, 0, 0.95)
+
+    # the names are checked before any trial is drawn
+    drawn = []
+
+    def no_sampling(*args, **kwargs):
+        drawn.append(args)
+        raise AssertionError("sampled before the names were checked")
+
+    monkeypatch.setattr(se_mc, "sample_joint", no_sampling)
+    for call in (
+            lambda: distributed_mc_report(ctx, cluster, "zf", "lsfd", 256, 0, 0.95),
+            lambda: distributed_mc_report(ctx, cluster, "mrc", "magic", 256, 0, 0.95),
+            lambda: distributed_mc_report(ctx, cluster, "mmse", "lsfd", 256, 0, 0.95),
+            lambda: centralized_mc_report(ctx, cluster, "zf", 256, 0, 0.95),
+            lambda: centralized_mc_report(ctx, cluster, "lpmmse", 256, 0, 0.95)):
+        with pytest.raises(ValueError):
+            call()
+    assert drawn == []
