@@ -23,14 +23,16 @@ def linear_to_db(x):
     return 10.0 * np.log10(x)
 
 
-def crandn(rng, shape, var=1.0):
+def crandn(rng, shape, var=1.0, out=None):
     """Circularly symmetric complex Gaussian samples, elementwise variance ``var``.
 
     ``var`` broadcasts to ``shape``; real and imaginary parts each carry
     half the variance. The parts are drawn real first, straight into one
-    complex array.
+    complex array: ``out`` if given (of ``shape``, any strides), else a new
+    one.
     """
-    out = np.empty(shape, dtype=complex)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
     out.real = rng.standard_normal(shape)
     out.imag = rng.standard_normal(shape)
     out *= np.sqrt(np.asarray(var, dtype=float) / 2.0)

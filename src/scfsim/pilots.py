@@ -64,13 +64,14 @@ def random_pilots(n_users, tau, rng):
     return make_pilot_plan(rng.integers(0, tau, size=n_users), tau)
 
 
-def psi_matrix(t, l, stats, plan, p_ddot, q, c_n_l):
-    """Covariance of the LOS-stripped pilot observation on pilot t at AP l."""
+def psi_matrix(t, stats, plan, p_ddot, q, c_n):
+    """(L, N, N) covariances of the LOS-stripped pilot-t observation at every
+    AP, from the (L, N, N) receive-noise covariances ``c_n``."""
     users = plan.users_on_pilot(t)
-    psi = np.array(c_n_l, dtype=complex)
+    psi = np.array(c_n, dtype=complex)
     scale = (1.0 - q.rho_ad) ** 2 * plan.tau
     for i in users:
-        psi += scale * p_ddot[i] * stats.R[i, l]
+        psi += scale * p_ddot[i] * stats.R[i]
     return hermitize(psi)
 
 
@@ -129,19 +130,16 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
         c_n[l] = received_noise_covariance(l, stats, p_ddot, q, sigma2)
         c_n_sqrt[l] = np.linalg.cholesky(c_n[l])
 
-    psi = np.empty((tau, l_count, n_ant, n_ant), dtype=complex)
-    for t in range(tau):
-        for l in range(l_count):
-            psi[t, l] = psi_matrix(t, l, stats, plan, p_ddot, q, c_n[l])
+    psi = np.stack([psi_matrix(t, stats, plan, p_ddot, q, c_n)
+                    for t in range(tau)])
 
     # every (k, l) system in one batched solve against k's pilot covariance
     t_mat = np.linalg.solve(psi[plan.pilot_of], stats.R)
     s_mat = hermitize(stats.R @ t_mat)
     gain = one_ad * np.sqrt(p_ddot * tau)
-    # C order: the sampler's per-UE einsum over est_gain[k] is slower on the
-    # transposed layout the swapaxes product would otherwise keep
-    est_gain = np.ascontiguousarray(
-        gain[:, None, None, None] * np.conj(np.swapaxes(t_mat, -1, -2)))
+    # left in the transposed layout of the swapaxes product: the sampler's
+    # per-UE matmul hands either layout to BLAS and runs as fast on both
+    est_gain = gain[:, None, None, None] * np.conj(np.swapaxes(t_mat, -1, -2))
     c_hhat = (one_ad**2 * p_ddot * tau)[:, None, None, None] * s_mat
 
     # diag of E[x x^H] at the ADC input: full-power channel moments plus thermal

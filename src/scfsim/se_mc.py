@@ -185,6 +185,8 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
             acc.d_local[k][g_idx] += (
                 np.sum(v_abs2 * ctx.nx_diag[m_idx], axis=1)
                 + np.sum(v_abs2, axis=1) * ctx.nx_iso[m_idx])
+        # freed before the next batch is drawn, not overwritten after it
+        del v, h_ap, noise, g
     return acc
 
 
@@ -232,7 +234,7 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
 
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-centralized", b_idx)
-        _, hhat = sample_joint(ctx, rng, hi - lo)
+        hhat = sample_joint(ctx, rng, hi - lo)[1]
         hhat_t = ue_last(hhat)
         del hhat
         g_idx = _group_of(b_idx, len(batches), groups)
@@ -247,6 +249,7 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
             inter = one_ad2 * (cross2 @ p - own)
             noise = np.real(np.sum(np.conj(v) * (v @ w_sub[k].T), axis=1))
             log_sum[g_idx, k] += np.sum(np.log2(1.0 + num / (inter + noise)))
+        del hhat_t, sub, v
 
     se = prelog * log_sum.sum(axis=0) / count.sum()
     stderr = np.full(ctx.K, np.nan)

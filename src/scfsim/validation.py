@@ -61,6 +61,7 @@ def _kernel_mc(ctx, pairs, trials, seed):
             left = np.einsum("bn,bn->b", np.conj(hhat[:, k, l1]), h[:, i, l1])
             right = np.einsum("bn,bn->b", np.conj(h[:, i, l2]), hhat[:, k, l2])
             sums[j] += np.sum(left * right)
+        del h, hhat
     return sums / total
 
 

@@ -37,7 +37,7 @@ def test_psi_single_user_ideal():
     plan = round_robin_pilots(1, 1)
     sigma2 = 0.3
     c_n = received_noise_covariance(0, stats, p, q0, sigma2)
-    psi = psi_matrix(0, 0, stats, plan, p, q0, c_n)
+    psi = psi_matrix(0, stats, plan, p, q0, c_n[None])[0]
     expected = 2.0 * 1 * stats.R[0, 0] + sigma2 * np.eye(2)
     assert np.allclose(psi, expected, rtol=1e-12)
 

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scfsim import se_mc
+from scfsim.config import SimConfig
+from scfsim.harness import build_system
 from scfsim.pilots import build_estimation_context
 from scfsim.se_mc import (MC_BATCH_ELEMS, STDERR_GROUPS, _group_of,
                           batch_plan, centralized_mc_report,
-                          distributed_mc_report)
+                          distributed_mc_report, distributed_mc_sums)
 
 from conftest import small_system
 
@@ -162,3 +166,32 @@ def test_unknown_detector_or_weighting_raises(monkeypatch):
         with pytest.raises(ValueError):
             call()
     assert drawn == []
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batches_are_freed_before_the_next_draw():
+    # desk scale under Algorithm 1: a 64-trial batch (~1 MB per channel
+    # array) outweighs the per-group sums, which grow with the group count
+    cfg = SimConfig(L=16, K=20, N=3, tau=5, area_side=1000.0)
+    ctx, cluster, _ = build_system(cfg, 3)
+    assert len(batch_plan(64, ctx.K, ctx.L, ctx.N)) == 1
+    assert [hi - lo for lo, hi in batch_plan(640, ctx.K, ctx.L, ctx.N)] == [64] * 10
+    calls = {
+        "distributed": lambda trials: distributed_mc_sums(
+            ctx, cluster, "lpmmse", trials, 1),
+        "centralized": lambda trials: centralized_mc_report(
+            ctx, cluster, "mrc", trials, 1, 0.95),
+    }
+    for name, call in calls.items():
+        call(64)                     # per-context memos are built outside the trace
+        one = _traced_peak(lambda: call(64))
+        ten = _traced_peak(lambda: call(640))
+        assert ten <= 1.2 * one, (name, ten / one)
