@@ -66,12 +66,19 @@ class SimConfig:
         for name in ("L", "K", "N", "tau", "tau_c", "trials", "iterations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.area_side <= 0:
-            raise ConfigError("area_side must be positive")
+        for name in ("area_side", "bandwidth_hz", "p_max_mw", "asd_deg"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("noise_figure_db", "sigma2_dbm", "eta_db"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.d_bar is not None and not self.d_bar > 0:
+            raise ConfigError(f"d_bar must be positive or null (area diagonal), "
+                              f"got {self.d_bar}")
         if not self.tau < self.tau_c:
             raise ConfigError(f"tau ({self.tau}) must be < tau_c ({self.tau_c})")
-        if self.p_max_mw <= 0:
-            raise ConfigError("p_max_mw must be positive")
         if not 0.0 <= self.nu <= 1.0:
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
         for name in ("b_da", "b_ad"):
@@ -89,8 +96,6 @@ class SimConfig:
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(
                 f"weighting must be {'|'.join(WEIGHTINGS)}, got {self.weighting!r}")
-        if self.sigma2_dbm is not None and not math.isfinite(self.sigma2_dbm):
-            raise ConfigError("sigma2_dbm must be finite")
 
     @property
     def sigma2_mw(self):

@@ -231,10 +231,14 @@ def ue_last(hhat):
 def serving_subspace(hhat_t, cluster, k):
     """Every UE's channel on UE k's serving subspace, (n, |M_k| N, K).
 
-    ``hhat_t`` is a batch in the ``ue_last`` layout.
+    ``hhat_t`` is a batch in the ``ue_last`` layout. When M_k is every AP in
+    order the result is a reshaped view of the batch, not a copy; callers
+    only read it.
     """
-    sub = np.take(hhat_t, cluster.serving[k], axis=1)
-    return sub.reshape(sub.shape[0], -1, sub.shape[-1])
+    serving = cluster.serving[k]
+    if serving != tuple(range(hhat_t.shape[1])):
+        hhat_t = np.take(hhat_t, serving, axis=1)
+    return hhat_t.reshape(hhat_t.shape[0], -1, hhat_t.shape[-1])
 
 
 def centralized_combiners(sub, ctx, cluster, method, k, static=None):

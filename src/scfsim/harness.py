@@ -2,10 +2,13 @@
 experiment suite mirroring the study's sweeps and CDFs, result tables, and
 the closed-form-vs-Monte-Carlo validation suite.
 
-Work is split into independent points (sweep values, strategy/repetition
+Every experiment is one ``REGISTRY`` entry: its point specs, the point
+function that evaluates one spec, the reducer that turns the per-point
+results into rows (pass-through, or pooled by label into empirical CDFs) and
+the output columns. Points are independent (sweep values, strategy/drop
 pairs), each with an RNG stream derived from (seed, experiment, point id).
-Points may run in a process pool (SCFSIM_WORKERS); results are reduced in
-point order, so output bytes never depend on the worker count.
+They may run in a process pool (SCFSIM_WORKERS); results are reduced in spec
+order, so output bytes never depend on the worker count.
 """
 
 import csv
@@ -13,6 +16,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,16 +36,6 @@ CDF_REPS = 4            # scenario drops pooled into each CDF
 NU_SWEEP = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 N_SWEEP = (1, 2, 3, 4)
 BITS_SWEEP = (1, 2, 3, 4, 5)
-
-EXPERIMENTS = (
-    "sum-se-vs-N",
-    "sum-se-vs-bits",
-    "cdf-detectors-distributed",
-    "cdf-detectors-centralized",
-    "cdf-algorithm",
-    "cdf-vs-nu",
-    "validate-closed-forms",
-)
 
 
 class ExperimentError(ValueError):
@@ -172,9 +166,9 @@ def delta_se(report):
 # experiment points
 # ---------------------------------------------------------------------------
 
-def _point_sum_sweep(cfg, seed, sweep_name, value):
-    over = {"N": int(value)} if sweep_name == "N" else {"b_ad": int(value)}
-    point_cfg = cfg.replace(**over)
+def _point_sum_sweep(cfg, seed, spec):
+    sweep_name, value = spec
+    point_cfg = cfg.replace(**{sweep_name: int(value)})
     ctx, cluster, _ = build_system(point_cfg, seed)
     rows = []
     for scheme, report in (
@@ -195,32 +189,20 @@ DISTRIBUTED_CDF_STRATEGIES = (
 CENTRALIZED_CDF_STRATEGIES = ("mrc", "mmse", "pmmse", "pmmse-full")
 
 
-def _point_cdf_distributed(cfg, seed, detector, weighting, rep):
-    rep_seed = substream(seed, "cdf-distributed", rep).integers(0, 2**63)
-    ctx, cluster, _ = build_system(cfg, rep_seed)
-    point_cfg = cfg.replace(scheme="distributed", detector=detector,
-                            weighting=weighting)
-    return list(map(float, evaluate(point_cfg, ctx, cluster, rep_seed).se))
+class CdfPoint(NamedTuple):
+    """One scenario drop of a CDF, pooled under ``label``."""
+
+    label: str
+    tag: str            # substream tag; with ``rep`` it fixes the drop seed
+    rep: int
+    system: dict        # build_system keyword arguments
+    evaluation: dict    # config overrides passed to evaluate
 
 
-def _point_cdf_centralized(cfg, seed, detector, rep):
-    rep_seed = substream(seed, "cdf-centralized", rep).integers(0, 2**63)
-    ctx, cluster, _ = build_system(cfg, rep_seed)
-    point_cfg = cfg.replace(scheme="centralized", detector=detector)
-    return list(map(float, evaluate(point_cfg, ctx, cluster, rep_seed).se))
-
-
-def _point_cdf_algorithm(cfg, seed, strategy, rep):
-    rep_seed = substream(seed, "cdf-algorithm", rep).integers(0, 2**63)
-    ctx, cluster, _ = build_system(cfg, rep_seed, strategy=strategy)
-    report = evaluate(cfg, ctx, cluster, rep_seed)
-    return list(map(float, report.se))
-
-
-def _point_cdf_nu(cfg, seed, nu, rep):
-    rep_seed = substream(seed, "cdf-nu", rep).integers(0, 2**63)
-    ctx, cluster, _ = build_system(cfg, rep_seed, nu=nu)
-    report = evaluate(cfg, ctx, cluster, rep_seed)
+def _point_cdf(cfg, seed, point):
+    rep_seed = substream(seed, point.tag, point.rep).integers(0, 2**63)
+    ctx, cluster, _ = build_system(cfg, rep_seed, **point.system)
+    report = evaluate(cfg.replace(**point.evaluation), ctx, cluster, rep_seed)
     return list(map(float, report.se))
 
 
@@ -230,32 +212,72 @@ def _cdf_rows(label, samples):
     return [(label, float(v), (i + 1) / n) for i, v in enumerate(values)]
 
 
-# validation grid -----------------------------------------------------------
-
-def _validate_rows(cfg, seed):
+def _validate_rows(cfg, seed, _spec):
     from .validation import run_validation
     checks = run_validation(cfg, seed)
     return [(c.name, c.case, c.closed, c.monte_carlo, c.rel_gap) for c in checks]
 
 
-# dispatcher (top level, picklable) -----------------------------------------
+# reducers: (specs, per-point results) -> table rows --------------------------
+
+def _concat_rows(specs, points):
+    return [row for point in points for row in point]
+
+
+def _pooled_cdf_rows(specs, points):
+    pooled = {}
+    for spec, ses in zip(specs, points):
+        pooled.setdefault(spec.label, []).extend(ses)
+    return [row for label in sorted(pooled) for row in _cdf_rows(label, pooled[label])]
+
+
+# registry --------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    specs: tuple        # one picklable spec per independent point, reduce order
+    point: Callable     # point(cfg, seed, spec) -> that point's results
+    reduce: Callable    # reduce(specs, results) -> rows
+    columns: tuple
+
+
+def _sweep(sweep_name, values):
+    return Experiment(tuple((sweep_name, v) for v in values), _point_sum_sweep,
+                      _concat_rows, ("sweep", "value", "ue_index", "se", "stderr"))
+
+
+def _cdf(tag, variants, reps=CDF_REPS):
+    """``variants``: (label, build_system kwargs, evaluate overrides) triples,
+    each drawn on ``reps`` scenario drops."""
+    specs = tuple(CdfPoint(label, tag, rep, system, evaluation)
+                  for label, system, evaluation in variants for rep in range(reps))
+    return Experiment(specs, _point_cdf, _pooled_cdf_rows, ("strategy", "se", "cdf"))
+
+
+REGISTRY = {
+    "sum-se-vs-N": _sweep("N", N_SWEEP),
+    "sum-se-vs-bits": _sweep("b_ad", BITS_SWEEP),
+    "cdf-detectors-distributed": _cdf("cdf-distributed", [
+        (f"{d}+{w}", {}, {"scheme": "distributed", "detector": d, "weighting": w})
+        for d, w in DISTRIBUTED_CDF_STRATEGIES]),
+    "cdf-detectors-centralized": _cdf("cdf-centralized", [
+        (d, {}, {"scheme": "centralized", "detector": d})
+        for d in CENTRALIZED_CDF_STRATEGIES]),
+    "cdf-algorithm": _cdf("cdf-algorithm", [
+        (s, {"strategy": s}, {}) for s in ("algorithm1", "random-pilot", "equal-power")]),
+    "cdf-vs-nu": _cdf("cdf-nu", [
+        (f"nu={nu:g}", {"nu": nu}, {}) for nu in NU_SWEEP], reps=max(1, CDF_REPS // 2)),
+    "validate-closed-forms": Experiment(
+        ((),), _validate_rows, _concat_rows,
+        ("metric", "case", "closed_form", "monte_carlo", "rel_gap")),
+}
+EXPERIMENTS = tuple(REGISTRY)
+
 
 def _run_point(args):
+    """Top-level (picklable) dispatcher: one point of a registry experiment."""
     name, cfg_dict, seed, spec = args
-    cfg = SimConfig(**cfg_dict)
-    if name in ("sum-se-vs-N", "sum-se-vs-bits"):
-        return _point_sum_sweep(cfg, seed, *spec)
-    if name == "cdf-detectors-distributed":
-        return _point_cdf_distributed(cfg, seed, *spec)
-    if name == "cdf-detectors-centralized":
-        return _point_cdf_centralized(cfg, seed, *spec)
-    if name == "cdf-algorithm":
-        return _point_cdf_algorithm(cfg, seed, *spec)
-    if name == "cdf-vs-nu":
-        return _point_cdf_nu(cfg, seed, *spec)
-    if name == "validate-closed-forms":
-        return _validate_rows(cfg, seed)
-    raise ExperimentError(f"unknown experiment {name!r}")
+    return REGISTRY[name].point(SimConfig(**cfg_dict), seed, spec)
 
 
 def worker_count():
@@ -278,72 +300,15 @@ def _map_points(name, cfg, seed, specs, workers):
 
 def run_experiment(name, cfg, workers=None):
     """Run one named experiment; deterministic for fixed (cfg, cfg.seed)."""
-    if name not in EXPERIMENTS:
+    if name not in REGISTRY:
         raise ExperimentError(
             f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}")
+    experiment = REGISTRY[name]
     workers = worker_count() if workers is None else workers
     seed = cfg.seed
     meta = {"experiment": name, "config_hash": config_hash(cfg), "seed": seed,
             "trials": cfg.trials, "version": __version__,
             "config": cfg.to_dict()}
-
-    if name == "sum-se-vs-N":
-        specs = [("N", n) for n in N_SWEEP]
-        rows = [r for point in _map_points(name, cfg, seed, specs, workers)
-                for r in point]
-        table = ResultTable(("sweep", "value", "ue_index", "se", "stderr"),
-                            rows, meta)
-    elif name == "sum-se-vs-bits":
-        specs = [("b_ad", b) for b in BITS_SWEEP]
-        rows = [r for point in _map_points(name, cfg, seed, specs, workers)
-                for r in point]
-        table = ResultTable(("sweep", "value", "ue_index", "se", "stderr"),
-                            rows, meta)
-    elif name == "cdf-detectors-distributed":
-        specs = [(d, w, rep) for d, w in DISTRIBUTED_CDF_STRATEGIES
-                 for rep in range(CDF_REPS)]
-        points = _map_points(name, cfg, seed, specs, workers)
-        pooled = {}
-        for (detector, weighting, _), ses in zip(specs, points):
-            pooled.setdefault(f"{detector}+{weighting}", []).extend(ses)
-        rows = []
-        for label in sorted(pooled):
-            rows.extend(_cdf_rows(label, pooled[label]))
-        table = ResultTable(("strategy", "se", "cdf"), rows, meta)
-    elif name == "cdf-detectors-centralized":
-        specs = [(d, rep) for d in CENTRALIZED_CDF_STRATEGIES
-                 for rep in range(CDF_REPS)]
-        points = _map_points(name, cfg, seed, specs, workers)
-        pooled = {}
-        for (detector, _), ses in zip(specs, points):
-            pooled.setdefault(detector, []).extend(ses)
-        rows = []
-        for label in sorted(pooled):
-            rows.extend(_cdf_rows(label, pooled[label]))
-        table = ResultTable(("strategy", "se", "cdf"), rows, meta)
-    elif name == "cdf-algorithm":
-        strategies = ("algorithm1", "random-pilot", "equal-power")
-        specs = [(s, rep) for s in strategies for rep in range(CDF_REPS)]
-        points = _map_points(name, cfg, seed, specs, workers)
-        pooled = {}
-        for (strategy, _), ses in zip(specs, points):
-            pooled.setdefault(strategy, []).extend(ses)
-        rows = []
-        for label in sorted(pooled):
-            rows.extend(_cdf_rows(label, pooled[label]))
-        table = ResultTable(("strategy", "se", "cdf"), rows, meta)
-    elif name == "cdf-vs-nu":
-        specs = [(nu, rep) for nu in NU_SWEEP for rep in range(max(1, CDF_REPS // 2))]
-        points = _map_points(name, cfg, seed, specs, workers)
-        pooled = {}
-        for (nu, _), ses in zip(specs, points):
-            pooled.setdefault(f"nu={nu:g}", []).extend(ses)
-        rows = []
-        for label in sorted(pooled):
-            rows.extend(_cdf_rows(label, pooled[label]))
-        table = ResultTable(("strategy", "se", "cdf"), rows, meta)
-    else:
-        rows = _validate_rows(cfg, seed)
-        table = ResultTable(("metric", "case", "closed_form", "monte_carlo",
-                             "rel_gap"), rows, meta)
-    return table.with_provenance(cfg, seed)
+    points = _map_points(name, cfg, seed, experiment.specs, workers)
+    rows = experiment.reduce(experiment.specs, points)
+    return ResultTable(experiment.columns, rows, meta).with_provenance(cfg, seed)

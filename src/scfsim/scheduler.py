@@ -239,56 +239,3 @@ def algorithm1_complexity(plan, n_users, tau, n_candidates):
     """Operation count of one scheduling pass over the whole network."""
     overlap_total = sum(len(plan.overlap[k]) for k in range(plan.K))
     return n_users * n_candidates + (n_users - tau + plan.L + 1) * tau + overlap_total
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    """Exact operation counts for one scheduled network."""
-
-    weighting_cm_cd: dict      # scheme -> per-UE (CM, CD) tuples
-    detector_ce_cm: dict       # detector -> per-index CE CM counts
-    scheduling_ops: int
-
-    def to_json(self):
-        return json.dumps({
-            "weighting": {k: [list(v) for v in vals]
-                          for k, vals in self.weighting_cm_cd.items()},
-            "detector_ce": self.detector_ce_cm,
-            "scheduling_ops": self.scheduling_ops,
-        })
-
-
-def complexity_report(plan, pilot_plan, n_antennas, tau, n_candidates):
-    """Tabulate every complexity count for a scheduled plan."""
-    k_count, l_count = plan.K, plan.L
-    weighting = {
-        "plsfd": [cc_plsfd(plan, pilot_plan, k) for k in range(k_count)],
-        "lsfd": [cc_lsfd(plan, pilot_plan, k, k_count) for k in range(k_count)],
-        "l2": [cc_l2_lsfd() for _ in range(k_count)],
-    }
-    detector = {
-        "lpmmse": [cc_detector_ce(plan, "lpmmse", l, n_antennas, tau)
-                   for l in range(l_count)],
-        "lpmmse-full": [cc_detector_ce(plan, "lpmmse-full", l, n_antennas, tau)
-                        for l in range(l_count)],
-        "pmmse": [cc_detector_ce(plan, "pmmse", k, n_antennas, tau)
-                  for k in range(k_count)],
-        "pmmse-full": [cc_detector_ce(plan, "pmmse-full", k, n_antennas, tau)
-                       for k in range(k_count)],
-    }
-    return ComplexityReport(
-        weighting_cm_cd=weighting, detector_ce_cm=detector,
-        scheduling_ops=algorithm1_complexity(plan, k_count, tau, n_candidates))
-
-
-def export_plan(cluster, pilot_plan, powers):
-    """One JSON document with serving sets, pilot indices, and powers."""
-    return json.dumps({
-        "primary": cluster.primary.tolist(),
-        "serving": [list(m) for m in cluster.serving],
-        "pilot_of": pilot_plan.pilot_of.tolist(),
-        "tau": int(pilot_plan.tau),
-        "p_max": powers.p_max,
-        "nu": powers.nu,
-        "p_ddot": powers.p_ddot.tolist(),
-    })

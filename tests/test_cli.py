@@ -3,12 +3,17 @@ import json
 import pytest
 
 from scfsim.cli import main
+from scfsim.harness import REGISTRY
 
 
 def test_list_prints_experiments(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "sum-se-vs-N" in out and "validate-closed-forms" in out
+    assert out.splitlines() == list(REGISTRY)
+    assert list(REGISTRY) == [
+        "sum-se-vs-N", "sum-se-vs-bits", "cdf-detectors-distributed",
+        "cdf-detectors-centralized", "cdf-algorithm", "cdf-vs-nu",
+        "validate-closed-forms"]
 
 
 def test_run_emits_file(tmp_path, capsys):

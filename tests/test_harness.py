@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from scfsim.config import ConfigError, SimConfig, config_hash, load_config
-from scfsim.harness import (ResultTable, build_system, delta_se, emit_results,
-                            load_results, run_experiment, worker_count)
+from scfsim.harness import (EXPERIMENTS, ResultTable, build_system, delta_se,
+                            emit_results, load_results, run_experiment,
+                            worker_count)
 from scfsim.validation import run_invariant_checks
 
 TINY = dict(L=5, K=6, N=2, tau=3, trials=256, b_da=4, b_ad=4, seed=13)
@@ -37,6 +38,19 @@ def test_load_config_validation(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(ConfigError, match="parse"):
         load_config(garbled)
+    # values that would otherwise break deep inside a run (JSON via
+    # Python's Infinity/NaN literals)
+    inf, nan = float("inf"), float("nan")
+    for field, value in (("asd_deg", 0.0), ("asd_deg", inf), ("asd_deg", nan),
+                         ("bandwidth_hz", 0.0), ("bandwidth_hz", -20e6),
+                         ("bandwidth_hz", inf), ("noise_figure_db", inf),
+                         ("p_max_mw", inf), ("area_side", inf),
+                         ("eta_db", nan), ("eta_db", -inf),
+                         ("d_bar", 0.0), ("d_bar", -10.0), ("d_bar", nan)):
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
 
 
 def test_load_config_single_override(tmp_path):
@@ -128,11 +142,15 @@ def test_cdf_rows_are_a_distribution():
         assert cdf[-1] == pytest.approx(1.0)
 
 
-def test_worker_determinism():
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_worker_determinism(name, tmp_path):
     cfg = SimConfig(**TINY)
-    one = run_experiment("sum-se-vs-N", cfg, workers=1)
-    two = run_experiment("sum-se-vs-N", cfg, workers=2)
+    one = run_experiment(name, cfg, workers=1)
+    two = run_experiment(name, cfg, workers=2)
     assert one.rows == two.rows
+    emit_results(one, "csv", tmp_path / "one.csv")
+    emit_results(two, "csv", tmp_path / "two.csv")
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
 def test_worker_count_env(monkeypatch):

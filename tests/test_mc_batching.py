@@ -264,6 +264,21 @@ def test_error_noise_block_is_the_memo(system):
                               _block(w_full, serving, ctx.N))
 
 
+def test_serving_subspace_is_a_view_under_the_full_plan(system):
+    ctx, cluster, plan = system
+    hhat_t = detectors.ue_last(sample_joint(ctx, substream(4, "view"), 8)[1])
+    everyone = tuple(range(ctx.L))
+    for k in range(ctx.K):
+        sub = detectors.serving_subspace(hhat_t, cluster, k)
+        gather = np.take(hhat_t, cluster.serving[k], axis=1)
+        assert np.array_equal(sub, gather.reshape(8, -1, ctx.K))
+        assert np.shares_memory(sub, hhat_t) == (cluster.serving[k] == everyone)
+    if plan == "full":
+        assert all(m == everyone for m in cluster.serving)
+    else:
+        assert any(m != everyone for m in cluster.serving)
+
+
 def test_crandn_draws_are_unchanged():
     var = np.linspace(0.5, 2.0, 3)
     got = crandn(substream(3, "crandn"), (64, 5, 3), var)

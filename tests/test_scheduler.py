@@ -227,26 +227,6 @@ def test_estimates_required_matches_proposition_sets():
         assert estimates_required("pmmse-full", cluster, k) == set(cluster.overlap[k])
 
 
-def test_complexity_report_and_plan_export():
-    from scfsim.scheduler import complexity_report, export_plan
-    stats, q, cluster, plan, powers = _scheduled(L=5, K=8, tau=3, seed=25)
-    report = complexity_report(cluster, plan, n_antennas=2, tau=3,
-                               n_candidates=stats.L)
-    assert len(report.weighting_cm_cd["plsfd"]) == stats.K
-    assert report.weighting_cm_cd["l2"] == [(0, 0)] * stats.K
-    for k in range(stats.K):
-        assert report.weighting_cm_cd["plsfd"][k] == cc_plsfd(cluster, plan, k)
-    assert report.scheduling_ops == algorithm1_complexity(cluster, stats.K, 3,
-                                                          stats.L)
-    blob = json.loads(report.to_json())
-    assert blob["scheduling_ops"] == report.scheduling_ops
-
-    doc = json.loads(export_plan(cluster, plan, powers))
-    assert doc["pilot_of"] == list(map(int, plan.pilot_of))
-    assert doc["serving"] == [list(m) for m in cluster.serving]
-    assert doc["p_ddot"] == list(powers.p_ddot)
-
-
 def test_full_cluster_plan_and_equal_power():
     stats, q, *_ = _scheduled(L=3, K=4, tau=2, seed=24)
     full = full_cluster_plan(stats)
