@@ -10,6 +10,7 @@ output files are byte-identical for any worker count.
 """
 
 import argparse
+import os
 import sys
 
 from .config import SimConfig, load_config
@@ -28,8 +29,12 @@ def _load(args):
 
 def _cmd_run(args):
     cfg = _load(args)
-    table = run_experiment(args.experiment, cfg)
     path = args.out or f"{args.experiment}.{args.format}"
+    # before the run, so a path that cannot be written fails in seconds
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    table = run_experiment(args.experiment, cfg)
     emit_results(table, args.format, path)
     print(f"{args.experiment}: {len(table.rows)} rows -> {path}")
     return 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scfsim import channel
 from scfsim.channel import (MIN_DISTANCE_M, channel_statistics,
                             generate_scenario, large_scale_fading,
                             los_steering, rician_factor, sample_channel,
@@ -88,9 +89,26 @@ def test_spatial_correlation_riemann_oracle():
     assert np.max(np.abs(r[:, 0] - oracle)) < 1e-8 * np.max(np.abs(oracle))
 
 
-def test_spatial_correlation_requires_positive_asd():
-    with pytest.raises(ValueError):
-        spatial_correlation(0.0, 0.0, 1.0, 2)
+BAD_ASDS = (np.nan, 0.0, -1.0, np.inf)
+
+
+def _no_quadrature(*args):
+    raise AssertionError("quadrature reached with a bad ASD")
+
+
+def test_spatial_correlation_requires_positive_asd(monkeypatch):
+    monkeypatch.setattr(channel, "_converged_rows", _no_quadrature)
+    for asd in BAD_ASDS:
+        with pytest.raises(ValueError):
+            spatial_correlation(0.0, asd, 1.0, 2)
+
+
+def test_channel_statistics_rejects_bad_asd(monkeypatch):
+    monkeypatch.setattr(channel, "_converged_rows", _no_quadrature)
+    scn = generate_scenario(SimConfig(L=3, K=4, N=3), 0)
+    for asd in BAD_ASDS:
+        with pytest.raises(ValueError):
+            channel_statistics(scn, 0, asd)
 
 
 def test_spatial_correlation_node_budget_exhaustion():
