@@ -4,11 +4,23 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
     """Raised on unparseable files or invariant-violating field values."""
+
+
+def _is_integer(value):
+    """Whether ``operator.index`` takes ``value``, bools excluded."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 # combining detectors per processing scheme, and the second-stage weightings
@@ -64,8 +76,16 @@ class SimConfig:
 
     def validate(self):
         for name in ("L", "K", "N", "tau", "tau_c", "trials", "iterations"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("b_da", "b_ad"):
+            b = getattr(self, name)
+            if b is not None and not (_is_integer(b) and b >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1 or null "
+                                  f"(ideal), got {b!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("area_side", "bandwidth_hz", "p_max_mw", "asd_deg"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -81,10 +101,6 @@ class SimConfig:
             raise ConfigError(f"tau ({self.tau}) must be < tau_c ({self.tau_c})")
         if not 0.0 <= self.nu <= 1.0:
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
-        for name in ("b_da", "b_ad"):
-            b = getattr(self, name)
-            if b is not None and b < 1:
-                raise ConfigError(f"{name} must be >= 1 or null (ideal), got {b}")
         if self.fading not in ("rician", "rayleigh"):
             raise ConfigError(f"fading must be rician|rayleigh, got {self.fading!r}")
         if self.scheme not in DETECTORS:

@@ -1,80 +1,136 @@
 """Uplink combining vectors.
 
-Local (per-AP) detectors: MRC, the full L-MMSE, and the partial LP-MMSE that
-replaces non-primary UEs' instantaneous estimates with channel statistics.
-Centralized detectors: MMSE and the partial P-MMSE, both solved on the
-serving-AP subspace so the masked blocks stay exactly zero. A batch is
-relaid out once (``ue_last``) so each UE's subspace is one gather
-(``serving_subspace``); the system matrix is a BLAS product of the
-sqrt-power-scaled estimates. The P-MMSE static parts sum one per-UE, per-AP
-moment stack over Q_k on the serving APs and pass it through the same
-receive-noise formula as ``quantization.received_noise_covariance``.
+Local (per-AP) detectors: MRC, L-MMSE, and the partial LP-MMSE that lets
+channel statistics stand in for the estimates of secondary-served UEs.
+Centralized detectors: MMSE and the partial P-MMSE, solved on the UE's
+serving-AP subspace, so a combining vector lives on its serving APs only.
+
+Every MMSE-family detector is one formula on different sets.
+``detector_sets`` is the table: for a method and an index (the AP of a
+local detector, the UE of a centralized one) it gives the APs the system
+matrix spans, the noise set whose channel moments enter the receive noise,
+the UEs whose estimates enter, and the UEs whose statistics stand in for
+their estimates. ``static_part`` builds the estimate-independent part of
+the system matrix from those sets:
+
+    blockdiag over l in APs of [ N_l(noise set) + (1-rho_ad)^2 (
+        Sum_est p̈_i (R_il - C_il) + Sum_stat p̈_i R_il ) ]
+    + (1-rho_ad)^2 Sum_stat p̈_i h_bar_i h_bar_i^H
+
+with N_l from ``quantization.received_noise_covariance`` and the LOS term
+stacked over the APs, cross-AP blocks kept. The solve adds the Gram of the
+sqrt-power-scaled estimates of the estimate set. A batch is relaid out once
+(``ue_last``) so each UE's subspace is one gather (``serving_subspace``).
 """
 
 import numpy as np
 
+from .config import DETECTORS
 from .numerics import hermitize
-from .pilots import block_diag_cov, context_memo
-from .quantization import (moment_stack, noise_covariance_from_moments,
-                           received_noise_covariance)
+from .pilots import block_diag_cov
+from .quantization import received_noise_covariance
+
+
+# ---------------------------------------------------------------------------
+# the detector sets and the static part
+# ---------------------------------------------------------------------------
+
+def _check_detector(scheme, detector):
+    if detector not in DETECTORS[scheme]:
+        raise ValueError(f"unknown {scheme} detector {detector!r}; "
+                         f"choose from {'|'.join(DETECTORS[scheme])}")
+
+
+def _ints(ues):
+    return np.asarray(ues, dtype=int)
+
+
+def detector_sets(cluster, method, index):
+    """(APs, noise set, estimate set, statistics set) as sorted int arrays.
+
+    ``index`` is the AP l for the local methods and the UE k for the
+    centralized ones:
+
+        method       APs  noise      estimates                statistics
+        lmmse        {l}  all UEs    all UEs                  -
+        lpmmse       {l}  served[l]  served_primary[l]        served_secondary[l]
+        lpmmse-full  {l}  served[l]  served[l]                -
+        mmse         M_k  all UEs    all UEs                  -
+        pmmse        M_k  Q_k        Q_k ∩ served[primary k]  the rest of Q_k
+        pmmse-full   M_k  Q_k        Q_k                      -
+    """
+    every = np.arange(cluster.K)
+    none = every[:0]
+    if method in ("lmmse", "lpmmse", "lpmmse-full"):
+        aps = _ints([index])
+        served = _ints(cluster.served[index])
+        sets = {"lmmse": (every, every, none),
+                "lpmmse": (served, _ints(cluster.served_primary[index]),
+                           _ints(cluster.served_secondary[index])),
+                "lpmmse-full": (served, served, none)}
+    elif method in ("mmse", "pmmse", "pmmse-full"):
+        aps = _ints(cluster.serving[index])
+        overlap = _ints(cluster.overlap[index])
+        on_primary = cluster.D[overlap, cluster.primary[index]]
+        sets = {"mmse": (every, every, none),
+                "pmmse": (overlap, overlap[on_primary], overlap[~on_primary]),
+                "pmmse-full": (overlap, overlap, none)}
+    else:
+        raise ValueError(f"unknown detector {method!r}")
+    return (aps,) + sets[method]
+
+
+def _ap_blocks(ctx, aps, noise_set, est_set, stat_set):
+    """(|aps|, N, N) per-AP blocks of the static part. Each pair's
+    p̈_i (R_il - C_il) is formed before the sum, so nothing cancels."""
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    p, stats = ctx.p_ddot, ctx.stats
+    est, stat = np.ix_(est_set, aps), np.ix_(stat_set, aps)
+    return received_noise_covariance(stats, p, ctx.q, ctx.sigma2,
+                                     noise_set, aps) + one_ad2 * (
+        np.einsum("i,ianm->anm", p[est_set], stats.R[est] - ctx.c_hhat[est])
+        + np.einsum("i,ianm->anm", p[stat_set], stats.R[stat]))
+
+
+def static_part(ctx, cluster, method, index):
+    """Estimate-independent part of an MMSE-family system matrix.
+
+    Returns (matrix, estimate set): the Hermitian (|APs| N, |APs| N) matrix
+    on the APs of ``detector_sets(cluster, method, index)`` and the UEs
+    whose instantaneous estimates the solve adds to it.
+    """
+    aps, noise_set, est_set, stat_set = detector_sets(cluster, method, index)
+    blocks = _ap_blocks(ctx, aps, noise_set, est_set, stat_set)
+    h_bar = ctx.stats.h_bar[np.ix_(stat_set, aps)].reshape(
+        stat_set.size, aps.size * ctx.N)
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    los = ((one_ad2 * ctx.p_ddot[stat_set]) * h_bar.T) @ np.conj(h_bar)
+    return hermitize(block_diag_cov(blocks[None])[0] + los), est_set
+
+
+def centralized_error_noise(ctx):
+    """(L, N, N) per-AP W_l: every UE's estimation-error power plus receive
+    noise, the diagonal blocks of the MMSE static part on every AP.
+
+    Callers share one read-only copy per context through ``context_memo``.
+    """
+    every = np.arange(ctx.K)
+    return _ap_blocks(ctx, np.arange(ctx.L), every, every, every[:0])
 
 
 # ---------------------------------------------------------------------------
 # local combiners
 # ---------------------------------------------------------------------------
 
-def mrc_local(hhat_kl):
-    return np.array(hhat_kl)
-
-
-def _lpmmse_static(ctx, cluster, full=False):
-    """Estimate-independent part of the LP-MMSE system matrix per AP.
-
-    Statistics of secondary-served UEs (or none, when ``full``) stand in for
-    their estimates; the hardware-noise terms run over the served set only.
-    """
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    static = np.empty_like(ctx.c_n)
-    for l in range(ctx.L):
-        served = cluster.served[l]
-        est_set = served if full else cluster.served_primary[l]
-        stat_set = () if full else cluster.served_secondary[l]
-        acc = received_noise_covariance(l, ctx.stats, ctx.p_ddot, ctx.q,
-                                        ctx.sigma2, subset=served)
-        for i in est_set:
-            acc = acc + one_ad2 * ctx.p_ddot[i] * (ctx.stats.R[i, l] - ctx.c_hhat[i, l])
-        for i in stat_set:
-            h_bar = ctx.stats.h_bar[i, l]
-            acc = acc + one_ad2 * ctx.p_ddot[i] * (
-                np.outer(h_bar, np.conj(h_bar)) + ctx.stats.R[i, l])
-        static[l] = hermitize(acc)
-    return static
-
-
 def local_statics(ctx, cluster, method):
-    """Estimate-independent parts of the local combiners, per AP.
+    """Per AP, ``static_part``: (matrix, estimate set). None for MRC.
 
-    Returns (static, weights): the (L, N, N) static system matrices and, per
-    AP, the UEs whose instantaneous estimates enter (index array, powers).
     Validates ``method`` (see ``local_combiners``).
     """
+    _check_detector("distributed", method)
     if method == "mrc":
         return None
-    if method == "lmmse":
-        # estimate-independent part: the error-plus-noise W_l of every AP
-        static = context_memo(ctx, centralized_error_noise)
-        weights = {l: (np.arange(ctx.K), ctx.p_ddot) for l in range(ctx.L)}
-    elif method in ("lpmmse", "lpmmse-full"):
-        static = _lpmmse_static(ctx, cluster, full=(method == "lpmmse-full"))
-        weights = {}
-        for l in range(ctx.L):
-            est_set = (cluster.served[l] if method == "lpmmse-full"
-                       else cluster.served_primary[l])
-            idx = np.asarray(est_set, dtype=int)
-            weights[l] = (idx, ctx.p_ddot[idx])
-    else:
-        raise ValueError(f"unknown local combining method {method!r}")
-    return static, weights
+    return [static_part(ctx, cluster, method, l) for l in range(ctx.L)]
 
 
 def local_combiners(hhat, ctx, cluster, method, statics=None):
@@ -83,7 +139,7 @@ def local_combiners(hhat, ctx, cluster, method, statics=None):
     ``method``: "mrc", "lmmse", "lpmmse" (partial), or "lpmmse-full"
     (estimates for every served UE, the unreduced scalable baseline).
     ``statics``: ``local_statics(ctx, cluster, method)``, when the caller
-    reuses it across batches.
+    reuses it across batches. AP l's solve reads AP l's estimates only.
     """
     if statics is None:
         statics = local_statics(ctx, cluster, method)
@@ -91,84 +147,23 @@ def local_combiners(hhat, ctx, cluster, method, statics=None):
         return hhat * cluster.D[None, :, :, None]
 
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    static, weights = statics
     v = np.zeros_like(hhat)
-    for l in range(ctx.L):
+    for l, (static, est) in enumerate(statics):
         served = np.asarray(cluster.served[l], dtype=int)
         if served.size == 0:
             continue
-        idx, p_idx = weights[l]
-        a = static[l][None] + one_ad2 * np.einsum(
-            "i,bin,bim->bnm", p_idx, hhat[:, idx, l], np.conj(hhat[:, idx, l]))
+        a = static[None] + one_ad2 * np.einsum(
+            "i,bin,bim->bnm", ctx.p_ddot[est], hhat[:, est, l],
+            np.conj(hhat[:, est, l]))
         rhs = np.swapaxes(hhat[:, served, l], 1, 2)        # (n, N, |served|)
         sol = np.linalg.solve(a, rhs)
         v[:, served, l] = np.swapaxes(sol, 1, 2)
     return v
 
 
-def l_mmse_local(k, l, hhat_l, ctx):
-    """Single L-MMSE vector from AP l's estimates of every UE ((K, N) array)."""
-    v = local_combiners(hhat_l[None, :, None, :],
-                        _single_ap_view(ctx, l),
-                        _serve_all_plan(ctx.K), "lmmse")
-    return v[0, k, 0]
-
-
-def lp_mmse_local(k, l, hhat_l, ctx, cluster):
-    if l not in cluster.serving[k]:
-        raise ValueError(f"AP {l} does not serve UE {k}")
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    a = _lpmmse_static(ctx, cluster, full=False)[l]
-    for i in cluster.served_primary[l]:
-        a = a + one_ad2 * ctx.p_ddot[i] * np.outer(hhat_l[i], np.conj(hhat_l[i]))
-    return np.linalg.solve(a, hhat_l[k])
-
-
-def _serve_all_plan(n_users):
-    from .scheduler import cluster_plan_from_indicators
-    return cluster_plan_from_indicators(np.ones((n_users, 1), dtype=bool),
-                                        np.zeros(n_users, dtype=int))
-
-
-class _single_ap_view:
-    """Minimal ctx facade exposing AP l as the only AP (for one-off solves)."""
-
-    def __init__(self, ctx, l):
-        self.q = ctx.q
-        self.sigma2 = ctx.sigma2
-        self.p_ddot = ctx.p_ddot
-        self.K = ctx.K
-        self.L = 1
-        self.N = ctx.N
-        self.c_n = ctx.c_n[l][None]
-        self.c_hhat = ctx.c_hhat[:, l][:, None]
-        self.stats = _single_ap_stats(ctx.stats, l)
-
-
-class _single_ap_stats:
-    def __init__(self, stats, l):
-        self.K, self.L, self.N = stats.K, 1, stats.N
-        self.R = stats.R[:, l][:, None]
-        self.h_bar = stats.h_bar[:, l][:, None]
-        self.beta_los = stats.beta_los[:, l][:, None]
-
-
 # ---------------------------------------------------------------------------
 # centralized combiners (serving-subspace solves)
 # ---------------------------------------------------------------------------
-
-def centralized_error_noise(ctx):
-    """(L, N, N) per-AP W_l: full-K estimation-error power plus receive noise.
-
-    Callers share one read-only copy per context through ``context_memo``.
-    """
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    w = np.array(ctx.c_n)
-    for l in range(ctx.L):
-        w[l] += one_ad2 * np.einsum(
-            "i,inm->nm", ctx.p_ddot, ctx.stats.R[:, l] - ctx.c_hhat[:, l])
-    return w
-
 
 def _block_on_subspace(per_ap, serving):
     """Block-diagonal matrix restricted to the serving APs' rows/columns."""
@@ -176,50 +171,10 @@ def _block_on_subspace(per_ap, serving):
 
 
 def centralized_system_matrices(ctx, cluster, method):
-    """Estimate-independent system-matrix parts per UE, on its subspace.
-
-    Returns dict k -> (matrix, estimate index set). "mmse" sums instantaneous
-    outer products over every UE; "pmmse" only over overlap UEs served by k's
-    primary AP, with statistics for the remaining overlap UEs; "pmmse-full"
-    uses estimates for the whole overlap set. The partial detectors' noise
-    blocks come from one (K, L) moment stack, summed over Q_k on k's serving
-    APs only.
-    """
-    n_ant = ctx.N
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    if method == "mmse":
-        w_full = context_memo(ctx, centralized_error_noise)
-        every = np.arange(ctx.K)
-        return {k: (hermitize(_block_on_subspace(w_full, cluster.serving[k])),
-                    every)
-                for k in range(ctx.K)}
-    if method not in ("pmmse", "pmmse-full"):
-        raise ValueError(f"unknown centralized method {method!r}")
-
-    p = ctx.p_ddot
-    moments = moment_stack(ctx.stats, p)
-    error = p[:, None, None, None] * (ctx.stats.R - ctx.c_hhat)
-    nlos = p[:, None, None, None] * ctx.stats.R
-    out = {}
-    for k in range(ctx.K):
-        serving = np.asarray(cluster.serving[k], dtype=int)
-        overlap = np.asarray(cluster.overlap[k], dtype=int)
-        if method == "pmmse":
-            on_primary = cluster.D[overlap, cluster.primary[k]]
-            est_set, stat_set = overlap[on_primary], overlap[~on_primary]
-        else:
-            est_set, stat_set = overlap, overlap[:0]
-        noise = noise_covariance_from_moments(
-            hermitize(moments[np.ix_(overlap, serving)].sum(axis=0)),
-            ctx.q, ctx.sigma2)
-        blocks = noise + one_ad2 * (error[np.ix_(est_set, serving)].sum(axis=0)
-                                    + nlos[np.ix_(stat_set, serving)].sum(axis=0))
-        h_bar = ctx.stats.h_bar[np.ix_(stat_set, serving)].reshape(
-            stat_set.size, serving.size * n_ant)
-        static = block_diag_cov(blocks[None])[0] + (
-            (one_ad2 * p[stat_set]) * h_bar.T) @ np.conj(h_bar)
-        out[k] = (hermitize(static), est_set)
-    return out
+    """Per UE, ``static_part`` on its serving subspace: (matrix, estimate
+    set). Validates ``method``: "mmse", "pmmse" or "pmmse-full"."""
+    _check_detector("centralized", method)
+    return [static_part(ctx, cluster, method, k) for k in range(ctx.K)]
 
 
 def ue_last(hhat):
@@ -247,34 +202,13 @@ def centralized_combiners(sub, ctx, cluster, method, k, static=None):
     ``sub`` is ``serving_subspace`` of the batch; ``static`` the precomputed
     system-matrix part.
     """
+    _check_detector("centralized", method)
     if method == "mrc":
         return sub[..., k]
     if static is None:
-        static = centralized_system_matrices(ctx, cluster, method)[k]
+        static = static_part(ctx, cluster, method, k)
     mat, est_set = static
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     scaled = np.take(sub, est_set, axis=-1) * np.sqrt(one_ad2 * ctx.p_ddot[est_set])
     a = mat + scaled @ np.conj(np.swapaxes(scaled, -1, -2))
     return np.linalg.solve(a, sub[..., k, None])[..., 0]
-
-
-def mmse_centralized(k, hhat_single, ctx, cluster):
-    """One MMSE combining vector, embedded back into the full LN stack."""
-    sub = serving_subspace(ue_last(hhat_single[None]), cluster, k)
-    v_sub = centralized_combiners(sub, ctx, cluster, "mmse", k)[0]
-    return embed_subspace(v_sub, cluster, k, ctx.L, ctx.N)
-
-
-def p_mmse_centralized(k, hhat_single, ctx, cluster, full=False):
-    method = "pmmse-full" if full else "pmmse"
-    sub = serving_subspace(ue_last(hhat_single[None]), cluster, k)
-    v_sub = centralized_combiners(sub, ctx, cluster, method, k)[0]
-    return embed_subspace(v_sub, cluster, k, ctx.L, ctx.N)
-
-
-def embed_subspace(v_sub, cluster, k, n_aps, n_antennas):
-    v = np.zeros(n_aps * n_antennas, dtype=complex)
-    for j, l in enumerate(cluster.serving[k]):
-        v[l * n_antennas:(l + 1) * n_antennas] = \
-            v_sub[j * n_antennas:(j + 1) * n_antennas]
-    return v

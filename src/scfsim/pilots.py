@@ -119,16 +119,14 @@ class EstimationContext:
 
 
 def build_estimation_context(stats, plan, p_ddot, q, sigma2):
-    k_count, l_count, n_ant = stats.K, stats.L, stats.N
+    k_count, l_count = stats.K, stats.L
     tau = plan.tau
     p_ddot = np.asarray(p_ddot, dtype=float)
     one_ad = 1.0 - q.rho_ad
 
-    c_n = np.empty((l_count, n_ant, n_ant), dtype=complex)
-    c_n_sqrt = np.empty_like(c_n)
-    for l in range(l_count):
-        c_n[l] = received_noise_covariance(l, stats, p_ddot, q, sigma2)
-        c_n_sqrt[l] = np.linalg.cholesky(c_n[l])
+    c_n = received_noise_covariance(stats, p_ddot, q, sigma2,
+                                    np.arange(k_count), np.arange(l_count))
+    c_n_sqrt = np.linalg.cholesky(c_n)
 
     psi = np.stack([psi_matrix(t, stats, plan, p_ddot, q, c_n)
                     for t in range(tau)])
@@ -164,27 +162,18 @@ def context_memo(ctx, build):
     """``build(ctx)``, computed once per context and returned read-only.
 
     The value is kept in ``ctx._cache`` under the builder's qualified name.
-    Context facades without a cache get a fresh read-only value each call.
     """
-    cache = getattr(ctx, "_cache", None)
     key = f"{build.__module__}.{build.__qualname__}"
-    if cache is not None and key in cache:
-        return cache[key]
-    value = build(ctx)
-    value.setflags(write=False)
-    if cache is not None:
-        cache[key] = value
-    return value
+    if key not in ctx._cache:
+        value = build(ctx)
+        value.setflags(write=False)
+        ctx._cache[key] = value
+    return ctx._cache[key]
 
 
 def estimate_local(z_pilot_w, k, l, ctx):
     """MMSE estimate from the LOS-stripped correlated pilot observation."""
     return ctx.stats.h_bar[k, l] + ctx.est_gain[k, l] @ z_pilot_w
-
-
-def stack_means(ctx):
-    """(K, L*N) stacked LOS means for the centralized scheme."""
-    return ctx.stats.h_bar.reshape(ctx.K, ctx.L * ctx.N)
 
 
 def block_diag_cov(per_ap):
@@ -195,13 +184,3 @@ def block_diag_cov(per_ap):
         sl = slice(l * n_ant, (l + 1) * n_ant)
         out[:, sl, sl] = per_ap[:, l]
     return out
-
-
-def stack_centralized(ctx):
-    """Stacked means and block-diagonal covariances for centralized processing."""
-    return {
-        "h_bar": stack_means(ctx),
-        "c_hhat": block_diag_cov(ctx.c_hhat),
-        "c_error": block_diag_cov(ctx.stats.R - ctx.c_hhat),
-        "c_n": block_diag_cov(ctx.c_n[None])[0],
-    }

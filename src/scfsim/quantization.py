@@ -8,6 +8,10 @@ covariance is set by the ensemble second moment of the converter input:
 
 The distortion factor rho comes from a fixed table for 1-5 bits and from the
 exponential law sqrt(3) pi 2^(-2b-1) above that; "ideal" converters have rho=0.
+
+``received_noise_covariance`` is the one receive-noise function: the
+estimation context calls it for every UE on every AP, and each MMSE-family
+detector's static part for its noise set on its APs.
 """
 
 import math
@@ -70,30 +74,21 @@ def adc_apply(x, rho_ad, cov_diag_x, rng):
     return (1.0 - rho_ad) * x + noise
 
 
-def moment_stack(stats, p_ddot):
-    """(K, L, N, N) per-UE, per-AP channel moments p̈_i (h_bar h_bar^H + R)."""
-    h = stats.h_bar
-    outer = h[..., :, None] * np.conj(h[..., None, :])
-    return np.asarray(p_ddot, dtype=float)[:, None, None, None] * (outer + stats.R)
+def received_noise_covariance(stats, p_ddot, q, sigma2, ues, aps):
+    """(|aps|, N, N) covariances of the effective receive noise at ``aps``.
 
-
-def _moment_matrix(stats, l, p_ddot, subset=None):
-    """Sum_i p̈_i (h_bar h_bar^H + R) at AP l, optionally over a UE subset."""
-    idx = np.arange(stats.K) if subset is None else np.asarray(sorted(subset), dtype=int)
-    h = stats.h_bar[idx, l]                       # (|S|, N)
-    m = np.einsum("i,in,im->nm", p_ddot[idx], h, np.conj(h))
-    m += np.einsum("i,inm->nm", p_ddot[idx], stats.R[idx, l])
-    return hermitize(m)
-
-
-def noise_covariance_from_moments(m, q, sigma2):
-    """Effective receive-noise covariance from the channel moment sum ``m``.
-
-    ``m`` is Sum_i p̈_i (h_bar h_bar^H + R) at one AP, (N, N), or a stack of
-    such sums (..., N, N); the result has the same shape.
+    Collects the UE-side DAC distortion forwarded through the channel, the
+    AP-side ADC distortion, and thermal noise. The channel moment sums
+    Sum_i p̈_i (h_bar h_bar^H + R) run over the UE set ``ues``: every UE for
+    the estimation context, a detector's noise set for its system matrix.
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
+    ues = np.asarray(ues, dtype=int)
+    pairs = np.ix_(ues, np.asarray(aps, dtype=int))
+    h = stats.h_bar[pairs]                            # (|ues|, |aps|, N)
+    m = np.einsum("i,ianm->anm", p_ddot[ues],
+                  h[..., :, None] * np.conj(h[..., None, :]) + stats.R[pairs])
     one_ad = 1.0 - q.rho_ad
     cov = (one_ad**2 * q.rho_da / (1.0 - q.rho_da)) * m
     diag = np.arange(m.shape[-1])
@@ -101,14 +96,3 @@ def noise_covariance_from_moments(m, q, sigma2):
         m[..., diag, diag])
     cov[..., diag, diag] += one_ad * sigma2
     return hermitize(cov)
-
-
-def received_noise_covariance(l, stats, p_ddot, q, sigma2, subset=None):
-    """Covariance of the effective receive noise at AP l.
-
-    Collects the UE-side DAC distortion forwarded through the channel, the
-    AP-side ADC distortion, and thermal noise. With ``subset`` the channel
-    sums run over that UE set only (used by the partial MMSE detectors).
-    """
-    return noise_covariance_from_moments(_moment_matrix(stats, l, p_ddot, subset),
-                                         q, sigma2)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detectors import detector_sets
 from .numerics import linear_to_db
 from .pilots import make_pilot_plan
 
@@ -204,35 +205,15 @@ def cc_l2_lsfd():
     return 0, 0
 
 
-def estimates_required(detector, plan, index):
-    """UE indices whose channel estimates a detector formula consumes.
-
-    ``index`` is the AP for the local detectors and the UE for the
-    centralized ones.
-    """
-    if detector == "lpmmse":
-        return set(plan.served_primary[index])
-    if detector == "lpmmse-full":
-        return set(plan.served[index])
-    if detector == "pmmse":
-        primary_set = set(plan.served[plan.primary[index]])
-        return set(plan.overlap[index]) & primary_set
-    if detector == "pmmse-full":
-        return set(plan.overlap[index])
-    raise ValueError(f"unknown detector tag {detector!r}")
-
-
 def cc_detector_ce(plan, detector, index, n_antennas, tau):
     """Channel-estimation complex multiplications behind one combining vector.
 
-    Each estimate costs N*tau (pilot correlation) plus N^2 (estimator gain);
-    the centralized detectors pay that at each of the |serving| APs.
+    Each estimate of the detector's estimate set (``detectors.detector_sets``)
+    costs N*tau (pilot correlation) plus N^2 (estimator gain) at each of the
+    detector's APs: one for the local detectors, |M_k| for the centralized.
     """
-    n_est = len(estimates_required(detector, plan, index))
-    per_estimate = n_antennas * (n_antennas + tau)
-    if detector.startswith("pmmse"):
-        return per_estimate * n_est * len(plan.serving[index])
-    return per_estimate * n_est
+    aps, _, est_set, _ = detector_sets(plan, detector, index)
+    return n_antennas * (n_antennas + tau) * est_set.size * aps.size
 
 
 def algorithm1_complexity(plan, n_users, tau, n_candidates):

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DETECTORS, WEIGHTINGS
-from .detectors import (_block_on_subspace, centralized_combiners,
-                        centralized_error_noise, centralized_system_matrices,
-                        local_combiners, local_statics, serving_subspace,
-                        ue_last)
+from .config import WEIGHTINGS
+from .detectors import (_block_on_subspace, _check_detector,
+                        centralized_combiners, centralized_error_noise,
+                        centralized_system_matrices, local_combiners,
+                        local_statics, serving_subspace, ue_last)
 from .lsfd import Moments, se_from_moments
 from .pilots import context_memo
 from .rng import substream
@@ -125,12 +125,6 @@ class DistributedSums:
                        + self.one_ad2 / (1.0 - self.rho_da) * w_overlap
                        - signal_term),
             p_ddot_k=float(self.p[k]), one_ad2=self.one_ad2)
-
-
-def _check_detector(scheme, detector):
-    if detector not in DETECTORS[scheme]:
-        raise ValueError(f"unknown {scheme} detector {detector!r}; "
-                         f"choose from {'|'.join(DETECTORS[scheme])}")
 
 
 def _gram(x):

@@ -24,7 +24,7 @@ from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce, cc_lsfd,
                               cc_plsfd, run_algorithm1)
 from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.se_mc import centralized_mc_report, distributed_mc_report
-from conftest import small_system
+from conftest import lmmse_at_ap, small_system
 
 
 def _report(criterion, passed, detail):
@@ -266,7 +266,6 @@ def test_criterion_08_scheduler_invariants():
 def test_criterion_09_degeneration_suite():
     """rho = 0, kappa = 0 reproduces the independent ideal-Rayleigh path (1e-8)."""
     from scfsim import rayleigh_ideal as ideal
-    from scfsim.detectors import l_mmse_local
     from scfsim.numerics import crandn
     from scfsim.pilots import estimate_local
 
@@ -278,12 +277,13 @@ def test_criterion_09_degeneration_suite():
     worst = 0.0
     z = crandn(substream(0, "z"), (stats.N,), 1e-10)
     hhat_l = crandn(substream(1, "h"), (stats.K, stats.N), 1e-9)
+    v_ap0 = lmmse_at_ap(hhat_l, 0, ctx, cluster)
     for k in range(stats.K):
         for l in range(stats.L):
             got = estimate_local(z, k, l, ctx)
             want = ideal.ideal_estimate(z, k, l, stats, plan, p, ctx.sigma2)
             worst = max(worst, np.max(np.abs(got - want)) / np.max(np.abs(want)))
-        got_v = l_mmse_local(k, 0, hhat_l, ctx)
+        got_v = v_ap0[k]
         want_v = ideal.ideal_lmmse(k, 0, hhat_l, stats, plan, p, ctx.sigma2)
         worst = max(worst, np.max(np.abs(got_v - want_v)) / np.max(np.abs(want_v)))
         got_se = se_from_moments(build_ingredients(k, ctx, cluster).moments,

@@ -14,8 +14,8 @@ import pytest
 
 from scfsim import detectors, se_closed, se_mc
 from scfsim.config import SimConfig
-from scfsim.detectors import (_single_ap_view, centralized_error_noise,
-                              l_mmse_local, local_combiners)
+from scfsim.detectors import (centralized_error_noise, local_combiners,
+                              local_statics)
 from scfsim.harness import build_system, centralized_closed_report
 from scfsim.lsfd import build_ingredients
 from scfsim.pilots import context_memo
@@ -214,17 +214,9 @@ def _lmmse_static_formula(ctx):
 
 def test_lmmse_static_part_is_bit_identical(system):
     ctx, cluster = system
-    assert np.array_equal(context_memo(ctx, centralized_error_noise),
-                          _lmmse_static_formula(ctx))
-    # the single-AP facade has no cache and gets a fresh read-only copy
-    view = _single_ap_view(ctx, 1)
-    w_view = context_memo(view, centralized_error_noise)
-    assert not w_view.flags.writeable
-    assert np.array_equal(w_view, _lmmse_static_formula(view))
-
-    # the cached (whole network) and uncached (one AP) paths agree bit for bit
-    _, hhat = sample_joint(ctx, substream(9, "lmmse"), 2)
-    v = local_combiners(hhat, ctx, cluster, "lmmse")
-    k = 2
-    l = int(cluster.primary[k])
-    assert np.array_equal(v[1, k, l], l_mmse_local(k, l, hhat[1, :, l], ctx))
+    want = _lmmse_static_formula(ctx)
+    assert np.array_equal(context_memo(ctx, centralized_error_noise), want)
+    # the per-AP static parts of the shared builder (every AP, one at a time)
+    for l, (static, est) in enumerate(local_statics(ctx, cluster, "lmmse")):
+        assert np.array_equal(static, want[l])
+        assert np.array_equal(est, np.arange(ctx.K))

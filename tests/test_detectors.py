@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfsim.detectors import (centralized_combiners, centralized_error_noise,
-                              centralized_system_matrices, embed_subspace,
-                              l_mmse_local, local_combiners, lp_mmse_local,
-                              mmse_centralized, mrc_local, p_mmse_centralized,
+                              centralized_system_matrices, detector_sets,
+                              local_combiners, local_statics,
                               serving_subspace, ue_last)
 from scfsim.numerics import crandn, hermitize
 from scfsim.pilots import build_estimation_context
@@ -13,15 +14,17 @@ from scfsim.rng import substream
 from scfsim.sampling import sample_joint
 from scfsim.scheduler import cluster_plan_from_indicators
 
-from conftest import small_system
+from conftest import lmmse_at_ap, small_system
 
 
-def test_mrc_identity_and_linearity():
-    e1 = np.array([1.0, 0.0], dtype=complex)
-    assert np.array_equal(mrc_local(e1), e1)
-    v = np.array([1 + 1j, 2.0])
-    assert np.allclose(mrc_local(3j * v), 3j * mrc_local(v))
-    assert not np.any(mrc_local(np.zeros(2)))
+LOCAL = ("lmmse", "lpmmse", "lpmmse-full")
+CENTRALIZED = ("mmse", "pmmse", "pmmse-full")
+
+
+def _centralized(method, k, hhat, ctx, cluster):
+    """UE k's centralized combining vectors of a batch, on its subspace."""
+    sub = serving_subspace(ue_last(hhat), cluster, k)
+    return centralized_combiners(sub, ctx, cluster, method, k)
 
 
 def _instantaneous_sinr(v, hhat, k, static_err, p_ddot, one_ad2):
@@ -35,14 +38,14 @@ def _instantaneous_sinr(v, hhat, k, static_err, p_ddot, one_ad2):
 
 
 def test_lmmse_k1_collinear_with_estimate():
-    _, stats, _, powers, plan, _, _ = small_system(L=1, K=1, N=3, tau=1,
-                                                   b_da=None, b_ad=None, seed=17)
+    _, stats, _, powers, plan, _, cluster = small_system(
+        L=1, K=1, N=3, tau=1, b_da=None, b_ad=None, seed=17)
     q0 = QuantizerConfig.ideal()
     ctx = build_estimation_context(stats, plan, powers.p_ddot, q0, 1e-2)
     # ideal hardware with the estimate treated as exact: R == C_hhat
     ctx.c_hhat[0, 0] = stats.R[0, 0]
     hhat_l = crandn(substream(0, "h"), (1, 3), 1e-9)
-    v = l_mmse_local(0, 0, hhat_l, ctx)
+    v = lmmse_at_ap(hhat_l, 0, ctx, cluster)[0]
     cross = np.abs(np.vdot(v, hhat_l[0]))
     assert cross > (1 - 1e-10) * np.linalg.norm(v) * np.linalg.norm(hhat_l[0])
 
@@ -70,15 +73,14 @@ def test_lmmse_beats_mrc_instantaneous():
 
 def test_lmmse_matches_ideal_rayleigh_formula():
     from scfsim import rayleigh_ideal as ideal
-    _, stats, _, _, plan, _, _ = small_system(L=2, K=4, N=2, tau=2, seed=19,
-                                              fading="rayleigh",
-                                              b_da=None, b_ad=None)
+    _, stats, _, _, plan, _, cluster = small_system(
+        L=2, K=4, N=2, tau=2, seed=19, fading="rayleigh", b_da=None, b_ad=None)
     q0 = QuantizerConfig.ideal()
     p = np.full(4, 7.0)
     sigma2 = 3e-3
     ctx = build_estimation_context(stats, plan, p, q0, sigma2)
     hhat_l = crandn(substream(2, "h"), (4, 2), 1e-9)
-    got = l_mmse_local(2, 1, hhat_l, ctx)
+    got = lmmse_at_ap(hhat_l, 1, ctx, cluster)[2]
     want = ideal.ideal_lmmse(2, 1, hhat_l, stats, plan, p, sigma2)
     assert np.allclose(got, want, rtol=1e-8)
 
@@ -88,33 +90,32 @@ def test_lpmmse_reduces_to_lmmse_when_all_primary():
     # single AP serving everyone as primary: N_l^P covers all UEs
     cluster = cluster_plan_from_indicators(np.ones((3, 1), dtype=bool),
                                            np.zeros(3, dtype=int))
-    hhat_l = crandn(substream(3, "h"), (3, 2), 1e-9)
-    got = lp_mmse_local(1, 0, hhat_l, ctx, cluster)
-    want = l_mmse_local(1, 0, hhat_l, ctx)
+    hhat = crandn(substream(3, "h"), (3, 2), 1e-9)[None, :, None]
+    got = local_combiners(hhat, ctx, cluster, "lpmmse")
+    want = local_combiners(hhat, ctx, cluster, "lmmse")
     assert np.allclose(got, want, rtol=1e-10)
-    with pytest.raises(ValueError):
-        d = np.ones((3, 1), dtype=bool)
-        d[2, 0] = False
-        bad = cluster_plan_from_indicators(d, np.zeros(3, dtype=int))
-        lp_mmse_local(2, 0, hhat_l, ctx, bad)
+    # a plan in which an AP would combine for a UE it does not serve (its
+    # primary AP left out of its cluster) is rejected when it is built
+    d = np.ones((3, 1), dtype=bool)
+    d[2, 0] = False
+    with pytest.raises(ValueError, match="primary AP of UE 2"):
+        cluster_plan_from_indicators(d, np.zeros(3, dtype=int))
 
 
 def test_lpmmse_system_matrix_hermitian_pd():
-    from scfsim.detectors import _lpmmse_static
     _, stats, q, powers, plan, ctx, cluster = small_system(L=3, K=5, N=2,
                                                            tau=2, seed=21)
-    static = _lpmmse_static(ctx, cluster, full=False)
-    for l in range(stats.L):
-        assert np.max(np.abs(static[l] - static[l].conj().T)) < 1e-20
-        assert np.min(np.linalg.eigvalsh(hermitize(static[l]))) > 0
+    for static, _ in local_statics(ctx, cluster, "lpmmse"):
+        assert np.max(np.abs(static - static.conj().T)) < 1e-20
+        assert np.min(np.linalg.eigvalsh(hermitize(static))) > 0
 
 
 def test_centralized_mmse_single_ap_equals_local():
     _, stats, q, powers, plan, ctx, cluster = small_system(L=1, K=3, N=2,
                                                            tau=3, seed=22)
     _, hhat = sample_joint(ctx, substream(4, "c"), 1)
-    v_central = mmse_centralized(1, hhat[0], ctx, cluster)
-    v_local = l_mmse_local(1, 0, hhat[0, :, 0], ctx)
+    v_central = _centralized("mmse", 1, hhat, ctx, cluster)[0]
+    v_local = local_combiners(hhat, ctx, cluster, "lmmse")[0, 1, 0]
     assert np.allclose(v_central, v_local, rtol=1e-10)
 
 
@@ -126,12 +127,12 @@ def test_centralized_masking_and_residual():
     d[3, 1] = True
     cluster = cluster_plan_from_indicators(d, np.zeros(4, dtype=int))
     _, hhat = sample_joint(ctx, substream(5, "c"), 1)
+    # a centralized vector has entries on its serving APs only
     for k in range(4):
-        v = mmse_centralized(k, hhat[0], ctx, cluster)
-        mask = np.repeat(d[k], stats.N)
-        assert not np.any(v[~mask])
-        v_p = p_mmse_centralized(k, hhat[0], ctx, cluster)
-        assert not np.any(v_p[~mask])
+        for method in ("mmse", "pmmse"):
+            v = _centralized(method, k, hhat, ctx, cluster)
+            assert v.shape == (1, d[k].sum() * stats.N)
+            assert np.all(np.isfinite(v)) and np.all(v != 0)
 
     # solve residual on the subspace
     static, est = centralized_system_matrices(ctx, cluster, "mmse")[1]
@@ -150,9 +151,25 @@ def test_pmmse_full_overlap_equals_mmse():
                                                            tau=3, seed=24)
     _, hhat = sample_joint(ctx, substream(6, "c"), 1)
     for k in range(3):
-        v_m = mmse_centralized(k, hhat[0], ctx, cluster)
-        v_p = p_mmse_centralized(k, hhat[0], ctx, cluster)
+        v_m = _centralized("mmse", k, hhat, ctx, cluster)
+        v_p = _centralized("pmmse", k, hhat, ctx, cluster)
         assert np.allclose(v_m, v_p, rtol=1e-10)
+
+
+def test_other_schemes_methods_are_rejected():
+    _, _, _, _, _, ctx, cluster = small_system(seed=27)
+    _, hhat = sample_joint(ctx, substream(9, "c"), 1)
+    sub = serving_subspace(ue_last(hhat), cluster, 0)
+    for method in ("lpmmse", "zf"):
+        with pytest.raises(ValueError, match="centralized detector"):
+            centralized_combiners(sub, ctx, cluster, method, 0)
+        with pytest.raises(ValueError, match="centralized detector"):
+            centralized_system_matrices(ctx, cluster, method)
+    with pytest.raises(ValueError, match="mrc"):
+        centralized_system_matrices(ctx, cluster, "mrc")
+    for method in ("pmmse", "zf"):
+        with pytest.raises(ValueError, match="distributed detector"):
+            local_statics(ctx, cluster, method)
 
 
 def test_sinr_scale_invariance():
@@ -191,22 +208,71 @@ def test_pmmse_equals_mmse_when_neglected_ues_are_silent():
     d[4, 2] = True
     cluster = cluster_plan_from_indicators(d, np.array([0, 0, 1, 1, 2]))
     k = 0
-    from scfsim.scheduler import estimates_required
-    kept = estimates_required("pmmse", cluster, k)
+    kept = set(detector_sets(cluster, "pmmse", k)[2])
     p = powers.p_ddot.copy()
     for i in range(5):
         if i not in kept:
             p[i] = 0.0
     ctx = build_estimation_context(stats, plan, p, q, cfg.sigma2_mw)
     _, hhat = sample_joint(ctx, substream(8, "c"), 1)
-    v_m = mmse_centralized(k, hhat[0], ctx, cluster)
-    v_p = p_mmse_centralized(k, hhat[0], ctx, cluster)
+    v_m = _centralized("mmse", k, hhat, ctx, cluster)
+    v_p = _centralized("pmmse", k, hhat, ctx, cluster)
     assert np.allclose(v_m, v_p, rtol=1e-10, atol=0)
 
 
-def test_embed_subspace_layout():
-    d = np.zeros((1, 3), dtype=bool)
-    d[0, [0, 2]] = True
-    cluster = cluster_plan_from_indicators(d, np.array([0]))
-    v = embed_subspace(np.arange(4, dtype=complex), cluster, 0, 3, 2)
-    assert np.array_equal(v, np.array([0, 1, 0, 0, 2, 3], dtype=complex))
+# ---------------------------------------------------------------------------
+# the detector set table
+# ---------------------------------------------------------------------------
+
+def _estimates_required(detector, plan, index):
+    """Oracle: the estimate sets as ``scheduler.estimates_required`` stated
+    them before the set table replaced it."""
+    if detector == "lpmmse":
+        return set(plan.served_primary[index])
+    if detector == "lpmmse-full":
+        return set(plan.served[index])
+    if detector == "pmmse":
+        primary_set = set(plan.served[plan.primary[index]])
+        return set(plan.overlap[index]) & primary_set
+    if detector == "pmmse-full":
+        return set(plan.overlap[index])
+    raise ValueError(f"unknown detector tag {detector!r}")
+
+
+@st.composite
+def _cluster_plans(draw):
+    n_ues, n_aps = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    primary = np.array(draw(st.lists(st.integers(0, n_aps - 1),
+                                     min_size=n_ues, max_size=n_ues)))
+    d = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n_aps,
+                                        max_size=n_aps),
+                               min_size=n_ues, max_size=n_ues)))
+    d[np.arange(n_ues), primary] = True
+    return cluster_plan_from_indicators(d, primary)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cluster_plans())
+def test_detector_sets_table(plan):
+    every = set(range(plan.K))
+    for method in LOCAL + CENTRALIZED:
+        local = method in LOCAL
+        for index in range(plan.L if local else plan.K):
+            aps, noise, est, stat = detector_sets(plan, method, index)
+            for members in (aps, noise, est, stat):
+                assert members.dtype == int and np.all(np.diff(members) > 0)
+            assert aps.tolist() == ([index] if local
+                                    else list(plan.serving[index]))
+            if method in ("lmmse", "mmse"):
+                assert set(noise) == set(est) == every and stat.size == 0
+                continue
+            assert set(est) == _estimates_required(method, plan, index)
+            assert set(noise) == set(plan.served[index] if local
+                                     else plan.overlap[index])
+            # estimates and statistics split the noise set
+            assert not set(est) & set(stat)
+            assert set(est) | set(stat) == set(noise)
+            if method.endswith("-full"):
+                assert stat.size == 0
+    with pytest.raises(ValueError):
+        detector_sets(plan, "zf", 0)

@@ -51,6 +51,20 @@ def test_load_config_validation(tmp_path):
         path.write_text(json.dumps({field: value}))
         with pytest.raises(ConfigError, match=field):
             load_config(path)
+    # counts, bits and the seed are integers: 5.5 UEs failed deep inside a
+    # run, 2.5 bits ran as 2 bits, a negative seed failed in the drop
+    for i, (field, value) in enumerate((
+            ("K", 5.5), ("b_ad", 2.5), ("b_da", 3.0), ("seed", -1),
+            ("seed", 1.5), ("L", True), ("trials", 100.7), ("N", "2"),
+            ("tau", 2.0), ("tau_c", 200.5), ("iterations", False))):
+        path = tmp_path / f"noninteger_{i}.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
+    ok = tmp_path / "ok.json"
+    ok.write_text(json.dumps({"K": 5, "b_ad": 2, "b_da": None, "seed": 0}))
+    cfg = load_config(ok)
+    assert (cfg.K, cfg.b_ad, cfg.b_da, cfg.seed) == (5, 2, None, 0)
 
 
 def test_load_config_single_override(tmp_path):

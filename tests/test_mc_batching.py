@@ -2,11 +2,12 @@
 
 The oracles below are the MC loops written one UE at a time: a fancy-index
 gather of every UE's channels on the serving APs, three-operand einsum
-Grams, and P-MMSE system matrices built from one ``received_noise_covariance``
-call per AP. On Rician and Rayleigh fading, under the full cluster plan and
-under the scheduled (Algorithm 1) plan, the batched engine must draw the
-same trials and agree with them to 1e-12 relative in SE and moments, 1e-10
-in stderr, and 1e-13 in the system matrices.
+Grams, and static system-matrix parts summed one UE and one AP at a time,
+with the receive-noise formula written out (``_noise_loop``). On Rician and
+Rayleigh fading, under the full cluster plan and under the scheduled
+(Algorithm 1) plan, the batched engine must draw the same trials and agree
+with them to 1e-12 relative in SE and moments, 1e-10 in stderr, and 1e-13
+in the system matrices.
 """
 
 import math
@@ -17,7 +18,8 @@ import pytest
 from scfsim import detectors, se_mc
 from scfsim.config import DETECTORS, SimConfig
 from scfsim.detectors import (centralized_error_noise,
-                              centralized_system_matrices, local_combiners)
+                              centralized_system_matrices, local_combiners,
+                              local_statics)
 from scfsim.harness import build_system
 from scfsim.numerics import crandn, hermitize
 from scfsim.pilots import context_memo
@@ -109,28 +111,42 @@ def _block(per_ap, serving, n_ant):
     return out
 
 
+def _noise_loop(ctx, ues, l):
+    """Receive-noise covariance at AP l written out: the moment sum
+    Sum_i p̈_i (h_bar h_bar^H + R) over ``ues``, one UE at a time, then the
+    forwarded DAC distortion, the ADC distortion and the thermal noise."""
+    q = ctx.q
+    m = np.zeros((ctx.N, ctx.N), dtype=complex)
+    for i in ues:
+        h_bar = ctx.stats.h_bar[i, l]
+        m += ctx.p_ddot[i] * (np.outer(h_bar, np.conj(h_bar)) + ctx.stats.R[i, l])
+    one_ad = 1.0 - q.rho_ad
+    return (one_ad**2 * q.rho_da / (1.0 - q.rho_da) * m
+            + q.rho_ad * one_ad / (1.0 - q.rho_da) * np.diag(np.real(np.diag(m)))
+            + one_ad * ctx.sigma2 * np.eye(ctx.N))
+
+
 def _system_matrices_loop(ctx, cluster, method):
-    """Per-UE static matrices, one received_noise_covariance call per AP."""
+    """Per-UE static matrices, one UE and one serving AP at a time."""
     n_ant = ctx.N
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    w_full = centralized_error_noise(ctx)
     out = {}
     for k in range(ctx.K):
         serving = cluster.serving[k]
         m = len(serving) * n_ant
         if method == "mmse":
-            out[k] = (_block(w_full, serving, n_ant), np.arange(ctx.K))
-            continue
-        overlap = set(cluster.overlap[k])
-        primary_served = set(cluster.served[cluster.primary[k]])
-        if method == "pmmse":
-            est_set = sorted(overlap & primary_served)
-            stat_set = sorted(overlap - primary_served)
+            noise_set = est_set = list(range(ctx.K))
+            stat_set = []
         else:
-            est_set, stat_set = sorted(overlap), []
-        noise = np.array([received_noise_covariance(
-            l, ctx.stats, ctx.p_ddot, ctx.q, ctx.sigma2, subset=overlap)
-            for l in range(ctx.L)])
+            overlap = set(cluster.overlap[k])
+            primary_served = set(cluster.served[cluster.primary[k]])
+            noise_set = sorted(overlap)
+            if method == "pmmse":
+                est_set = sorted(overlap & primary_served)
+                stat_set = sorted(overlap - primary_served)
+            else:
+                est_set, stat_set = sorted(overlap), []
+        noise = {l: _noise_loop(ctx, noise_set, l) for l in serving}
         static = _block(noise, serving, n_ant)
         for i in est_set:
             static += one_ad2 * ctx.p_ddot[i] * _block(
@@ -141,6 +157,31 @@ def _system_matrices_loop(ctx, cluster, method):
             static += one_ad2 * ctx.p_ddot[i] * _block(ctx.stats.R[i], serving, n_ant)
         out[k] = (hermitize(static), np.asarray(est_set, dtype=int))
     return out
+
+
+def _lpmmse_static(ctx, cluster, full=False):
+    """Estimate-independent part of the LP-MMSE system matrix per AP, as the
+    former ``detectors._lpmmse_static`` computed it, with the noise term by
+    ``_noise_loop``.
+
+    Statistics of secondary-served UEs (or none, when ``full``) stand in for
+    their estimates; the hardware-noise terms run over the served set only.
+    """
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    static = np.empty_like(ctx.c_n)
+    for l in range(ctx.L):
+        served = cluster.served[l]
+        est_set = served if full else cluster.served_primary[l]
+        stat_set = () if full else cluster.served_secondary[l]
+        acc = _noise_loop(ctx, served, l)
+        for i in est_set:
+            acc = acc + one_ad2 * ctx.p_ddot[i] * (ctx.stats.R[i, l] - ctx.c_hhat[i, l])
+        for i in stat_set:
+            h_bar = ctx.stats.h_bar[i, l]
+            acc = acc + one_ad2 * ctx.p_ddot[i] * (
+                np.outer(h_bar, np.conj(h_bar)) + ctx.stats.R[i, l])
+        static[l] = hermitize(acc)
+    return static
 
 
 def _centralized_report_loop(ctx, cluster, detector, trials, seed, prelog):
@@ -227,6 +268,26 @@ def test_system_matrices_match_per_ap_noise(system, method):
         assert np.array_equal(got[k][1], want[k][1])
 
 
+@pytest.mark.parametrize("method", ("lmmse", "lpmmse", "lpmmse-full"))
+def test_local_statics_match_former_lpmmse_static(system, method):
+    ctx, cluster, _ = system
+    if method == "lmmse":
+        # L-MMSE is LP-MMSE-full on the plan where every AP serves every UE
+        want = _lpmmse_static(ctx, full_cluster_plan(ctx.stats), full=True)
+        est_sets = [range(ctx.K)] * ctx.L
+    elif method == "lpmmse":
+        want = _lpmmse_static(ctx, cluster)
+        est_sets = cluster.served_primary
+    else:
+        want = _lpmmse_static(ctx, cluster, full=True)
+        est_sets = cluster.served
+    got = local_statics(ctx, cluster, method)
+    assert len(got) == ctx.L
+    for l in range(ctx.L):
+        _assert_close(got[l][0], want[l], MATRIX_REL)
+        assert np.array_equal(got[l][1], list(est_sets[l]))
+
+
 def test_full_plan_overlap_gram_is_the_full_gram(system):
     ctx, cluster, plan = system
     sums = distributed_mc_sums(ctx, cluster, "mrc", TRIALS, 7)
@@ -241,18 +302,25 @@ def test_full_plan_overlap_gram_is_the_full_gram(system):
 # ---------------------------------------------------------------------------
 
 def test_noise_covariance_calls_per_report(system, monkeypatch):
+    """One receive-noise call per static index, however many batches."""
     ctx, cluster, _ = system
+    context_memo(ctx, centralized_error_noise)   # the memo's call, once per context
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return received_noise_covariance(*args, **kwargs)
+    def counting(stats, p_ddot, q, sigma2, ues, aps):
+        calls.append(tuple(aps))
+        return received_noise_covariance(stats, p_ddot, q, sigma2, ues, aps)
 
     monkeypatch.setattr(detectors, "received_noise_covariance", counting)
-    centralized_mc_report(ctx, cluster, "pmmse", TRIALS, 1, 0.95)
-    assert calls == []
-    distributed_mc_report(ctx, cluster, "lpmmse", "plsfd", TRIALS, 1, 0.95)
-    assert sorted(calls) == list(range(ctx.L))   # once per AP, not per batch
+    assert (len(batch_plan(2 * TRIALS, ctx.K, ctx.L, ctx.N))
+            > len(batch_plan(TRIALS, ctx.K, ctx.L, ctx.N)))
+    for trials in (TRIALS, 2 * TRIALS):
+        calls.clear()
+        centralized_mc_report(ctx, cluster, "pmmse", trials, 1, 0.95)
+        assert calls == list(cluster.serving)             # K: one per UE
+        calls.clear()
+        distributed_mc_report(ctx, cluster, "lpmmse", "plsfd", trials, 1, 0.95)
+        assert calls == [(l,) for l in range(ctx.L)]      # L: one per AP
 
 
 def test_error_noise_block_is_the_memo(system):

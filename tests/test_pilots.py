@@ -4,7 +4,7 @@ import pytest
 from scfsim.numerics import hermitize
 from scfsim.pilots import (block_diag_cov, build_estimation_context,
                            dft_pilot_matrix, estimate_local, make_pilot_plan,
-                           psi_matrix, round_robin_pilots, stack_centralized)
+                           psi_matrix, round_robin_pilots)
 from scfsim.quantization import QuantizerConfig, received_noise_covariance
 from scfsim.rng import substream
 from scfsim.sampling import sample_joint
@@ -36,8 +36,8 @@ def test_psi_single_user_ideal():
     p = np.array([2.0])
     plan = round_robin_pilots(1, 1)
     sigma2 = 0.3
-    c_n = received_noise_covariance(0, stats, p, q0, sigma2)
-    psi = psi_matrix(0, stats, plan, p, q0, c_n[None])[0]
+    c_n = received_noise_covariance(stats, p, q0, sigma2, [0], [0])
+    psi = psi_matrix(0, stats, plan, p, q0, c_n)[0]
     expected = 2.0 * 1 * stats.R[0, 0] + sigma2 * np.eye(2)
     assert np.allclose(psi, expected, rtol=1e-12)
 
@@ -148,11 +148,11 @@ def test_ideal_rayleigh_estimation_reduction():
 
 def test_stack_centralized_shapes_and_blocks():
     _, _, _, _, _, ctx1, _ = small_system(L=1, K=2, N=2, tau=2, seed=14)
-    stacked = stack_centralized(ctx1)
-    assert np.allclose(stacked["c_hhat"][0], ctx1.c_hhat[0, 0])
+    stacked = block_diag_cov(ctx1.c_hhat)
+    assert np.allclose(stacked[0], ctx1.c_hhat[0, 0])
 
     _, _, _, _, _, ctx2, _ = small_system(L=2, K=2, N=2, tau=2, seed=14)
-    blocks = stack_centralized(ctx2)["c_hhat"]
+    blocks = block_diag_cov(ctx2.c_hhat)
     assert blocks.shape == (2, 4, 4)
     assert np.allclose(blocks[1][:2, :2], ctx2.c_hhat[1, 0])
     assert np.allclose(blocks[1][2:, 2:], ctx2.c_hhat[1, 1])

@@ -99,7 +99,8 @@ def test_received_noise_ideal_hardware_reduces_to_thermal():
     _, stats, _, powers, _, _, _ = small_system(seed=1)
     q0 = QuantizerConfig.ideal()
     sigma2 = 0.123
-    c = received_noise_covariance(0, stats, powers.p_ddot, q0, sigma2)
+    c = received_noise_covariance(stats, powers.p_ddot, q0, sigma2,
+                                  np.arange(stats.K), np.arange(stats.L))
     assert np.allclose(c, sigma2 * np.eye(stats.N), atol=1e-15)
 
 
@@ -115,16 +116,21 @@ def test_received_noise_scalar_oracle():
     expected = (one_ad**2 * q.rho_da / (1 - q.rho_da) * moment
                 + q.rho_ad * one_ad / (1 - q.rho_da) * moment
                 + one_ad * sigma2)
-    got = received_noise_covariance(0, stats, p_ddot, q, sigma2)
-    assert got.shape == (1, 1)
-    assert got[0, 0].real == pytest.approx(expected, rel=1e-8)
-    assert abs(got[0, 0].imag) < 1e-18
+    got = received_noise_covariance(stats, p_ddot, q, sigma2, [0], [0])
+    assert got.shape == (1, 1, 1)
+    assert got[0, 0, 0].real == pytest.approx(expected, rel=1e-8)
+    assert abs(got[0, 0, 0].imag) < 1e-18
+    # an empty UE set leaves the thermal term alone
+    empty = received_noise_covariance(stats, p_ddot, q, sigma2, [], [0])
+    assert empty[0, 0, 0] == one_ad * sigma2
 
 
 def test_received_noise_hermitian_psd():
     _, stats, q, powers, _, _, _ = small_system(L=3, K=5, N=3, tau=2, seed=8)
+    every = np.arange(stats.K)
     for l in range(stats.L):
-        c = received_noise_covariance(l, stats, powers.p_ddot, q, 1e-9)
+        c = received_noise_covariance(stats, powers.p_ddot, q, 1e-9,
+                                      every, [l])[0]
         assert np.max(np.abs(c - c.conj().T)) < 1e-25
         assert np.min(np.linalg.eigvalsh(hermitize(c))) > 0
 

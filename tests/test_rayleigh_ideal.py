@@ -4,14 +4,13 @@ with the general model evaluated at rho_da = rho_ad = 0, kappa = 0."""
 import numpy as np
 
 from scfsim import rayleigh_ideal as ideal
-from scfsim.detectors import l_mmse_local
 from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.numerics import crandn
 from scfsim.pilots import build_estimation_context, estimate_local
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
 
-from conftest import small_system
+from conftest import lmmse_at_ap, small_system
 
 
 def _ideal_system(seed=60, L=3, K=5, N=2, tau=2):
@@ -40,10 +39,10 @@ def test_estimate_covariance_agrees():
 
 
 def test_lmmse_agrees():
-    _, stats, p, plan, ctx, _ = _ideal_system(seed=62)
+    _, stats, p, plan, ctx, cluster = _ideal_system(seed=62)
     hhat_l = crandn(substream(1, "h"), (stats.K, stats.N), 1e-9)
     for l in range(stats.L):
-        got = l_mmse_local(1, l, hhat_l, ctx)
+        got = lmmse_at_ap(hhat_l, l, ctx, cluster)[1]
         want = ideal.ideal_lmmse(1, l, hhat_l, stats, plan, p, ctx.sigma2)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from scfsim.channel import channel_statistics, generate_scenario
 from scfsim.config import SimConfig
+from scfsim.detectors import detector_sets
 from scfsim.quantization import QuantizerConfig
 from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce, cc_l2_lsfd,
                               cc_lsfd, cc_plsfd, cluster_plan_from_indicators,
-                              equal_power_plan, estimates_required,
-                              full_cluster_plan, run_algorithm1)
+                              equal_power_plan, full_cluster_plan,
+                              run_algorithm1)
 from scfsim.pilots import make_pilot_plan
 
 
@@ -220,11 +221,15 @@ def test_algorithm1_complexity_formula():
 
 def test_estimates_required_matches_proposition_sets():
     stats, _, cluster, _, _ = _scheduled(L=6, K=9, tau=3, seed=23)
+
+    def estimates(detector, index):
+        return set(detector_sets(cluster, detector, index)[2])
+
     for l in range(stats.L):
-        assert estimates_required("lpmmse", cluster, l) == set(cluster.served_primary[l])
-        assert estimates_required("lpmmse-full", cluster, l) == set(cluster.served[l])
+        assert estimates("lpmmse", l) == set(cluster.served_primary[l])
+        assert estimates("lpmmse-full", l) == set(cluster.served[l])
     for k in range(stats.K):
-        assert estimates_required("pmmse-full", cluster, k) == set(cluster.overlap[k])
+        assert estimates("pmmse-full", k) == set(cluster.overlap[k])
 
 
 def test_full_cluster_plan_and_equal_power():
