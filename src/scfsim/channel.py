@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (NotPositiveSemidefiniteError, crandn, db_to_linear,
-                       hermitian_sqrt, hermitize)
+from .numerics import NotPositiveSemidefiniteError, db_to_linear, hermitize
 from .rng import substream
 
 PATHLOSS_INTERCEPT_DB = -30.5
@@ -161,14 +160,6 @@ def rician_factor(distance_m, rayleigh=False):
     if rayleigh:
         return np.zeros_like(distance_m)
     return db_to_linear(RICIAN_INTERCEPT_DB - RICIAN_SLOPE_DB_PER_M * distance_m)
-
-
-def los_steering(theta, n_antennas, beta_los):
-    """Half-wavelength ULA steering vector scaled to power beta_los per antenna."""
-    if n_antennas < 1 or beta_los < 0:
-        raise ValueError("need n_antennas >= 1 and beta_los >= 0")
-    phases = -1j * np.pi * np.arange(n_antennas) * np.sin(theta)
-    return np.sqrt(beta_los) * np.exp(phases)
 
 
 @functools.lru_cache(maxsize=16)
@@ -315,9 +306,3 @@ def channel_statistics(scenario, seed, asd_rad, rayleigh=False):
     return ChannelStatistics(scenario=scenario, beta=beta, kappa=kappa,
                              theta=theta, beta_los=beta_los,
                              beta_nlos=beta_nlos, h_bar=h_bar, R=corr)
-
-
-def sample_channel(link, rng):
-    """One realization h = h_bar + R^{1/2} w, w standard complex Gaussian."""
-    factor = hermitian_sqrt(link.R)
-    return link.h_bar + factor @ crandn(rng, link.R.shape[-1])

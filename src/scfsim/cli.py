@@ -6,15 +6,16 @@
     scfsim list
 
 Worker processes for experiment points come from SCFSIM_WORKERS (default 1);
-output files are byte-identical for any worker count.
+output files are byte-identical for any worker count. A config that fails
+validation, or a bad SCFSIM_WORKERS, prints one error line and exits 2.
 """
 
 import argparse
 import os
 import sys
 
-from .config import SimConfig, load_config
-from .harness import EXPERIMENTS, emit_results, run_experiment
+from .config import ConfigError, SimConfig, load_config
+from .harness import EXPERIMENTS, ExperimentError, emit_results, run_experiment
 from .validation import desk_validation_config, run_invariant_checks, run_validation
 
 
@@ -92,8 +93,14 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; a bad config or experiment request prints one
+    error line and exits 2, as argparse does for bad arguments."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, ExperimentError) as exc:
+        print(f"scfsim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

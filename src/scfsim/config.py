@@ -23,6 +23,18 @@ def _is_integer(value):
     return True
 
 
+def _is_real(value):
+    """Whether ``value`` is a real number: ``float`` takes it, and it is no
+    bool or string (``float`` would read True as 1.0 and "5" as 5.0)."""
+    if value is None or isinstance(value, (bool, str, bytes)):
+        return False
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
 # combining detectors per processing scheme, and the second-stage weightings
 # of the distributed scheme (both engines; see lsfd.lsfd_weights)
 DETECTORS = {
@@ -86,6 +98,13 @@ class SimConfig:
                                   f"(ideal), got {b!r}")
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in ("area_side", "bandwidth_hz", "noise_figure_db", "sigma2_dbm",
+                     "p_max_mw", "asd_deg", "eta_db", "nu", "d_bar"):
+            value = getattr(self, name)
+            if value is None and name in ("sigma2_dbm", "d_bar"):     # nullable
+                continue
+            if not _is_real(value):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         for name in ("area_side", "bandwidth_hz", "p_max_mw", "asd_deg"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -103,7 +122,7 @@ class SimConfig:
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
         if self.fading not in ("rician", "rayleigh"):
             raise ConfigError(f"fading must be rician|rayleigh, got {self.fading!r}")
-        if self.scheme not in DETECTORS:
+        if self.scheme not in tuple(DETECTORS):
             raise ConfigError(f"scheme must be distributed|centralized, got {self.scheme!r}")
         if self.detector not in DETECTORS[self.scheme]:
             raise ConfigError(

@@ -126,15 +126,14 @@ def build_system(cfg, seed, strategy="algorithm1", nu=None):
 
 def distributed_closed_report(ctx, cluster, weighting, prelog):
     """Closed-form per-UE distributed SE (MRC detection)."""
-    se = np.array([se_from_moments(build_ingredients(k, ctx, cluster).moments,
-                                   weighting, prelog) for k in range(ctx.K)])
+    se = np.array([se_from_moments(moments, weighting, prelog)
+                   for moments in build_ingredients(ctx, cluster)])
     return SEReport(se=se, prelog=prelog, scheme="distributed", detector="mrc",
                     weighting=weighting, evaluation="closed-form")
 
 
 def centralized_closed_report(ctx, cluster, prelog):
-    se = np.array([se_closed.se_centralized_closed(k, ctx, cluster, prelog)
-                   for k in range(ctx.K)])
+    se = se_closed.se_centralized_closed(ctx, cluster, prelog)
     return SEReport(se=se, prelog=prelog, scheme="centralized", detector="mrc",
                     weighting=None, evaluation="closed-form")
 

@@ -7,21 +7,33 @@ M_k: E[g_kk], the interference-plus-noise matrix C_k (sums over all UEs) and
 its overlap-restricted counterpart C_k^P (sums over Q_k). ``Moments`` holds
 them; ``lsfd_weights`` maps a bundle and a weighting (one of
 ``config.WEIGHTINGS``) to weights, ``se_from_moments`` to the SE.
-``build_ingredients`` builds the bundle in closed form, and
-``se_mc.DistributedSums.moments`` estimates it from samples.
+``build_ingredients`` builds every UE's bundle in closed form, and
+``se_mc.DistributedSums.moments`` estimates one from samples.
 
-The closed-form ingredients are, per serving AP l and interfering UE i:
+The closed-form ingredients are, per served pair (k, l) and UE i:
 
     lambda_kl^i = h_bar_kl^H h_bar_il                  (LOS alignment)
     b_kl^i      = (1-rho_ad)^2 tau sqrt(p̈_k p̈_i) tr(R_il Psi^{-1} R_kl)
-                  (co-pilot estimate correlation; defined for i in P_k)
-    c_kl^i      = interference power kernel
-    d_kl        = AP-local noise power seen through the estimate
+                  (co-pilot estimate correlation; zero for i off P_k)
+    c_kl^i      = (1-rho_ad)^2 tau p̈_k (tr(R_il S_kl) + h_bar_il^H S_kl h_bar_il)
+                  + h_bar_kl^H R_il h_bar_kl           (interference power)
+    d_kl        = tr(E[n_x n_x^H] E[hhat_kl hhat_kl^H])  (AP-local noise)
 
-Every ingredient is a (K, |M_k|) array built by one contraction over the
-interferers. C_k and C_k^P are gathered through index arrays of the sum set
-and the co-pilot set into one (|set|, |M_k|, |M_k|) stack of per-interferer
-terms and reduced along it, with no Python loop over interferers.
+with S_kl = R_kl Psi^{-1} R_kl. They come from one pass over the APs: AP l
+gives the trace and quadratic-form kernels of the UEs it serves against every
+UE, each one (K x N^2)(N^2 x |served|) matmul (``_ap_kernels``, which the
+centralized closed form in ``se_closed`` reads too). Over the P served
+pairs the pass fills one (P, K) table g = lambda + b and two (P,) vectors,
+the p̈-weighted sums of c over all UEs and over Q_k. Since b is real and
+zero off P_k, the co-pilot cross terms fold into one weighted Gram of g
+over k's serving APs:
+
+    C_k = (1-rho_ad)^2/(1-rho_da) [sum_{i in S} p̈_i g_i g_i^H
+                                   + diag(sum_{i in S} p̈_i c_i)]
+          - (1-rho_ad)^2 p̈_k E[g_kk] E[g_kk]^H + diag(d_k),
+
+with S = all UEs for C_k and S = Q_k for C_k^P, and E[g_kk] = g_k. The
+UEs that share one |M_k| are assembled in one batched matmul.
 Under the ULA model all trace kernels are real; tiny imaginary residue from
 quadrature is dropped. The LSFD levels follow Björnson & Sanguinetti,
 "Making Cell-Free Massive MIMO Competitive With MMSE Processing and
@@ -46,99 +58,101 @@ class Moments:
     one_ad2: float             # (1 - rho_ad)^2
 
 
-@dataclass(frozen=True)
-class LsfdIngredients:
-    k: int
-    serving: tuple             # M_k
-    copilot: tuple             # P_k
-    overlap: tuple             # Q_k (equals all UEs for unscaled plans)
-    lam: np.ndarray            # (K, |M_k|) complex
-    b: np.ndarray              # (K, |M_k|) real; rows meaningful for i in P_k
-    c: np.ndarray              # (K, |M_k|) real
-    d: np.ndarray              # (|M_k|,) real
-    moments: Moments           # signal = lambda_k^k + b_k^k
+def _ap_kernels(ctx, l, served, centralized=False):
+    """Kernel blocks of AP l: column j is the served UE k = served[j], row i
+    every UE. Returns, each (K, |served|):
+
+        g_kl^i = lambda_kl^i + b_kl^i (complex), tr(R_il S_kl),
+        h_bar_kl^H R_il h_bar_kl, h_bar_il^H S_kl h_bar_il
+
+    and, for the centralized form, also tr(S_il S_kl) and
+    h_bar_kl^H S_il h_bar_kl. tr(A B) = vec(A) . vec(B^T), so each family is
+    one product of a (K, N^2) stack of A_il (R_il, h_bar_il h_bar_il^H,
+    S_il) with the (N^2, |served|) stack of B_kl^T (T_kl = Psi^{-1} R_kl,
+    S_kl, h_bar_kl h_bar_kl^H).
+    """
+    stats, n2, m = ctx.stats, ctx.N ** 2, len(served)
+    p, pilot = ctx.p_ddot, ctx.plan.pilot_of
+    h = stats.h_bar[:, l]                                       # (K, N)
+    h_k = h[served]
+    served_side = np.concatenate((
+        np.swapaxes(ctx.t_mat[served, l], -1, -2).reshape(m, n2),
+        np.swapaxes(ctx.s_mat[served, l], -1, -2).reshape(m, n2),
+        (np.conj(h_k)[:, :, None] * h_k[:, None, :]).reshape(m, n2))).T
+    r = (stats.R[:, l].reshape(-1, n2) @ served_side).real
+    b = np.where(pilot[:, None] == pilot[served],
+                 (1.0 - ctx.q.rho_ad) ** 2 * ctx.tau
+                 * np.sqrt(p[:, None] * p[served]) * r[:, :m], 0.0)
+    hh = (h[:, :, None] * np.conj(h)[:, None, :]).reshape(-1, n2)
+    kernels = (h @ np.conj(h_k).T + b, r[:, m:2 * m], r[:, 2 * m:],
+               (hh @ served_side[:, m:2 * m]).real)
+    if centralized:
+        s = (ctx.s_mat[:, l].reshape(-1, n2) @ served_side[:, m:]).real
+        kernels += (s[:, :m], s[:, m:])
+    return kernels
 
 
-def build_ingredients(k, ctx, cluster):
-    """Assemble every Theorem-2 ingredient and the Moments of UE k under
-    the given plan."""
-    stats, plan = ctx.stats, ctx.plan
-    serving = cluster.serving[k]
-    if len(serving) == 0:
-        raise ValueError(f"UE {k} has an empty serving set")
-    m_idx = np.asarray(serving, dtype=int)
-    copilot = plan.copilot_sets[k]
-    overlap = cluster.overlap[k]
-    one_ad = 1.0 - ctx.q.rho_ad
-    one_ad2 = one_ad ** 2
-    tau = ctx.tau
-    p = ctx.p_ddot
+def build_ingredients(ctx, cluster):
+    """The closed-form Moments of every UE under the given plan, from one
+    pass over the APs; a tuple indexed by UE."""
+    stats, q = ctx.stats, ctx.q
+    served_by = cluster.D                                       # (K, L)
+    sizes = served_by.sum(axis=1)
+    if not sizes.all():
+        raise ValueError(f"UE {np.argmin(sizes)} has an empty serving set")
+    one_ad2 = (1.0 - q.rho_ad) ** 2
+    tau, p = ctx.tau, ctx.p_ddot
 
-    h_bar_k = stats.h_bar[k, m_idx]                      # (|M|, N)
-    lam = np.einsum("mn,imn->im", np.conj(h_bar_k), stats.h_bar[:, m_idx])
+    # served pairs (k, l), UE-major: UE k's pairs are first[k] + range(|M_k|)
+    kk, ll = np.nonzero(served_by)
+    first = np.cumsum(sizes) - sizes
+    pair = np.zeros(served_by.shape, dtype=int)
+    pair[kk, ll] = np.arange(len(kk))
+    overlap = (served_by.astype(int) @ served_by.T.astype(int)) > 0   # i in Q_k
+    g = np.empty((len(kk), ctx.K), dtype=complex)    # [(k, l), i] lambda + b
+    c_full = np.empty(len(kk))                       # sum_i p̈_i c_kl^i
+    c_partial = np.empty(len(kk))                    # the same over Q_k
+    for l in range(ctx.L):
+        served = np.flatnonzero(served_by[:, l])
+        g_l, tr_rs, quad_r, quad_s = _ap_kernels(ctx, l, served)
+        rows = pair[served, l]
+        g[rows] = g_l.T
+        c = one_ad2 * tau * p[served] * (tr_rs + quad_s) + quad_r
+        c_full[rows] = p @ c
+        c_partial[rows] = np.einsum("ji,ij->j", p * overlap[served], c)
 
-    # trace kernels against this UE's estimator sandwich S_kl = R Psi^{-1} R
-    s_k = ctx.s_mat[k, m_idx]                            # (|M|, N, N)
-    t_k = ctx.t_mat[k, m_idx]                            # (|M|, N, N) = Psi^{-1} R_kl
-    r_all = stats.R[:, m_idx]                            # (K, |M|, N, N)
+    # d_kl = tr(E[n_x n_x^H] E[hhat hhat^H]); the first factor is diagonal
+    e_diag = (np.abs(stats.h_bar[kk, ll]) ** 2
+              + np.diagonal(ctx.c_hhat, axis1=-2, axis2=-1)[kk, ll].real)
+    d = (np.einsum("pn,pn->p", ctx.nx_diag[ll], e_diag)
+         + ctx.nx_iso[ll] * e_diag.sum(axis=1))
 
-    b = np.zeros((ctx.K, len(serving)))
-    tr_i_tk = np.einsum("imnp,mpn->im", r_all, t_k).real  # tr(R_il Psi^{-1} R_kl)
-    cp_idx = np.asarray(copilot, dtype=int)
-    b[cp_idx] = one_ad2 * tau * np.sqrt(p[k] * p[cp_idx])[:, None] * tr_i_tk[cp_idx]
+    scale = one_ad2 / (1.0 - q.rho_da)
+    moments = [None] * ctx.K
+    for m in np.flatnonzero(np.bincount(sizes)):        # each |M_k| in use
+        ues = np.flatnonzero(sizes == m)
+        rows = first[ues, None] + np.arange(m)                  # (n, m)
+        signal = g[rows, ues[:, None]]                          # E[g_kk], (n, m)
+        diag = np.arange(m)
 
-    c = one_ad2 * tau * p[k] * np.einsum("imnp,mpn->im", r_all, s_k).real
-    c += np.einsum("mn,imnp,mp->im", np.conj(h_bar_k), r_all, h_bar_k).real
-    c += one_ad2 * tau * p[k] * np.einsum(
-        "imn,mnp,imp->im", np.conj(stats.h_bar[:, m_idx]), s_k,
-        stats.h_bar[:, m_idx]).real
+        def interference(weights, c_sum):   # weights (n or 1, K): p̈_i on S
+            a = g[rows]                                         # (n, m, K)
+            a *= np.sqrt(weights)[:, None, :]
+            acc = a @ np.conj(np.swapaxes(a, -1, -2))
+            acc[:, diag, diag] += c_sum[rows]
+            acc *= scale
+            acc -= one_ad2 * p[ues, None, None] * (
+                signal[:, :, None] * np.conj(signal[:, None, :]))
+            acc[:, diag, diag] += d[rows]
+            return hermitize(acc)
 
-    # AP-local noise kernel d_kl = tr(E[n_x n_x^H] E[hhat hhat^H])
-    nlos_diag = np.einsum("i,imnn->mn", p, r_all).real            # (|M|, N)
-    d = (ctx.q.rho_ad * one_ad / (1.0 - ctx.q.rho_da)) * np.einsum(
-        "mn,mn->m", np.abs(h_bar_k) ** 2, nlos_diag)
-    d += (ctx.q.rho_ad * one_ad**3 / (1.0 - ctx.q.rho_da)) * tau * p[k] * \
-        np.einsum("mn,mnn->m", nlos_diag, s_k).real
-    iso = one_ad * (ctx.sigma2 + (ctx.q.rho_ad / (1.0 - ctx.q.rho_da))
-                    * np.einsum("i,im->m", p, stats.beta_los[:, m_idx]))
-    d += iso * (np.einsum("mn,mn->m", np.conj(h_bar_k), h_bar_k).real
-                + one_ad2 * tau * p[k] * np.einsum("mnn->m", s_k).real)
-
-    signal = lam[k] + b[k]
-
-    diag = np.arange(len(serving))
-
-    def interference(sum_idx, copilot_idx):
-        # Per-interferer terms p_i (lam_i lam_i^H + diag c_i) over the sum set,
-        # then p_i (b_i b_i^T + b_i lam_i^H + lam_i b_i^T) over the co-pilot
-        # set, stacked and summed along the stack in that order: the same
-        # additions in the same order as accumulating one UE at a time
-        # (cumsum, because sum turns pairwise when |M_k| = 1).
-        lam_s, lam_c, b_c = lam[sum_idx], lam[copilot_idx], b[copilot_idx]
-        los = lam_s[:, :, None] * np.conj(lam_s[:, None, :])
-        los[:, diag, diag] += c[sum_idx]
-        terms = np.concatenate((
-            p[sum_idx, None, None] * los,
-            p[copilot_idx, None, None] * (
-                b_c[:, :, None] * b_c[:, None, :]
-                + b_c[:, :, None] * np.conj(lam_c[:, None, :])
-                + lam_c[:, :, None] * b_c[:, None, :])))
-        acc = np.cumsum(terms, axis=0)[-1]
-        acc *= one_ad2 / (1.0 - ctx.q.rho_da)
-        acc -= one_ad2 * p[k] * np.outer(signal, np.conj(signal))
-        acc += np.diag(d)
-        return hermitize(acc)
-
-    moments = Moments(
-        signal=signal,
-        c_full=interference(np.arange(ctx.K), cp_idx),
-        c_partial=interference(
-            np.asarray(overlap, dtype=int),
-            np.asarray(sorted(set(copilot) & set(overlap)), dtype=int)),
-        p_ddot_k=float(p[k]), one_ad2=one_ad2)
-    return LsfdIngredients(
-        k=k, serving=tuple(serving), copilot=tuple(copilot),
-        overlap=tuple(overlap), lam=lam, b=b, c=c, d=d, moments=moments)
+        full = interference(p[None], c_full)
+        partial = interference(p * overlap[ues], c_partial)
+        for j, k in enumerate(ues):
+            moments[k] = Moments(signal=signal[j], c_full=full[j],
+                                 c_partial=partial[j], p_ddot_k=float(p[k]),
+                                 one_ad2=one_ad2)
+    return tuple(moments)
 
 
 def lsfd_weights(moments, weighting):

@@ -171,11 +171,6 @@ def context_memo(ctx, build):
     return ctx._cache[key]
 
 
-def estimate_local(z_pilot_w, k, l, ctx):
-    """MMSE estimate from the LOS-stripped correlated pilot observation."""
-    return ctx.stats.h_bar[k, l] + ctx.est_gain[k, l] @ z_pilot_w
-
-
 def block_diag_cov(per_ap):
     """(K, L, N, N) per-AP covariances -> (K, LN, LN) exact block diagonals."""
     k_count, l_count, n_ant = per_ap.shape[0], per_ap.shape[1], per_ap.shape[2]

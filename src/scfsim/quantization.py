@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import crandn, hermitize
+from .numerics import hermitize
 
 DISTORTION_TABLE = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 
@@ -50,28 +50,6 @@ class QuantizerConfig:
     @classmethod
     def ideal(cls):
         return cls(b_da=None, b_ad=None)
-
-
-def dac_apply(x, rho_da, cov_diag_x, rng):
-    """Pass ``x`` through the DAC model; ``cov_diag_x`` is diag(E[x x^H])."""
-    cov_diag_x = np.asarray(cov_diag_x, dtype=float)
-    if np.any(cov_diag_x < 0):
-        raise ValueError("covariance diagonal must be non-negative")
-    if rho_da == 0.0:
-        return np.asarray(x, dtype=complex)
-    noise = crandn(rng, np.shape(x), rho_da * cov_diag_x)
-    return np.sqrt(1.0 - rho_da) * x + noise
-
-
-def adc_apply(x, rho_ad, cov_diag_x, rng):
-    """Pass ``x`` through the ADC model; ``cov_diag_x`` is diag(E[x x^H])."""
-    cov_diag_x = np.asarray(cov_diag_x, dtype=float)
-    if np.any(cov_diag_x < 0):
-        raise ValueError("covariance diagonal must be non-negative")
-    if rho_ad == 0.0:
-        return np.asarray(x, dtype=complex)
-    noise = crandn(rng, np.shape(x), rho_ad * (1.0 - rho_ad) * cov_diag_x)
-    return (1.0 - rho_ad) * x + noise
 
 
 def received_noise_covariance(stats, p_ddot, q, sigma2, ues, aps):

@@ -1,19 +1,29 @@
 """Closed-form spectral-efficiency expressions (MRC detection).
 
 Centralized scheme: the hardening-style approximation built from the
-estimate-moment kernels f^g, f^e. Each UE k gets one vector kernel call that
-returns f^g and f^e against every interferer at once, contracted over k's
-serving APs and antennas; the per-AP error-plus-noise matrices W_l are
-computed once per estimation context and shared by every UE. Also the
-four-case expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the distributed
-expressions rest on, kept standalone for oracle validation. The distributed
-closed form is ``lsfd.build_ingredients`` followed by
+estimate-moment kernels f^g, f^e of every UE pair (k, i), summed over k's
+serving APs. One pass over the APs computes them for every UE at once: AP l
+gives the kernel blocks of the UEs it serves against every UE
+(``lsfd._ap_kernels``, the blocks the distributed closed form reads too),
+and adds them to the rows of its served UEs in two (K, K) accumulators:
+sum_{l in M_k} g_kl^i, with g = lambda + b the distributed form's mean
+gain, and the trace terms. f^g + f^e is |sum_l g_kl^i|^2 plus the trace
+terms, because the co-pilot part f^e = b^2 + 2 b Re(lambda) completes the
+square of the LOS part |lambda|^2. The interference, the noise term
+sum_{l in M_k} tr(W_l E[hhat_kl hhat_kl^H]) and the SE are then array
+operations; the per-AP error-plus-noise matrices W_l are computed once per
+estimation context and shared with the Monte Carlo engine.
+
+Also the four-case expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the
+distributed expressions rest on, kept standalone for oracle validation. The
+distributed closed form is ``lsfd.build_ingredients`` followed by
 ``lsfd.se_from_moments``, the path the Monte Carlo engine shares.
 """
 
 import numpy as np
 
 from .detectors import centralized_error_noise
+from .lsfd import _ap_kernels
 from .pilots import context_memo
 
 
@@ -56,57 +66,36 @@ def theorem1_kernel(k, i, l1, l2, ctx):
     return complex(value)
 
 
-def _f_kernels(k, ctx, cluster):
-    """Estimate-moment kernels (f^g, f^e) of UE k against every UE i at once.
-
-    Returns two (K,) vectors indexed by the interferer i, each contracted
-    over k's serving APs and their antennas; f^e is zero off k's pilot.
-    """
-    stats = ctx.stats
-    m_idx = np.asarray(cluster.serving[k], dtype=int)
+def se_centralized_closed(ctx, cluster, prelog):
+    """(K,) centralized MRC SE of every UE, hardening-style closed-form
+    approximation."""
+    k_count = ctx.K
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     tau, p = ctx.tau, ctx.p_ddot
-    h_bar_k = stats.h_bar[k, m_idx]                      # (|M|, N)
-    h_bar = stats.h_bar[:, m_idx]                        # (K, |M|, N)
-    s_all = ctx.s_mat[:, m_idx]                          # (K, |M|, N, N)
-    s_k = ctx.s_mat[k, m_idx]
-    los_cross = np.einsum("mn,imn->i", np.conj(h_bar_k), h_bar)
 
-    tr_mix = np.einsum("imnp,mpn->i", s_all, s_k).real
-    # h_bar_k^H S_il h_bar_k and h_bar_i^H S_kl h_bar_i, summed over serving APs
-    quad_ki = np.einsum("mn,imnp,mp->i", np.conj(h_bar_k), s_all, h_bar_k).real
-    quad_ik = np.einsum("imn,mnp,imp->i", np.conj(h_bar), s_k, h_bar).real
-    # tr(R_il Psi_k^{-1} R_kl): the co-pilot coupling
-    tr_cross = np.einsum("imnp,mpn->i", stats.R[:, m_idx],
-                         ctx.t_mat[k, m_idx]).real
+    # f^g + f^e of UE k (row) against UE i (column) is |sum_l g_kl^i|^2 plus
+    # the trace terms, all summed over k's serving APs: each AP adds its
+    # blocks to the rows of the UEs it serves
+    g = np.zeros((k_count, k_count), dtype=complex)
+    f = np.zeros((k_count, k_count))
+    for l in range(ctx.L):
+        served = np.flatnonzero(cluster.D[:, l])
+        g_l, _, _, quad_s, tr_ss, quad_sk = _ap_kernels(
+            ctx, l, served, centralized=True)
+        p_k, p_i = p[served], p[:, None]
+        g[served] += g_l.T
+        f[served] += (one_ad2 * tau * (one_ad2 * tau * p_k * p_i * tr_ss
+                                       + p_i * quad_sk + p_k * quad_s)).T
+    f += np.abs(g) ** 2
+    num = one_ad2 * p * np.diagonal(f)
+    np.fill_diagonal(f, 0.0)
+    interference = f @ p
 
-    f_g = np.abs(los_cross) ** 2
-    f_g += one_ad2**2 * tau**2 * p[k] * p * tr_mix
-    f_g += one_ad2 * tau * p * quad_ki
-    f_g += one_ad2 * tau * p[k] * quad_ik
-
-    f_e = one_ad2**2 * tau**2 * p[k] * p * tr_cross**2
-    f_e += 2.0 * one_ad2 * tau * np.sqrt(p * p[k]) * tr_cross * los_cross.real
-    f_e[ctx.plan.pilot_of != ctx.plan.pilot_of[k]] = 0.0
-    return f_g, f_e
-
-
-def se_centralized_closed(k, ctx, cluster, prelog):
-    """Centralized MRC SE, hardening-style closed-form approximation."""
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    p = ctx.p_ddot
-    f_g, f_e = _f_kernels(k, ctx, cluster)
-    num = one_ad2 * p[k] * (f_g[k] + f_e[k])
-
-    others = np.ones(ctx.K, dtype=bool)
-    others[k] = False
-    interference = np.dot(p[others], f_g[others] + f_e[others])
-
-    m_idx = np.asarray(cluster.serving[k], dtype=int)
-    h_bar_k = ctx.stats.h_bar[k, m_idx]
-    e_hh = (np.einsum("mn,mp->mnp", h_bar_k, np.conj(h_bar_k))
-            + ctx.c_hhat[k, m_idx])
+    # sum over l in M_k of tr(W_l E[hhat_kl hhat_kl^H]), over the served pairs
+    kk, ll = np.nonzero(cluster.D)
+    h_bar = ctx.stats.h_bar[kk, ll]
+    e_hh = h_bar[:, :, None] * np.conj(h_bar[:, None, :]) + ctx.c_hhat[kk, ll]
     w_full = context_memo(ctx, centralized_error_noise)
-    noise = np.einsum("mnp,mpn->", w_full[m_idx], e_hh).real
-    den = one_ad2 * interference + noise
-    return prelog * np.log2(1.0 + num / den)
+    noise = np.bincount(kk, np.einsum("pnm,pmn->p", w_full[ll], e_hh).real,
+                        minlength=k_count)
+    return prelog * np.log2(1.0 + num / (one_ad2 * interference + noise))

@@ -109,8 +109,7 @@ def run_validation(cfg, seed):
         checks.append(Check("distributed-se", f"ue{k}", float(closed_se[k]),
                             float(mc_report.se[k]), gap, 0.02))
 
-    closed_c = np.array([se_centralized_closed(k, ctx, cluster, prelog)
-                         for k in range(cfg.K)])
+    closed_c = se_centralized_closed(ctx, cluster, prelog)
     mc_c = centralized_mc_report(ctx, cluster, "mrc", cfg.trials, seed, prelog)
     gap = abs(closed_c.sum() - mc_c.sum_se) / max(closed_c.sum(), 1e-12)
     checks.append(Check("centralized-se", "sum", float(closed_c.sum()),

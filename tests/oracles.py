@@ -1,0 +1,223 @@
+"""Per-UE and single-link reference implementations kept as test oracles.
+
+The simulator evaluates both MRC closed forms for every UE at once
+(``lsfd.build_ingredients``, ``se_closed.se_centralized_closed``); the
+builders below are the former one-UE-at-a-time versions, with every
+Theorem-2 ingredient (lambda, b, c, d) exposed. The single-link helpers
+(LOS steering vector, one channel draw, one local MMSE estimate, the
+DAC/ADC models applied to one signal) are the textbook forms the batched
+code paths are checked against.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from scfsim.detectors import centralized_error_noise
+from scfsim.lsfd import Moments
+from scfsim.numerics import crandn, hermitian_sqrt, hermitize
+from scfsim.pilots import context_memo
+
+
+# ---------------------------------------------------------------------------
+# single links
+# ---------------------------------------------------------------------------
+
+def los_steering(theta, n_antennas, beta_los):
+    """Half-wavelength ULA steering vector scaled to power beta_los per antenna."""
+    if n_antennas < 1 or beta_los < 0:
+        raise ValueError("need n_antennas >= 1 and beta_los >= 0")
+    phases = -1j * np.pi * np.arange(n_antennas) * np.sin(theta)
+    return np.sqrt(beta_los) * np.exp(phases)
+
+
+def sample_channel(link, rng):
+    """One realization h = h_bar + R^{1/2} w, w standard complex Gaussian."""
+    factor = hermitian_sqrt(link.R)
+    return link.h_bar + factor @ crandn(rng, link.R.shape[-1])
+
+
+def estimate_local(z_pilot_w, k, l, ctx):
+    """MMSE estimate from the LOS-stripped correlated pilot observation."""
+    return ctx.stats.h_bar[k, l] + ctx.est_gain[k, l] @ z_pilot_w
+
+
+def dac_apply(x, rho_da, cov_diag_x, rng):
+    """Pass ``x`` through the DAC model; ``cov_diag_x`` is diag(E[x x^H])."""
+    cov_diag_x = np.asarray(cov_diag_x, dtype=float)
+    if np.any(cov_diag_x < 0):
+        raise ValueError("covariance diagonal must be non-negative")
+    if rho_da == 0.0:
+        return np.asarray(x, dtype=complex)
+    noise = crandn(rng, np.shape(x), rho_da * cov_diag_x)
+    return np.sqrt(1.0 - rho_da) * x + noise
+
+
+def adc_apply(x, rho_ad, cov_diag_x, rng):
+    """Pass ``x`` through the ADC model; ``cov_diag_x`` is diag(E[x x^H])."""
+    cov_diag_x = np.asarray(cov_diag_x, dtype=float)
+    if np.any(cov_diag_x < 0):
+        raise ValueError("covariance diagonal must be non-negative")
+    if rho_ad == 0.0:
+        return np.asarray(x, dtype=complex)
+    noise = crandn(rng, np.shape(x), rho_ad * (1.0 - rho_ad) * cov_diag_x)
+    return (1.0 - rho_ad) * x + noise
+
+
+# ---------------------------------------------------------------------------
+# the distributed closed form, one UE at a time
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LsfdIngredients:
+    k: int
+    serving: tuple             # M_k
+    copilot: tuple             # P_k
+    overlap: tuple             # Q_k (equals all UEs for unscaled plans)
+    lam: np.ndarray            # (K, |M_k|) complex
+    b: np.ndarray              # (K, |M_k|) real; rows meaningful for i in P_k
+    c: np.ndarray              # (K, |M_k|) real
+    d: np.ndarray              # (|M_k|,) real
+    moments: Moments           # signal = lambda_k^k + b_k^k
+
+
+def build_ingredients(k, ctx, cluster):
+    """Assemble every Theorem-2 ingredient and the Moments of UE k under
+    the given plan."""
+    stats, plan = ctx.stats, ctx.plan
+    serving = cluster.serving[k]
+    if len(serving) == 0:
+        raise ValueError(f"UE {k} has an empty serving set")
+    m_idx = np.asarray(serving, dtype=int)
+    copilot = plan.copilot_sets[k]
+    overlap = cluster.overlap[k]
+    one_ad = 1.0 - ctx.q.rho_ad
+    one_ad2 = one_ad ** 2
+    tau = ctx.tau
+    p = ctx.p_ddot
+
+    h_bar_k = stats.h_bar[k, m_idx]                      # (|M|, N)
+    lam = np.einsum("mn,imn->im", np.conj(h_bar_k), stats.h_bar[:, m_idx])
+
+    # trace kernels against this UE's estimator sandwich S_kl = R Psi^{-1} R
+    s_k = ctx.s_mat[k, m_idx]                            # (|M|, N, N)
+    t_k = ctx.t_mat[k, m_idx]                            # (|M|, N, N) = Psi^{-1} R_kl
+    r_all = stats.R[:, m_idx]                            # (K, |M|, N, N)
+
+    b = np.zeros((ctx.K, len(serving)))
+    tr_i_tk = np.einsum("imnp,mpn->im", r_all, t_k).real  # tr(R_il Psi^{-1} R_kl)
+    cp_idx = np.asarray(copilot, dtype=int)
+    b[cp_idx] = one_ad2 * tau * np.sqrt(p[k] * p[cp_idx])[:, None] * tr_i_tk[cp_idx]
+
+    c = one_ad2 * tau * p[k] * np.einsum("imnp,mpn->im", r_all, s_k).real
+    c += np.einsum("mn,imnp,mp->im", np.conj(h_bar_k), r_all, h_bar_k).real
+    c += one_ad2 * tau * p[k] * np.einsum(
+        "imn,mnp,imp->im", np.conj(stats.h_bar[:, m_idx]), s_k,
+        stats.h_bar[:, m_idx]).real
+
+    # AP-local noise kernel d_kl = tr(E[n_x n_x^H] E[hhat hhat^H])
+    nlos_diag = np.einsum("i,imnn->mn", p, r_all).real            # (|M|, N)
+    d = (ctx.q.rho_ad * one_ad / (1.0 - ctx.q.rho_da)) * np.einsum(
+        "mn,mn->m", np.abs(h_bar_k) ** 2, nlos_diag)
+    d += (ctx.q.rho_ad * one_ad**3 / (1.0 - ctx.q.rho_da)) * tau * p[k] * \
+        np.einsum("mn,mnn->m", nlos_diag, s_k).real
+    iso = one_ad * (ctx.sigma2 + (ctx.q.rho_ad / (1.0 - ctx.q.rho_da))
+                    * np.einsum("i,im->m", p, stats.beta_los[:, m_idx]))
+    d += iso * (np.einsum("mn,mn->m", np.conj(h_bar_k), h_bar_k).real
+                + one_ad2 * tau * p[k] * np.einsum("mnn->m", s_k).real)
+
+    signal = lam[k] + b[k]
+
+    diag = np.arange(len(serving))
+
+    def interference(sum_idx, copilot_idx):
+        # Per-interferer terms p_i (lam_i lam_i^H + diag c_i) over the sum set,
+        # then p_i (b_i b_i^T + b_i lam_i^H + lam_i b_i^T) over the co-pilot
+        # set, stacked and summed along the stack in that order: the same
+        # additions in the same order as accumulating one UE at a time
+        # (cumsum, because sum turns pairwise when |M_k| = 1).
+        lam_s, lam_c, b_c = lam[sum_idx], lam[copilot_idx], b[copilot_idx]
+        los = lam_s[:, :, None] * np.conj(lam_s[:, None, :])
+        los[:, diag, diag] += c[sum_idx]
+        terms = np.concatenate((
+            p[sum_idx, None, None] * los,
+            p[copilot_idx, None, None] * (
+                b_c[:, :, None] * b_c[:, None, :]
+                + b_c[:, :, None] * np.conj(lam_c[:, None, :])
+                + lam_c[:, :, None] * b_c[:, None, :])))
+        acc = np.cumsum(terms, axis=0)[-1]
+        acc *= one_ad2 / (1.0 - ctx.q.rho_da)
+        acc -= one_ad2 * p[k] * np.outer(signal, np.conj(signal))
+        acc += np.diag(d)
+        return hermitize(acc)
+
+    moments = Moments(
+        signal=signal,
+        c_full=interference(np.arange(ctx.K), cp_idx),
+        c_partial=interference(
+            np.asarray(overlap, dtype=int),
+            np.asarray(sorted(set(copilot) & set(overlap)), dtype=int)),
+        p_ddot_k=float(p[k]), one_ad2=one_ad2)
+    return LsfdIngredients(
+        k=k, serving=tuple(serving), copilot=tuple(copilot),
+        overlap=tuple(overlap), lam=lam, b=b, c=c, d=d, moments=moments)
+
+
+# ---------------------------------------------------------------------------
+# the centralized closed form, one UE at a time
+# ---------------------------------------------------------------------------
+
+def f_kernels(k, ctx, cluster):
+    """Estimate-moment kernels (f^g, f^e) of UE k against every UE i at once.
+
+    Returns two (K,) vectors indexed by the interferer i, each contracted
+    over k's serving APs and their antennas; f^e is zero off k's pilot.
+    """
+    stats = ctx.stats
+    m_idx = np.asarray(cluster.serving[k], dtype=int)
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    tau, p = ctx.tau, ctx.p_ddot
+    h_bar_k = stats.h_bar[k, m_idx]                      # (|M|, N)
+    h_bar = stats.h_bar[:, m_idx]                        # (K, |M|, N)
+    s_all = ctx.s_mat[:, m_idx]                          # (K, |M|, N, N)
+    s_k = ctx.s_mat[k, m_idx]
+    los_cross = np.einsum("mn,imn->i", np.conj(h_bar_k), h_bar)
+
+    tr_mix = np.einsum("imnp,mpn->i", s_all, s_k).real
+    # h_bar_k^H S_il h_bar_k and h_bar_i^H S_kl h_bar_i, summed over serving APs
+    quad_ki = np.einsum("mn,imnp,mp->i", np.conj(h_bar_k), s_all, h_bar_k).real
+    quad_ik = np.einsum("imn,mnp,imp->i", np.conj(h_bar), s_k, h_bar).real
+    # tr(R_il Psi_k^{-1} R_kl): the co-pilot coupling
+    tr_cross = np.einsum("imnp,mpn->i", stats.R[:, m_idx],
+                         ctx.t_mat[k, m_idx]).real
+
+    f_g = np.abs(los_cross) ** 2
+    f_g += one_ad2**2 * tau**2 * p[k] * p * tr_mix
+    f_g += one_ad2 * tau * p * quad_ki
+    f_g += one_ad2 * tau * p[k] * quad_ik
+
+    f_e = one_ad2**2 * tau**2 * p[k] * p * tr_cross**2
+    f_e += 2.0 * one_ad2 * tau * np.sqrt(p * p[k]) * tr_cross * los_cross.real
+    f_e[ctx.plan.pilot_of != ctx.plan.pilot_of[k]] = 0.0
+    return f_g, f_e
+
+
+def se_centralized_closed(k, ctx, cluster, prelog):
+    """Centralized MRC SE of UE k, hardening-style closed-form approximation."""
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    p = ctx.p_ddot
+    f_g, f_e = f_kernels(k, ctx, cluster)
+    num = one_ad2 * p[k] * (f_g[k] + f_e[k])
+
+    others = np.ones(ctx.K, dtype=bool)
+    others[k] = False
+    interference = np.dot(p[others], f_g[others] + f_e[others])
+
+    m_idx = np.asarray(cluster.serving[k], dtype=int)
+    h_bar_k = ctx.stats.h_bar[k, m_idx]
+    e_hh = (np.einsum("mn,mp->mnp", h_bar_k, np.conj(h_bar_k))
+            + ctx.c_hhat[k, m_idx])
+    w_full = context_memo(ctx, centralized_error_noise)
+    noise = np.einsum("mnp,mpn->", w_full[m_idx], e_hh).real
+    den = one_ad2 * interference + noise
+    return prelog * np.log2(1.0 + num / den)

@@ -4,13 +4,13 @@ import pytest
 from scfsim import channel
 from scfsim.channel import (MIN_DISTANCE_M, channel_statistics,
                             generate_scenario, large_scale_fading,
-                            los_steering, rician_factor, sample_channel,
-                            spatial_correlation)
+                            rician_factor, spatial_correlation)
 from scfsim.config import SimConfig
 from scfsim.numerics import hermitize
 from scfsim.rng import substream
 
 from conftest import small_system
+from oracles import los_steering, sample_channel
 
 
 def test_generate_scenario_paper_scale():

@@ -59,3 +59,31 @@ def test_validate_exit_codes(tmp_path, capsys):
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["run", "no-such-experiment"])
+
+
+@pytest.mark.parametrize("config, field", (({"K": 0}, "K"),
+                                           ({"asd_deg": "15"}, "asd_deg"),
+                                           ({"area_side": True}, "area_side")))
+def test_bad_config_prints_one_line_and_exits_2(tmp_path, capsys, config, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "never.csv"
+    for argv in (["run", "sum-se-vs-N", "--config", str(cfg), "--out", str(out)],
+                 ["validate", "--config", str(cfg)],
+                 ["run", "sum-se-vs-N", "--seed", "-1", "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
+        assert (field if "--config" in argv else "seed") in lines[0]
+    assert not out.exists()
+
+
+def test_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SCFSIM_WORKERS", "two")
+    out = tmp_path / "never.csv"
+    assert main(["run", "sum-se-vs-N", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "SCFSIM_WORKERS" in err[0]
+    assert not out.exists()

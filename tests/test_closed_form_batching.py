@@ -1,11 +1,16 @@
-"""The batched closed-form kernels against explicit per-pair loops.
+"""The batched closed forms against explicit per-UE and per-pair loops.
 
 The oracles below are the per-interferer formulas written out one UE pair
-and one serving AP at a time. On Rician and Rayleigh fading, under the full
-cluster plan and under the scheduled (Algorithm 1) plan, the reordered
-centralized kernels must agree with them to 1e-12 relative and the LSFD
-matrices, which keep the loop's order of additions, exactly.
+and one serving AP at a time; ``oracles`` holds the per-UE builders. On
+Rician and Rayleigh fading, under the full cluster plan and under the
+scheduled (Algorithm 1) plan, the per-UE centralized kernels must agree with
+the per-pair loops to 1e-12 relative and the per-UE LSFD matrices, which
+keep the loop's order of additions, exactly. The all-UE closed forms
+(one pass over the APs) must agree with the per-UE builders to 1e-12
+relative.
 """
+
+import os
 
 import functools
 
@@ -13,17 +18,19 @@ import numpy as np
 import pytest
 
 from scfsim import detectors, se_closed, se_mc
-from scfsim.config import SimConfig
+from scfsim.config import WEIGHTINGS, SimConfig, load_config
 from scfsim.detectors import (centralized_error_noise, local_combiners,
                               local_statics)
 from scfsim.harness import build_system, centralized_closed_report
-from scfsim.lsfd import build_ingredients
+from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.pilots import context_memo
 from scfsim.rng import substream
 from scfsim.sampling import sample_joint
 from scfsim.scheduler import full_cluster_plan
-from scfsim.se_closed import _f_kernels, se_centralized_closed
+from scfsim.se_closed import se_centralized_closed
 from scfsim.se_mc import centralized_mc_report
+
+import oracles
 
 REL = 1e-12
 
@@ -132,7 +139,7 @@ def _interference_outer(ing, ctx, sum_set, copilot_set):
 def test_vector_f_kernels_match_pairwise(system):
     ctx, cluster = system
     for k in range(ctx.K):
-        f_g, f_e = _f_kernels(k, ctx, cluster)
+        f_g, f_e = oracles.f_kernels(k, ctx, cluster)
         want = np.array([_f_kernels_pair(k, i, ctx, cluster)
                          for i in range(ctx.K)])
         _assert_close(f_g, want[:, 0])
@@ -143,10 +150,10 @@ def test_vector_f_kernels_match_pairwise(system):
 
 def test_se_centralized_closed_matches_pairwise(system):
     ctx, cluster = system
+    got = se_centralized_closed(ctx, cluster, 0.95)
     for k in range(ctx.K):
-        got = se_centralized_closed(k, ctx, cluster, 0.95)
         want = _se_centralized_pairwise(k, ctx, cluster, 0.95)
-        assert abs(got - want) <= REL * want
+        assert abs(got[k] - want) <= REL * want
 
 
 def test_lsfd_matrices_match_outer_products(system):
@@ -154,7 +161,7 @@ def test_lsfd_matrices_match_outer_products(system):
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     p = ctx.p_ddot
     for k in range(ctx.K):
-        ing = build_ingredients(k, ctx, cluster)
+        ing = oracles.build_ingredients(k, ctx, cluster)
         copilot = ctx.plan.copilot_sets[k]
         b_want = np.zeros_like(ing.b)
         for i in copilot:
@@ -168,6 +175,49 @@ def test_lsfd_matrices_match_outer_products(system):
             _interference_outer(ing, ctx, range(ctx.K), copilot))
         assert np.array_equal(ing.moments.c_partial, _interference_outer(
             ing, ctx, overlap, sorted(set(copilot) & set(overlap))))
+
+
+# ---------------------------------------------------------------------------
+# the all-UE closed forms against the per-UE builders
+# ---------------------------------------------------------------------------
+
+DESK_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "desk_scale.json")
+NETWORKS = {
+    "L6-K9-N2": dict(L=6, K=9, N=2, tau=3, area_side=400.0, b_da=2, b_ad=3),
+    "L4-K5-N1": dict(L=4, K=5, N=1, tau=1, area_side=400.0, b_da=2, b_ad=3),
+    "desk": None,
+}
+
+
+@pytest.mark.parametrize("plan", ("full", "algorithm1"))
+@pytest.mark.parametrize("fading", ("rician", "rayleigh"))
+@pytest.mark.parametrize("network", NETWORKS)
+def test_all_ue_closed_forms_match_per_ue_oracles(network, fading, plan):
+    base = NETWORKS[network]
+    cfg = load_config(DESK_CONFIG) if base is None else SimConfig(**base)
+    ctx, cluster, _ = build_system(cfg.replace(fading=fading), 11)
+    if plan == "full":
+        cluster = full_cluster_plan(ctx.stats)
+    else:       # UEs of several |M_k| go through separate batches
+        assert len(np.unique(cluster.D.sum(axis=1))) > 1
+
+    moments = build_ingredients(ctx, cluster)
+    assert len(moments) == ctx.K
+    for k in range(ctx.K):
+        want = oracles.build_ingredients(k, ctx, cluster).moments
+        for field in ("signal", "c_full", "c_partial"):
+            _assert_close(getattr(moments[k], field), getattr(want, field))
+        assert (moments[k].p_ddot_k, moments[k].one_ad2) == (want.p_ddot_k,
+                                                             want.one_ad2)
+        for weighting in WEIGHTINGS:
+            got = se_from_moments(moments[k], weighting, 0.95)
+            assert abs(got - se_from_moments(want, weighting, 0.95)) <= REL * got
+
+    got = se_centralized_closed(ctx, cluster, 0.95)
+    want = np.array([oracles.se_centralized_closed(k, ctx, cluster, 0.95)
+                     for k in range(ctx.K)])
+    assert np.all(np.abs(got - want) <= REL * want)
 
 
 # ---------------------------------------------------------------------------

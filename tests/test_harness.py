@@ -61,10 +61,23 @@ def test_load_config_validation(tmp_path):
         path.write_text(json.dumps({field: value}))
         with pytest.raises(ConfigError, match=field):
             load_config(path)
+    # physical values are numbers: a string, a bool or a null where none is
+    # allowed escaped as a bare TypeError, and True ran as 1.0
+    for i, (field, value) in enumerate((
+            ("asd_deg", "15"), ("nu", "0.5"), ("eta_db", "x"), ("d_bar", "5"),
+            ("area_side", None), ("area_side", True), ("nu", None),
+            ("p_max_mw", False), ("sigma2_dbm", "-90"), ("bandwidth_hz", [1e6]),
+            ("scheme", ["distributed"]))):
+        path = tmp_path / f"nonnumeric_{i}.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
     ok = tmp_path / "ok.json"
-    ok.write_text(json.dumps({"K": 5, "b_ad": 2, "b_da": None, "seed": 0}))
+    ok.write_text(json.dumps({"K": 5, "b_ad": 2, "b_da": None, "seed": 0,
+                              "d_bar": None, "sigma2_dbm": -90}))
     cfg = load_config(ok)
     assert (cfg.K, cfg.b_ad, cfg.b_da, cfg.seed) == (5, 2, None, 0)
+    assert (cfg.d_bar, cfg.sigma2_dbm) == (None, -90)
 
 
 def test_load_config_single_override(tmp_path):

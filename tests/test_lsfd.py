@@ -10,18 +10,19 @@ from scfsim.scheduler import full_cluster_plan
 from scfsim.se_mc import distributed_mc_sums
 
 from conftest import small_system
+import oracles
 
 
 def test_rayleigh_kills_los_alignment():
     _, stats, _, _, _, ctx, cluster = small_system(seed=30, fading="rayleigh")
-    ing = build_ingredients(0, ctx, cluster)
+    ing = oracles.build_ingredients(0, ctx, cluster)
     assert np.all(ing.lam == 0)
     assert np.all(ing.b >= 0) and np.all(ing.c >= 0) and np.all(ing.d > 0)
 
 
 def test_b_defined_only_for_copilot():
     _, stats, _, _, plan, ctx, cluster = small_system(seed=31)
-    ing = build_ingredients(0, ctx, cluster)
+    ing = oracles.build_ingredients(0, ctx, cluster)
     for i in range(stats.K):
         if i in plan.copilot_sets[0]:
             assert np.all(ing.b[i] > 0)
@@ -32,7 +33,7 @@ def test_b_defined_only_for_copilot():
 def test_ingredients_match_monte_carlo_moments():
     _, stats, q, powers, plan, ctx, cluster = small_system(seed=32)
     k = 0
-    m = build_ingredients(k, ctx, cluster).moments
+    m = build_ingredients(ctx, cluster)[k]
     trials = 150000
     rng = substream(8, "moments")
     m_idx = np.asarray(cluster.serving[k])
@@ -76,7 +77,7 @@ def test_optimal_weights_identity_matrix():
 
 def test_optimal_weights_maximality():
     _, _, q, powers, _, ctx, cluster = small_system(seed=33)
-    m = build_ingredients(1, ctx, cluster).moments
+    m = build_ingredients(ctx, cluster)[1]
     one_ad2 = (1 - q.rho_ad) ** 2
 
     def sinr(a):
@@ -96,8 +97,7 @@ def test_optimal_weights_maximality():
 def test_plsfd_equals_lsfd_with_full_overlap():
     # full cluster plan: Q_k = {1..K}, M_k = {1..L}
     _, _, _, _, _, ctx, cluster = small_system(seed=34)
-    for k in range(ctx.K):
-        m = build_ingredients(k, ctx, cluster).moments
+    for m in build_ingredients(ctx, cluster):
         assert np.allclose(lsfd_weights(m, "plsfd"), lsfd_weights(m, "lsfd"),
                            rtol=1e-10)
         assert np.allclose(m.c_partial, m.c_full, rtol=1e-12)
@@ -106,12 +106,11 @@ def test_plsfd_equals_lsfd_with_full_overlap():
 def test_l2_vector_and_se_ordering():
     _, _, _, _, _, ctx, cluster = small_system(seed=35)
     prelog = 0.95
-    for k in range(ctx.K):
-        ing = build_ingredients(k, ctx, cluster)
-        assert np.array_equal(lsfd_weights(ing.moments, "l2"),
-                              np.ones(len(ing.serving)))
-        best = se_from_moments(ing.moments, "lsfd", prelog)
-        l2 = se_from_moments(ing.moments, "l2", prelog)
+    for k, m in enumerate(build_ingredients(ctx, cluster)):
+        assert np.array_equal(lsfd_weights(m, "l2"),
+                              np.ones(len(cluster.serving[k])))
+        best = se_from_moments(m, "lsfd", prelog)
+        l2 = se_from_moments(m, "l2", prelog)
         assert l2 <= best * (1 + 1e-12)
 
 
@@ -120,7 +119,7 @@ def test_single_ap_weight_scale_invariance():
     from scfsim.scheduler import cluster_plan_from_indicators
     cluster = cluster_plan_from_indicators(np.ones((3, 1), dtype=bool),
                                            np.zeros(3, dtype=int))
-    m = build_ingredients(0, ctx, cluster).moments
+    m = build_ingredients(ctx, cluster)[0]
     prelog = 0.9
     best = se_from_moments(m, "lsfd", prelog)
     one = se_from_moments(m, "l2", prelog)
@@ -159,8 +158,8 @@ def mrc_moments(request):
 def test_mc_moments_match_closed_form(mrc_moments, field):
     ctx, cluster, runs = mrc_moments
     worst = 0.0
-    for k in range(ctx.K):
-        want = getattr(build_ingredients(k, ctx, cluster).moments, field)
+    for k, moments in enumerate(build_ingredients(ctx, cluster)):
+        want = getattr(moments, field)
         got = np.mean([getattr(r.moments(k), field) for r in runs], axis=0)
         per_group = np.array([getattr(r.moments(k, slice(g, g + 1)), field)
                               for r in runs for g in range(r.groups)])

@@ -3,13 +3,14 @@ import pytest
 
 from scfsim.numerics import hermitize
 from scfsim.pilots import (block_diag_cov, build_estimation_context,
-                           dft_pilot_matrix, estimate_local, make_pilot_plan,
-                           psi_matrix, round_robin_pilots)
+                           dft_pilot_matrix, make_pilot_plan, psi_matrix,
+                           round_robin_pilots)
 from scfsim.quantization import QuantizerConfig, received_noise_covariance
 from scfsim.rng import substream
 from scfsim.sampling import sample_joint
 
 from conftest import small_system, synthetic_stats
+from oracles import estimate_local
 
 
 def test_dft_matrix_sizes_and_orthogonality():

@@ -6,11 +6,12 @@ import numpy as np
 from scfsim import rayleigh_ideal as ideal
 from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.numerics import crandn
-from scfsim.pilots import build_estimation_context, estimate_local
+from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
 
 from conftest import lmmse_at_ap, small_system
+from oracles import estimate_local
 
 
 def _ideal_system(seed=60, L=3, K=5, N=2, tau=2):
@@ -50,8 +51,7 @@ def test_lmmse_agrees():
 def test_closed_form_se_agrees():
     cfg, stats, p, plan, ctx, cluster = _ideal_system(seed=63)
     prelog = cfg.prelog
-    for k in range(stats.K):
-        got = se_from_moments(build_ingredients(k, ctx, cluster).moments,
-                              "lsfd", prelog)
+    for k, moments in enumerate(build_ingredients(ctx, cluster)):
+        got = se_from_moments(moments, "lsfd", prelog)
         want = ideal.ideal_se_mrc_lsfd(k, stats, plan, p, ctx.sigma2, prelog)
         assert abs(got - want) <= 1e-8 * abs(want)

@@ -8,9 +8,10 @@ from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.pilots import build_estimation_context, round_robin_pilots
 from scfsim.quantization import QuantizerConfig
 from scfsim.scheduler import cluster_plan_from_indicators, full_cluster_plan
-from scfsim.se_closed import se_centralized_closed, theorem1_kernel, _f_kernels
+from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 
 from conftest import small_system, synthetic_stats
+from oracles import f_kernels
 
 
 def test_kernel_case4_rayleigh_is_zero():
@@ -40,19 +41,18 @@ def test_distributed_scalar_oracle():
     ctx = build_estimation_context(stats, plan, p, q0, sigma2)
     cluster = cluster_plan_from_indicators(np.ones((1, 1), dtype=bool),
                                            np.zeros(1, dtype=int))
-    ing = build_ingredients(0, ctx, cluster)
+    moments = build_ingredients(ctx, cluster)[0]
     prelog = 0.9
     norm2 = np.vdot(stats.h_bar[0, 0], stats.h_bar[0, 0]).real
     expected = prelog * np.log2(1 + p[0] * norm2 / sigma2)
-    assert se_from_moments(ing.moments, "lsfd", prelog) == pytest.approx(
+    assert se_from_moments(moments, "lsfd", prelog) == pytest.approx(
         expected, rel=1e-10)
 
 
 def test_corollary_consistency_and_scale_invariance():
     _, _, _, _, _, ctx, cluster = small_system(seed=42)
     prelog = 0.95
-    for k in range(ctx.K):
-        m = build_ingredients(k, ctx, cluster).moments
+    for m in build_ingredients(ctx, cluster):
         # the LSFD SE is the Rayleigh-quotient optimum p̈ s^H C_k^{-1} s
         quotient = m.one_ad2 * m.p_ddot_k * np.real(
             np.vdot(m.signal, np.linalg.solve(m.c_full, m.signal)))
@@ -72,18 +72,18 @@ def test_corollary_consistency_and_scale_invariance():
 
 def test_prelog_scales_linearly():
     _, _, _, _, _, ctx, cluster = small_system(seed=43)
-    m = build_ingredients(0, ctx, cluster).moments
+    m = build_ingredients(ctx, cluster)[0]
     se1 = se_from_moments(m, "lsfd", 1.0)
     assert se_from_moments(m, "lsfd", 0.25) == pytest.approx(0.25 * se1, rel=1e-14)
-    assert se_centralized_closed(0, ctx, cluster, 0.5) == pytest.approx(
-        0.5 * se_centralized_closed(0, ctx, cluster, 1.0), rel=1e-14)
+    assert se_centralized_closed(ctx, cluster, 0.5) == pytest.approx(
+        0.5 * se_centralized_closed(ctx, cluster, 1.0), rel=1e-14)
 
 
 def test_f_kernels_orthogonal_pilot_has_no_copilot_term():
     _, _, _, _, plan, ctx, cluster = small_system(seed=44)
     other = [i for i in range(4) if i not in plan.copilot_sets[0]][0]
     copilot = [i for i in plan.copilot_sets[0] if i != 0][0]
-    _, f_e = _f_kernels(0, ctx, cluster)
+    _, f_e = f_kernels(0, ctx, cluster)
     assert f_e[other] == 0.0
     f_e_cp = f_e[copilot]
     assert f_e_cp != 0.0
@@ -95,7 +95,7 @@ def test_f_kernels_rayleigh_drops_los_terms():
     one_ad2 = (1 - q.rho_ad) ** 2
     tau, p = ctx.tau, ctx.p_ddot
     k, i = 0, 1
-    f_g = _f_kernels(k, ctx, cluster)[0][i]
+    f_g = f_kernels(k, ctx, cluster)[0][i]
     trace_only = one_ad2**2 * tau**2 * p[k] * p[i] * sum(
         np.trace(ctx.s_mat[k, l] @ ctx.s_mat[i, l]).real
         for l in cluster.serving[k])
