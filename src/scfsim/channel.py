@@ -17,7 +17,7 @@ import functools
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,17 +79,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class LinkStatistics:
-    beta: float            # total large-scale gain, linear
-    kappa: float           # Rician factor, linear
-    theta: float           # angle of arrival at the AP, rad
-    beta_los: float        # beta * kappa / (kappa + 1)
-    beta_nlos: float       # beta / (kappa + 1)
-    h_bar: np.ndarray      # (N,) LOS mean vector
-    R: np.ndarray          # (N, N) NLOS spatial correlation, Hermitian PSD
-
-
-@dataclass(frozen=True)
 class ChannelStatistics:
     """All per-link statistics for one (scenario, shadow-fading) realization."""
 
@@ -101,7 +90,6 @@ class ChannelStatistics:
     beta_nlos: np.ndarray   # (K, L)
     h_bar: np.ndarray       # (K, L, N)
     R: np.ndarray           # (K, L, N, N)
-    _sqrt_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def K(self):
@@ -115,19 +103,12 @@ class ChannelStatistics:
     def N(self):
         return self.scenario.N
 
-    def link(self, k, l):
-        return LinkStatistics(
-            beta=float(self.beta[k, l]), kappa=float(self.kappa[k, l]),
-            theta=float(self.theta[k, l]), beta_los=float(self.beta_los[k, l]),
-            beta_nlos=float(self.beta_nlos[k, l]), h_bar=self.h_bar[k, l],
-            R=self.R[k, l])
-
+    @functools.cached_property
     def r_sqrt(self):
-        """(K, L, N, N) factors F with F F^H = R, cached for samplers."""
-        if "F" not in self._sqrt_cache:
-            w, v = np.linalg.eigh(hermitize(self.R))
-            self._sqrt_cache["F"] = v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-        return self._sqrt_cache["F"]
+        """(K, L, N, N) factors F with F F^H = R, for the samplers; built on
+        first use, since only Monte Carlo reads them."""
+        w, v = np.linalg.eigh(hermitize(self.R))
+        return v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def generate_scenario(cfg, seed):

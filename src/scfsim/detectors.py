@@ -21,6 +21,8 @@ with N_l from ``quantization.received_noise_covariance`` and the LOS term
 stacked over the APs, cross-AP blocks kept. The solve adds the Gram of the
 sqrt-power-scaled estimates of the estimate set. A batch is relaid out once
 (``ue_last``) so each UE's subspace is one gather (``serving_subspace``).
+The MMSE blocks on every AP, with no statistics set, are the error-plus-noise
+matrices W_l that the estimation context holds as ``ctx.w``.
 """
 
 import numpy as np
@@ -108,16 +110,6 @@ def static_part(ctx, cluster, method, index):
     return hermitize(block_diag_cov(blocks[None])[0] + los), est_set
 
 
-def centralized_error_noise(ctx):
-    """(L, N, N) per-AP W_l: every UE's estimation-error power plus receive
-    noise, the diagonal blocks of the MMSE static part on every AP.
-
-    Callers share one read-only copy per context through ``context_memo``.
-    """
-    every = np.arange(ctx.K)
-    return _ap_blocks(ctx, np.arange(ctx.L), every, every, every[:0])
-
-
 # ---------------------------------------------------------------------------
 # local combiners
 # ---------------------------------------------------------------------------
@@ -164,11 +156,6 @@ def local_combiners(hhat, ctx, cluster, method, statics=None):
 # ---------------------------------------------------------------------------
 # centralized combiners (serving-subspace solves)
 # ---------------------------------------------------------------------------
-
-def _block_on_subspace(per_ap, serving):
-    """Block-diagonal matrix restricted to the serving APs' rows/columns."""
-    return block_diag_cov(per_ap[None, list(serving)])[0]
-
 
 def centralized_system_matrices(ctx, cluster, method):
     """Per UE, ``static_part`` on its serving subspace: (matrix, estimate

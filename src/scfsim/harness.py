@@ -98,8 +98,9 @@ def load_results(path):
 def build_system(cfg, seed, strategy="algorithm1", nu=None):
     """Scenario + statistics + scheduling for one seeded drop.
 
-    ``strategy``: "algorithm1" (the joint scheduler), "random-pilot"
-    (scheduler with uniformly random pilots), or "equal-power" (nu = 0).
+    ``strategy``: "algorithm1" (the joint scheduler) or "random-pilot"
+    (scheduler with uniformly random pilots); ``nu`` overrides cfg.nu
+    (0 gives equal power).
     """
     scenario = generate_scenario(cfg, seed)
     stats = channel_statistics(scenario, seed, cfg.asd_rad,
@@ -111,8 +112,6 @@ def build_system(cfg, seed, strategy="algorithm1", nu=None):
     if strategy == "random-pilot":
         pilot_override = random_pilots(cfg.K, cfg.tau,
                                        substream(seed, "pilot-baseline")).pilot_of
-    elif strategy == "equal-power":
-        nu = 0.0
     elif strategy != "algorithm1":
         raise ExperimentError(f"unknown scheduling strategy {strategy!r}")
     cluster, pilots, powers = run_algorithm1(
@@ -263,7 +262,9 @@ REGISTRY = {
         (d, {}, {"scheme": "centralized", "detector": d})
         for d in CENTRALIZED_CDF_STRATEGIES]),
     "cdf-algorithm": _cdf("cdf-algorithm", [
-        (s, {"strategy": s}, {}) for s in ("algorithm1", "random-pilot", "equal-power")]),
+        ("algorithm1", {"strategy": "algorithm1"}, {}),
+        ("random-pilot", {"strategy": "random-pilot"}, {}),
+        ("equal-power", {"nu": 0.0}, {})]),
     "cdf-vs-nu": _cdf("cdf-nu", [
         (f"nu={nu:g}", {"nu": nu}, {}) for nu in NU_SWEEP], reps=max(1, CDF_REPS // 2)),
     "validate-closed-forms": Experiment(

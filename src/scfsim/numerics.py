@@ -7,9 +7,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# eigenvalues above -PSD_CLIP_FRACTION * trace are treated as quadrature noise
-PSD_CLIP_FRACTION = 1e-10
-
 
 class NotPositiveSemidefiniteError(ValueError):
     """Raised when a matrix required to be PSD has genuinely negative spectrum."""
@@ -41,17 +38,6 @@ def crandn(rng, shape, var=1.0, out=None):
 
 def hermitize(a):
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
-def hermitian_sqrt(r):
-    """PSD square-root factor F with F @ F^H = R (eigh based, clip-tolerant)."""
-    r = hermitize(r)
-    w, v = np.linalg.eigh(r)
-    floor = -PSD_CLIP_FRACTION * max(np.trace(r).real, np.finfo(float).tiny)
-    if np.min(w) < floor:
-        raise NotPositiveSemidefiniteError(
-            f"min eigenvalue {np.min(w):.3e} below tolerance {floor:.3e}")
-    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def solve_hermitian(a, b):

@@ -5,11 +5,11 @@ the detectors, closed forms, and Monte Carlo samplers reuse: receive-noise
 covariances, pilot-domain covariances Psi, estimator gains, and the estimate
 covariances. The per-link matrices are stored as (K, L, N, N) stacks and come
 from one batched solve of every (k, l) system against Psi of k's pilot.
-Derived matrices shared by several consumers (the centralized error-plus-noise
-W) are memoized per context with ``context_memo``.
+The per-AP error-plus-noise matrices W, which the centralized closed form
+and the centralized Monte Carlo detectors both read, are built here too.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class EstimationContext:
     sigma2: float
     c_n: np.ndarray            # (L, N, N) receive-noise covariance per AP
     c_n_sqrt: np.ndarray       # (L, N, N) factor F with F F^H = c_n
+    w: np.ndarray              # (L, N, N) c_n + (1-rho_ad)^2 Sum_i p̈_i (R_il - C_il)
     psi: np.ndarray            # (tau, L, N, N)
     est_gain: np.ndarray       # (K, L, N, N): (1-rho_ad) sqrt(p̈ tau) R Psi^{-1}
     t_mat: np.ndarray          # (K, L, N, N): Psi^{-1} R  (for trace kernels)
@@ -94,7 +95,6 @@ class EstimationContext:
     adc_diag: np.ndarray       # (L, N): diag(E[x x^H]) at the ADC input
     nx_diag: np.ndarray        # (L, N): AP-local noise, channel-independent diagonal part
     nx_iso: np.ndarray         # (L,): AP-local noise, isotropic part
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def K(self):
@@ -139,6 +139,9 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
     # per-UE matmul hands either layout to BLAS and runs as fast on both
     est_gain = gain[:, None, None, None] * np.conj(np.swapaxes(t_mat, -1, -2))
     c_hhat = (one_ad**2 * p_ddot * tau)[:, None, None, None] * s_mat
+    # W_l: every UE's estimation-error power plus receive noise at AP l; each
+    # pair's p̈_i (R_il - C_il) is formed before the sum, so nothing cancels
+    w = c_n + one_ad**2 * np.einsum("i,ilnm->lnm", p_ddot, stats.R - c_hhat)
 
     # diag of E[x x^H] at the ADC input: full-power channel moments plus thermal
     p_raw = p_ddot / (1.0 - q.rho_da)
@@ -152,23 +155,10 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
     nx_iso = one_ad * (sigma2 + (q.rho_ad / (1.0 - q.rho_da))
                        * np.einsum("i,il->l", p_ddot, stats.beta_los))
     return EstimationContext(stats=stats, plan=plan, p_ddot=p_ddot, q=q,
-                             sigma2=sigma2, c_n=c_n, c_n_sqrt=c_n_sqrt,
+                             sigma2=sigma2, c_n=c_n, c_n_sqrt=c_n_sqrt, w=w,
                              psi=psi, est_gain=est_gain, t_mat=t_mat,
                              s_mat=s_mat, c_hhat=c_hhat, adc_diag=adc_diag,
                              nx_diag=nx_diag, nx_iso=nx_iso)
-
-
-def context_memo(ctx, build):
-    """``build(ctx)``, computed once per context and returned read-only.
-
-    The value is kept in ``ctx._cache`` under the builder's qualified name.
-    """
-    key = f"{build.__module__}.{build.__qualname__}"
-    if key not in ctx._cache:
-        value = build(ctx)
-        value.setflags(write=False)
-        ctx._cache[key] = value
-    return ctx._cache[key]
 
 
 def block_diag_cov(per_ap):

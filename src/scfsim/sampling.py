@@ -34,7 +34,7 @@ def sample_joint(ctx, rng, n_trials):
 
     Both are views of (K, L, N, n) arrays.
     """
-    h = ctx.stats.r_sqrt() @ _crandn_trials_last(
+    h = ctx.stats.r_sqrt @ _crandn_trials_last(
         rng, n_trials, (ctx.K, ctx.L, ctx.N))
 
     one_ad = 1.0 - ctx.q.rho_ad

@@ -11,8 +11,8 @@ gain, and the trace terms. f^g + f^e is |sum_l g_kl^i|^2 plus the trace
 terms, because the co-pilot part f^e = b^2 + 2 b Re(lambda) completes the
 square of the LOS part |lambda|^2. The interference, the noise term
 sum_{l in M_k} tr(W_l E[hhat_kl hhat_kl^H]) and the SE are then array
-operations; the per-AP error-plus-noise matrices W_l are computed once per
-estimation context and shared with the Monte Carlo engine.
+operations; the per-AP error-plus-noise matrices W_l are a field of the
+estimation context (``ctx.w``), which the Monte Carlo engine reads too.
 
 Also the four-case expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the
 distributed expressions rest on, kept standalone for oracle validation. The
@@ -22,9 +22,7 @@ distributed closed form is ``lsfd.build_ingredients`` followed by
 
 import numpy as np
 
-from .detectors import centralized_error_noise
 from .lsfd import _ap_kernels
-from .pilots import context_memo
 
 
 def theorem1_kernel(k, i, l1, l2, ctx):
@@ -95,7 +93,6 @@ def se_centralized_closed(ctx, cluster, prelog):
     kk, ll = np.nonzero(cluster.D)
     h_bar = ctx.stats.h_bar[kk, ll]
     e_hh = h_bar[:, :, None] * np.conj(h_bar[:, None, :]) + ctx.c_hhat[kk, ll]
-    w_full = context_memo(ctx, centralized_error_noise)
-    noise = np.bincount(kk, np.einsum("pnm,pmn->p", w_full[ll], e_hh).real,
+    noise = np.bincount(kk, np.einsum("pnm,pmn->p", ctx.w[ll], e_hh).real,
                         minlength=k_count)
     return prelog * np.log2(1.0 + num / (one_ad2 * interference + noise))

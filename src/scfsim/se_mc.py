@@ -24,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import WEIGHTINGS
-from .detectors import (_block_on_subspace, _check_detector,
-                        centralized_combiners, centralized_error_noise,
+from .detectors import (_check_detector, centralized_combiners,
                         centralized_system_matrices, local_combiners,
                         local_statics, serving_subspace, ue_last)
 from .lsfd import Moments, se_from_moments
-from .pilots import context_memo
+from .pilots import block_diag_cov
 from .rng import substream
 from .sampling import sample_data_noise, sample_joint
 
@@ -214,10 +213,10 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     subspace is one gather shared by its combiner and its SINR.
     """
     _check_detector("centralized", detector)
-    w_full = context_memo(ctx, centralized_error_noise)
     statics = (centralized_system_matrices(ctx, cluster, detector)
                if detector != "mrc" else {k: None for k in range(ctx.K)})
-    w_sub = [_block_on_subspace(w_full, cluster.serving[k]) for k in range(ctx.K)]
+    w_sub = [block_diag_cov(ctx.w[None, list(serving)])[0]
+             for serving in cluster.serving]
 
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
     groups = min(STDERR_GROUPS, len(batches))

@@ -12,16 +12,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import channel_statistics, generate_scenario
-from .harness import distributed_closed_report
+from .config import ConfigError
+from .harness import build_system, distributed_closed_report
 from .numerics import hermitize
-from .pilots import build_estimation_context
+from .pilots import build_estimation_context, round_robin_pilots
 from .quantization import QuantizerConfig
 from .rng import substream
 from .sampling import sample_joint
-from .scheduler import equal_power_plan, full_cluster_plan, run_algorithm1
+from .scheduler import equal_power_plan, full_cluster_plan
 from .se_closed import se_centralized_closed, theorem1_kernel
 from .se_mc import batch_plan, centralized_mc_report, distributed_mc_report
-from .pilots import round_robin_pilots
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,12 @@ def _kernel_mc(ctx, pairs, trials, seed):
     return sums / total
 
 
-def theorem1_cases(plan, cluster):
-    """One (k, i, l1, l2) tuple per Theorem-1 case, from the given plan."""
+def theorem1_cases(plan):
+    """One (k, i, l1, l2) tuple per Theorem-1 case, from the given plan, on
+    APs 0 and 1."""
     k = 0
     copilot = [i for i in plan.copilot_sets[k] if i != k]
     others = [i for i in range(plan.K) if i not in plan.copilot_sets[k]]
-    if not copilot or not others or cluster.L < 2:
-        raise ValueError("need a co-pilot UE, a non-co-pilot UE, and two APs")
     return {
         "copilot-same-ap": (k, copilot[0], 0, 0),
         "copilot-cross-ap": (k, copilot[0], 0, 1),
@@ -81,7 +80,17 @@ def theorem1_cases(plan, cluster):
 
 
 def run_validation(cfg, seed):
-    """All closed-form/MC agreement checks at the configured scale."""
+    """All closed-form/MC agreement checks at the configured scale.
+
+    The Theorem-1 cases need, under round-robin pilots, a UE sharing UE 0's
+    pilot (K > tau), one on another pilot (tau >= 2) and two APs; a config
+    without them raises ConfigError before any drop is drawn.
+    """
+    if cfg.K <= cfg.tau or cfg.tau < 2 or cfg.L < 2:
+        raise ConfigError(
+            f"validation needs K > tau, tau >= 2 and L >= 2 (a UE sharing "
+            f"UE 0's pilot, one on another pilot, and two APs); got "
+            f"K={cfg.K}, tau={cfg.tau}, L={cfg.L}")
     scenario = generate_scenario(cfg, seed)
     stats = channel_statistics(scenario, seed, cfg.asd_rad,
                                rayleigh=(cfg.fading == "rayleigh"))
@@ -92,7 +101,7 @@ def run_validation(cfg, seed):
     ctx = build_estimation_context(stats, plan, powers.p_ddot, q, cfg.sigma2_mw)
     checks = []
 
-    cases = theorem1_cases(plan, cluster)
+    cases = theorem1_cases(plan)
     mc_vals = _kernel_mc(ctx, list(cases.values()), cfg.trials, seed)
     for (case, indices), mc in zip(cases.items(), mc_vals):
         closed = theorem1_kernel(*indices, ctx)
@@ -119,41 +128,26 @@ def run_validation(cfg, seed):
 
 def run_invariant_checks(cfg, seed):
     """Structural invariants on a scheduled scenario; returns (name, ok, detail)."""
-    scenario = generate_scenario(cfg, seed)
-    stats = channel_statistics(scenario, seed, cfg.asd_rad,
-                               rayleigh=(cfg.fading == "rayleigh"))
-    q = QuantizerConfig(b_da=cfg.b_da, b_ad=cfg.b_ad)
-    cluster, plan, powers = run_algorithm1(stats, q, cfg.tau, cfg.p_max_mw,
-                                           eta_db=cfg.eta_db, nu=cfg.nu,
-                                           d_bar=cfg.d_bar,
-                                           iterations=cfg.iterations)
-    ctx = build_estimation_context(stats, plan, powers.p_ddot, q, cfg.sigma2_mw)
+    ctx, cluster, powers = build_system(cfg, seed)
+    stats, plan = ctx.stats, ctx.plan
+    eig_floor = -1e-10 * np.max(stats.beta_nlos)
     results = []
 
     def check(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
-    herm = max(np.max(np.abs(stats.R[k, l] - np.conj(stats.R[k, l].T)))
-               for k in range(cfg.K) for l in range(cfg.L))
+    herm = np.max(np.abs(stats.R - np.conj(np.swapaxes(stats.R, -1, -2))))
     check("correlation-hermitian", herm < 1e-12, f"max asymmetry {herm:.2e}")
-    min_eig = min(np.min(np.linalg.eigvalsh(hermitize(stats.R[k, l])))
-                  for k in range(cfg.K) for l in range(cfg.L))
-    check("correlation-psd", min_eig > -1e-10 * np.max(stats.beta_nlos),
-          f"min eigenvalue {min_eig:.2e}")
+    min_eig = np.min(np.linalg.eigvalsh(hermitize(stats.R)))
+    check("correlation-psd", min_eig > eig_floor, f"min eigenvalue {min_eig:.2e}")
 
-    trace_gap = max(abs(np.trace(stats.R[k, l]).real
-                        - cfg.N * stats.beta_nlos[k, l])
-                    / (cfg.N * stats.beta_nlos[k, l])
-                    for k in range(cfg.K) for l in range(cfg.L))
+    trace = np.trace(stats.R, axis1=-2, axis2=-1).real
+    trace_gap = np.max(np.abs(trace - cfg.N * stats.beta_nlos)
+                       / (cfg.N * stats.beta_nlos))
     check("correlation-trace", trace_gap < 1e-8, f"max rel gap {trace_gap:.2e}")
 
-    psd_floor = 0.0
-    for k in range(cfg.K):
-        for l in range(cfg.L):
-            err = hermitize(stats.R[k, l] - ctx.c_hhat[k, l])
-            psd_floor = min(psd_floor, np.min(np.linalg.eigvalsh(err)))
-    check("estimate-covariance-ordering",
-          psd_floor > -1e-10 * np.max(stats.beta_nlos),
+    psd_floor = min(0.0, np.min(np.linalg.eigvalsh(hermitize(stats.R - ctx.c_hhat))))
+    check("estimate-covariance-ordering", psd_floor > eig_floor,
           f"min eigenvalue {psd_floor:.2e}")
 
     check("one-primary-per-ue",
@@ -166,7 +160,7 @@ def run_invariant_checks(cfg, seed):
     ok = all((i in cluster.overlap[k]) == (k in cluster.overlap[i])
              for k in range(cfg.K) for i in range(cfg.K))
     check("overlap-symmetry", ok)
-    full = cfg.p_max_mw * (1.0 - q.rho_da)
+    full = cfg.p_max_mw * (1.0 - ctx.q.rho_da)
     check("full-power-ue-exists", np.max(powers.p_ddot) == full,
           f"max p̈ {np.max(powers.p_ddot):.6g} vs budget {full:.6g}")
     return results

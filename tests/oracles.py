@@ -3,20 +3,23 @@
 The simulator evaluates both MRC closed forms for every UE at once
 (``lsfd.build_ingredients``, ``se_closed.se_centralized_closed``); the
 builders below are the former one-UE-at-a-time versions, with every
-Theorem-2 ingredient (lambda, b, c, d) exposed. The single-link helpers
-(LOS steering vector, one channel draw, one local MMSE estimate, the
-DAC/ADC models applied to one signal) are the textbook forms the batched
-code paths are checked against.
+Theorem-2 ingredient (lambda, b, c, d) exposed, and the former builder of
+the per-AP error-plus-noise matrices W that the estimation context now
+holds. The single-link helpers (LOS steering vector, PSD square root, one
+channel draw, one local MMSE estimate, the DAC/ADC models applied to one
+signal) are the textbook forms the batched code paths are checked against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from scfsim.detectors import centralized_error_noise
 from scfsim.lsfd import Moments
-from scfsim.numerics import crandn, hermitian_sqrt, hermitize
-from scfsim.pilots import context_memo
+from scfsim.numerics import NotPositiveSemidefiniteError, crandn, hermitize
+from scfsim.quantization import received_noise_covariance
+
+# eigenvalues above -PSD_CLIP_FRACTION * trace are treated as rounding noise
+PSD_CLIP_FRACTION = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -31,10 +34,20 @@ def los_steering(theta, n_antennas, beta_los):
     return np.sqrt(beta_los) * np.exp(phases)
 
 
-def sample_channel(link, rng):
+def hermitian_sqrt(r):
+    """PSD square-root factor F with F @ F^H = R (eigh based, clip-tolerant)."""
+    r = hermitize(r)
+    w, v = np.linalg.eigh(r)
+    floor = -PSD_CLIP_FRACTION * max(np.trace(r).real, np.finfo(float).tiny)
+    if np.min(w) < floor:
+        raise NotPositiveSemidefiniteError(
+            f"min eigenvalue {np.min(w):.3e} below tolerance {floor:.3e}")
+    return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def sample_channel(h_bar, r, rng):
     """One realization h = h_bar + R^{1/2} w, w standard complex Gaussian."""
-    factor = hermitian_sqrt(link.R)
-    return link.h_bar + factor @ crandn(rng, link.R.shape[-1])
+    return h_bar + hermitian_sqrt(r) @ crandn(rng, r.shape[-1])
 
 
 def estimate_local(z_pilot_w, k, l, ctx):
@@ -167,6 +180,20 @@ def build_ingredients(k, ctx, cluster):
 # the centralized closed form, one UE at a time
 # ---------------------------------------------------------------------------
 
+def centralized_error_noise(ctx):
+    """(L, N, N) per-AP W_l as the estimation context's former builder
+    computed it: the MMSE static-part blocks on every AP, the receive noise
+    rebuilt for every UE through fancy-index copies."""
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    every, aps = np.arange(ctx.K), np.arange(ctx.L)
+    stats = ctx.stats
+    est, stat = np.ix_(every, aps), np.ix_(every[:0], aps)
+    return received_noise_covariance(stats, ctx.p_ddot, ctx.q, ctx.sigma2,
+                                     every, aps) + one_ad2 * (
+        np.einsum("i,ianm->anm", ctx.p_ddot[every], stats.R[est] - ctx.c_hhat[est])
+        + np.einsum("i,ianm->anm", ctx.p_ddot[every[:0]], stats.R[stat]))
+
+
 def f_kernels(k, ctx, cluster):
     """Estimate-moment kernels (f^g, f^e) of UE k against every UE i at once.
 
@@ -217,7 +244,6 @@ def se_centralized_closed(k, ctx, cluster, prelog):
     h_bar_k = ctx.stats.h_bar[k, m_idx]
     e_hh = (np.einsum("mn,mp->mnp", h_bar_k, np.conj(h_bar_k))
             + ctx.c_hhat[k, m_idx])
-    w_full = context_memo(ctx, centralized_error_noise)
-    noise = np.einsum("mnp,mpn->", w_full[m_idx], e_hh).real
+    noise = np.einsum("mnp,mpn->", ctx.w[m_idx], e_hh).real
     den = one_ad2 * interference + noise
     return prelog * np.log2(1.0 + num / den)

@@ -303,7 +303,7 @@ def test_criterion_10_fairness_direction():
         cfg = SimConfig(L=16, K=30, N=2, tau=5, b_da=4, b_ad=4,
                         fading="rayleigh", nu=0.8)
         ctx_f, cl_f, _ = build_system(cfg, seed)
-        ctx_e, cl_e, _ = build_system(cfg, seed, strategy="equal-power")
+        ctx_e, cl_e, _ = build_system(cfg, seed, nu=0.0)
         frac = distributed_closed_report(ctx_f, cl_f, "plsfd", cfg.prelog)
         equal = distributed_closed_report(ctx_e, cl_e, "plsfd", cfg.prelog)
         tighter = delta_se(frac) < delta_se(equal)

@@ -147,25 +147,22 @@ def test_min_distance_floor():
 
 def test_sample_channel_pure_los():
     _, stats, *_ = small_system(seed=2)
-    link = stats.link(0, 0)
-    pure = type(link)(beta=link.beta, kappa=link.kappa, theta=link.theta,
-                      beta_los=link.beta_los, beta_nlos=0.0, h_bar=link.h_bar,
-                      R=np.zeros_like(link.R))
-    h = sample_channel(pure, substream(0, "los"))
-    assert np.array_equal(h, pure.h_bar)
+    h_bar = stats.h_bar[0, 0]
+    h = sample_channel(h_bar, np.zeros_like(stats.R[0, 0]), substream(0, "los"))
+    assert np.array_equal(h, h_bar)
 
 
 def test_sample_channel_moments_and_determinism():
     _, stats, *_ = small_system(L=1, K=1, N=2, tau=1, seed=4, fading="rayleigh")
-    link = stats.link(0, 0)
+    h_bar, r, beta_nlos = stats.h_bar[0, 0], stats.R[0, 0], stats.beta_nlos[0, 0]
     rng = substream(1, "mc")
-    draws = np.array([sample_channel(link, rng) for _ in range(100000)])
-    centered = draws - link.h_bar
+    draws = np.array([sample_channel(h_bar, r, rng) for _ in range(100000)])
+    centered = draws - h_bar
     cov = np.einsum("bn,bm->nm", centered, np.conj(centered)) / len(draws)
-    mean_stderr = 3 * np.sqrt(link.beta_nlos / len(draws))
-    cov_stderr = 3 * link.beta_nlos / np.sqrt(len(draws))
-    assert np.max(np.abs(draws.mean(0) - link.h_bar)) < mean_stderr
-    assert np.max(np.abs(cov - link.R)) < 3 * cov_stderr
-    a = sample_channel(link, substream(5, "det"))
-    b = sample_channel(link, substream(5, "det"))
+    mean_stderr = 3 * np.sqrt(beta_nlos / len(draws))
+    cov_stderr = 3 * beta_nlos / np.sqrt(len(draws))
+    assert np.max(np.abs(draws.mean(0) - h_bar)) < mean_stderr
+    assert np.max(np.abs(cov - r)) < 3 * cov_stderr
+    a = sample_channel(h_bar, r, substream(5, "det"))
+    b = sample_channel(h_bar, r, substream(5, "det"))
     assert np.array_equal(a, b)

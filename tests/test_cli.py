@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scfsim import cli
+from scfsim import cli, validation
 from scfsim.cli import main
 from scfsim.harness import REGISTRY
 
@@ -77,6 +77,33 @@ def test_bad_config_prints_one_line_and_exits_2(tmp_path, capsys, config, field)
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
         assert (field if "--config" in argv else "seed") in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ({"L": 4, "K": 3, "N": 2, "tau": 3},
+                                    {"L": 4, "K": 5, "N": 2, "tau": 1},
+                                    {"L": 1, "K": 5, "N": 2, "tau": 3}),
+                         ids=("K-not-above-tau", "tau-1", "L-1"))
+def test_validation_without_theorem1_cases_exits_2(tmp_path, capsys,
+                                                   monkeypatch, config):
+    """A valid config too small for the four Theorem-1 cases is refused
+    with one error line before any drop is drawn."""
+    def no_drop(*args, **kwargs):
+        raise AssertionError("a drop was drawn before the config was refused")
+
+    monkeypatch.setattr(validation, "generate_scenario", no_drop)
+    cfg = tmp_path / "small.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "never.csv"
+    for argv in (["validate", "--config", str(cfg)],
+                 ["run", "validate-closed-forms", "--config", str(cfg),
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
+        assert "K > tau, tau >= 2 and L >= 2" in lines[0]
     assert not out.exists()
 
 

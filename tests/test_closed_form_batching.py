@@ -12,23 +12,15 @@ relative.
 
 import os
 
-import functools
-
 import numpy as np
 import pytest
 
-from scfsim import detectors, se_closed, se_mc
 from scfsim.config import WEIGHTINGS, SimConfig, load_config
-from scfsim.detectors import (centralized_error_noise, local_combiners,
-                              local_statics)
-from scfsim.harness import build_system, centralized_closed_report
+from scfsim.detectors import local_statics
+from scfsim.harness import build_system
 from scfsim.lsfd import build_ingredients, se_from_moments
-from scfsim.pilots import context_memo
-from scfsim.rng import substream
-from scfsim.sampling import sample_joint
 from scfsim.scheduler import full_cluster_plan
 from scfsim.se_closed import se_centralized_closed
-from scfsim.se_mc import centralized_mc_report
 
 import oracles
 
@@ -103,12 +95,11 @@ def _se_centralized_pairwise(k, ctx, cluster, prelog):
         if i != k:
             f_g, f_e = _f_kernels_pair(k, i, ctx, cluster)
             interference += p[i] * (f_g + f_e)
-    w_full = centralized_error_noise(ctx)
     noise = 0.0
     for l in cluster.serving[k]:
         h_bar = ctx.stats.h_bar[k, l]
         e_hh = np.outer(h_bar, np.conj(h_bar)) + ctx.c_hhat[k, l]
-        noise += np.trace(w_full[l] @ e_hh).real
+        noise += np.trace(ctx.w[l] @ e_hh).real
     return prelog * np.log2(1.0 + num / (one_ad2 * interference + noise))
 
 
@@ -221,35 +212,14 @@ def test_all_ue_closed_forms_match_per_ue_oracles(network, fading, plan):
 
 
 # ---------------------------------------------------------------------------
-# the per-context error-plus-noise memo
+# the per-AP error-plus-noise matrices of the estimation context
 # ---------------------------------------------------------------------------
 
-def test_error_noise_computed_once_per_context(monkeypatch, system):
-    ctx, cluster = system
-    ctx = type(ctx)(**{f: getattr(ctx, f) for f in ctx.__dataclass_fields__
-                       if f != "_cache"})          # a fresh, empty cache
-    calls = []
-
-    @functools.wraps(centralized_error_noise)
-    def counting(c):
-        calls.append(c)
-        return centralized_error_noise(c)
-
-    for module in (detectors, se_closed, se_mc):
-        monkeypatch.setattr(module, "centralized_error_noise", counting)
-
-    centralized_closed_report(ctx, cluster, 0.95)
-    centralized_mc_report(ctx, cluster, "mmse", 8, 3, 0.95)
-    _, hhat = sample_joint(ctx, substream(5, "memo"), 2)
-    local_combiners(hhat, ctx, cluster, "lmmse")
-    assert len(calls) == 1
-
-    w = context_memo(ctx, centralized_error_noise)
-    assert len(calls) == 1
-    assert not w.flags.writeable
-    with pytest.raises(ValueError):
-        w[0, 0, 0] = 0.0
-    assert np.array_equal(w, centralized_error_noise(ctx))
+def test_context_w_is_the_former_error_noise_builder(system):
+    """``ctx.w``, built with the context, equals bit for bit the former
+    builder that rebuilt the receive noise for every UE on every AP."""
+    ctx, _ = system
+    assert np.array_equal(ctx.w, oracles.centralized_error_noise(ctx))
 
 
 def _lmmse_static_formula(ctx):
@@ -265,7 +235,7 @@ def _lmmse_static_formula(ctx):
 def test_lmmse_static_part_is_bit_identical(system):
     ctx, cluster = system
     want = _lmmse_static_formula(ctx)
-    assert np.array_equal(context_memo(ctx, centralized_error_noise), want)
+    assert np.array_equal(ctx.w, want)
     # the per-AP static parts of the shared builder (every AP, one at a time)
     for l, (static, est) in enumerate(local_statics(ctx, cluster, "lmmse")):
         assert np.array_equal(static, want[l])

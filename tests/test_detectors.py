@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfsim.detectors import (centralized_combiners, centralized_error_noise,
+from scfsim.detectors import (centralized_combiners,
                               centralized_system_matrices, detector_sets,
                               local_combiners, local_statics,
                               serving_subspace, ue_last)
@@ -174,7 +174,7 @@ def test_other_schemes_methods_are_rejected():
 
 def test_sinr_scale_invariance():
     _, stats, q, powers, plan, ctx, cluster = small_system(seed=25)
-    w_full = centralized_error_noise(ctx)
+    w_full = ctx.w
     _, hhat = sample_joint(ctx, substream(7, "c"), 1)
     k = 0
     serving = cluster.serving[k]

@@ -219,7 +219,7 @@ def test_delta_se():
 def test_build_system_strategies_differ():
     cfg = SimConfig(**TINY)
     _, cl_a, pw_a = build_system(cfg, 3)
-    _, cl_e, pw_e = build_system(cfg, 3, strategy="equal-power")
+    _, cl_e, pw_e = build_system(cfg, 3, nu=0.0)
     assert np.allclose(pw_e.p_ddot, pw_e.p_ddot[0])
     assert not np.allclose(pw_a.p_ddot, pw_a.p_ddot[0])
     with pytest.raises(Exception, match="strategy"):

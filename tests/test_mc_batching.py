@@ -17,12 +17,10 @@ import pytest
 
 from scfsim import detectors, se_mc
 from scfsim.config import DETECTORS, SimConfig
-from scfsim.detectors import (centralized_error_noise,
-                              centralized_system_matrices, local_combiners,
+from scfsim.detectors import (centralized_system_matrices, local_combiners,
                               local_statics)
 from scfsim.harness import build_system
 from scfsim.numerics import crandn, hermitize
-from scfsim.pilots import context_memo
 from scfsim.quantization import received_noise_covariance
 from scfsim.rng import substream
 from scfsim.sampling import sample_data_noise, sample_joint
@@ -186,7 +184,7 @@ def _lpmmse_static(ctx, cluster, full=False):
 
 def _centralized_report_loop(ctx, cluster, detector, trials, seed, prelog):
     """Per-UE SE and stderr, gathering each UE's subspace from the batch."""
-    w_full = centralized_error_noise(ctx)
+    w_full = ctx.w
     statics = (None if detector == "mrc"
                else _system_matrices_loop(ctx, cluster, detector))
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
@@ -304,7 +302,6 @@ def test_full_plan_overlap_gram_is_the_full_gram(system):
 def test_noise_covariance_calls_per_report(system, monkeypatch):
     """One receive-noise call per static index, however many batches."""
     ctx, cluster, _ = system
-    context_memo(ctx, centralized_error_noise)   # the memo's call, once per context
     calls = []
 
     def counting(stats, p_ddot, q, sigma2, ues, aps):
@@ -321,15 +318,6 @@ def test_noise_covariance_calls_per_report(system, monkeypatch):
         calls.clear()
         distributed_mc_report(ctx, cluster, "lpmmse", "plsfd", trials, 1, 0.95)
         assert calls == [(l,) for l in range(ctx.L)]      # L: one per AP
-
-
-def test_error_noise_block_is_the_memo(system):
-    ctx, cluster, _ = system
-    w_full = context_memo(ctx, centralized_error_noise)
-    for k in range(ctx.K):
-        serving = cluster.serving[k]
-        assert np.array_equal(detectors._block_on_subspace(w_full, serving),
-                              _block(w_full, serving, ctx.N))
 
 
 def test_serving_subspace_is_a_view_under_the_full_plan(system):

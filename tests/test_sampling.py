@@ -22,7 +22,7 @@ CONVERTERS = [(None, None), (1, 1), (2, 3), (3, 2), (4, 4)]
 
 def _oracle_nlos(ctx, rng, n_trials):
     w = crandn(rng, (n_trials, ctx.K, ctx.L, ctx.N))
-    return np.einsum("klnm,bklm->bkln", ctx.stats.r_sqrt(), w)
+    return np.einsum("klnm,bklm->bkln", ctx.stats.r_sqrt, w)
 
 
 def _oracle_joint(ctx, rng, n_trials):

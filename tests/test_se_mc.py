@@ -119,7 +119,8 @@ def test_lpmmse_close_to_lmmse_at_desk_scale():
 def test_centralized_exact_mc_scalar_oracle():
     # L=1, K=1, ideal hardware: oracle draws estimates straight from their
     # distribution CN(h_bar, C_hhat) and averages the bound directly
-    from scfsim.numerics import crandn, hermitian_sqrt
+    from scfsim.numerics import crandn
+    from oracles import hermitian_sqrt
     from scfsim.rng import substream
     _, stats, _, powers, plan, _, cluster = small_system(
         L=1, K=1, N=2, tau=1, b_da=None, b_ad=None, seed=57)
