@@ -17,18 +17,9 @@ from .numerics import hermitize
 from .quantization import received_noise_covariance
 
 
-def dft_pilot_matrix(tau):
-    """tau x tau DFT matrix; columns are mutually orthogonal with norm² = tau."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    t = np.arange(tau)
-    return np.exp(-2j * np.pi * np.outer(t, t) / tau)
-
-
 @dataclass(frozen=True)
 class PilotPlan:
     tau: int
-    phi: np.ndarray            # (tau, tau) DFT pilot book
     pilot_of: np.ndarray       # (K,) pilot index per UE, 0-based
     copilot_sets: tuple        # per UE: tuple of UEs sharing its pilot (incl. itself)
 
@@ -52,7 +43,7 @@ def _copilot_sets(pilot_of):
 
 def make_pilot_plan(pilot_of, tau):
     pilot_of = np.asarray(pilot_of, dtype=int)
-    return PilotPlan(tau=tau, phi=dft_pilot_matrix(tau), pilot_of=pilot_of,
+    return PilotPlan(tau=tau, pilot_of=pilot_of,
                      copilot_sets=_copilot_sets(pilot_of))
 
 

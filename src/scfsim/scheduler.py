@@ -1,20 +1,21 @@
 """Joint AP cluster formation, pilot assignment, and uplink power control,
 plus the complexity accounting for the weighting vectors and detectors.
 
-The algorithm runs M passes. Pass 1 pins each UE to the primary AP with the
-strongest large-scale gain. Every pass then (re)assigns pilots sequentially
-(first tau UEs get orthogonal pilots, later UEs pick the pilot with the least
-contamination power at their primary AP), lets each AP adopt at most one
-additional UE per pilot as a secondary server subject to a gain threshold,
-and finally rescales transmit powers fractionally so the weakest UE in every
-overlap neighbourhood transmits at full power.
+Each UE's primary AP is the strongest AP (largest large-scale gain) within
+``d_bar`` of it, fixed once before the M passes. Every pass is a few array
+steps: pilots are (re)assigned sequentially (the first tau UEs get orthogonal
+pilots, each later UE picks the pilot with the least contamination power at
+its primary AP); then, in one step per pilot over all APs at once, each AP
+adopts at most one additional UE per pilot as a secondary server, subject to
+a gain threshold; finally transmit powers are rescaled fractionally so the
+weakest UE in every overlap neighbourhood transmits at full power.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .detectors import detector_sets
 from .numerics import linear_to_db
 from .pilots import make_pilot_plan
@@ -38,12 +39,6 @@ class ClusterPlan:
     def L(self):
         return self.D.shape[1]
 
-    def to_json(self):
-        return json.dumps({
-            "primary": self.primary.tolist(),
-            "serving": [list(m) for m in self.serving],
-        })
-
 
 @dataclass(frozen=True)
 class PowerPlan:
@@ -51,33 +46,32 @@ class PowerPlan:
     nu: float                  # fractional power-control exponent
     p_ddot: np.ndarray         # (K,) effective powers, DAC gain included
 
-    def to_json(self):
-        return json.dumps({"p_max": self.p_max, "nu": self.nu,
-                           "p_ddot": self.p_ddot.tolist()})
+
+def _rows(mask):
+    """Per row of a bool mask, the sorted tuple of its True columns."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
+
+
+def _overlap_mask(d_matrix):
+    """(K, K) bool: the serving clusters of UEs k and i intersect."""
+    d_int = d_matrix.astype(int)
+    return (d_int @ d_int.T) > 0
 
 
 def cluster_plan_from_indicators(d_matrix, primary):
     d_matrix = np.asarray(d_matrix, dtype=bool)
     primary = np.asarray(primary, dtype=int)
-    k_count, l_count = d_matrix.shape
-
-    def indices(mask):
-        return tuple(int(i) for i in np.flatnonzero(mask))
-
-    serving = tuple(indices(d_matrix[k]) for k in range(k_count))
-    served = tuple(indices(d_matrix[:, l]) for l in range(l_count))
-    served_primary = tuple(
-        tuple(k for k in served[l] if primary[k] == l) for l in range(l_count))
-    served_secondary = tuple(
-        tuple(k for k in served[l] if primary[k] != l) for l in range(l_count))
-    overlap_mask = (d_matrix.astype(int) @ d_matrix.astype(int).T) > 0
-    overlap = tuple(indices(overlap_mask[k]) for k in range(k_count))
-    for k in range(k_count):
-        if not d_matrix[k, primary[k]]:
-            raise ValueError(f"primary AP of UE {k} does not serve it")
-    return ClusterPlan(D=d_matrix, primary=primary, serving=serving,
-                       served=served, served_primary=served_primary,
-                       served_secondary=served_secondary, overlap=overlap)
+    users = np.arange(len(primary))
+    unserved = np.flatnonzero(~d_matrix[users, primary])
+    if unserved.size:
+        raise ValueError(f"primary AP of UE {unserved[0]} does not serve it")
+    is_primary = np.zeros_like(d_matrix)
+    is_primary[users, primary] = True
+    return ClusterPlan(D=d_matrix, primary=primary, serving=_rows(d_matrix),
+                       served=_rows(d_matrix.T),
+                       served_primary=_rows(is_primary.T),
+                       served_secondary=_rows((d_matrix & ~is_primary).T),
+                       overlap=_rows(_overlap_mask(d_matrix)))
 
 
 def full_cluster_plan(stats):
@@ -94,17 +88,17 @@ def equal_power_plan(n_users, p_max, rho_da):
 
 def fractional_powers(plan, beta, p_max, rho_da, nu):
     """Per-UE effective power: weakest UE in each overlap set gets the budget."""
-    cluster_gain = np.array([beta[k, list(plan.serving[k])].sum()
-                             for k in range(plan.K)])
+    # each UE's gain summed over its own serving APs only: a zero-padded
+    # row sum would group the additions differently
+    cluster_gain = np.array([beta[k, list(serving)].sum()
+                             for k, serving in enumerate(plan.serving)])
     gain_pow = cluster_gain ** nu
+    neighbourhood_min = np.where(_overlap_mask(plan.D), gain_pow, np.inf).min(axis=1)
     budget = p_max * (1.0 - rho_da)
-    p_ddot = np.empty(plan.K)
-    for k in range(plan.K):
-        # ratio computed first so the neighbourhood minimum lands exactly on
-        # the budget (min/own == 1.0 bitwise when k is its own minimum)
-        ratio = min(gain_pow[q] for q in plan.overlap[k]) / gain_pow[k]
-        p_ddot[k] = budget * ratio
-    return PowerPlan(p_max=p_max, nu=nu, p_ddot=p_ddot)
+    # ratio computed first so the neighbourhood minimum lands exactly on
+    # the budget (min/own == 1.0 bitwise when k is its own minimum)
+    return PowerPlan(p_max=p_max, nu=nu,
+                     p_ddot=budget * (neighbourhood_min / gain_pow))
 
 
 def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
@@ -115,65 +109,55 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
     argmax/argmin go to the lowest index. ``pilot_override`` replaces the
     contamination-minimizing pilot choice with a fixed assignment (comparison
     baselines); cluster formation and power control proceed unchanged.
+    Raises ``ConfigError`` if some UE has no AP within ``d_bar``.
     """
     if tau < 1 or iterations < 1:
         raise ValueError("tau and iterations must be >= 1")
     k_count, l_count = stats.K, stats.L
-    beta_db = linear_to_db(stats.beta)
+    users, aps = np.arange(k_count), np.arange(l_count)
     if d_bar is None:
         d_bar = np.sqrt(2.0) * stats.scenario.area_side
     dist = np.hypot(*(stats.scenario.ue_positions[:, None, :]
                       - stats.scenario.ap_positions[None, :, :]).transpose(2, 0, 1))
     candidates = dist <= d_bar
-    if not candidates.any(axis=1).all():
-        missing = np.flatnonzero(~candidates.any(axis=1))
-        raise ValueError(f"no candidate AP within d_bar for UEs {missing.tolist()}")
+    missing = np.flatnonzero(~candidates.any(axis=1))
+    if missing.size:
+        raise ConfigError(f"no candidate AP within d_bar={d_bar:g} m "
+                          f"for UEs {missing.tolist()}")
 
-    primary = np.zeros(k_count, dtype=int)
-    d_matrix = np.zeros((k_count, l_count), dtype=bool)
-    pilot = np.full(k_count, -1, dtype=int)
+    primary = np.argmax(np.where(candidates, stats.beta, -np.inf), axis=1)
+    beta_db = linear_to_db(stats.beta)
+    admissible = beta_db - beta_db[users, primary][:, None] >= eta_db
+    nlos_at_primary = stats.beta_nlos[:, primary]   # [i, k]: UE i at k's primary
     p_ddot = np.full(k_count, p_max * (1.0 - q.rho_da))
 
-    for m in range(iterations):
-        # pilot assignment (and primary-AP election on the first pass)
-        for k in range(k_count):
-            if m == 0:
-                gains = np.where(candidates[k], stats.beta[k], -np.inf)
-                primary[k] = int(np.argmax(gains))
-                d_matrix[k, primary[k]] = True
-            if pilot_override is not None:
-                pilot[k] = int(pilot_override[k])
-            elif k < tau:
-                pilot[k] = k
-            else:
-                contamination = np.zeros(tau)
-                for t in range(tau):
-                    on_t = pilot[:k] == t
-                    contamination[t] = tau * np.sum(
-                        p_ddot[:k][on_t] * stats.beta_nlos[:k, primary[k]][on_t])
-                pilot[k] = int(np.argmin(contamination))
+    for _ in range(iterations):
+        if pilot_override is not None:
+            pilot = np.array(pilot_override, dtype=int)
+        else:
+            pilot = users.copy()     # UEs k < tau keep pilot k
+            for k in range(tau, k_count):
+                contamination = tau * np.bincount(
+                    pilot[:k], p_ddot[:k] * nlos_at_primary[:k, k], minlength=tau)
+                pilot[k] = np.argmin(contamination)
 
-        # secondary-AP assignment: one UE per (AP, pilot), threshold-gated
-        for l in range(l_count):
-            for t in range(tau):
-                on_t = np.flatnonzero(pilot == t)
-                if on_t.size == 0 or d_matrix[on_t, l].any():
-                    continue
-                best = on_t[int(np.argmax(p_ddot[on_t] * stats.beta[on_t, l]))]
-                if beta_db[best, l] - beta_db[best, primary[best]] >= eta_db:
-                    d_matrix[best, l] = True
+        # secondary-AP assignment: one UE per (AP, pilot), threshold-gated;
+        # an admission on pilot t changes no other pilot's rows
+        d_matrix = np.zeros((k_count, l_count), dtype=bool)
+        d_matrix[users, primary] = True
+        for t in range(tau):
+            on_t = np.flatnonzero(pilot == t)
+            if on_t.size == 0:
+                continue
+            best = on_t[np.argmax(p_ddot[on_t, None] * stats.beta[on_t], axis=0)]
+            admit = ~d_matrix[on_t].any(axis=0) & admissible[best, aps]
+            d_matrix[best[admit], aps[admit]] = True
 
-        plan = cluster_plan_from_indicators(d_matrix, primary)
-        p_ddot = fractional_powers(plan, stats.beta, p_max, q.rho_da, nu).p_ddot
+        cluster = cluster_plan_from_indicators(d_matrix, primary)
+        powers = fractional_powers(cluster, stats.beta, p_max, q.rho_da, nu)
+        p_ddot = powers.p_ddot
 
-        if m < iterations - 1:
-            pilot[:] = -1
-            d_matrix[:] = False
-            d_matrix[np.arange(k_count), primary] = True
-
-    cluster = cluster_plan_from_indicators(d_matrix, primary)
-    return (cluster, make_pilot_plan(pilot, tau),
-            PowerPlan(p_max=p_max, nu=nu, p_ddot=p_ddot))
+    return cluster, make_pilot_plan(pilot, tau), powers
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ The simulator evaluates both MRC closed forms for every UE at once
 builders below are the former one-UE-at-a-time versions, with every
 Theorem-2 ingredient (lambda, b, c, d) exposed, and the former builder of
 the per-AP error-plus-noise matrices W that the estimation context now
-holds. The single-link helpers (LOS steering vector, PSD square root, one
+holds. ``run_algorithm1`` and its two helpers are the former loop-based
+scheduler, which ``scheduler.run_algorithm1`` runs as array steps. The
+single-link helpers (LOS steering vector, PSD square root, one
 channel draw, one local MMSE estimate, the DAC/ADC models applied to one
 signal) are the textbook forms the batched code paths are checked against.
 """
@@ -15,8 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from scfsim.lsfd import Moments
-from scfsim.numerics import NotPositiveSemidefiniteError, crandn, hermitize
+from scfsim.numerics import (NotPositiveSemidefiniteError, crandn, hermitize,
+                             linear_to_db)
+from scfsim.pilots import make_pilot_plan
 from scfsim.quantization import received_noise_covariance
+from scfsim.scheduler import ClusterPlan, PowerPlan
 
 # eigenvalues above -PSD_CLIP_FRACTION * trace are treated as rounding noise
 PSD_CLIP_FRACTION = 1e-10
@@ -247,3 +252,106 @@ def se_centralized_closed(k, ctx, cluster, prelog):
     noise = np.einsum("mnp,mpn->", ctx.w[m_idx], e_hh).real
     den = one_ad2 * interference + noise
     return prelog * np.log2(1.0 + num / den)
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 1, one AP, pilot and UE at a time
+# ---------------------------------------------------------------------------
+
+def cluster_plan_from_indicators(d_matrix, primary):
+    d_matrix = np.asarray(d_matrix, dtype=bool)
+    primary = np.asarray(primary, dtype=int)
+    k_count, l_count = d_matrix.shape
+
+    def indices(mask):
+        return tuple(int(i) for i in np.flatnonzero(mask))
+
+    serving = tuple(indices(d_matrix[k]) for k in range(k_count))
+    served = tuple(indices(d_matrix[:, l]) for l in range(l_count))
+    served_primary = tuple(
+        tuple(k for k in served[l] if primary[k] == l) for l in range(l_count))
+    served_secondary = tuple(
+        tuple(k for k in served[l] if primary[k] != l) for l in range(l_count))
+    overlap_mask = (d_matrix.astype(int) @ d_matrix.astype(int).T) > 0
+    overlap = tuple(indices(overlap_mask[k]) for k in range(k_count))
+    for k in range(k_count):
+        if not d_matrix[k, primary[k]]:
+            raise ValueError(f"primary AP of UE {k} does not serve it")
+    return ClusterPlan(D=d_matrix, primary=primary, serving=serving,
+                       served=served, served_primary=served_primary,
+                       served_secondary=served_secondary, overlap=overlap)
+
+
+def fractional_powers(plan, beta, p_max, rho_da, nu):
+    """Per-UE effective power: weakest UE in each overlap set gets the budget."""
+    cluster_gain = np.array([beta[k, list(plan.serving[k])].sum()
+                             for k in range(plan.K)])
+    gain_pow = cluster_gain ** nu
+    budget = p_max * (1.0 - rho_da)
+    p_ddot = np.empty(plan.K)
+    for k in range(plan.K):
+        ratio = min(gain_pow[q] for q in plan.overlap[k]) / gain_pow[k]
+        p_ddot[k] = budget * ratio
+    return PowerPlan(p_max=p_max, nu=nu, p_ddot=p_ddot)
+
+
+def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
+                   iterations=2, pilot_override=None):
+    """Joint cluster formation / pilot assignment / power control, with a
+    Python loop over every UE, pilot and (AP, pilot) pair."""
+    if tau < 1 or iterations < 1:
+        raise ValueError("tau and iterations must be >= 1")
+    k_count, l_count = stats.K, stats.L
+    beta_db = linear_to_db(stats.beta)
+    if d_bar is None:
+        d_bar = np.sqrt(2.0) * stats.scenario.area_side
+    dist = np.hypot(*(stats.scenario.ue_positions[:, None, :]
+                      - stats.scenario.ap_positions[None, :, :]).transpose(2, 0, 1))
+    candidates = dist <= d_bar
+    if not candidates.any(axis=1).all():
+        missing = np.flatnonzero(~candidates.any(axis=1))
+        raise ValueError(f"no candidate AP within d_bar for UEs {missing.tolist()}")
+
+    primary = np.zeros(k_count, dtype=int)
+    d_matrix = np.zeros((k_count, l_count), dtype=bool)
+    pilot = np.full(k_count, -1, dtype=int)
+    p_ddot = np.full(k_count, p_max * (1.0 - q.rho_da))
+
+    for m in range(iterations):
+        for k in range(k_count):
+            if m == 0:
+                gains = np.where(candidates[k], stats.beta[k], -np.inf)
+                primary[k] = int(np.argmax(gains))
+                d_matrix[k, primary[k]] = True
+            if pilot_override is not None:
+                pilot[k] = int(pilot_override[k])
+            elif k < tau:
+                pilot[k] = k
+            else:
+                contamination = np.zeros(tau)
+                for t in range(tau):
+                    on_t = pilot[:k] == t
+                    contamination[t] = tau * np.sum(
+                        p_ddot[:k][on_t] * stats.beta_nlos[:k, primary[k]][on_t])
+                pilot[k] = int(np.argmin(contamination))
+
+        for l in range(l_count):
+            for t in range(tau):
+                on_t = np.flatnonzero(pilot == t)
+                if on_t.size == 0 or d_matrix[on_t, l].any():
+                    continue
+                best = on_t[int(np.argmax(p_ddot[on_t] * stats.beta[on_t, l]))]
+                if beta_db[best, l] - beta_db[best, primary[best]] >= eta_db:
+                    d_matrix[best, l] = True
+
+        plan = cluster_plan_from_indicators(d_matrix, primary)
+        p_ddot = fractional_powers(plan, stats.beta, p_max, q.rho_da, nu).p_ddot
+
+        if m < iterations - 1:
+            pilot[:] = -1
+            d_matrix[:] = False
+            d_matrix[np.arange(k_count), primary] = True
+
+    cluster = cluster_plan_from_indicators(d_matrix, primary)
+    return (cluster, make_pilot_plan(pilot, tau),
+            PowerPlan(p_max=p_max, nu=nu, p_ddot=p_ddot))

@@ -107,6 +107,25 @@ def test_validation_without_theorem1_cases_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_d_bar_without_candidates_exits_2(tmp_path, capsys, monkeypatch,
+                                          workers):
+    """A d_bar that leaves some UE without a candidate AP is a config error,
+    also when it is raised inside a pool worker."""
+    monkeypatch.setenv("SCFSIM_WORKERS", workers)
+    cfg = tmp_path / "d-bar.json"
+    cfg.write_text(json.dumps({"L": 4, "K": 5, "N": 2, "tau": 3, "d_bar": 1}))
+    out = tmp_path / "never.csv"
+    assert main(["run", "sum-se-vs-N", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
+    assert "d_bar" in lines[0] and "UEs [0, 1, 2, 3, 4]" in lines[0]
+    assert not out.exists()
+
+
 def test_bad_worker_count_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SCFSIM_WORKERS", "two")
     out = tmp_path / "never.csv"

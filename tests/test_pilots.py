@@ -3,22 +3,13 @@ import pytest
 
 from scfsim.numerics import hermitize
 from scfsim.pilots import (block_diag_cov, build_estimation_context,
-                           dft_pilot_matrix, make_pilot_plan, psi_matrix,
-                           round_robin_pilots)
+                           make_pilot_plan, psi_matrix, round_robin_pilots)
 from scfsim.quantization import QuantizerConfig, received_noise_covariance
 from scfsim.rng import substream
 from scfsim.sampling import sample_joint
 
 from conftest import small_system, synthetic_stats
 from oracles import estimate_local
-
-
-def test_dft_matrix_sizes_and_orthogonality():
-    assert np.array_equal(dft_pilot_matrix(1), np.ones((1, 1)))
-    phi4 = dft_pilot_matrix(4)
-    assert np.max(np.abs(np.conj(phi4.T) @ phi4 - 4 * np.eye(4))) < 1e-12
-    phi10 = dft_pilot_matrix(10)
-    assert np.allclose(np.sum(np.abs(phi10) ** 2, axis=0), 10.0)
 
 
 def test_pilot_plan_membership():

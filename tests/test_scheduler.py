@@ -1,12 +1,14 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from scfsim import scheduler
 from scfsim.channel import channel_statistics, generate_scenario
-from scfsim.config import SimConfig
+from scfsim.config import ConfigError, SimConfig
 from scfsim.detectors import detector_sets
 from scfsim.quantization import QuantizerConfig
 from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce, cc_l2_lsfd,
@@ -119,15 +121,99 @@ def test_empty_candidate_set_raises():
     q = QuantizerConfig.ideal()
     with pytest.raises(ValueError):
         run_algorithm1(stats, q, 2, 100.0, d_bar=1e-6)
+    with pytest.raises(ConfigError, match=r"d_bar.*UEs \[0, 1, 2, 3\]"):
+        run_algorithm1(stats, q, 2, 100.0, d_bar=1e-6)
 
 
-def test_plan_json_round_trip():
-    _, _, cluster, _, powers = _scheduled(seed=9)
-    blob = json.loads(cluster.to_json())
-    assert blob["primary"] == list(map(int, cluster.primary))
-    assert blob["serving"] == [list(m) for m in cluster.serving]
-    pblob = json.loads(powers.to_json())
-    assert pblob["p_ddot"] == list(powers.p_ddot)
+def test_d_bar_limits_the_primary_ap():
+    cfg = SimConfig(L=16, K=20, N=2, tau=5)
+    scn = generate_scenario(cfg, 5)
+    stats = channel_statistics(scn, 5, cfg.asd_rad)
+    dist = np.linalg.norm(scn.ue_positions[:, None, :]
+                          - scn.ap_positions[None, :, :], axis=-1)
+    d_bar = 1.01 * dist.min(axis=1).max()      # every UE keeps a candidate
+    strongest = np.argmax(stats.beta, axis=1)
+    assert np.any(dist[np.arange(cfg.K), strongest] > d_bar)
+    cluster, _, _ = run_algorithm1(stats, QuantizerConfig.ideal(), cfg.tau,
+                                   100.0, d_bar=d_bar)
+    for k in range(cfg.K):
+        candidates = np.flatnonzero(dist[k] <= d_bar)
+        assert dist[k, cluster.primary[k]] <= d_bar
+        assert cluster.primary[k] == candidates[np.argmax(stats.beta[k, candidates])]
+
+
+def test_one_cluster_plan_per_pass(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(cluster_plan_from_indicators(*args))
+        return built[-1]
+
+    monkeypatch.setattr(scheduler, "cluster_plan_from_indicators", counted)
+    cluster = _scheduled(iterations=3)[2]
+    assert len(built) == 3 and cluster is built[-1]
+
+
+def _assert_same_fields(got, ref):
+    assert type(got) is type(ref)
+    for field in dataclasses.fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def _assert_matches_reference(stats, tau, **options):
+    q = QuantizerConfig(b_da=3, b_ad=2)
+
+    def run(algorithm):
+        try:
+            return algorithm(stats, q, tau, 100.0, **options)
+        except ValueError as exc:
+            return exc
+
+    got, ref = run(run_algorithm1), run(oracles.run_algorithm1)
+    if isinstance(ref, Exception):
+        # the same UEs are named; ConfigError is the ValueError the CLI reports
+        assert isinstance(got, ConfigError) and "d_bar" in str(got)
+        assert str(got).endswith(str(ref)[str(ref).index("UEs"):])
+        return
+    for got_plan, ref_plan in zip(got, ref, strict=True):
+        _assert_same_fields(got_plan, ref_plan)
+
+
+@settings(max_examples=80, deadline=None)
+@given(L=st.integers(min_value=1, max_value=12),
+       K=st.integers(min_value=1, max_value=30),
+       tau=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=50),
+       rayleigh=st.booleans(),
+       nu=st.floats(min_value=0.0, max_value=1.0),
+       eta_db=st.one_of(st.just(-np.inf), st.floats(min_value=-40.0, max_value=10.0)),
+       d_bar=st.one_of(st.none(), st.floats(min_value=100.0, max_value=900.0)),
+       iterations=st.integers(min_value=1, max_value=4),
+       data=st.data())
+def test_algorithm1_matches_loop_reference(L, K, tau, seed, rayleigh, nu, eta_db,
+                                           d_bar, iterations, data):
+    """The array-step scheduler reproduces the loop-based one exactly."""
+    cfg = SimConfig(L=L, K=K, N=2, tau=tau)
+    scn = generate_scenario(cfg, seed)
+    stats = channel_statistics(scn, seed, cfg.asd_rad, rayleigh=rayleigh)
+    override = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(min_value=0, max_value=tau - 1),
+                            min_size=K, max_size=K)))
+    _assert_matches_reference(stats, tau, eta_db=eta_db, nu=nu, d_bar=d_bar,
+                              iterations=iterations, pilot_override=override)
+
+
+@pytest.mark.parametrize("fading", ("rician", "rayleigh"))
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_algorithm1_matches_loop_reference_on_desk_drops(seed, fading):
+    cfg = SimConfig(L=16, K=20, N=3, tau=5, fading=fading)
+    stats = channel_statistics(generate_scenario(cfg, seed), seed, cfg.asd_rad,
+                               rayleigh=(fading == "rayleigh"))
+    _assert_matches_reference(stats, cfg.tau)
 
 
 # --- complexity accounting --------------------------------------------------
