@@ -30,6 +30,13 @@ SHADOW_STD_DB = 4.0
 RICIAN_INTERCEPT_DB = 13.0
 RICIAN_SLOPE_DB_PER_M = 0.03
 MIN_DISTANCE_M = 1.0        # floor keeps the log-distance law finite at the AP
+# The node doubling starts at 128: antenna 0's entry of every row is the sum
+# of the Gaussian weights, which in x-units is the same for every angle and
+# ASD (the interval is ±20 ASD, so the ASD cancels up to rounding). The 64-
+# and 128-node sums differ by 3.38e-9 relative, 34× QUAD_RTOL, and that entry
+# is each row's largest, so a 64-node pass could never pass the check. A
+# QUAD_RTOL above that gap would let a 64-node pass converge, and the 128
+# start would then skip it.
 QUAD_RTOL = 1e-10
 QUAD_MAX_NODES = 1 << 17
 # Links per private sub-block of _correlation_rows. A row does not depend on
@@ -146,7 +153,7 @@ def rician_factor(distance_m, rayleigh=False):
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n_nodes):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]. The adaptive
-    quadrature doubles from 64 nodes up to QUAD_MAX_NODES, so at most 12
+    quadrature doubles from 128 nodes up to QUAD_MAX_NODES, so at most 11
     node counts ever occur."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     x.setflags(write=False)
@@ -162,32 +169,36 @@ def _correlation_rows(thetas, asd, n_antennas, n_nodes):
     delta = half * x
     weight = half * w / (np.sqrt(2.0 * np.pi) * asd) * np.exp(-delta**2 / (2.0 * asd**2))
     thetas = np.asarray(thetas, dtype=float)
-    m = np.arange(n_antennas)
+    jpi_m = (1j * np.pi * np.arange(1, n_antennas))[None, :, None]
     rows = np.empty((len(thetas), n_antennas), dtype=complex)
     for lo in range(0, len(thetas), _ROW_BLOCK):
         s = np.sin(thetas[lo:lo + _ROW_BLOCK, None] + delta[None, :])
-        # row[j, m] = ∫ exp(jπ m sin(θ_j+δ)) N(δ; 0, asd²) dδ over ±20 asd;
-        # exp in place halves the largest temporary of the statistics build
-        phase = 1j * np.pi * m[None, :, None] * s[:, None, :]
-        rows[lo:lo + _ROW_BLOCK] = np.exp(phase, out=phase) @ weight
+        # row[j, m] = ∫ exp(jπ m sin(θ_j+δ)) N(δ; 0, asd²) dδ over ±20 asd.
+        # Antenna 0's phase is 0 and its exp exactly 1, so only m >= 1 is
+        # built and exponentiated. The phase is (jπm)·sin, in that order:
+        # R's bits depend on it. The exp runs in place, which halves the
+        # largest temporary of the statistics build.
+        phase = np.empty((len(s), n_antennas, len(delta)), dtype=complex)
+        phase[:, 0] = 1.0
+        tail = np.multiply(jpi_m, s[:, None, :], out=phase[:, 1:])
+        np.exp(tail, out=tail)
+        rows[lo:lo + _ROW_BLOCK] = phase @ weight
     return rows
 
 
-def _converged_rows(thetas, asd, n_antennas, rtol, max_nodes):
-    """Node count doubled until successive evaluations agree to ``rtol``."""
-    n_nodes = 64
-    rows = _correlation_rows(thetas, asd, n_antennas, n_nodes)
-    while True:
-        n_nodes *= 2
-        if n_nodes > max_nodes:
-            raise QuadratureError(
-                f"correlation quadrature did not reach rtol={rtol} "
-                f"within {max_nodes} nodes")
+def _converged_rows(thetas, asd, n_antennas, max_nodes):
+    """Node count doubled from 128 until successive evaluations agree to
+    QUAD_RTOL."""
+    rows, n_nodes = None, 128
+    while n_nodes <= max_nodes:
         refined = _correlation_rows(thetas, asd, n_antennas, n_nodes)
-        scale = np.maximum(np.max(np.abs(refined), axis=1), 1e-300)
-        if np.max(np.max(np.abs(refined - rows), axis=1) / scale) <= rtol:
-            return refined
-        rows = refined
+        if rows is not None:
+            scale = np.maximum(np.max(np.abs(refined), axis=1), 1e-300)
+            if np.max(np.max(np.abs(refined - rows), axis=1) / scale) <= QUAD_RTOL:
+                return refined
+        rows, n_nodes = refined, 2 * n_nodes
+    raise QuadratureError(f"correlation quadrature did not reach "
+                          f"rtol={QUAD_RTOL} within {max_nodes} nodes")
 
 
 def _toeplitz_psd(rows):
@@ -223,7 +234,7 @@ def _check_asd(asd):
 
 
 def spatial_correlation(theta, asd, beta_nlos, n_antennas,
-                        rtol=QUAD_RTOL, max_nodes=QUAD_MAX_NODES):
+                        max_nodes=QUAD_MAX_NODES):
     """Spatial correlation matrix of the NLOS component for a ULA.
 
     The angular integral depends only on the antenna index difference, so a
@@ -231,7 +242,7 @@ def spatial_correlation(theta, asd, beta_nlos, n_antennas,
     exactly Hermitian, then PSD-clipped against quadrature noise.
     """
     _check_asd(asd)
-    rows = _converged_rows([theta], asd, n_antennas, rtol, max_nodes)
+    rows = _converged_rows([theta], asd, n_antennas, max_nodes)
     return beta_nlos * _toeplitz_psd(rows)[0]
 
 
@@ -278,7 +289,7 @@ def channel_statistics(scenario, seed, asd_rad, rayleigh=False):
     with ThreadPoolExecutor(_quadrature_threads(len(starts))) as pool:
         chunks = pool.map(
             lambda lo: _converged_rows(flat_theta[lo:lo + CORRELATION_CHUNK],
-                                       asd_rad, n_ant, QUAD_RTOL, QUAD_MAX_NODES),
+                                       asd_rad, n_ant, QUAD_MAX_NODES),
             starts)
         for lo, rows in zip(starts, chunks):
             corr[lo:lo + CORRELATION_CHUNK] = _toeplitz_psd(rows)

@@ -6,11 +6,13 @@
     scfsim list
 
 Worker processes for experiment points come from SCFSIM_WORKERS (default 1);
-output files are byte-identical for any worker count. A config that fails
-validation, or a bad SCFSIM_WORKERS, prints one error line and exits 2.
+output files are byte-identical for any worker count. A config that cannot
+be read or fails validation, or a bad SCFSIM_WORKERS, prints one error line
+and exits 2.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -32,6 +34,8 @@ def _cmd_run(args):
     cfg = _load(args)
     path = args.out or f"{args.experiment}.{args.format}"
     # before the run, so a path that cannot be written fails in seconds
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)

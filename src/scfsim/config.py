@@ -157,8 +157,11 @@ class SimConfig:
 
 def load_config(path):
     """Read a JSON config; empty file gives full defaults, unknown keys error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not text.strip():
         data = {}
     else:

@@ -112,10 +112,33 @@ def test_channel_statistics_rejects_bad_asd(monkeypatch):
 
 
 def test_spatial_correlation_node_budget_exhaustion():
+    """128 nodes is the first pass; with no budget for a second one, the
+    quadrature cannot check its convergence."""
     from scfsim.channel import QuadratureError
     with pytest.raises(QuadratureError):
-        spatial_correlation(0.3, np.radians(15), 1.0, 4, rtol=1e-30,
-                            max_nodes=256)
+        spatial_correlation(0.3, np.radians(15), 1.0, 4, max_nodes=128)
+
+
+@pytest.mark.parametrize("asd_deg",
+                         (0.01, 0.1, 0.5, 1, 5, 15, 30, 60, 180, 1000))
+def test_64_node_pass_never_converges(asd_deg):
+    """Why the node doubling starts at 128: the Gaussian weight sums at 64
+    and 128 nodes differ by far more than QUAD_RTOL, and that sum is antenna
+    0's entry of every row, so a 64 -> 128 check fails on every link."""
+    asd = np.radians(asd_deg)
+    sums = []
+    for n_nodes in (64, 128):
+        x, w = np.polynomial.legendre.leggauss(n_nodes)
+        delta = 20.0 * asd * x
+        sums.append(np.sum(20.0 * asd * w / (np.sqrt(2.0 * np.pi) * asd)
+                           * np.exp(-delta**2 / (2.0 * asd**2))))
+    assert abs(sums[1] - sums[0]) >= 10 * channel.QUAD_RTOL * sums[1]
+    thetas = np.linspace(-np.pi, np.pi, 9)
+    coarse, fine = (channel._correlation_rows(thetas, asd, 3, n_nodes)
+                    for n_nodes in (64, 128))
+    scale = np.max(np.abs(fine), axis=1)
+    assert np.all(np.abs(fine[:, 0] - coarse[:, 0])
+                  >= 10 * channel.QUAD_RTOL * scale)
 
 
 def test_statistics_invariants():

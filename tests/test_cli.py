@@ -31,17 +31,20 @@ def test_run_emits_file(tmp_path, capsys):
     assert payload["rows"]
 
 
-@pytest.mark.parametrize("below", ("x.csv", "sub/x.csv"))
+@pytest.mark.parametrize("out", ("file/x.csv", "file/sub/x.csv", "dir"),
+                         ids=("x.csv", "sub/x.csv", "directory"))
 def test_run_fails_on_impossible_out_before_running(tmp_path, monkeypatch,
-                                                    below):
+                                                    out):
+    """An --out below a regular file, or naming a directory, fails before
+    the experiment runs."""
     def no_run(*args, **kwargs):
         raise AssertionError("experiment ran before the output path failed")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
-    blocker = tmp_path / "file"
-    blocker.write_text("")
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
     with pytest.raises(OSError):
-        main(["run", "sum-se-vs-N", "--out", str(blocker / below)])
+        main(["run", "sum-se-vs-N", "--out", str(tmp_path / out)])
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -77,6 +80,24 @@ def test_bad_config_prints_one_line_and_exits_2(tmp_path, capsys, config, field)
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
         assert (field if "--config" in argv else "seed") in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ("missing", "directory", "not-utf8"))
+def test_unreadable_config_prints_one_line_and_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "cfg.json"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"\xff\xfe{")
+    out = tmp_path / "never.csv"
+    assert main(["run", "sum-se-vs-N", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
+    assert str(cfg) in lines[0]
     assert not out.exists()
 
 

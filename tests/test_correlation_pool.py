@@ -72,7 +72,7 @@ def _build(n_ant, asd, rayleigh=False, seed=3):
                               rayleigh=rayleigh)
 
 
-@pytest.mark.parametrize("asd_deg", (5, 15, 30))
+@pytest.mark.parametrize("asd_deg", (0.5, 5, 15, 30, 60))
 @pytest.mark.parametrize("n_ant", (1, 2, 3, 8))
 @pytest.mark.parametrize("rayleigh", (False, True))
 def test_threaded_build_matches_serial_oracle(monkeypatch, rayleigh, n_ant,
