@@ -225,12 +225,19 @@ def _toeplitz_psd(rows):
 
 
 def _check_asd(asd):
-    # NaN, 0 or inf would make every quadrature weight NaN, and the node
-    # count would double to QUAD_MAX_NODES (a 3.2 GB phase array per chunk
-    # at N=3) before QuadratureError.
+    # The quadrature weights divide by asd and by 2 asd**2. NaN, 0 or inf,
+    # or an asd whose square underflows below the smallest normal float,
+    # makes them NaN (asd**2 == 0) or finite but wrong (a subnormal asd**2:
+    # at 1e-160 degrees they sum to 1.33). NaN weights never converge, and
+    # the node doubling runs out of memory long before QUAD_MAX_NODES:
+    # each new node count's leggauss builds an n x n companion matrix,
+    # 2 GB at 16,384 nodes.
     if not (np.isfinite(asd) and asd > 0):
         raise ValueError(f"angular standard deviation must be finite and > 0, "
                          f"got {asd}")
+    if asd**2 < np.finfo(float).tiny:
+        raise ValueError(f"angular standard deviation {asd} rad is too small: "
+                         f"its square underflows")
 
 
 def spatial_correlation(theta, asd, beta_nlos, n_antennas,

@@ -7,12 +7,11 @@
 
 Worker processes for experiment points come from SCFSIM_WORKERS (default 1);
 output files are byte-identical for any worker count. A config that cannot
-be read or fails validation, or a bad SCFSIM_WORKERS, prints one error line
-and exits 2.
+be read or fails validation, an --out that cannot be written, or a bad
+SCFSIM_WORKERS, prints one error line and exits 2.
 """
 
 import argparse
-import errno
 import os
 import sys
 
@@ -35,10 +34,14 @@ def _cmd_run(args):
     path = args.out or f"{args.experiment}.{args.format}"
     # before the run, so a path that cannot be written fails in seconds
     if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        raise ExperimentError(f"cannot write --out {path}: it is a directory")
     directory = os.path.dirname(path)
     if directory:
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise ExperimentError(f"cannot write --out {path}: cannot make "
+                                  f"directory {directory}: {exc.strerror}") from exc
     table = run_experiment(args.experiment, cfg)
     emit_results(table, args.format, path)
     print(f"{args.experiment}: {len(table.rows)} rows -> {path}")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 
@@ -109,6 +110,9 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if math.radians(self.asd_deg) ** 2 < sys.float_info.min:
+            raise ConfigError(f"asd_deg must be large enough that its square "
+                              f"in radians is a normal float, got {self.asd_deg}")
         for name in ("noise_figure_db", "sigma2_dbm", "eta_db"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

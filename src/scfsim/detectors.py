@@ -19,10 +19,16 @@ the system matrix from those sets:
 
 with N_l from ``quantization.received_noise_covariance`` and the LOS term
 stacked over the APs, cross-AP blocks kept. The solve adds the Gram of the
-sqrt-power-scaled estimates of the estimate set. A batch is relaid out once
-(``ue_last``) so each UE's subspace is one gather (``serving_subspace``).
-The MMSE blocks on every AP, with no statistics set, are the error-plus-noise
-matrices W_l that the estimation context holds as ``ctx.w``.
+sqrt-power-scaled estimates of the estimate set. The MMSE blocks on every
+AP, with no statistics set, are the error-plus-noise matrices W_l that the
+estimation context holds as ``ctx.w``.
+
+Local combiners read and return trials-last (pairs, N, n) arrays: they read
+the estimates of ``local_pairs`` and return one vector per served pair, in
+the UE-major order of ``served_pairs``, so UE k's vectors are one slice. A
+centralized batch holds every estimate UE-last, (n, L, N, K), so each UE's
+subspace is one gather, or a view when M_k is every AP
+(``serving_subspace``).
 """
 
 import numpy as np
@@ -125,9 +131,27 @@ def local_statics(ctx, cluster, method):
     return [static_part(ctx, cluster, method, l) for l in range(ctx.L)]
 
 
-def local_combiners(hhat, ctx, cluster, method, statics=None):
-    """Batched local combining vectors, (n, K, L, N); zero where l ∉ M_k.
+def served_pairs(cluster):
+    """(UEs, APs) of the served pairs, UE-major: UE k's pairs are one slice,
+    its serving APs in order."""
+    return np.nonzero(cluster.D)
 
+
+def local_pairs(cluster, method):
+    """(UEs, APs) of the pairs whose estimates ``local_combiners`` reads,
+    UE-major: every pair for L-MMSE, whose estimate sets are every UE; the
+    served pairs for the others, whose estimate sets lie in the served sets.
+    """
+    if method == "lmmse":
+        return np.nonzero(np.ones_like(cluster.D))
+    return served_pairs(cluster)
+
+
+def local_combiners(est, ctx, cluster, method, statics=None):
+    """Batched local combining vectors on the served pairs, (P, N, n).
+
+    ``est`` holds the estimates of the pairs ``local_pairs(cluster,
+    method)``, (pairs, N, n); the result's rows follow ``served_pairs``.
     ``method``: "mrc", "lmmse", "lpmmse" (partial), or "lpmmse-full"
     (estimates for every served UE, the unreduced scalable baseline).
     ``statics``: ``local_statics(ctx, cluster, method)``, when the caller
@@ -136,20 +160,24 @@ def local_combiners(hhat, ctx, cluster, method, statics=None):
     if statics is None:
         statics = local_statics(ctx, cluster, method)
     if method == "mrc":
-        return hhat * cluster.D[None, :, :, None]
+        return est
 
+    row = np.full(cluster.D.shape, -1)
+    row[local_pairs(cluster, method)] = np.arange(len(est))
+    n_served = np.count_nonzero(cluster.D)
+    v_row = np.full(cluster.D.shape, -1)
+    v_row[served_pairs(cluster)] = np.arange(n_served)
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    v = np.zeros_like(hhat)
-    for l, (static, est) in enumerate(statics):
+    v = np.empty((n_served,) + est.shape[1:], dtype=complex)
+    for l, (static, est_set) in enumerate(statics):
         served = np.asarray(cluster.served[l], dtype=int)
         if served.size == 0:
             continue
+        e = est[row[est_set, l]]                            # (|est|, N, n)
         a = static[None] + one_ad2 * np.einsum(
-            "i,bin,bim->bnm", ctx.p_ddot[est], hhat[:, est, l],
-            np.conj(hhat[:, est, l]))
-        rhs = np.swapaxes(hhat[:, served, l], 1, 2)        # (n, N, |served|)
-        sol = np.linalg.solve(a, rhs)
-        v[:, served, l] = np.swapaxes(sol, 1, 2)
+            "i,inb,imb->bnm", ctx.p_ddot[est_set], e, np.conj(e))
+        rhs = est[row[served, l]].T                         # (n, N, |served|)
+        v[v_row[served, l]] = np.linalg.solve(a, rhs).T
     return v
 
 
@@ -164,16 +192,11 @@ def centralized_system_matrices(ctx, cluster, method):
     return [static_part(ctx, cluster, method, k) for k in range(ctx.K)]
 
 
-def ue_last(hhat):
-    """(n, L, N, K) copy of an (n, K, L, N) batch: one AP's channels of every
-    UE are contiguous, so a serving subspace is a gather of |M_k| blocks."""
-    return np.ascontiguousarray(np.moveaxis(hhat, 1, -1))
-
-
 def serving_subspace(hhat_t, cluster, k):
     """Every UE's channel on UE k's serving subspace, (n, |M_k| N, K).
 
-    ``hhat_t`` is a batch in the ``ue_last`` layout. When M_k is every AP in
+    ``hhat_t`` is an estimate batch in the UE-last (n, L, N, K) layout of
+    ``sampling.estimates_ue_last``. When M_k is every AP in
     order the result is a reshaped view of the batch, not a copy; callers
     only read it.
     """
@@ -196,6 +219,9 @@ def centralized_combiners(sub, ctx, cluster, method, k, static=None):
         static = static_part(ctx, cluster, method, k)
     mat, est_set = static
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    scaled = np.take(sub, est_set, axis=-1) * np.sqrt(one_ad2 * ctx.p_ddot[est_set])
-    a = mat + scaled @ np.conj(np.swapaxes(scaled, -1, -2))
+    scaled = np.take(sub, est_set, axis=-1)
+    scaled *= np.sqrt(one_ad2 * ctx.p_ddot[est_set])
+    a = scaled @ np.conj(np.swapaxes(scaled, -1, -2))
+    del scaled
+    a += mat
     return np.linalg.solve(a, sub[..., k, None])[..., 0]

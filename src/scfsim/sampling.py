@@ -7,10 +7,14 @@ share one observation, so pilot contamination is structural, not resampled.
 Data phase: fully constructive — the scalar UE DAC noise rides through the
 same trial's true channels and is shared across APs.
 
-Batches are worked on trials-last, (K, L, N, n) and (tau, L, N, n), so every
-correlation, noise-factor and estimator product is a BLAS matmul of N x N by
-N x n. The random draws keep the (n, ...) order of ``crandn`` and are written
-straight into that layout; callers get (n, ...) views of it.
+Batches are held trials-last: true channels (K, L, N, n), LOS-stripped
+pilot observations (tau, L, N, n), data noise (L, N, n). Every correlation,
+noise-factor and estimator product is a BLAS matmul of N x N by N x n. The
+random draws keep the (n, ...) order of ``crandn`` and are written straight
+into that layout. A batch holds one copy of the true channels; estimates
+are formed from the pilot observations only on the (UE, AP) pairs an
+engine reads (``estimates``), or for every pair in the UE-last (n, L, N, K)
+layout of the centralized subspaces (``estimates_ue_last``).
 """
 
 import numpy as np
@@ -18,24 +22,30 @@ import numpy as np
 from .numerics import crandn
 
 
-def _crandn_trials_last(rng, n_trials, shape):
-    """``crandn(rng, (n_trials, *shape))`` of unit variance, stored trials-last.
+def _crandn_trials_last(rng, n_trials, shape, var=1.0):
+    """``crandn(rng, (n_trials, *shape), var)``, stored trials-last.
 
     The same draws in the same order, written through an (n, ...) view of
     the trials-last array instead of copied into it.
     """
     out = np.empty(shape + (n_trials,), dtype=complex)
-    crandn(rng, (n_trials,) + shape, out=np.moveaxis(out, -1, 0))
+    crandn(rng, (n_trials,) + shape, var, out=np.moveaxis(out, -1, 0))
     return out
 
 
 def sample_joint(ctx, rng, n_trials):
-    """(true channels, MMSE estimates), both (n, K, L, N), jointly consistent.
+    """(h, z): one trial batch of channels and pilot observations.
 
-    Both are views of (K, L, N, n) arrays.
+    ``h`` holds the true channels with their LOS part, (K, L, N, n). ``z``
+    holds the LOS-stripped pilot observations, (tau, L, N, n): the pilot
+    noise plus every co-pilot UE's NLOS channel, so UE k's MMSE estimate at
+    AP l is est_gain[k, l] @ z[pilot_of[k], l] + h_bar[k, l].
     """
-    h = ctx.stats.r_sqrt @ _crandn_trials_last(
-        rng, n_trials, (ctx.K, ctx.L, ctx.N))
+    h = _crandn_trials_last(rng, n_trials, (ctx.K, ctx.L, ctx.N))
+    r_sqrt = ctx.stats.r_sqrt
+    for k in range(ctx.K):
+        # one UE at a time, so the product's temporary is one UE's channels
+        h[k] = r_sqrt[k] @ h[k]
 
     one_ad = 1.0 - ctx.q.rho_ad
     root_tau = np.sqrt(ctx.tau)
@@ -45,32 +55,56 @@ def sample_joint(ctx, rng, n_trials):
     for t in range(ctx.tau):
         for i in ctx.plan.users_on_pilot(t):
             z[t] += one_ad * np.sqrt(ctx.p_ddot[i]) * root_tau * h[i]
+    h += ctx.stats.h_bar[..., None]
+    return h, z
 
-    hhat = np.empty_like(h)
-    for k in range(ctx.K):
-        np.matmul(ctx.est_gain[k], z[ctx.plan.pilot_of[k]], out=hhat[k])
-    h_bar = ctx.stats.h_bar[..., None]
-    h += h_bar
-    hhat += h_bar
-    return np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0)
+
+def estimates(ctx, z, ues, aps):
+    """MMSE estimates of the (UE, AP) pairs ``zip(ues, aps)``, (P, N, n).
+
+    ``z`` is the pilot-observation batch of ``sample_joint``. The pairs'
+    observations are gathered L pairs at a time, so the gather never holds
+    more than one UE's worth of a batch, however many pairs there are.
+    """
+    ues, aps = np.asarray(ues), np.asarray(aps)
+    est = np.empty((len(ues), ctx.N, z.shape[-1]), dtype=complex)
+    pilot_of = ctx.plan.pilot_of
+    for lo in range(0, len(ues), ctx.L):
+        u, a = ues[lo:lo + ctx.L], aps[lo:lo + ctx.L]
+        np.matmul(ctx.est_gain[u, a], z[pilot_of[u], a], out=est[lo:lo + ctx.L])
+    est += ctx.stats.h_bar[ues, aps, :, None]
+    return est
+
+
+def estimates_ue_last(ctx, z):
+    """Every pair's estimate, UE-last (n, L, N, K), one AP at a time: one
+    AP's estimates of every UE are contiguous, so a serving subspace is a
+    gather of |M_k| blocks (``detectors.serving_subspace``)."""
+    n_trials = z.shape[-1]
+    out = np.empty((n_trials, ctx.L, ctx.N, ctx.K), dtype=complex)
+    every = np.arange(ctx.K)
+    for l in range(ctx.L):
+        out[:, l] = estimates(ctx, z, every, np.full(ctx.K, l)).T
+    return out
 
 
 def sample_data_noise(ctx, h, rng):
-    """(n, L, N) effective data-phase receive noise per AP.
+    """(L, N, n) effective data-phase receive noise per AP.
 
     The scalar UE DAC noise is shared across APs within a trial, so the
     cross-AP noise correlation the LSFD closed form accounts for is present.
-    The channel-weighted sum runs per UE on the trials-last layout of ``h``.
+    The channel-weighted sum runs per UE on the trials-last ``h`` of
+    ``sample_joint``.
     """
-    n_trials = h.shape[0]
+    n_trials = h.shape[-1]
     q = ctx.q
     one_ad = 1.0 - q.rho_ad
     n_da = crandn(rng, (n_trials, ctx.K), q.rho_da * ctx.p_full)
-    n_an = crandn(rng, (n_trials, ctx.L, ctx.N), ctx.sigma2)
-    n_ad = crandn(rng, (n_trials, ctx.L, ctx.N), q.rho_ad * one_ad * ctx.adc_diag)
-    h_t = np.moveaxis(h, 0, -1)                                  # (K, L, N, n)
+    n_an = _crandn_trials_last(rng, n_trials, (ctx.L, ctx.N), ctx.sigma2)
+    n_ad = _crandn_trials_last(rng, n_trials, (ctx.L, ctx.N),
+                               q.rho_ad * one_ad * ctx.adc_diag)
     n_da_t = np.ascontiguousarray(n_da.T)                        # (K, n)
-    mixed = h_t[0] * n_da_t[0]
+    mixed = h[0] * n_da_t[0]
     for k in range(1, ctx.K):
-        mixed += h_t[k] * n_da_t[k]
-    return one_ad * (np.moveaxis(mixed, -1, 0) + n_an) + n_ad
+        mixed += h[k] * n_da_t[k]
+    return one_ad * (mixed + n_an) + n_ad

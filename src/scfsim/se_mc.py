@@ -10,12 +10,16 @@ the instantaneous-SINR bound averaged over estimate realizations.
 
 Trials are processed in fixed-size batches with per-batch derived RNG
 streams and summed in batch order, so results are bit-identical no matter
-how the surrounding experiment is scheduled. Within a batch the per-UE work
-is BLAS contractions on one relayout of the batch: the true channels
-AP-major for the distributed moments, the estimates UE-last for the
-centralized subspaces, each UE's serving APs gathered once. Estimate-free
-combiner parts (static matrices, error-plus-noise blocks) are built once
-per report, and detector and weighting names are checked before sampling.
+how the surrounding experiment is scheduled. A batch holds one copy of the
+true channels plus only what its engine reads, in the layout it reads
+(``sampling``). The distributed engine forms estimates and combiners only
+on the pairs its local detector reads and serves, and reads the
+trials-last channels in place. The centralized engine drops the channels
+once the pilot observations exist and writes every estimate UE-last, so
+each UE's serving subspace is one gather, or a view when it is every AP.
+Estimate-free combiner parts (static matrices, error-plus-noise blocks)
+are built once per report, and detector and weighting names are checked
+before sampling.
 """
 
 import math
@@ -26,11 +30,12 @@ import numpy as np
 from .config import WEIGHTINGS
 from .detectors import (_check_detector, centralized_combiners,
                         centralized_system_matrices, local_combiners,
-                        local_statics, serving_subspace, ue_last)
+                        local_pairs, local_statics, serving_subspace)
 from .lsfd import Moments, se_from_moments
 from .pilots import block_diag_cov
 from .rng import substream
-from .sampling import sample_data_noise, sample_joint
+from .sampling import (estimates, estimates_ue_last, sample_data_noise,
+                       sample_joint)
 
 MC_BATCH_ELEMS = 1 << 21   # target complex elements per (trials x K x L x N) batch
 STDERR_GROUPS = 10
@@ -134,52 +139,60 @@ def _gram(x):
 def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     """Joint Monte Carlo sample sums of every UE's distributed moments.
 
-    Each batch's true channels are laid out AP-major, (L, n, N, K), so UE
-    k's effective channels g (|M_k|, n, K) of every UE are one matmul over
-    its serving APs, and the interference Grams are BLAS products of
-    sqrt(p̈)-scaled g. When Q_k is every UE the overlap Gram is the full one.
+    A batch holds the true channels, trials-last (K, L, N, n), and the
+    combiners on the served pairs, (P, N, n) in UE-major order. UE k's
+    effective channels g (|M_k|, K, n) of every UE are, per serving AP, N
+    multiply-adds of its conjugated combiner with that AP's (K, n) channel
+    slices, read in place; the interference Grams are BLAS products of
+    sqrt(p̈)-scaled g. When Q_k is every UE the overlap Gram is the full
+    one.
     """
     _check_detector("distributed", detector)
-    serving = [np.asarray(cluster.serving[k], dtype=int) for k in range(ctx.K)]
+    serving = [np.asarray(m, dtype=int) for m in cluster.serving]
     overlap = [None if len(cluster.overlap[k]) == ctx.K
                else np.asarray(cluster.overlap[k], dtype=int) for k in range(ctx.K)]
+    sizes = [len(m) for m in cluster.serving]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
-    acc = DistributedSums(ctx, [len(s) for s in serving],
-                          min(STDERR_GROUPS, len(batches)))
+    acc = DistributedSums(ctx, sizes, min(STDERR_GROUPS, len(batches)))
     statics = local_statics(ctx, cluster, detector)
-    sqrt_p = np.sqrt(ctx.p_ddot)
+    pairs = local_pairs(cluster, detector)
+    sqrt_p = np.sqrt(ctx.p_ddot)[:, None]
 
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-distributed", b_idx)
-        h, hhat = sample_joint(ctx, rng, hi - lo)
-        noise = sample_data_noise(ctx, h, rng)
-        v = local_combiners(hhat, ctx, cluster, detector, statics)
-        del hhat
-        h_ap = np.ascontiguousarray(h.transpose(2, 0, 3, 1))
-        del h
+        h, z = sample_joint(ctx, rng, hi - lo)
+        noise = sample_data_noise(ctx, h, rng)                   # (L, N, n)
+        v = local_combiners(estimates(ctx, z, *pairs), ctx, cluster,
+                            detector, statics)                   # (P, N, n)
+        del z
         g_idx = _group_of(b_idx, len(batches), acc.groups)
         acc.count[g_idx] += hi - lo
         for k in range(ctx.K):
-            m_idx = serving[k]
-            v_k = v[:, k, m_idx, :]                              # (n, M, N)
-            g = (np.conj(v_k).transpose(1, 0, 2)[:, :, None, :]
-                 @ h_ap[m_idx])[:, :, 0]                         # (M, n, K)
-            acc.g_sum[k][g_idx] += g[:, :, k].sum(axis=1)
+            v_k = v[bounds[k]:bounds[k + 1]]                     # (M, N, n)
+            cv = np.conj(v_k)
+            g = np.empty((sizes[k], ctx.K, hi - lo), dtype=complex)
+            for j, l in enumerate(serving[k]):
+                np.multiply(h[:, l, 0], cv[j, 0], out=g[j])      # (K, n)
+                for a in range(1, ctx.N):
+                    g[j] += h[:, l, a] * cv[j, a]
+            acc.g_sum[k][g_idx] += g[:, k].sum(axis=1)
             g *= sqrt_p
-            w_full = _gram(g.reshape(len(m_idx), -1))
+            w_full = _gram(g.reshape(sizes[k], -1))
             acc.w_full[k][g_idx] += w_full
             q_idx = overlap[k]
             acc.w_overlap[k][g_idx] += (
                 w_full if q_idx is None
-                else _gram(g[:, :, q_idx].reshape(len(m_idx), -1)))
-            f = np.einsum("bmn,bmn->mb", np.conj(v_k), noise[:, m_idx, :])
+                else _gram(g[:, q_idx].reshape(sizes[k], -1)))
+            f = np.sum(cv * noise[serving[k]], axis=1)          # (M, n)
             acc.f_outer[k][g_idx] += _gram(f)
-            v_abs2 = np.sum(np.abs(v_k) ** 2, axis=0)           # (M, N)
+            v_abs2 = np.sum(np.abs(v_k) ** 2, axis=-1)          # (M, N)
             acc.d_local[k][g_idx] += (
-                np.sum(v_abs2 * ctx.nx_diag[m_idx], axis=1)
-                + np.sum(v_abs2, axis=1) * ctx.nx_iso[m_idx])
-        # freed before the next batch is drawn, not overwritten after it
-        del v, h_ap, noise, g
+                np.sum(v_abs2 * ctx.nx_diag[serving[k]], axis=1)
+                + np.sum(v_abs2, axis=1) * ctx.nx_iso[serving[k]])
+        # freed before the next batch is drawn, not overwritten after it;
+        # v_k and cv would keep v alive
+        del h, noise, v, v_k, cv, g
     return acc
 
 
@@ -209,8 +222,10 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
 def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     """Per-UE centralized SE: E[log2(1 + instantaneous SINR)] over estimates.
 
-    Each batch's estimates are laid out UE-last once, so every UE's serving
-    subspace is one gather shared by its combiner and its SINR.
+    Each batch's true channels are dropped once the pilot observations
+    exist, and its estimates are written one AP at a time straight into the
+    UE-last layout, so every UE's serving subspace is one gather (a view
+    when M_k is every AP) shared by its combiner and its SINR.
     """
     _check_detector("centralized", detector)
     statics = (centralized_system_matrices(ctx, cluster, detector)
@@ -227,9 +242,9 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
 
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-centralized", b_idx)
-        hhat = sample_joint(ctx, rng, hi - lo)[1]
-        hhat_t = ue_last(hhat)
-        del hhat
+        z = sample_joint(ctx, rng, hi - lo)[1]
+        hhat_t = estimates_ue_last(ctx, z)                      # (n, L, N, K)
+        del z
         g_idx = _group_of(b_idx, len(batches), groups)
         count[g_idx] += hi - lo
         for k in range(ctx.K):

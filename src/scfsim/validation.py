@@ -18,7 +18,7 @@ from .numerics import hermitize
 from .pilots import build_estimation_context, round_robin_pilots
 from .quantization import QuantizerConfig
 from .rng import substream
-from .sampling import sample_joint
+from .sampling import estimates, sample_joint
 from .scheduler import equal_power_plan, full_cluster_plan
 from .se_closed import se_centralized_closed, theorem1_kernel
 from .se_mc import batch_plan, centralized_mc_report, distributed_mc_report
@@ -50,18 +50,22 @@ def desk_validation_config(cfg):
 
 def _kernel_mc(ctx, pairs, trials, seed):
     """Monte Carlo estimates of E[hhat_k^H h_i h_i^H hhat_k] for given
-    (k, i, l1, l2) tuples, accumulated batch-by-batch."""
+    (k, i, l1, l2) tuples, accumulated batch-by-batch. Estimates are formed
+    only on the (k, l1) and (k, l2) pairs the tuples read."""
+    ues = [k for k, _, _, _ in pairs for _ in range(2)]
+    aps = [l for _, _, l1, l2 in pairs for l in (l1, l2)]
     sums = np.zeros(len(pairs), dtype=complex)
     total = 0
     for b_idx, (lo, hi) in enumerate(batch_plan(trials, ctx.K, ctx.L, ctx.N)):
         rng = substream(seed, "kernel-oracle", b_idx)
-        h, hhat = sample_joint(ctx, rng, hi - lo)
+        h, z = sample_joint(ctx, rng, hi - lo)
+        hhat = estimates(ctx, z, ues, aps)                       # (2J, N, n)
         total += hi - lo
         for j, (k, i, l1, l2) in enumerate(pairs):
-            left = np.einsum("bn,bn->b", np.conj(hhat[:, k, l1]), h[:, i, l1])
-            right = np.einsum("bn,bn->b", np.conj(h[:, i, l2]), hhat[:, k, l2])
+            left = np.einsum("nb,nb->b", np.conj(hhat[2 * j]), h[i, l1])
+            right = np.einsum("nb,nb->b", np.conj(h[i, l2]), hhat[2 * j + 1])
             sums[j] += np.sum(left * right)
-        del h, hhat
+        del h, z, hhat
     return sums / total
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from scfsim.channel import ChannelStatistics, Scenario, channel_statistics, generate_scenario
 from scfsim.config import SimConfig
-from scfsim.detectors import local_combiners
 from scfsim.pilots import build_estimation_context, round_robin_pilots
 from scfsim.quantization import QuantizerConfig
 from scfsim.scheduler import equal_power_plan, full_cluster_plan
@@ -31,9 +30,11 @@ def lmmse_at_ap(hhat_l, l, ctx, cluster):
     """Every UE's L-MMSE vector at AP l, (K, N), from AP l's (K, N) estimates:
     a one-trial batch holding them at AP l (AP l's solve reads no other AP's
     estimates), through the batched ``local_combiners``."""
+    from oracles import local_combiners_full
+
     hhat = np.zeros((1, ctx.K, ctx.L, ctx.N), dtype=complex)
     hhat[0, :, l] = hhat_l
-    return local_combiners(hhat, ctx, cluster, "lmmse")[0, :, l]
+    return local_combiners_full(hhat, ctx, cluster, "lmmse")[0, :, l]
 
 
 def synthetic_stats(beta, kappa, theta, n_ant, asd_rad=np.radians(15.0)):

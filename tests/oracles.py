@@ -7,20 +7,26 @@ Theorem-2 ingredient (lambda, b, c, d) exposed, and the former builder of
 the per-AP error-plus-noise matrices W that the estimation context now
 holds. ``run_algorithm1`` and its two helpers are the former loop-based
 scheduler, which ``scheduler.run_algorithm1`` runs as array steps. The
-single-link helpers (LOS steering vector, PSD square root, one
-channel draw, one local MMSE estimate, the DAC/ADC models applied to one
-signal) are the textbook forms the batched code paths are checked against.
+Monte Carlo helpers give a batch in the full (n, K, L, N) layout the
+engines no longer build: every pair's estimates, the UE-last copy, and the
+former zero-filled local combiners. The single-link helpers (LOS steering
+vector, PSD square root, one channel draw, one local MMSE estimate, the
+DAC/ADC models applied to one signal) are the textbook forms the batched
+code paths are checked against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from scfsim.detectors import (local_combiners, local_pairs, local_statics,
+                              served_pairs)
 from scfsim.lsfd import Moments
 from scfsim.numerics import (NotPositiveSemidefiniteError, crandn, hermitize,
                              linear_to_db)
 from scfsim.pilots import make_pilot_plan
 from scfsim.quantization import received_noise_covariance
+from scfsim.sampling import estimates, sample_data_noise, sample_joint
 from scfsim.scheduler import ClusterPlan, PowerPlan
 
 # eigenvalues above -PSD_CLIP_FRACTION * trace are treated as rounding noise
@@ -80,6 +86,62 @@ def adc_apply(x, rho_ad, cov_diag_x, rng):
         return np.asarray(x, dtype=complex)
     noise = crandn(rng, np.shape(x), rho_ad * (1.0 - rho_ad) * cov_diag_x)
     return (1.0 - rho_ad) * x + noise
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo batches in the full (n, K, L, N) layout
+# ---------------------------------------------------------------------------
+
+def joint_batch(ctx, rng, n_trials):
+    """(h, hhat), both (n, K, L, N): ``sample_joint``'s true channels and
+    the estimates of every (UE, AP) pair, as views of trials-last arrays."""
+    h, z = sample_joint(ctx, rng, n_trials)
+    hhat = estimates(ctx, z, *np.nonzero(np.ones((ctx.K, ctx.L), dtype=bool)))
+    hhat = hhat.reshape(ctx.K, ctx.L, ctx.N, n_trials)
+    return np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0)
+
+
+def data_noise_batch(ctx, h, rng):
+    """``sample_data_noise`` for an (n, K, L, N) channel batch, (n, L, N)."""
+    return np.moveaxis(sample_data_noise(ctx, np.moveaxis(h, 0, -1), rng), -1, 0)
+
+
+def ue_last(hhat):
+    """(n, L, N, K) copy of an (n, K, L, N) batch: the layout
+    ``detectors.serving_subspace`` reads."""
+    return np.ascontiguousarray(np.moveaxis(hhat, 1, -1))
+
+
+def zero_filled_local_combiners(hhat, ctx, cluster, method):
+    """Local combining vectors (n, K, L, N), zero where l ∉ M_k, as the
+    former ``detectors.local_combiners`` built them from a full estimate
+    batch: AP l's solve reads AP l's estimates only."""
+    statics = local_statics(ctx, cluster, method)
+    if method == "mrc":
+        return hhat * cluster.D[None, :, :, None]
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    v = np.zeros_like(hhat)
+    for l, (static, est) in enumerate(statics):
+        served = np.asarray(cluster.served[l], dtype=int)
+        if served.size == 0:
+            continue
+        a = static[None] + one_ad2 * np.einsum(
+            "i,bin,bim->bnm", ctx.p_ddot[est], hhat[:, est, l],
+            np.conj(hhat[:, est, l]))
+        rhs = np.swapaxes(hhat[:, served, l], 1, 2)        # (n, N, |served|)
+        sol = np.linalg.solve(a, rhs)
+        v[:, served, l] = np.swapaxes(sol, 1, 2)
+    return v
+
+
+def local_combiners_full(hhat, ctx, cluster, method):
+    """``detectors.local_combiners`` on an (n, K, L, N) estimate batch,
+    scattered into a zero-filled (n, K, L, N) array."""
+    est = np.moveaxis(hhat, 0, -1)[local_pairs(cluster, method)]
+    v = np.zeros_like(hhat)
+    v[(slice(None),) + served_pairs(cluster)] = np.moveaxis(
+        local_combiners(est, ctx, cluster, method), -1, 0)
+    return v
 
 
 # ---------------------------------------------------------------------------

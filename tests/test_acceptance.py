@@ -19,12 +19,12 @@ from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
-from scfsim.sampling import sample_joint
 from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce, cc_lsfd,
                               cc_plsfd, run_algorithm1)
 from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.se_mc import centralized_mc_report, distributed_mc_report
 from conftest import lmmse_at_ap, small_system
+from oracles import joint_batch
 
 
 def _report(criterion, passed, detail):
@@ -51,7 +51,7 @@ def test_criterion_01_theorem1_kernels_vs_mc():
     sums = {c: [] for c in cases}
     rng = substream(123, "kernel-acceptance")
     for _ in range(trials // batch):
-        h, hhat = sample_joint(ctx, rng, batch)
+        h, hhat = joint_batch(ctx, rng, batch)
         for name, (k, i, l1, l2) in cases.items():
             left = np.einsum("bn,bn->b", np.conj(hhat[:, k, l1]), h[:, i, l1])
             right = np.einsum("bn,bn->b", np.conj(h[:, i, l2]), hhat[:, k, l2])

@@ -89,7 +89,8 @@ def test_spatial_correlation_riemann_oracle():
     assert np.max(np.abs(r[:, 0] - oracle)) < 1e-8 * np.max(np.abs(oracle))
 
 
-BAD_ASDS = (np.nan, 0.0, -1.0, np.inf)
+# the last two square to a subnormal float and to zero
+BAD_ASDS = (np.nan, 0.0, -1.0, np.inf, np.radians(1e-160), np.radians(1e-198))
 
 
 def _no_quadrature(*args):
@@ -109,6 +110,16 @@ def test_channel_statistics_rejects_bad_asd(monkeypatch):
     for asd in BAD_ASDS:
         with pytest.raises(ValueError):
             channel_statistics(scn, 0, asd)
+
+
+def test_tiny_asd_whose_square_is_normal_builds_r():
+    """At 1e-150 degrees the ASD's square is still a normal float: the
+    config loads and R carries the NLOS power, trace N * beta."""
+    cfg = SimConfig(asd_deg=1e-150)
+    for n_ant in (2, 3):
+        r = spatial_correlation(0.3, cfg.asd_rad, 0.7, n_ant)
+        assert np.all(np.isfinite(r))
+        assert abs(np.trace(r).real - n_ant * 0.7) <= 1e-12 * n_ant * 0.7
 
 
 def test_spatial_correlation_node_budget_exhaustion():

@@ -34,17 +34,22 @@ def test_run_emits_file(tmp_path, capsys):
 @pytest.mark.parametrize("out", ("file/x.csv", "file/sub/x.csv", "dir"),
                          ids=("x.csv", "sub/x.csv", "directory"))
 def test_run_fails_on_impossible_out_before_running(tmp_path, monkeypatch,
-                                                    out):
-    """An --out below a regular file, or naming a directory, fails before
-    the experiment runs."""
+                                                    capsys, out):
+    """An --out below a regular file, or naming a directory, prints one
+    error line naming the path and exits 2 before the experiment runs."""
     def no_run(*args, **kwargs):
         raise AssertionError("experiment ran before the output path failed")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
-    with pytest.raises(OSError):
-        main(["run", "sum-se-vs-N", "--out", str(tmp_path / out)])
+    path = str(tmp_path / out)
+    assert main(["run", "sum-se-vs-N", "--out", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
+    assert path in lines[0]
 
 
 def test_validate_exit_codes(tmp_path, capsys):

@@ -5,16 +5,15 @@ from hypothesis import strategies as st
 
 from scfsim.detectors import (centralized_combiners,
                               centralized_system_matrices, detector_sets,
-                              local_combiners, local_statics,
-                              serving_subspace, ue_last)
+                              local_statics, serving_subspace)
 from scfsim.numerics import crandn, hermitize
 from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
-from scfsim.sampling import sample_joint
 from scfsim.scheduler import cluster_plan_from_indicators
 
 from conftest import lmmse_at_ap, small_system
+from oracles import joint_batch, local_combiners_full, ue_last
 
 
 LOCAL = ("lmmse", "lpmmse", "lpmmse-full")
@@ -53,13 +52,13 @@ def test_lmmse_k1_collinear_with_estimate():
 def test_lmmse_beats_mrc_instantaneous():
     _, stats, q, powers, plan, ctx, cluster = small_system(seed=18)
     trials = 100
-    _, hhat = sample_joint(ctx, substream(1, "det"), trials)
+    _, hhat = joint_batch(ctx, substream(1, "det"), trials)
     one_ad2 = (1 - q.rho_ad) ** 2
     l = 0
     static = np.array(ctx.c_n[l])
     for i in range(stats.K):
         static += one_ad2 * powers.p_ddot[i] * (stats.R[i, l] - ctx.c_hhat[i, l])
-    v_all = local_combiners(hhat, ctx, cluster, "lmmse")
+    v_all = local_combiners_full(hhat, ctx, cluster, "lmmse")
     won = 0
     for b in range(trials):
         h_l = hhat[b, :, l]
@@ -91,8 +90,8 @@ def test_lpmmse_reduces_to_lmmse_when_all_primary():
     cluster = cluster_plan_from_indicators(np.ones((3, 1), dtype=bool),
                                            np.zeros(3, dtype=int))
     hhat = crandn(substream(3, "h"), (3, 2), 1e-9)[None, :, None]
-    got = local_combiners(hhat, ctx, cluster, "lpmmse")
-    want = local_combiners(hhat, ctx, cluster, "lmmse")
+    got = local_combiners_full(hhat, ctx, cluster, "lpmmse")
+    want = local_combiners_full(hhat, ctx, cluster, "lmmse")
     assert np.allclose(got, want, rtol=1e-10)
     # a plan in which an AP would combine for a UE it does not serve (its
     # primary AP left out of its cluster) is rejected when it is built
@@ -113,9 +112,9 @@ def test_lpmmse_system_matrix_hermitian_pd():
 def test_centralized_mmse_single_ap_equals_local():
     _, stats, q, powers, plan, ctx, cluster = small_system(L=1, K=3, N=2,
                                                            tau=3, seed=22)
-    _, hhat = sample_joint(ctx, substream(4, "c"), 1)
+    _, hhat = joint_batch(ctx, substream(4, "c"), 1)
     v_central = _centralized("mmse", 1, hhat, ctx, cluster)[0]
-    v_local = local_combiners(hhat, ctx, cluster, "lmmse")[0, 1, 0]
+    v_local = local_combiners_full(hhat, ctx, cluster, "lmmse")[0, 1, 0]
     assert np.allclose(v_central, v_local, rtol=1e-10)
 
 
@@ -126,7 +125,7 @@ def test_centralized_masking_and_residual():
     d[1, 2] = True
     d[3, 1] = True
     cluster = cluster_plan_from_indicators(d, np.zeros(4, dtype=int))
-    _, hhat = sample_joint(ctx, substream(5, "c"), 1)
+    _, hhat = joint_batch(ctx, substream(5, "c"), 1)
     # a centralized vector has entries on its serving APs only
     for k in range(4):
         for method in ("mmse", "pmmse"):
@@ -149,7 +148,7 @@ def test_pmmse_full_overlap_equals_mmse():
     # every AP serves every UE: Q_k = all, primary set = all -> same system
     _, stats, q, powers, plan, ctx, cluster = small_system(L=2, K=3, N=2,
                                                            tau=3, seed=24)
-    _, hhat = sample_joint(ctx, substream(6, "c"), 1)
+    _, hhat = joint_batch(ctx, substream(6, "c"), 1)
     for k in range(3):
         v_m = _centralized("mmse", k, hhat, ctx, cluster)
         v_p = _centralized("pmmse", k, hhat, ctx, cluster)
@@ -158,7 +157,7 @@ def test_pmmse_full_overlap_equals_mmse():
 
 def test_other_schemes_methods_are_rejected():
     _, _, _, _, _, ctx, cluster = small_system(seed=27)
-    _, hhat = sample_joint(ctx, substream(9, "c"), 1)
+    _, hhat = joint_batch(ctx, substream(9, "c"), 1)
     sub = serving_subspace(ue_last(hhat), cluster, 0)
     for method in ("lpmmse", "zf"):
         with pytest.raises(ValueError, match="centralized detector"):
@@ -175,7 +174,7 @@ def test_other_schemes_methods_are_rejected():
 def test_sinr_scale_invariance():
     _, stats, q, powers, plan, ctx, cluster = small_system(seed=25)
     w_full = ctx.w
-    _, hhat = sample_joint(ctx, substream(7, "c"), 1)
+    _, hhat = joint_batch(ctx, substream(7, "c"), 1)
     k = 0
     serving = cluster.serving[k]
     sub = hhat[0][:, serving, :].reshape(stats.K, -1)
@@ -214,7 +213,7 @@ def test_pmmse_equals_mmse_when_neglected_ues_are_silent():
         if i not in kept:
             p[i] = 0.0
     ctx = build_estimation_context(stats, plan, p, q, cfg.sigma2_mw)
-    _, hhat = sample_joint(ctx, substream(8, "c"), 1)
+    _, hhat = joint_batch(ctx, substream(8, "c"), 1)
     v_m = _centralized("mmse", k, hhat, ctx, cluster)
     v_p = _centralized("pmmse", k, hhat, ctx, cluster)
     assert np.allclose(v_m, v_p, rtol=1e-10, atol=0)

@@ -72,6 +72,14 @@ def test_load_config_validation(tmp_path):
         path.write_text(json.dumps({field: value}))
         with pytest.raises(ConfigError, match=field):
             load_config(path)
+    # an ASD whose square in radians underflows: NaN quadrature weights at
+    # 1e-198 (the node doubling ran out of memory), weights summing to 1.33
+    # at 1e-160
+    for i, value in enumerate((1e-198, 1e-160)):
+        path = tmp_path / f"tiny_asd_{i}.json"
+        path.write_text(json.dumps({"asd_deg": value}))
+        with pytest.raises(ConfigError, match="asd_deg"):
+            load_config(path)
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({"K": 5, "b_ad": 2, "b_da": None, "seed": 0,
                               "d_bar": None, "sigma2_dbm": -90}))

@@ -5,7 +5,6 @@ from scfsim.config import SimConfig
 from scfsim.harness import build_system
 from scfsim.lsfd import Moments, build_ingredients, lsfd_weights, se_from_moments
 from scfsim.rng import substream
-from scfsim.sampling import sample_data_noise, sample_joint
 from scfsim.scheduler import full_cluster_plan
 from scfsim.se_mc import distributed_mc_sums
 
@@ -43,8 +42,8 @@ def test_ingredients_match_monte_carlo_moments():
     done = 0
     while done < trials:
         n = min(30000, trials - done)
-        h, hhat = sample_joint(ctx, rng, n)
-        noise = sample_data_noise(ctx, h, rng)
+        h, hhat = oracles.joint_batch(ctx, rng, n)
+        noise = oracles.data_noise_batch(ctx, h, rng)
         v = hhat[:, k, m_idx, :]
         g = np.einsum("bmn,bimn->bim", np.conj(v), h[:, :, m_idx, :])
         g_sum += g[:, k].sum(axis=0)

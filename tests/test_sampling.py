@@ -4,7 +4,9 @@ The oracles below draw with ``crandn`` in the (n, ...) layout and contract
 with einsum, one pilot and one UE at a time. The sampler must consume the
 same stream in the same order and agree with them to 1e-13 relative, on
 Rician and Rayleigh fading, ideal and 1-4 bit converters, N = 1, 2, 3
-antennas, and more UEs than pilots (co-pilot UEs share an observation).
+antennas, and more UEs than pilots (co-pilot UEs share an observation):
+the channels, the pilot observations, the estimates formed from them and
+the data noise.
 """
 
 import numpy as np
@@ -12,9 +14,11 @@ import pytest
 
 from scfsim.numerics import crandn
 from scfsim.rng import substream
-from scfsim.sampling import _crandn_trials_last, sample_data_noise, sample_joint
+from scfsim.sampling import (_crandn_trials_last, estimates, estimates_ue_last,
+                             sample_data_noise, sample_joint)
 
 from conftest import small_system
+from oracles import joint_batch, ue_last
 
 REL = 1e-13
 CONVERTERS = [(None, None), (1, 1), (2, 3), (3, 2), (4, 4)]
@@ -40,7 +44,7 @@ def _oracle_joint(ctx, rng, n_trials):
         t_k = ctx.plan.pilot_of[k]
         hhat[:, k] = ctx.stats.h_bar[k][None] + np.einsum(
             "lnm,blm->bln", ctx.est_gain[k], z_w[:, t_k])
-    return h, hhat
+    return h, z_w, hhat
 
 
 def _oracle_data_noise(ctx, h, rng):
@@ -67,12 +71,15 @@ def test_sampler_matches_einsum_oracle(fading, bits, n_ant, n_trials):
                        fading=fading, seed=21)[5]
     assert any(len(s) > 1 for s in ctx.plan.copilot_sets)
     rng, rng_oracle = substream(4, "joint"), substream(4, "joint")
-    h, hhat = sample_joint(ctx, rng, n_trials)
-    want_h, want_hhat = _oracle_joint(ctx, rng_oracle, n_trials)
-    _assert_close(h, want_h)
-    _assert_close(hhat, want_hhat)
+    h, z = sample_joint(ctx, rng, n_trials)
+    want_h, want_z, want_hhat = _oracle_joint(ctx, rng_oracle, n_trials)
+    _assert_close(np.moveaxis(h, -1, 0), want_h)
+    _assert_close(np.moveaxis(z, -1, 0), want_z)
+    every = np.nonzero(np.ones((ctx.K, ctx.L), dtype=bool))
+    hhat = estimates(ctx, z, *every).reshape(ctx.K, ctx.L, ctx.N, n_trials)
+    _assert_close(np.moveaxis(hhat, -1, 0), want_hhat)
     # the data noise continues the stream where the joint draw left it
-    _assert_close(sample_data_noise(ctx, h, rng),
+    _assert_close(np.moveaxis(sample_data_noise(ctx, h, rng), -1, 0),
                   _oracle_data_noise(ctx, want_h, rng_oracle))
 
 
@@ -84,14 +91,34 @@ def test_trials_last_draws_are_bit_identical(shape, n_trials):
     assert got.shape == shape + (n_trials,)
     assert got.flags.c_contiguous
     assert np.array_equal(got, want)
+    var = np.linspace(0.5, 2.0, shape[-1])
+    got = _crandn_trials_last(substream(2, "draw"), n_trials, shape, var)
+    want = crandn(substream(2, "draw"), (n_trials,) + shape, var)
+    assert np.array_equal(got, np.moveaxis(want, 0, -1))
 
 
 def test_shapes_and_repeatability():
     ctx = small_system(L=3, K=5, N=2, tau=2, seed=22)[5]
-    h, hhat = sample_joint(ctx, substream(6, "shape"), 16)
-    assert h.shape == hhat.shape == (16, ctx.K, ctx.L, ctx.N)
+    h, z = sample_joint(ctx, substream(6, "shape"), 16)
+    assert h.shape == (ctx.K, ctx.L, ctx.N, 16)
+    assert z.shape == (ctx.tau, ctx.L, ctx.N, 16)
+    assert h.flags.c_contiguous and z.flags.c_contiguous
     noise = sample_data_noise(ctx, h, substream(7, "noise"))
-    assert noise.shape == (16, ctx.L, ctx.N)
-    again_h, again_hhat = sample_joint(ctx, substream(6, "shape"), 16)
-    assert np.array_equal(again_h, h) and np.array_equal(again_hhat, hhat)
+    assert noise.shape == (ctx.L, ctx.N, 16)
+    again_h, again_z = sample_joint(ctx, substream(6, "shape"), 16)
+    assert np.array_equal(again_h, h) and np.array_equal(again_z, z)
     assert np.array_equal(sample_data_noise(ctx, h, substream(7, "noise")), noise)
+
+
+@pytest.mark.parametrize("fading", ["rician", "rayleigh"])
+def test_estimate_layouts_agree(fading):
+    """Estimates on a list of pairs and the UE-last batch are the full
+    estimate batch at those places."""
+    ctx = small_system(L=3, K=5, N=2, tau=2, fading=fading, seed=23)[5]
+    _, hhat = joint_batch(ctx, substream(8, "layout"), 9)
+    z = sample_joint(ctx, substream(8, "layout"), 9)[1]
+    ues, aps = np.array([4, 0, 0, 2, 4]), np.array([1, 2, 0, 2, 1])
+    got = estimates(ctx, z, ues, aps)
+    assert got.shape == (len(ues), ctx.N, 9)
+    _assert_close(np.moveaxis(got, -1, 0), hhat[:, ues, aps])
+    _assert_close(estimates_ue_last(ctx, z), ue_last(hhat))
