@@ -8,6 +8,8 @@ import operator
 import sys
 from dataclasses import dataclass
 
+from .quantization import distortion_factor
+
 
 class ConfigError(ValueError):
     """Raised on unparseable files or invariant-violating field values."""
@@ -26,12 +28,13 @@ def _is_integer(value):
 
 def _is_real(value):
     """Whether ``value`` is a real number: ``float`` takes it, and it is no
-    bool or string (``float`` would read True as 1.0 and "5" as 5.0)."""
+    bool or string (``float`` would read True as 1.0 and "5" as 5.0) and no
+    integer too large for a float."""
     if value is None or isinstance(value, (bool, str, bytes)):
         return False
     try:
         float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
     return True
 
@@ -97,6 +100,11 @@ class SimConfig:
             if b is not None and not (_is_integer(b) and b >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1 or null "
                                   f"(ideal), got {b!r}")
+            try:
+                distortion_factor(b)
+            except OverflowError:
+                raise ConfigError(f"{name} is too large for the distortion "
+                                  f"law sqrt(3) pi 2^(-2b-1)") from None
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("area_side", "bandwidth_hz", "noise_figure_db", "sigma2_dbm",
@@ -117,6 +125,15 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        try:
+            sigma2 = self.sigma2_mw
+        except OverflowError:
+            sigma2 = math.inf
+        if not (math.isfinite(sigma2) and sigma2 > 0):
+            source = ("sigma2_dbm" if self.sigma2_dbm is not None
+                      else "bandwidth_hz and noise_figure_db")
+            raise ConfigError(f"the noise power from {source} must be a finite "
+                              f"positive number of mW, got {sigma2:g}")
         if self.d_bar is not None and not self.d_bar > 0:
             raise ConfigError(f"d_bar must be positive or null (area diagonal), "
                               f"got {self.d_bar}")
@@ -169,9 +186,9 @@ def load_config(path):
     if not text.strip():
         data = {}
     else:
-        try:
+        try:    # ValueError: bad JSON, or an int past Python's digit limit
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")

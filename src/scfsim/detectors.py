@@ -147,18 +147,17 @@ def local_pairs(cluster, method):
     return served_pairs(cluster)
 
 
-def local_combiners(est, ctx, cluster, method, statics=None):
+def local_combiners(est, ctx, cluster, method, statics):
     """Batched local combining vectors on the served pairs, (P, N, n).
 
     ``est`` holds the estimates of the pairs ``local_pairs(cluster,
     method)``, (pairs, N, n); the result's rows follow ``served_pairs``.
     ``method``: "mrc", "lmmse", "lpmmse" (partial), or "lpmmse-full"
     (estimates for every served UE, the unreduced scalable baseline).
-    ``statics``: ``local_statics(ctx, cluster, method)``, when the caller
-    reuses it across batches. AP l's solve reads AP l's estimates only.
+    ``statics``: ``local_statics(ctx, cluster, method)``, which validates
+    ``method`` and is built once for every batch. AP l's solve reads AP l's
+    estimates only.
     """
-    if statics is None:
-        statics = local_statics(ctx, cluster, method)
     if method == "mrc":
         return est
 
@@ -206,17 +205,16 @@ def serving_subspace(hhat_t, cluster, k):
     return hhat_t.reshape(hhat_t.shape[0], -1, hhat_t.shape[-1])
 
 
-def centralized_combiners(sub, ctx, cluster, method, k, static=None):
+def centralized_combiners(sub, ctx, method, k, static):
     """Batched combining vectors for UE k on its serving subspace, (n, m).
 
-    ``sub`` is ``serving_subspace`` of the batch; ``static`` the precomputed
-    system-matrix part.
+    ``sub`` is ``serving_subspace`` of the batch; ``static`` UE k's entry of
+    ``centralized_system_matrices``, built once for every batch (None for
+    MRC, which has no system matrix).
     """
     _check_detector("centralized", method)
     if method == "mrc":
         return sub[..., k]
-    if static is None:
-        static = static_part(ctx, cluster, method, k)
     mat, est_set = static
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     scaled = np.take(sub, est_set, axis=-1)

@@ -155,6 +155,12 @@ def build_ingredients(ctx, cluster):
     return tuple(moments)
 
 
+def _check_weighting(weighting):
+    if weighting not in WEIGHTINGS:
+        raise ValueError(f"unknown weighting {weighting!r}; "
+                         f"choose from {'|'.join(WEIGHTINGS)}")
+
+
 def lsfd_weights(moments, weighting):
     """Second-stage weights: C_k^{-1} E[g_kk] for lsfd, (C_k^P)^{-1} E[g_kk]
     for the scalable plsfd, all ones for l2.
@@ -162,9 +168,7 @@ def lsfd_weights(moments, weighting):
     C_k has the mean-signal term removed, so C_k^{-1} E[g_kk] is the
     Rayleigh-quotient optimum of the SINR in ``se_from_moments``.
     """
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting {weighting!r}; "
-                         f"choose from {'|'.join(WEIGHTINGS)}")
+    _check_weighting(weighting)
     if weighting == "l2":
         return np.ones(len(moments.signal), dtype=complex)
     c = moments.c_full if weighting == "lsfd" else moments.c_partial

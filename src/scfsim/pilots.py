@@ -1,10 +1,11 @@
 """Pilot plan, pilot-domain covariances, and MMSE channel estimation.
 
-The estimation context precomputes, per (pilot, AP) and per link, every matrix
-the detectors, closed forms, and Monte Carlo samplers reuse: receive-noise
-covariances, pilot-domain covariances Psi, estimator gains, and the estimate
-covariances. The per-link matrices are stored as (K, L, N, N) stacks and come
-from one batched solve of every (k, l) system against Psi of k's pilot.
+The estimation context precomputes, per AP and per link, every matrix the
+detectors, closed forms, and Monte Carlo samplers reuse: receive-noise
+covariances, estimator gains, and the estimate covariances. The per-link
+matrices are stored as (K, L, N, N) stacks and come from one batched solve
+of every (k, l) system against the pilot-domain covariance Psi of k's pilot
+(``psi_matrix``), which is not kept.
 The per-AP error-plus-noise matrices W, which the centralized closed form
 and the centralized Monte Carlo detectors both read, are built here too.
 """
@@ -78,7 +79,6 @@ class EstimationContext:
     c_n: np.ndarray            # (L, N, N) receive-noise covariance per AP
     c_n_sqrt: np.ndarray       # (L, N, N) factor F with F F^H = c_n
     w: np.ndarray              # (L, N, N) c_n + (1-rho_ad)^2 Sum_i p̈_i (R_il - C_il)
-    psi: np.ndarray            # (tau, L, N, N)
     est_gain: np.ndarray       # (K, L, N, N): (1-rho_ad) sqrt(p̈ tau) R Psi^{-1}
     t_mat: np.ndarray          # (K, L, N, N): Psi^{-1} R  (for trace kernels)
     s_mat: np.ndarray          # (K, L, N, N): R Psi^{-1} R
@@ -147,7 +147,7 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
                        * np.einsum("i,il->l", p_ddot, stats.beta_los))
     return EstimationContext(stats=stats, plan=plan, p_ddot=p_ddot, q=q,
                              sigma2=sigma2, c_n=c_n, c_n_sqrt=c_n_sqrt, w=w,
-                             psi=psi, est_gain=est_gain, t_mat=t_mat,
+                             est_gain=est_gain, t_mat=t_mat,
                              s_mat=s_mat, c_hhat=c_hhat, adc_diag=adc_diag,
                              nx_diag=nx_diag, nx_iso=nx_iso)
 

@@ -1,5 +1,6 @@
 """Joint AP cluster formation, pilot assignment, and uplink power control,
-plus the complexity accounting for the weighting vectors and detectors.
+plus the exact complexity counts: ``cc_weighting`` for each weighting of
+``config.WEIGHTINGS``, ``cc_detector_ce`` for each detector.
 
 Each UE's primary AP is the strongest AP (largest large-scale gain) within
 ``d_bar`` of it, fixed once before the M passes. Every pass is a few array
@@ -17,6 +18,7 @@ import numpy as np
 
 from .config import ConfigError
 from .detectors import detector_sets
+from .lsfd import _check_weighting
 from .numerics import linear_to_db
 from .pilots import make_pilot_plan
 
@@ -164,29 +166,24 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
 # complexity accounting (exact integer counts)
 # ---------------------------------------------------------------------------
 
-def cc_plsfd(plan, pilot_plan, k):
-    """(complex multiplications, complex divisions) to form the partial
-    LSFD weights of UE k."""
+def cc_weighting(plan, pilot_plan, k, weighting):
+    """(complex multiplications, complex divisions) to form UE k's weights
+    under ``weighting``, one of ``config.WEIGHTINGS``.
+
+    The interference sums run over the UE set S: Q_k for plsfd, every UE
+    for lsfd. With m = |M_k| they cost m(m+1)|S|/2, the co-pilot terms of
+    P_k ∩ S m(5m+1)/2 each, and the m x m solve (m^3 + 3m^2 - m)/3 plus m
+    divisions. The all-ones l2 weighting costs nothing.
+    """
+    _check_weighting(weighting)
+    if weighting == "l2":
+        return 0, 0
     m = len(plan.serving[k])
-    q_k = len(plan.overlap[k])
-    pq = len(set(pilot_plan.copilot_sets[k]) & set(plan.overlap[k]))
-    cm = (m * (m + 1) * q_k) // 2 + (m * (5 * m + 1) * pq) // 2 \
+    ues = set(plan.overlap[k] if weighting == "plsfd" else range(plan.K))
+    copilot = len(ues.intersection(pilot_plan.copilot_sets[k]))
+    cm = (m * (m + 1) * len(ues)) // 2 + (m * (5 * m + 1) * copilot) // 2 \
         + (m**3 + 3 * m**2 - m) // 3
     return cm, m
-
-
-def cc_lsfd(plan, pilot_plan, k, n_users):
-    """Counts for the unscaled LSFD weights (full-K interference sums)."""
-    m = len(plan.serving[k])
-    p_k = len(pilot_plan.copilot_sets[k])
-    cm = (m * (m + 1) * n_users) // 2 + (m * (5 * m + 1) * p_k) // 2 \
-        + (m**3 + 3 * m**2 - m) // 3
-    return cm, m
-
-
-def cc_l2_lsfd():
-    """The all-ones weighting needs no computation."""
-    return 0, 0
 
 
 def cc_detector_ce(plan, detector, index, n_antennas, tau):

@@ -14,10 +14,11 @@ sum_{l in M_k} tr(W_l E[hhat_kl hhat_kl^H]) and the SE are then array
 operations; the per-AP error-plus-noise matrices W_l are a field of the
 estimation context (``ctx.w``), which the Monte Carlo engine reads too.
 
-Also the four-case expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the
-distributed expressions rest on, kept standalone for oracle validation. The
-distributed closed form is ``lsfd.build_ingredients`` followed by
-``lsfd.se_from_moments``, the path the Monte Carlo engine shares.
+Also the expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the distributed
+expressions rest on (Theorem 1), read from the same per-AP kernel blocks,
+which ``scfsim validate`` checks against Monte Carlo. The distributed closed
+form is ``lsfd.build_ingredients`` followed by ``lsfd.se_from_moments``, the
+path the Monte Carlo engine shares.
 """
 
 import numpy as np
@@ -26,42 +27,17 @@ from .lsfd import _ap_kernels
 
 
 def theorem1_kernel(k, i, l1, l2, ctx):
-    """E[hhat_{k,l1}^H h_{i,l1} h_{i,l2}^H hhat_{k,l2}] in closed form.
+    """E[hhat_{k,l1}^H h_{i,l1} h_{i,l2}^H hhat_{k,l2}] in closed form, read
+    from the kernel blocks of UE k at APs l1 and l2 (``lsfd._ap_kernels``).
 
-    Case split on pilot sharing (i co-pilot with k or not) and on l1 == l2.
+    The kernel is g_{k,l1}^i conj(g_{k,l2}^i), plus c_kl^i when l1 == l2.
     """
-    stats = ctx.stats
-    copilot = i in ctx.plan.copilot_sets[k]
+    g, tr_rs, quad_r, quad_s = (x[i, 0] for x in _ap_kernels(ctx, l1, [k]))
+    if l1 != l2:
+        return complex(g * np.conj(_ap_kernels(ctx, l2, [k])[0][i, 0]))
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    tau, p = ctx.tau, ctx.p_ddot
-
-    h_k1, h_i1 = stats.h_bar[k, l1], stats.h_bar[i, l1]
-    h_k2, h_i2 = stats.h_bar[k, l2], stats.h_bar[i, l2]
-    los_cross = np.vdot(h_k1, h_i1) * np.vdot(h_i2, h_k2)
-
-    if l1 == l2:
-        s_k = ctx.s_mat[k, l1]
-        common = (np.vdot(h_k1, stats.R[i, l1] @ h_k1)
-                  + one_ad2 * tau * p[k] * (
-                      np.trace(stats.R[i, l1] @ s_k)
-                      + np.vdot(h_i1, s_k @ h_i1)))
-        value = los_cross + common
-        if copilot:
-            tr1 = np.trace(stats.R[i, l1] @ ctx.t_mat[k, l1])
-            value += one_ad2**2 * tau**2 * p[k] * p[i] * np.abs(tr1) ** 2
-            value += 2.0 * one_ad2 * tau * np.sqrt(p[i] * p[k]) * np.real(
-                tr1 * np.vdot(h_i1, h_k1))
-        return complex(value)
-
-    if not copilot:
-        return complex(los_cross)
-    tr1 = np.trace(stats.R[i, l1] @ ctx.t_mat[k, l1])
-    tr2 = np.trace(stats.R[k, l2] @ np.linalg.solve(
-        ctx.psi[ctx.plan.pilot_of[k], l2], stats.R[i, l2]))
-    value = los_cross + one_ad2**2 * tau**2 * p[k] * p[i] * tr1 * tr2
-    value += one_ad2 * tau * np.sqrt(p[k] * p[i]) * (
-        np.vdot(h_i2, h_k2) * tr1 + np.vdot(h_k1, h_i1) * tr2)
-    return complex(value)
+    c = one_ad2 * ctx.tau * ctx.p_ddot[k] * (tr_rs + quad_s) + quad_r
+    return complex(g * np.conj(g) + c)
 
 
 def se_centralized_closed(ctx, cluster, prelog):

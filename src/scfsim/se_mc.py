@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import WEIGHTINGS
 from .detectors import (_check_detector, centralized_combiners,
                         centralized_system_matrices, local_combiners,
                         local_pairs, local_statics, serving_subspace)
-from .lsfd import Moments, se_from_moments
+from .lsfd import Moments, _check_weighting, se_from_moments
 from .pilots import block_diag_cov
 from .rng import substream
 from .sampling import (estimates, estimates_ue_last, sample_data_noise,
@@ -200,9 +199,7 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
                           prelog):
     """Per-UE distributed SE (hardening bound) by joint Monte Carlo."""
     # checked before any trial is drawn, like the detector in the sums
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting {weighting!r}; "
-                         f"choose from {'|'.join(WEIGHTINGS)}")
+    _check_weighting(weighting)
     sums = distributed_mc_sums(ctx, cluster, detector, trials, seed)
     groups = sums.groups
     se = np.empty(ctx.K)
@@ -249,8 +246,7 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
         count[g_idx] += hi - lo
         for k in range(ctx.K):
             sub = serving_subspace(hhat_t, cluster, k)          # (n, m, K)
-            v = centralized_combiners(sub, ctx, cluster, detector, k,
-                                      static=statics[k])
+            v = centralized_combiners(sub, ctx, detector, k, statics[k])
             cross2 = np.abs((np.conj(v)[:, None, :] @ sub)[:, 0]) ** 2
             own = p[k] * cross2[:, k]
             num = one_ad2 * own

@@ -3,9 +3,11 @@
 The simulator evaluates both MRC closed forms for every UE at once
 (``lsfd.build_ingredients``, ``se_closed.se_centralized_closed``); the
 builders below are the former one-UE-at-a-time versions, with every
-Theorem-2 ingredient (lambda, b, c, d) exposed, and the former builder of
-the per-AP error-plus-noise matrices W that the estimation context now
-holds. ``run_algorithm1`` and its two helpers are the former loop-based
+Theorem-2 ingredient (lambda, b, c, d) exposed, the four-case Theorem-1
+kernel formula that ``se_closed.theorem1_kernel`` now reads from the
+closed forms' per-AP kernel table, and the former builder of the per-AP
+error-plus-noise matrices W that the estimation context now holds.
+``run_algorithm1`` and its two helpers are the former loop-based
 scheduler, which ``scheduler.run_algorithm1`` runs as array steps. The
 Monte Carlo helpers give a batch in the full (n, K, L, N) layout the
 engines no longer build: every pair's estimates, the UE-last copy, and the
@@ -24,7 +26,7 @@ from scfsim.detectors import (local_combiners, local_pairs, local_statics,
 from scfsim.lsfd import Moments
 from scfsim.numerics import (NotPositiveSemidefiniteError, crandn, hermitize,
                              linear_to_db)
-from scfsim.pilots import make_pilot_plan
+from scfsim.pilots import make_pilot_plan, psi_matrix
 from scfsim.quantization import received_noise_covariance
 from scfsim.sampling import estimates, sample_data_noise, sample_joint
 from scfsim.scheduler import ClusterPlan, PowerPlan
@@ -140,7 +142,8 @@ def local_combiners_full(hhat, ctx, cluster, method):
     est = np.moveaxis(hhat, 0, -1)[local_pairs(cluster, method)]
     v = np.zeros_like(hhat)
     v[(slice(None),) + served_pairs(cluster)] = np.moveaxis(
-        local_combiners(est, ctx, cluster, method), -1, 0)
+        local_combiners(est, ctx, cluster, method,
+                        local_statics(ctx, cluster, method)), -1, 0)
     return v
 
 
@@ -241,6 +244,44 @@ def build_ingredients(k, ctx, cluster):
     return LsfdIngredients(
         k=k, serving=tuple(serving), copilot=tuple(copilot),
         overlap=tuple(overlap), lam=lam, b=b, c=c, d=d, moments=moments)
+
+
+def theorem1_kernel(k, i, l1, l2, ctx):
+    """E[hhat_{k,l1}^H h_{i,l1} h_{i,l2}^H hhat_{k,l2}] by the four-case
+    formula of Theorem 1: pilot sharing (i co-pilot with k or not) times
+    l1 == l2 or not."""
+    stats = ctx.stats
+    copilot = i in ctx.plan.copilot_sets[k]
+    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    tau, p = ctx.tau, ctx.p_ddot
+
+    h_k1, h_i1 = stats.h_bar[k, l1], stats.h_bar[i, l1]
+    h_k2, h_i2 = stats.h_bar[k, l2], stats.h_bar[i, l2]
+    los_cross = np.vdot(h_k1, h_i1) * np.vdot(h_i2, h_k2)
+
+    if l1 == l2:
+        s_k = ctx.s_mat[k, l1]
+        common = (np.vdot(h_k1, stats.R[i, l1] @ h_k1)
+                  + one_ad2 * tau * p[k] * (
+                      np.trace(stats.R[i, l1] @ s_k)
+                      + np.vdot(h_i1, s_k @ h_i1)))
+        value = los_cross + common
+        if copilot:
+            tr1 = np.trace(stats.R[i, l1] @ ctx.t_mat[k, l1])
+            value += one_ad2**2 * tau**2 * p[k] * p[i] * np.abs(tr1) ** 2
+            value += 2.0 * one_ad2 * tau * np.sqrt(p[i] * p[k]) * np.real(
+                tr1 * np.vdot(h_i1, h_k1))
+        return complex(value)
+
+    if not copilot:
+        return complex(los_cross)
+    psi = psi_matrix(ctx.plan.pilot_of[k], stats, ctx.plan, p, ctx.q, ctx.c_n)
+    tr1 = np.trace(stats.R[i, l1] @ ctx.t_mat[k, l1])
+    tr2 = np.trace(stats.R[k, l2] @ np.linalg.solve(psi[l2], stats.R[i, l2]))
+    value = los_cross + one_ad2**2 * tau**2 * p[k] * p[i] * tr1 * tr2
+    value += one_ad2 * tau * np.sqrt(p[k] * p[i]) * (
+        np.vdot(h_i2, h_k2) * tr1 + np.vdot(h_k1, h_i1) * tr2)
+    return complex(value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from scfsim.lsfd import build_ingredients, se_from_moments
 from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
-from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce, cc_lsfd,
-                              cc_plsfd, run_algorithm1)
+from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce,
+                              cc_weighting, run_algorithm1)
 from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.se_mc import centralized_mc_report, distributed_mc_report
 from conftest import lmmse_at_ap, small_system
@@ -185,10 +185,11 @@ def test_criterion_07_complexity_accounting():
             pq = len(set(plan.copilot_sets[k]) & set(cluster.overlap[k]))
             pk = len(plan.copilot_sets[k])
             cube = (m**3 + 3 * m**2 - m) // 3
-            assert cc_plsfd(cluster, plan, k) == (
+            assert cc_weighting(cluster, plan, k, "plsfd") == (
                 m * (m + 1) * qk // 2 + m * (5 * m + 1) * pq // 2 + cube, m)
-            assert cc_lsfd(cluster, plan, k, K) == (
+            assert cc_weighting(cluster, plan, k, "lsfd") == (
                 m * (m + 1) * K // 2 + m * (5 * m + 1) * pk // 2 + cube, m)
+            assert cc_weighting(cluster, plan, k, "l2") == (0, 0)
             n_ant = cfg.N
             prim_served = set(cluster.served[cluster.primary[k]])
             assert cc_detector_ce(cluster, "pmmse", k, n_ant, tau) == \

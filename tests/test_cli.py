@@ -69,9 +69,12 @@ def test_cli_rejects_unknown_experiment():
         main(["run", "no-such-experiment"])
 
 
-@pytest.mark.parametrize("config, field", (({"K": 0}, "K"),
-                                           ({"asd_deg": "15"}, "asd_deg"),
-                                           ({"area_side": True}, "area_side")))
+@pytest.mark.parametrize("config, field", (
+    ({"K": 0}, "K"), ({"asd_deg": "15"}, "asd_deg"),
+    ({"area_side": True}, "area_side"),
+    # once loaded, then an OverflowError or a zero noise power in the run
+    ({"sigma2_dbm": 4000}, "sigma2_dbm"), ({"sigma2_dbm": -4000}, "sigma2_dbm"),
+    ({"noise_figure_db": 4000}, "noise_figure_db"), ({"b_ad": 10**400}, "b_ad")))
 def test_bad_config_prints_one_line_and_exits_2(tmp_path, capsys, config, field):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

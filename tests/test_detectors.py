@@ -23,7 +23,8 @@ CENTRALIZED = ("mmse", "pmmse", "pmmse-full")
 def _centralized(method, k, hhat, ctx, cluster):
     """UE k's centralized combining vectors of a batch, on its subspace."""
     sub = serving_subspace(ue_last(hhat), cluster, k)
-    return centralized_combiners(sub, ctx, cluster, method, k)
+    static = centralized_system_matrices(ctx, cluster, method)[k]
+    return centralized_combiners(sub, ctx, method, k, static)
 
 
 def _instantaneous_sinr(v, hhat, k, static_err, p_ddot, one_ad2):
@@ -139,7 +140,7 @@ def test_centralized_masking_and_residual():
     a = static + (1 - q.rho_ad) ** 2 * np.einsum(
         "i,in,im->nm", powers.p_ddot[est], sub[est], np.conj(sub[est]))
     v_sub = centralized_combiners(serving_subspace(ue_last(hhat), cluster, 1),
-                                  ctx, cluster, "mmse", 1)[0]
+                                  ctx, "mmse", 1, (static, est))[0]
     resid = np.linalg.norm(a @ v_sub - sub[1]) / np.linalg.norm(sub[1])
     assert resid < 1e-8
 
@@ -161,7 +162,7 @@ def test_other_schemes_methods_are_rejected():
     sub = serving_subspace(ue_last(hhat), cluster, 0)
     for method in ("lpmmse", "zf"):
         with pytest.raises(ValueError, match="centralized detector"):
-            centralized_combiners(sub, ctx, cluster, method, 0)
+            centralized_combiners(sub, ctx, method, 0, None)
         with pytest.raises(ValueError, match="centralized detector"):
             centralized_system_matrices(ctx, cluster, method)
     with pytest.raises(ValueError, match="mrc"):
@@ -191,8 +192,9 @@ def test_sinr_scale_invariance():
         den += np.real(np.vdot(v, w_sub @ v))
         return num / den
 
+    static = centralized_system_matrices(ctx, cluster, "mmse")[k]
     v = centralized_combiners(serving_subspace(ue_last(hhat), cluster, k),
-                              ctx, cluster, "mmse", k)[0]
+                              ctx, "mmse", k, static)[0]
     assert sinr(v) == pytest.approx(sinr((0.3 - 2.2j) * v), rel=1e-10)
 
 

@@ -38,6 +38,12 @@ def test_load_config_validation(tmp_path):
     garbled.write_text("{not json")
     with pytest.raises(ConfigError, match="parse"):
         load_config(garbled)
+    # an integer past Python's 4300-digit conversion limit escaped json.loads
+    # as a bare ValueError
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"K": ' + "9" * 5000 + "}")
+    with pytest.raises(ConfigError, match="parse"):
+        load_config(huge)
     # values that would otherwise break deep inside a run (JSON via
     # Python's Infinity/NaN literals)
     inf, nan = float("inf"), float("nan")
@@ -67,7 +73,9 @@ def test_load_config_validation(tmp_path):
             ("asd_deg", "15"), ("nu", "0.5"), ("eta_db", "x"), ("d_bar", "5"),
             ("area_side", None), ("area_side", True), ("nu", None),
             ("p_max_mw", False), ("sigma2_dbm", "-90"), ("bandwidth_hz", [1e6]),
-            ("scheme", ["distributed"]))):
+            ("scheme", ["distributed"]),
+            # an integer no float holds raised a bare OverflowError
+            ("area_side", 10**400), ("eta_db", -10**400))):
         path = tmp_path / f"nonnumeric_{i}.json"
         path.write_text(json.dumps({field: value}))
         with pytest.raises(ConfigError, match=field):
@@ -79,6 +87,17 @@ def test_load_config_validation(tmp_path):
         path = tmp_path / f"tiny_asd_{i}.json"
         path.write_text(json.dumps({"asd_deg": value}))
         with pytest.raises(ConfigError, match="asd_deg"):
+            load_config(path)
+    # a noise power that overflows (sigma2_dbm or noise_figure_db at 4000
+    # dB) or underflows to zero (-4000 dB), and bits too large for the
+    # distortion law: each loaded, then crashed inside the run
+    for i, (field, value) in enumerate((
+            ("sigma2_dbm", 4000), ("sigma2_dbm", -4000),
+            ("noise_figure_db", 4000), ("noise_figure_db", -4000),
+            ("b_ad", 10**400), ("b_da", 10**400))):
+        path = tmp_path / f"out_of_range_{i}.json"
+        path.write_text(json.dumps({field: value}))
+        with pytest.raises(ConfigError, match=field):
             load_config(path)
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({"K": 5, "b_ad": 2, "b_da": None, "seed": 0,

@@ -351,7 +351,8 @@ def test_served_pair_combiners_match_zero_filled(system, detector):
         assert len(pairs[0]) == ctx.K * ctx.L
     else:
         assert np.array_equal(pairs, served_pairs(cluster))
-    got = local_combiners(estimates(ctx, z, *pairs), ctx, cluster, detector)
+    got = local_combiners(estimates(ctx, z, *pairs), ctx, cluster, detector,
+                          local_statics(ctx, cluster, detector))
     served = served_pairs(cluster)
     assert got.shape == (len(served[0]), ctx.N, 16)
     assert np.all(np.diff(served[0]) >= 0)            # UE-major

@@ -40,8 +40,9 @@ def test_psi_two_copilot_terms_and_psd_excess():
     manual = np.array(ctx.c_n[l])
     for i in users:
         manual = manual + (1 - q.rho_ad) ** 2 * powers.p_ddot[i] * plan.tau * stats.R[i, l]
-    assert np.allclose(ctx.psi[t, l], manual, rtol=1e-12)
-    excess = hermitize(ctx.psi[t, l] - ctx.c_n[l])
+    psi = psi_matrix(t, stats, plan, powers.p_ddot, q, ctx.c_n)[l]
+    assert np.allclose(psi, manual, rtol=1e-12)
+    excess = hermitize(psi - ctx.c_n[l])
     assert np.min(np.linalg.eigvalsh(excess)) > -1e-12 * np.trace(excess).real
 
 

@@ -11,8 +11,8 @@ from scfsim.channel import channel_statistics, generate_scenario
 from scfsim.config import ConfigError, SimConfig
 from scfsim.detectors import detector_sets
 from scfsim.quantization import QuantizerConfig
-from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce, cc_l2_lsfd,
-                              cc_lsfd, cc_plsfd, cluster_plan_from_indicators,
+from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce,
+                              cc_weighting, cluster_plan_from_indicators,
                               equal_power_plan, full_cluster_plan,
                               run_algorithm1)
 from scfsim.pilots import make_pilot_plan
@@ -227,7 +227,7 @@ def test_cc_plsfd_worked_examples():
     plan = cluster_plan_from_indicators(d, np.zeros(5, dtype=int))
     pilots = make_pilot_plan([0, 1, 2, 3, 1], tau=4)   # P_0 ∩ Q_0 = {0}
     assert len(plan.serving[0]) == 2 and len(plan.overlap[0]) == 5
-    assert cc_plsfd(plan, pilots, 0) == (32, 2)
+    assert cc_weighting(plan, pilots, 0, "plsfd") == (32, 2)
 
     # |M|=1, |Q|=1, |P∩Q|=1 -> 1 + 3 + 1 = 5 CMs, 1 CD
     d = np.zeros((2, 4), dtype=bool)
@@ -235,7 +235,7 @@ def test_cc_plsfd_worked_examples():
     d[1, 1] = True
     plan = cluster_plan_from_indicators(d, np.array([0, 1]))
     pilots = make_pilot_plan([0, 0], tau=2)
-    assert cc_plsfd(plan, pilots, 0) == (5, 1)
+    assert cc_weighting(plan, pilots, 0, "plsfd") == (5, 1)
 
 
 def test_cc_lsfd_vs_plsfd():
@@ -243,19 +243,36 @@ def test_cc_lsfd_vs_plsfd():
     plan = cluster_plan_from_indicators(d, np.zeros(5, dtype=int))
     pilots = make_pilot_plan([0, 1, 0, 1, 0], tau=2)
     for k in range(5):
-        assert cc_lsfd(plan, pilots, k, 5) == cc_plsfd(plan, pilots, k)
-    assert cc_l2_lsfd() == (0, 0)
-    # counts grow linearly in K with all else fixed
-    cm10, _ = cc_lsfd(plan, pilots, 0, 10)
-    cm20, _ = cc_lsfd(plan, pilots, 0, 20)
-    cm30, _ = cc_lsfd(plan, pilots, 0, 30)
-    assert cm30 - cm20 == cm20 - cm10
+        assert (cc_weighting(plan, pilots, k, "lsfd")
+                == cc_weighting(plan, pilots, k, "plsfd"))
+        assert cc_weighting(plan, pilots, k, "l2") == (0, 0)
+    with pytest.raises(ValueError, match="unknown weighting 'lsfd2'"):
+        cc_weighting(plan, pilots, 0, "lsfd2")
+
+    # counts grow linearly in K with all else fixed: UE 0 is served by APs
+    # 0 and 1 on pilot 0; the added UEs sit on AP 2 and pilot 1, outside
+    # Q_0 and P_0
+    counts = {}
+    for n_users in (10, 20, 30):
+        d = np.zeros((n_users, 3), dtype=bool)
+        d[0, :2] = True
+        d[1:, 2] = True
+        primary = np.full(n_users, 2)
+        primary[0] = 0
+        plan = cluster_plan_from_indicators(d, primary)
+        pilots = make_pilot_plan([0] + [1] * (n_users - 1), tau=2)
+        assert plan.overlap[0] == (0,) and pilots.copilot_sets[0] == (0,)
+        counts[n_users] = cc_weighting(plan, pilots, 0, "lsfd")[0]
+        # |M|=2, |Q|=1, |P∩Q|=1 -> 3 + 11 + 6 = 20 CMs for every K
+        assert cc_weighting(plan, pilots, 0, "plsfd") == (20, 2)
+    assert counts[30] - counts[20] == counts[20] - counts[10] > 0
 
 
 def test_cc_lsfd_dominates_plsfd():
     stats, _, cluster, pilots, _ = _scheduled(L=8, K=14, tau=4, seed=21)
     for k in range(stats.K):
-        assert cc_lsfd(cluster, pilots, k, stats.K)[0] >= cc_plsfd(cluster, pilots, k)[0]
+        assert (cc_weighting(cluster, pilots, k, "lsfd")[0]
+                >= cc_weighting(cluster, pilots, k, "plsfd")[0])
 
 
 def test_cc_detector_ce_formulas():

@@ -3,15 +3,81 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scfsim.config import SimConfig
 from scfsim.harness import distributed_closed_report
-from scfsim.lsfd import build_ingredients, se_from_moments
+from scfsim.lsfd import _ap_kernels, build_ingredients, se_from_moments
 from scfsim.pilots import build_estimation_context, round_robin_pilots
 from scfsim.quantization import QuantizerConfig
-from scfsim.scheduler import cluster_plan_from_indicators, full_cluster_plan
+from scfsim.scheduler import (cluster_plan_from_indicators, full_cluster_plan,
+                              run_algorithm1)
 from scfsim.se_closed import se_centralized_closed, theorem1_kernel
+from scfsim.validation import desk_validation_config
 
 from conftest import small_system, synthetic_stats
 from oracles import f_kernels
+from oracles import theorem1_kernel as theorem1_kernel_four_case
+
+
+def _desk_drop(fading):
+    """The drop ``scfsim validate`` checks the Theorem-1 kernel on."""
+    cfg = desk_validation_config(SimConfig(fading=fading))
+    return small_system(L=cfg.L, K=cfg.K, N=cfg.N, tau=cfg.tau, b_da=cfg.b_da,
+                        b_ad=cfg.b_ad, seed=cfg.seed, fading=fading,
+                        side=cfg.area_side, p_max=cfg.p_max_mw)
+
+
+@pytest.mark.parametrize("drop", (
+    lambda: _desk_drop("rician"),
+    lambda: _desk_drop("rayleigh"),
+    lambda: small_system(L=6, K=9, N=2, tau=4, seed=47),
+), ids=("desk-rician", "desk-rayleigh", "L6-K9-N2"))
+def test_kernel_matches_four_case_formula(drop):
+    """The kernel read from the AP kernel table is the four-case formula,
+    for every (k, i, l1, l2); exact zeros stay exact."""
+    ctx = drop()[5]
+    zeros = 0
+    for k in range(ctx.K):
+        for i in range(ctx.K):
+            for l1 in range(ctx.L):
+                for l2 in range(ctx.L):
+                    got = theorem1_kernel(k, i, l1, l2, ctx)
+                    want = theorem1_kernel_four_case(k, i, l1, l2, ctx)
+                    if want == 0:
+                        zeros += 1
+                        assert got == 0, (k, i, l1, l2)
+                    assert abs(got - want) <= 1e-12 * abs(want), (k, i, l1, l2)
+    if ctx.stats.h_bar.any():
+        assert zeros == 0
+    else:       # Rayleigh: every orthogonal cross-AP kernel is exactly zero
+        pilot = ctx.plan.pilot_of
+        orthogonal = np.count_nonzero(pilot[:, None] != pilot[None, :])
+        assert zeros == orthogonal * ctx.L * (ctx.L - 1)
+
+
+@pytest.mark.parametrize("centralized", (False, True))
+def test_one_ue_kernel_blocks_are_a_column_of_the_served_blocks(centralized):
+    """``theorem1_kernel``'s one-UE call reads the numbers the closed forms'
+    call over an AP's served UEs reads."""
+    _, stats, q, _, _, _, _ = small_system(L=6, K=9, N=2, tau=4, seed=48)
+    cluster, plan, powers = run_algorithm1(stats, q, 4, 100.0)
+    cfg = SimConfig(L=6, K=9, N=2, tau=4)
+    ctx = build_estimation_context(stats, plan, powers.p_ddot, q, cfg.sigma2_mw)
+    checked = 0
+    for l in range(ctx.L):
+        for served in (np.asarray(cluster.served[l], dtype=int),
+                       np.arange(ctx.K)):
+            table = _ap_kernels(ctx, l, served, centralized)
+            for j, k in enumerate(served):
+                column = _ap_kernels(ctx, l, [k], centralized)
+                assert len(column) == len(table)
+                # a one-column matmul may round apart from a wider one, so
+                # each family's column is compared against its largest entry
+                for got, want in zip(column, table):
+                    assert got.shape == (ctx.K, 1)
+                    gap = np.max(np.abs(got[:, 0] - want[:, j]))
+                    assert gap <= 1e-14 * np.max(np.abs(want[:, j]))
+                checked += 1
+    assert checked > ctx.K * ctx.L
 
 
 def test_kernel_case4_rayleigh_is_zero():
