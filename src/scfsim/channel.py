@@ -38,7 +38,7 @@ MIN_DISTANCE_M = 1.0        # floor keeps the log-distance law finite at the AP
 # QUAD_RTOL above that gap would let a 64-node pass converge, and the 128
 # start would then skip it.
 QUAD_RTOL = 1e-10
-QUAD_MAX_NODES = 1 << 17
+QUAD_MAX_NODES = 1 << 13    # leggauss's n x n companion matrix: 512 MiB
 # Links per private sub-block of _correlation_rows. A row does not depend on
 # how many rows share the matrix-vector product, so this only bounds the
 # phase temporary (0.4 MB at N=3, 256 nodes): glibc keeps each worker
@@ -153,7 +153,7 @@ def rician_factor(distance_m, rayleigh=False):
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n_nodes):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]. The adaptive
-    quadrature doubles from 128 nodes up to QUAD_MAX_NODES, so at most 11
+    quadrature doubles from 128 nodes up to QUAD_MAX_NODES, so at most 7
     node counts ever occur."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     x.setflags(write=False)
@@ -197,8 +197,9 @@ def _converged_rows(thetas, asd, n_antennas, max_nodes):
             if np.max(np.max(np.abs(refined - rows), axis=1) / scale) <= QUAD_RTOL:
                 return refined
         rows, n_nodes = refined, 2 * n_nodes
-    raise QuadratureError(f"correlation quadrature did not reach "
-                          f"rtol={QUAD_RTOL} within {max_nodes} nodes")
+    raise QuadratureError(f"correlation quadrature did not reach rtol={QUAD_RTOL} "
+                          f"within {max_nodes} nodes at asd_deg="
+                          f"{np.degrees(asd):g}, N={n_antennas}: lower asd_deg or N")
 
 
 def _toeplitz_psd(rows):
@@ -228,10 +229,8 @@ def _check_asd(asd):
     # The quadrature weights divide by asd and by 2 asd**2. NaN, 0 or inf,
     # or an asd whose square underflows below the smallest normal float,
     # makes them NaN (asd**2 == 0) or finite but wrong (a subnormal asd**2:
-    # at 1e-160 degrees they sum to 1.33). NaN weights never converge, and
-    # the node doubling runs out of memory long before QUAD_MAX_NODES:
-    # each new node count's leggauss builds an n x n companion matrix,
-    # 2 GB at 16,384 nodes.
+    # at 1e-160 degrees they sum to 1.33). NaN weights never converge, so
+    # the node doubling would spend its whole budget before failing.
     if not (np.isfinite(asd) and asd > 0):
         raise ValueError(f"angular standard deviation must be finite and > 0, "
                          f"got {asd}")

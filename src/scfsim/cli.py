@@ -7,14 +7,16 @@
 
 Worker processes for experiment points come from SCFSIM_WORKERS (default 1);
 output files are byte-identical for any worker count. A config that cannot
-be read or fails validation, an --out that cannot be written, or a bad
-SCFSIM_WORKERS, prints one error line and exits 2.
+be read or fails validation, an --out that cannot be written, a bad
+SCFSIM_WORKERS, or an asd_deg and N whose correlation quadrature does not
+converge, prints one error line and exits 2.
 """
 
 import argparse
 import os
 import sys
 
+from .channel import QuadratureError
 from .config import ConfigError, SimConfig, load_config
 from .harness import EXPERIMENTS, ExperimentError, emit_results, run_experiment
 from .validation import desk_validation_config, run_invariant_checks, run_validation
@@ -105,7 +107,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ExperimentError) as exc:
+    except (ConfigError, ExperimentError, QuadratureError) as exc:
         print(f"scfsim: error: {exc}", file=sys.stderr)
         return 2
 

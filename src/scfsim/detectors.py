@@ -49,36 +49,34 @@ def _check_detector(scheme, detector):
                          f"choose from {'|'.join(DETECTORS[scheme])}")
 
 
-def _ints(ues):
-    return np.asarray(ues, dtype=int)
-
-
 def detector_sets(cluster, method, index):
     """(APs, noise set, estimate set, statistics set) as sorted int arrays.
 
     ``index`` is the AP l for the local methods and the UE k for the
     centralized ones:
 
-        method       APs  noise      estimates                statistics
-        lmmse        {l}  all UEs    all UEs                  -
-        lpmmse       {l}  served[l]  served_primary[l]        served_secondary[l]
-        lpmmse-full  {l}  served[l]  served[l]                -
-        mmse         M_k  all UEs    all UEs                  -
-        pmmse        M_k  Q_k        Q_k ∩ served[primary k]  the rest of Q_k
-        pmmse-full   M_k  Q_k        Q_k                      -
+        method       APs  noise    estimates             statistics
+        lmmse        {l}  all UEs  all UEs               -
+        lpmmse       {l}  D_l      D_l, l their primary  the rest of D_l
+        lpmmse-full  {l}  D_l      D_l                   -
+        mmse         M_k  all UEs  all UEs               -
+        pmmse        M_k  Q_k      Q_k ∩ D_(primary k)   the rest of Q_k
+        pmmse-full   M_k  Q_k      Q_k                   -
+
+    D_l, the UEs AP l serves, is column l of the plan's D.
     """
     every = np.arange(cluster.K)
     none = every[:0]
     if method in ("lmmse", "lpmmse", "lpmmse-full"):
-        aps = _ints([index])
-        served = _ints(cluster.served[index])
+        aps = np.array([index], dtype=int)
+        served = np.flatnonzero(cluster.D[:, index])
+        on_l = cluster.primary[served] == index
         sets = {"lmmse": (every, every, none),
-                "lpmmse": (served, _ints(cluster.served_primary[index]),
-                           _ints(cluster.served_secondary[index])),
+                "lpmmse": (served, served[on_l], served[~on_l]),
                 "lpmmse-full": (served, served, none)}
     elif method in ("mmse", "pmmse", "pmmse-full"):
-        aps = _ints(cluster.serving[index])
-        overlap = _ints(cluster.overlap[index])
+        aps = cluster.serving[index]
+        overlap = cluster.overlap[index]
         on_primary = cluster.D[overlap, cluster.primary[index]]
         sets = {"mmse": (every, every, none),
                 "pmmse": (overlap, overlap[on_primary], overlap[~on_primary]),
@@ -169,7 +167,7 @@ def local_combiners(est, ctx, cluster, method, statics):
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     v = np.empty((n_served,) + est.shape[1:], dtype=complex)
     for l, (static, est_set) in enumerate(statics):
-        served = np.asarray(cluster.served[l], dtype=int)
+        served = np.flatnonzero(cluster.D[:, l])
         if served.size == 0:
             continue
         e = est[row[est_set, l]]                            # (|est|, N, n)
@@ -199,9 +197,8 @@ def serving_subspace(hhat_t, cluster, k):
     order the result is a reshaped view of the batch, not a copy; callers
     only read it.
     """
-    serving = cluster.serving[k]
-    if serving != tuple(range(hhat_t.shape[1])):
-        hhat_t = np.take(hhat_t, serving, axis=1)
+    if not cluster.D[k].all():
+        hhat_t = np.take(hhat_t, cluster.serving[k], axis=1)
     return hhat_t.reshape(hhat_t.shape[0], -1, hhat_t.shape[-1])
 
 

@@ -95,32 +95,30 @@ def load_results(path):
 # scenario construction and evaluation
 # ---------------------------------------------------------------------------
 
-def build_system(cfg, seed, strategy="algorithm1", nu=None):
+def build_system(cfg, seed, strategy="algorithm1"):
     """Scenario + statistics + scheduling for one seeded drop.
 
     ``strategy``: "algorithm1" (the joint scheduler) or "random-pilot"
-    (scheduler with uniformly random pilots); ``nu`` overrides cfg.nu
-    (0 gives equal power).
+    (scheduler with uniformly random pilots). Returns the estimation
+    context, the cluster plan and the (K,) p̈ array; cfg.nu = 0 gives
+    equal power.
     """
     scenario = generate_scenario(cfg, seed)
     stats = channel_statistics(scenario, seed, cfg.asd_rad,
                                rayleigh=(cfg.fading == "rayleigh"))
     q = QuantizerConfig(b_da=cfg.b_da, b_ad=cfg.b_ad)
-    if nu is None:
-        nu = cfg.nu
     pilot_override = None
     if strategy == "random-pilot":
         pilot_override = random_pilots(cfg.K, cfg.tau,
                                        substream(seed, "pilot-baseline")).pilot_of
     elif strategy != "algorithm1":
         raise ExperimentError(f"unknown scheduling strategy {strategy!r}")
-    cluster, pilots, powers = run_algorithm1(
-        stats, q, cfg.tau, cfg.p_max_mw, eta_db=cfg.eta_db, nu=nu,
+    cluster, pilots, p_ddot = run_algorithm1(
+        stats, q, cfg.tau, cfg.p_max_mw, eta_db=cfg.eta_db, nu=cfg.nu,
         d_bar=cfg.d_bar, iterations=cfg.iterations,
         pilot_override=pilot_override)
-    ctx = build_estimation_context(stats, pilots, powers.p_ddot, q,
-                                   cfg.sigma2_mw)
-    return ctx, cluster, powers
+    ctx = build_estimation_context(stats, pilots, p_ddot, q, cfg.sigma2_mw)
+    return ctx, cluster, p_ddot
 
 
 def distributed_closed_report(ctx, cluster, weighting, prelog):
@@ -193,14 +191,15 @@ class CdfPoint(NamedTuple):
     label: str
     tag: str            # substream tag; with ``rep`` it fixes the drop seed
     rep: int
-    system: dict        # build_system keyword arguments
-    evaluation: dict    # config overrides passed to evaluate
+    strategy: str       # build_system scheduling strategy
+    overrides: dict     # config overrides for the drop and its evaluation
 
 
 def _point_cdf(cfg, seed, point):
     rep_seed = substream(seed, point.tag, point.rep).integers(0, 2**63)
-    ctx, cluster, _ = build_system(cfg, rep_seed, **point.system)
-    report = evaluate(cfg.replace(**point.evaluation), ctx, cluster, rep_seed)
+    point_cfg = cfg.replace(**point.overrides)
+    ctx, cluster, _ = build_system(point_cfg, rep_seed, point.strategy)
+    report = evaluate(point_cfg, ctx, cluster, rep_seed)
     return list(map(float, report.se))
 
 
@@ -245,10 +244,10 @@ def _sweep(sweep_name, values):
 
 
 def _cdf(tag, variants, reps=CDF_REPS):
-    """``variants``: (label, build_system kwargs, evaluate overrides) triples,
-    each drawn on ``reps`` scenario drops."""
-    specs = tuple(CdfPoint(label, tag, rep, system, evaluation)
-                  for label, system, evaluation in variants for rep in range(reps))
+    """``variants``: (label, strategy, config overrides) triples, each drawn
+    on ``reps`` scenario drops."""
+    specs = tuple(CdfPoint(label, tag, rep, strategy, overrides)
+                  for label, strategy, overrides in variants for rep in range(reps))
     return Experiment(specs, _point_cdf, _pooled_cdf_rows, ("strategy", "se", "cdf"))
 
 
@@ -256,17 +255,19 @@ REGISTRY = {
     "sum-se-vs-N": _sweep("N", N_SWEEP),
     "sum-se-vs-bits": _sweep("b_ad", BITS_SWEEP),
     "cdf-detectors-distributed": _cdf("cdf-distributed", [
-        (f"{d}+{w}", {}, {"scheme": "distributed", "detector": d, "weighting": w})
+        (f"{d}+{w}", "algorithm1",
+         {"scheme": "distributed", "detector": d, "weighting": w})
         for d, w in DISTRIBUTED_CDF_STRATEGIES]),
     "cdf-detectors-centralized": _cdf("cdf-centralized", [
-        (d, {}, {"scheme": "centralized", "detector": d})
+        (d, "algorithm1", {"scheme": "centralized", "detector": d})
         for d in CENTRALIZED_CDF_STRATEGIES]),
     "cdf-algorithm": _cdf("cdf-algorithm", [
-        ("algorithm1", {"strategy": "algorithm1"}, {}),
-        ("random-pilot", {"strategy": "random-pilot"}, {}),
-        ("equal-power", {"nu": 0.0}, {})]),
+        ("algorithm1", "algorithm1", {}),
+        ("random-pilot", "random-pilot", {}),
+        ("equal-power", "algorithm1", {"nu": 0.0})]),
     "cdf-vs-nu": _cdf("cdf-nu", [
-        (f"nu={nu:g}", {"nu": nu}, {}) for nu in NU_SWEEP], reps=max(1, CDF_REPS // 2)),
+        (f"nu={nu:g}", "algorithm1", {"nu": nu}) for nu in NU_SWEEP],
+        reps=max(1, CDF_REPS // 2)),
     "validate-closed-forms": Experiment(
         ((),), _validate_rows, _concat_rows,
         ("metric", "case", "closed_form", "monte_carlo", "rel_gap")),

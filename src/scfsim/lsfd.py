@@ -108,7 +108,7 @@ def build_ingredients(ctx, cluster):
     first = np.cumsum(sizes) - sizes
     pair = np.zeros(served_by.shape, dtype=int)
     pair[kk, ll] = np.arange(len(kk))
-    overlap = (served_by.astype(int) @ served_by.T.astype(int)) > 0   # i in Q_k
+    overlap = cluster.overlap_mask                              # i in Q_k
     g = np.empty((len(kk), ctx.K), dtype=complex)    # [(k, l), i] lambda + b
     c_full = np.empty(len(kk))                       # sum_i p̈_i c_kl^i
     c_partial = np.empty(len(kk))                    # the same over Q_k

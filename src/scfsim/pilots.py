@@ -1,5 +1,7 @@
 """Pilot plan, pilot-domain covariances, and MMSE channel estimation.
 
+The pilot plan holds the scheduler's decision only: tau and each UE's pilot.
+
 The estimation context precomputes, per AP and per link, every matrix the
 detectors, closed forms, and Monte Carlo samplers reuse: receive-noise
 covariances, estimator gains, and the estimate covariances. The per-link
@@ -20,11 +22,14 @@ from .quantization import received_noise_covariance
 
 @dataclass(frozen=True)
 class PilotPlan:
+    """Each UE's pilot. P_k, the UEs sharing UE k's pilot (k included), is
+    ``pilot_of == pilot_of[k]``, formed where it is read."""
+
     tau: int
     pilot_of: np.ndarray       # (K,) pilot index per UE, 0-based
-    copilot_sets: tuple        # per UE: tuple of UEs sharing its pilot (incl. itself)
 
     def __post_init__(self):
+        object.__setattr__(self, "pilot_of", np.asarray(self.pilot_of, dtype=int))
         if np.any(self.pilot_of < 0) or np.any(self.pilot_of >= self.tau):
             raise ValueError("pilot indices out of range")
 
@@ -36,24 +41,12 @@ class PilotPlan:
         return np.flatnonzero(self.pilot_of == t)
 
 
-def _copilot_sets(pilot_of):
-    pilot_of = np.asarray(pilot_of)
-    return tuple(tuple(int(i) for i in np.flatnonzero(pilot_of == pilot_of[k]))
-                 for k in range(len(pilot_of)))
-
-
-def make_pilot_plan(pilot_of, tau):
-    pilot_of = np.asarray(pilot_of, dtype=int)
-    return PilotPlan(tau=tau, pilot_of=pilot_of,
-                     copilot_sets=_copilot_sets(pilot_of))
-
-
 def round_robin_pilots(n_users, tau):
-    return make_pilot_plan(np.arange(n_users) % tau, tau)
+    return PilotPlan(tau, np.arange(n_users) % tau)
 
 
 def random_pilots(n_users, tau, rng):
-    return make_pilot_plan(rng.integers(0, tau, size=n_users), tau)
+    return PilotPlan(tau, rng.integers(0, tau, size=n_users))
 
 
 def psi_matrix(t, stats, plan, p_ddot, q, c_n):

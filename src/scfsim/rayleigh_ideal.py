@@ -42,7 +42,7 @@ def ideal_se_mrc_lsfd(k, stats, plan, p, sigma2, prelog):
     """Closed-form distributed SE, MRC + optimal LSFD, Rayleigh, no hardware loss."""
     tau = plan.tau
     l_count = stats.L
-    copilot = plan.copilot_sets[k]
+    copilot = plan.pilot_of == plan.pilot_of[k]          # P_k as a mask
 
     b = np.zeros((stats.K, l_count))
     c = np.zeros((stats.K, l_count))
@@ -52,7 +52,7 @@ def ideal_se_mrc_lsfd(k, stats, plan, p, sigma2, prelog):
         sandwich = stats.R[k, l] @ np.linalg.solve(psi, stats.R[k, l])
         for i in range(stats.K):
             c[i, l] = tau * p[k] * np.trace(stats.R[i, l] @ sandwich).real
-            if i in copilot:
+            if copilot[i]:
                 b[i, l] = tau * np.sqrt(p[k] * p[i]) * np.trace(
                     stats.R[i, l] @ np.linalg.solve(psi, stats.R[k, l])).real
         d[l] = sigma2 * tau * p[k] * np.trace(
@@ -61,7 +61,7 @@ def ideal_se_mrc_lsfd(k, stats, plan, p, sigma2, prelog):
     c_mat = np.diag(d).astype(complex)
     for i in range(stats.K):
         c_mat += p[i] * np.diag(c[i])
-        if i in copilot:
+        if copilot[i]:
             c_mat += p[i] * np.outer(b[i], b[i])
     c_mat -= p[k] * np.outer(b[k], b[k])
     sinr = p[k] * np.real(np.vdot(b[k], np.linalg.solve(c_mat, b[k])))

@@ -10,8 +10,14 @@ its primary AP); then, in one step per pilot over all APs at once, each AP
 adopts at most one additional UE per pilot as a secondary server, subject to
 a gain threshold; finally transmit powers are rescaled fractionally so the
 weakest UE in every overlap neighbourhood transmits at full power.
+
+The results are the decisions only: a ``ClusterPlan`` (the indicator matrix
+D and each UE's primary AP), a ``pilots.PilotPlan`` (each UE's pilot) and
+the (K,) array of effective powers p̈. The sets read from them, M_k, Q_k and
+the (K, K) overlap mask, are built once per plan, on first read.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,18 +26,16 @@ from .config import ConfigError
 from .detectors import detector_sets
 from .lsfd import _check_weighting
 from .numerics import linear_to_db
-from .pilots import make_pilot_plan
+from .pilots import PilotPlan
 
 
 @dataclass(frozen=True)
 class ClusterPlan:
+    """Algorithm 1's service decisions. The sets derived from them, M_k and
+    Q_k, are built on first read; D_l is column l of D."""
+
     D: np.ndarray              # (K, L) bool service indicators
     primary: np.ndarray        # (K,) primary AP per UE
-    serving: tuple             # per UE: tuple of serving APs (sorted)
-    served: tuple              # per AP: tuple of served UEs (sorted)
-    served_primary: tuple      # per AP: UEs with that AP as primary
-    served_secondary: tuple    # per AP: served UEs with another primary
-    overlap: tuple             # per UE: UEs whose cluster intersects its own
 
     @property
     def K(self):
@@ -41,39 +45,31 @@ class ClusterPlan:
     def L(self):
         return self.D.shape[1]
 
+    @functools.cached_property
+    def serving(self):
+        """Per UE, M_k: its serving APs as a sorted int array."""
+        return tuple(np.flatnonzero(row) for row in self.D)
 
-@dataclass(frozen=True)
-class PowerPlan:
-    p_max: float               # power budget per UE (mW)
-    nu: float                  # fractional power-control exponent
-    p_ddot: np.ndarray         # (K,) effective powers, DAC gain included
+    @functools.cached_property
+    def overlap_mask(self):
+        """(K, K) bool: the serving clusters of UEs k and i intersect."""
+        d_int = self.D.astype(int)
+        return (d_int @ d_int.T) > 0
 
-
-def _rows(mask):
-    """Per row of a bool mask, the sorted tuple of its True columns."""
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in mask)
-
-
-def _overlap_mask(d_matrix):
-    """(K, K) bool: the serving clusters of UEs k and i intersect."""
-    d_int = d_matrix.astype(int)
-    return (d_int @ d_int.T) > 0
+    @functools.cached_property
+    def overlap(self):
+        """Per UE, Q_k: the UEs whose clusters meet its own, as a sorted int
+        array."""
+        return tuple(np.flatnonzero(row) for row in self.overlap_mask)
 
 
 def cluster_plan_from_indicators(d_matrix, primary):
     d_matrix = np.asarray(d_matrix, dtype=bool)
     primary = np.asarray(primary, dtype=int)
-    users = np.arange(len(primary))
-    unserved = np.flatnonzero(~d_matrix[users, primary])
+    unserved = np.flatnonzero(~d_matrix[np.arange(len(primary)), primary])
     if unserved.size:
         raise ValueError(f"primary AP of UE {unserved[0]} does not serve it")
-    is_primary = np.zeros_like(d_matrix)
-    is_primary[users, primary] = True
-    return ClusterPlan(D=d_matrix, primary=primary, serving=_rows(d_matrix),
-                       served=_rows(d_matrix.T),
-                       served_primary=_rows(is_primary.T),
-                       served_secondary=_rows((d_matrix & ~is_primary).T),
-                       overlap=_rows(_overlap_mask(d_matrix)))
+    return ClusterPlan(D=d_matrix, primary=primary)
 
 
 def full_cluster_plan(stats):
@@ -83,34 +79,34 @@ def full_cluster_plan(stats):
     return cluster_plan_from_indicators(d_matrix, primary)
 
 
-def equal_power_plan(n_users, p_max, rho_da):
-    return PowerPlan(p_max=p_max, nu=0.0,
-                     p_ddot=np.full(n_users, p_max * (1.0 - rho_da)))
+def equal_powers(n_users, p_max, rho_da):
+    """(K,) effective powers p̈, DAC gain included: the full budget each."""
+    return np.full(n_users, p_max * (1.0 - rho_da))
 
 
 def fractional_powers(plan, beta, p_max, rho_da, nu):
-    """Per-UE effective power: weakest UE in each overlap set gets the budget."""
+    """(K,) effective powers p̈: the weakest UE in each overlap set gets the
+    budget."""
     # each UE's gain summed over its own serving APs only: a zero-padded
     # row sum would group the additions differently
-    cluster_gain = np.array([beta[k, list(serving)].sum()
-                             for k, serving in enumerate(plan.serving)])
+    cluster_gain = np.array([beta[k, row].sum() for k, row in enumerate(plan.D)])
     gain_pow = cluster_gain ** nu
-    neighbourhood_min = np.where(_overlap_mask(plan.D), gain_pow, np.inf).min(axis=1)
+    neighbourhood_min = np.where(plan.overlap_mask, gain_pow, np.inf).min(axis=1)
     budget = p_max * (1.0 - rho_da)
     # ratio computed first so the neighbourhood minimum lands exactly on
     # the budget (min/own == 1.0 bitwise when k is its own minimum)
-    return PowerPlan(p_max=p_max, nu=nu,
-                     p_ddot=budget * (neighbourhood_min / gain_pow))
+    return budget * (neighbourhood_min / gain_pow)
 
 
 def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
                    iterations=2, pilot_override=None):
     """Joint cluster formation / pilot assignment / power control.
 
-    Returns (ClusterPlan, PilotPlan, PowerPlan). Deterministic: ties in every
-    argmax/argmin go to the lowest index. ``pilot_override`` replaces the
-    contamination-minimizing pilot choice with a fixed assignment (comparison
-    baselines); cluster formation and power control proceed unchanged.
+    Returns (ClusterPlan, PilotPlan, the (K,) p̈ array). Deterministic:
+    ties in every argmax/argmin go to the lowest index. ``pilot_override``
+    replaces the contamination-minimizing pilot choice with a fixed
+    assignment (comparison baselines); cluster formation and power control
+    proceed unchanged.
     Raises ``ConfigError`` if some UE has no AP within ``d_bar``.
     """
     if tau < 1 or iterations < 1:
@@ -156,10 +152,9 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
             d_matrix[best[admit], aps[admit]] = True
 
         cluster = cluster_plan_from_indicators(d_matrix, primary)
-        powers = fractional_powers(cluster, stats.beta, p_max, q.rho_da, nu)
-        p_ddot = powers.p_ddot
+        p_ddot = fractional_powers(cluster, stats.beta, p_max, q.rho_da, nu)
 
-    return cluster, make_pilot_plan(pilot, tau), powers
+    return cluster, PilotPlan(tau, pilot), p_ddot
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +173,12 @@ def cc_weighting(plan, pilot_plan, k, weighting):
     _check_weighting(weighting)
     if weighting == "l2":
         return 0, 0
-    m = len(plan.serving[k])
-    ues = set(plan.overlap[k] if weighting == "plsfd" else range(plan.K))
-    copilot = len(ues.intersection(pilot_plan.copilot_sets[k]))
-    cm = (m * (m + 1) * len(ues)) // 2 + (m * (5 * m + 1) * copilot) // 2 \
-        + (m**3 + 3 * m**2 - m) // 3
+    m = int(np.count_nonzero(plan.D[k]))
+    ues = plan.overlap_mask[k] if weighting == "plsfd" else np.ones(plan.K, bool)
+    pilot_of = pilot_plan.pilot_of
+    copilot = int(np.count_nonzero(ues & (pilot_of == pilot_of[k])))
+    cm = (m * (m + 1) * int(np.count_nonzero(ues))) // 2 \
+        + (m * (5 * m + 1) * copilot) // 2 + (m**3 + 3 * m**2 - m) // 3
     return cm, m
 
 
@@ -199,5 +195,5 @@ def cc_detector_ce(plan, detector, index, n_antennas, tau):
 
 def algorithm1_complexity(plan, n_users, tau, n_candidates):
     """Operation count of one scheduling pass over the whole network."""
-    overlap_total = sum(len(plan.overlap[k]) for k in range(plan.K))
+    overlap_total = int(np.count_nonzero(plan.overlap_mask))
     return n_users * n_candidates + (n_users - tau + plan.L + 1) * tau + overlap_total

@@ -147,10 +147,9 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     one.
     """
     _check_detector("distributed", detector)
-    serving = [np.asarray(m, dtype=int) for m in cluster.serving]
-    overlap = [None if len(cluster.overlap[k]) == ctx.K
-               else np.asarray(cluster.overlap[k], dtype=int) for k in range(ctx.K)]
-    sizes = [len(m) for m in cluster.serving]
+    serving = cluster.serving
+    overlap = [None if q.size == ctx.K else q for q in cluster.overlap]
+    sizes = [m.size for m in serving]
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
     acc = DistributedSums(ctx, sizes, min(STDERR_GROUPS, len(batches)))
@@ -227,7 +226,7 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     _check_detector("centralized", detector)
     statics = (centralized_system_matrices(ctx, cluster, detector)
                if detector != "mrc" else {k: None for k in range(ctx.K)})
-    w_sub = [block_diag_cov(ctx.w[None, list(serving)])[0]
+    w_sub = [block_diag_cov(ctx.w[None, serving])[0]
              for serving in cluster.serving]
 
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)

@@ -19,7 +19,7 @@ from .pilots import build_estimation_context, round_robin_pilots
 from .quantization import QuantizerConfig
 from .rng import substream
 from .sampling import estimates, sample_joint
-from .scheduler import equal_power_plan, full_cluster_plan
+from .scheduler import equal_powers, full_cluster_plan
 from .se_closed import se_centralized_closed, theorem1_kernel
 from .se_mc import batch_plan, centralized_mc_report, distributed_mc_report
 
@@ -73,13 +73,15 @@ def theorem1_cases(plan):
     """One (k, i, l1, l2) tuple per Theorem-1 case, from the given plan, on
     APs 0 and 1."""
     k = 0
-    copilot = [i for i in plan.copilot_sets[k] if i != k]
-    others = [i for i in range(plan.K) if i not in plan.copilot_sets[k]]
+    same_pilot = plan.pilot_of == plan.pilot_of[k]
+    same_pilot[k] = False
+    copilot = int(np.flatnonzero(same_pilot)[0])
+    other = int(np.flatnonzero(plan.pilot_of != plan.pilot_of[k])[0])
     return {
-        "copilot-same-ap": (k, copilot[0], 0, 0),
-        "copilot-cross-ap": (k, copilot[0], 0, 1),
-        "orthogonal-same-ap": (k, others[0], 0, 0),
-        "orthogonal-cross-ap": (k, others[0], 0, 1),
+        "copilot-same-ap": (k, copilot, 0, 0),
+        "copilot-cross-ap": (k, copilot, 0, 1),
+        "orthogonal-same-ap": (k, other, 0, 0),
+        "orthogonal-cross-ap": (k, other, 0, 1),
     }
 
 
@@ -99,10 +101,10 @@ def run_validation(cfg, seed):
     stats = channel_statistics(scenario, seed, cfg.asd_rad,
                                rayleigh=(cfg.fading == "rayleigh"))
     q = QuantizerConfig(b_da=cfg.b_da, b_ad=cfg.b_ad)
-    powers = equal_power_plan(cfg.K, cfg.p_max_mw, q.rho_da)
+    p_ddot = equal_powers(cfg.K, cfg.p_max_mw, q.rho_da)
     plan = round_robin_pilots(cfg.K, cfg.tau)
     cluster = full_cluster_plan(stats)
-    ctx = build_estimation_context(stats, plan, powers.p_ddot, q, cfg.sigma2_mw)
+    ctx = build_estimation_context(stats, plan, p_ddot, q, cfg.sigma2_mw)
     checks = []
 
     cases = theorem1_cases(plan)
@@ -132,7 +134,7 @@ def run_validation(cfg, seed):
 
 def run_invariant_checks(cfg, seed):
     """Structural invariants on a scheduled scenario; returns (name, ok, detail)."""
-    ctx, cluster, powers = build_system(cfg, seed)
+    ctx, cluster, p_ddot = build_system(cfg, seed)
     stats, plan = ctx.stats, ctx.plan
     eig_floor = -1e-10 * np.max(stats.beta_nlos)
     results = []
@@ -155,16 +157,14 @@ def run_invariant_checks(cfg, seed):
           f"min eigenvalue {psd_floor:.2e}")
 
     check("one-primary-per-ue",
-          all(cluster.primary[k] in cluster.serving[k] for k in range(cfg.K)))
-    ok = True
-    for l in range(cfg.L):
-        pilots_sec = [plan.pilot_of[k] for k in cluster.served_secondary[l]]
-        ok &= len(pilots_sec) == len(set(pilots_sec))
-    check("secondary-pilot-uniqueness", ok)
-    ok = all((i in cluster.overlap[k]) == (k in cluster.overlap[i])
-             for k in range(cfg.K) for i in range(cfg.K))
-    check("overlap-symmetry", ok)
+          cluster.D[np.arange(cfg.K), cluster.primary].all())
+    # at most one secondary UE per (AP, pilot)
+    ues, aps = np.nonzero(cluster.D & (cluster.primary[:, None] != np.arange(cfg.L)))
+    per_pilot = np.bincount(aps * plan.tau + plan.pilot_of[ues])
+    check("secondary-pilot-uniqueness", np.all(per_pilot <= 1))
+    mask = cluster.overlap_mask
+    check("overlap-symmetry", np.array_equal(mask, mask.T))
     full = cfg.p_max_mw * (1.0 - ctx.q.rho_da)
-    check("full-power-ue-exists", np.max(powers.p_ddot) == full,
-          f"max p̈ {np.max(powers.p_ddot):.6g} vs budget {full:.6g}")
+    check("full-power-ue-exists", np.max(p_ddot) == full,
+          f"max p̈ {np.max(p_ddot):.6g} vs budget {full:.6g}")
     return results

@@ -7,21 +7,22 @@ from scfsim.channel import ChannelStatistics, Scenario, channel_statistics, gene
 from scfsim.config import SimConfig
 from scfsim.pilots import build_estimation_context, round_robin_pilots
 from scfsim.quantization import QuantizerConfig
-from scfsim.scheduler import equal_power_plan, full_cluster_plan
+from scfsim.scheduler import equal_powers, full_cluster_plan
 
 
 def small_system(L=2, K=4, N=2, tau=2, b_da=1, b_ad=2, seed=7, fading="rician",
                  side=500.0, p_max=100.0):
-    """A fully built small system: stats, context, full cluster, equal power."""
+    """A fully built small system: stats, context, full cluster, equal power
+    (``powers``, the (K,) p̈ array)."""
     cfg = SimConfig(L=L, K=K, N=N, tau=tau, b_da=b_da, b_ad=b_ad,
                     area_side=side, fading=fading, p_max_mw=p_max)
     scenario = generate_scenario(cfg, seed)
     stats = channel_statistics(scenario, seed, cfg.asd_rad,
                                rayleigh=(fading == "rayleigh"))
     q = QuantizerConfig(b_da=b_da, b_ad=b_ad)
-    powers = equal_power_plan(K, p_max, q.rho_da)
+    powers = equal_powers(K, p_max, q.rho_da)
     plan = round_robin_pilots(K, tau)
-    ctx = build_estimation_context(stats, plan, powers.p_ddot, q, cfg.sigma2_mw)
+    ctx = build_estimation_context(stats, plan, powers, q, cfg.sigma2_mw)
     cluster = full_cluster_plan(stats)
     return cfg, stats, q, powers, plan, ctx, cluster
 

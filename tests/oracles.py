@@ -8,7 +8,9 @@ kernel formula that ``se_closed.theorem1_kernel`` now reads from the
 closed forms' per-AP kernel table, and the former builder of the per-AP
 error-plus-noise matrices W that the estimation context now holds.
 ``run_algorithm1`` and its two helpers are the former loop-based
-scheduler, which ``scheduler.run_algorithm1`` runs as array steps. The
+scheduler, which ``scheduler.run_algorithm1`` runs as array steps;
+``cluster_sets`` and ``copilot_sets`` are the former plans' eager sets,
+which the plans now derive on first read or their readers form in place. The
 Monte Carlo helpers give a batch in the full (n, K, L, N) layout the
 engines no longer build: every pair's estimates, the UE-last copy, and the
 former zero-filled local combiners. The single-link helpers (LOS steering
@@ -26,10 +28,10 @@ from scfsim.detectors import (local_combiners, local_pairs, local_statics,
 from scfsim.lsfd import Moments
 from scfsim.numerics import (NotPositiveSemidefiniteError, crandn, hermitize,
                              linear_to_db)
-from scfsim.pilots import make_pilot_plan, psi_matrix
+from scfsim.pilots import PilotPlan, psi_matrix
 from scfsim.quantization import received_noise_covariance
 from scfsim.sampling import estimates, sample_data_noise, sample_joint
-from scfsim.scheduler import ClusterPlan, PowerPlan
+from scfsim.scheduler import ClusterPlan
 
 # eigenvalues above -PSD_CLIP_FRACTION * trace are treated as rounding noise
 PSD_CLIP_FRACTION = 1e-10
@@ -123,8 +125,9 @@ def zero_filled_local_combiners(hhat, ctx, cluster, method):
         return hhat * cluster.D[None, :, :, None]
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     v = np.zeros_like(hhat)
+    served_sets = cluster_sets(cluster).served
     for l, (static, est) in enumerate(statics):
-        served = np.asarray(cluster.served[l], dtype=int)
+        served = np.asarray(served_sets[l], dtype=int)
         if served.size == 0:
             continue
         a = static[None] + one_ad2 * np.einsum(
@@ -168,12 +171,13 @@ def build_ingredients(k, ctx, cluster):
     """Assemble every Theorem-2 ingredient and the Moments of UE k under
     the given plan."""
     stats, plan = ctx.stats, ctx.plan
-    serving = cluster.serving[k]
+    sets = cluster_sets(cluster)
+    serving = sets.serving[k]
     if len(serving) == 0:
         raise ValueError(f"UE {k} has an empty serving set")
     m_idx = np.asarray(serving, dtype=int)
-    copilot = plan.copilot_sets[k]
-    overlap = cluster.overlap[k]
+    copilot = copilot_sets(plan.pilot_of)[k]
+    overlap = sets.overlap[k]
     one_ad = 1.0 - ctx.q.rho_ad
     one_ad2 = one_ad ** 2
     tau = ctx.tau
@@ -251,7 +255,7 @@ def theorem1_kernel(k, i, l1, l2, ctx):
     formula of Theorem 1: pilot sharing (i co-pilot with k or not) times
     l1 == l2 or not."""
     stats = ctx.stats
-    copilot = i in ctx.plan.copilot_sets[k]
+    copilot = i in copilot_sets(ctx.plan.pilot_of)[k]
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     tau, p = ctx.tau, ctx.p_ddot
 
@@ -309,7 +313,7 @@ def f_kernels(k, ctx, cluster):
     over k's serving APs and their antennas; f^e is zero off k's pilot.
     """
     stats = ctx.stats
-    m_idx = np.asarray(cluster.serving[k], dtype=int)
+    m_idx = np.flatnonzero(cluster.D[k])
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     tau, p = ctx.tau, ctx.p_ddot
     h_bar_k = stats.h_bar[k, m_idx]                      # (|M|, N)
@@ -348,7 +352,7 @@ def se_centralized_closed(k, ctx, cluster, prelog):
     others[k] = False
     interference = np.dot(p[others], f_g[others] + f_e[others])
 
-    m_idx = np.asarray(cluster.serving[k], dtype=int)
+    m_idx = np.flatnonzero(cluster.D[k])
     h_bar_k = ctx.stats.h_bar[k, m_idx]
     e_hh = (np.einsum("mn,mp->mnp", h_bar_k, np.conj(h_bar_k))
             + ctx.c_hhat[k, m_idx])
@@ -361,47 +365,70 @@ def se_centralized_closed(k, ctx, cluster, prelog):
 # Algorithm 1, one AP, pilot and UE at a time
 # ---------------------------------------------------------------------------
 
+def rows(mask):
+    """Per row of a bool mask, the sorted tuple of its True columns."""
+    return tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in mask)
+
+
+@dataclass(frozen=True)
+class ClusterSets:
+    """The sets a cluster plan's decisions define, as sorted tuples."""
+    serving: tuple             # per UE: M_k
+    served: tuple              # per AP: D_l
+    served_primary: tuple      # per AP: served UEs with that AP as primary
+    served_secondary: tuple    # per AP: served UEs with another primary
+    overlap: tuple             # per UE: Q_k, the UEs whose cluster meets M_k
+
+
+def cluster_sets(cluster):
+    """Every set of ``cluster``, from its D and primaries, one loop each."""
+    d_matrix, primary = np.asarray(cluster.D, dtype=bool), cluster.primary
+    serving, served = rows(d_matrix), rows(d_matrix.T)
+    served_primary = tuple(tuple(k for k in ues if primary[k] == l)
+                           for l, ues in enumerate(served))
+    served_secondary = tuple(tuple(k for k in ues if primary[k] != l)
+                             for l, ues in enumerate(served))
+    aps = [set(m) for m in serving]
+    overlap = tuple(tuple(i for i in range(len(aps)) if aps[i] & aps[k])
+                    for k in range(len(aps)))
+    return ClusterSets(serving, served, served_primary, served_secondary, overlap)
+
+
+def copilot_sets(pilot_of):
+    """Per UE, P_k: the sorted tuple of UEs on its pilot, itself included."""
+    pilot_of = np.asarray(pilot_of)
+    return tuple(tuple(int(i) for i in np.flatnonzero(pilot_of == pilot_of[k]))
+                 for k in range(len(pilot_of)))
+
+
 def cluster_plan_from_indicators(d_matrix, primary):
     d_matrix = np.asarray(d_matrix, dtype=bool)
     primary = np.asarray(primary, dtype=int)
-    k_count, l_count = d_matrix.shape
-
-    def indices(mask):
-        return tuple(int(i) for i in np.flatnonzero(mask))
-
-    serving = tuple(indices(d_matrix[k]) for k in range(k_count))
-    served = tuple(indices(d_matrix[:, l]) for l in range(l_count))
-    served_primary = tuple(
-        tuple(k for k in served[l] if primary[k] == l) for l in range(l_count))
-    served_secondary = tuple(
-        tuple(k for k in served[l] if primary[k] != l) for l in range(l_count))
-    overlap_mask = (d_matrix.astype(int) @ d_matrix.astype(int).T) > 0
-    overlap = tuple(indices(overlap_mask[k]) for k in range(k_count))
-    for k in range(k_count):
+    for k in range(d_matrix.shape[0]):
         if not d_matrix[k, primary[k]]:
             raise ValueError(f"primary AP of UE {k} does not serve it")
-    return ClusterPlan(D=d_matrix, primary=primary, serving=serving,
-                       served=served, served_primary=served_primary,
-                       served_secondary=served_secondary, overlap=overlap)
+    return ClusterPlan(D=d_matrix, primary=primary)
 
 
 def fractional_powers(plan, beta, p_max, rho_da, nu):
     """Per-UE effective power: weakest UE in each overlap set gets the budget."""
-    cluster_gain = np.array([beta[k, list(plan.serving[k])].sum()
+    sets = cluster_sets(plan)
+    cluster_gain = np.array([beta[k, list(sets.serving[k])].sum()
                              for k in range(plan.K)])
     gain_pow = cluster_gain ** nu
     budget = p_max * (1.0 - rho_da)
     p_ddot = np.empty(plan.K)
     for k in range(plan.K):
-        ratio = min(gain_pow[q] for q in plan.overlap[k]) / gain_pow[k]
+        ratio = min(gain_pow[q] for q in sets.overlap[k]) / gain_pow[k]
         p_ddot[k] = budget * ratio
-    return PowerPlan(p_max=p_max, nu=nu, p_ddot=p_ddot)
+    return p_ddot
 
 
 def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
                    iterations=2, pilot_override=None):
     """Joint cluster formation / pilot assignment / power control, with a
-    Python loop over every UE, pilot and (AP, pilot) pair."""
+    Python loop over every UE, pilot and (AP, pilot) pair. Returns
+    (ClusterPlan, PilotPlan, p̈)."""
     if tau < 1 or iterations < 1:
         raise ValueError("tau and iterations must be >= 1")
     k_count, l_count = stats.K, stats.L
@@ -448,7 +475,7 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
                     d_matrix[best, l] = True
 
         plan = cluster_plan_from_indicators(d_matrix, primary)
-        p_ddot = fractional_powers(plan, stats.beta, p_max, q.rho_da, nu).p_ddot
+        p_ddot = fractional_powers(plan, stats.beta, p_max, q.rho_da, nu)
 
         if m < iterations - 1:
             pilot[:] = -1
@@ -456,5 +483,4 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
             d_matrix[np.arange(k_count), primary] = True
 
     cluster = cluster_plan_from_indicators(d_matrix, primary)
-    return (cluster, make_pilot_plan(pilot, tau),
-            PowerPlan(p_max=p_max, nu=nu, p_ddot=p_ddot))
+    return cluster, PilotPlan(tau, pilot), p_ddot

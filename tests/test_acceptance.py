@@ -24,7 +24,7 @@ from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce,
 from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.se_mc import centralized_mc_report, distributed_mc_report
 from conftest import lmmse_at_ap, small_system
-from oracles import joint_batch
+from oracles import cluster_sets, copilot_sets, joint_batch
 
 
 def _report(criterion, passed, detail):
@@ -39,8 +39,8 @@ def test_criterion_01_theorem1_kernels_vs_mc():
     _, stats, q, powers, plan, ctx, cluster = small_system(
         L=2, K=4, N=2, tau=2, b_da=1, b_ad=2, seed=7)
     assert np.all(stats.kappa > 0)
-    copilot = [i for i in plan.copilot_sets[0] if i != 0][0]
-    other = [i for i in range(4) if i not in plan.copilot_sets[0]][0]
+    copilot = [i for i in copilot_sets(plan.pilot_of)[0] if i != 0][0]
+    other = [i for i in range(4) if i not in copilot_sets(plan.pilot_of)[0]][0]
     cases = {
         "copilot-same-ap": (0, copilot, 0, 0),
         "copilot-cross-ap": (0, copilot, 0, 1),
@@ -112,7 +112,7 @@ def test_criterion_04_resolution_tail_off():
         q = QuantizerConfig(b_da=1, b_ad=b_ad)
         cluster, plan, powers = run_algorithm1(stats, q, cfg.tau, cfg.p_max_mw,
                                                eta_db=cfg.eta_db, nu=cfg.nu)
-        ctx = build_estimation_context(stats, plan, powers.p_ddot, q,
+        ctx = build_estimation_context(stats, plan, powers, q,
                                        cfg.sigma2_mw)
         sums.append(distributed_closed_report(ctx, cluster, "lsfd",
                                               cfg.prelog).sum_se)
@@ -179,11 +179,12 @@ def test_criterion_07_complexity_accounting():
         stats = channel_statistics(scenario, trial, cfg.asd_rad)
         q = QuantizerConfig(b_da=4, b_ad=4)
         cluster, plan, _ = run_algorithm1(stats, q, tau, 100.0)
+        sets = cluster_sets(cluster)
         for k in range(K):
             m = len(cluster.serving[k])
             qk = len(cluster.overlap[k])
-            pq = len(set(plan.copilot_sets[k]) & set(cluster.overlap[k]))
-            pk = len(plan.copilot_sets[k])
+            pq = len(set(copilot_sets(plan.pilot_of)[k]) & set(cluster.overlap[k]))
+            pk = len(copilot_sets(plan.pilot_of)[k])
             cube = (m**3 + 3 * m**2 - m) // 3
             assert cc_weighting(cluster, plan, k, "plsfd") == (
                 m * (m + 1) * qk // 2 + m * (5 * m + 1) * pq // 2 + cube, m)
@@ -191,7 +192,7 @@ def test_criterion_07_complexity_accounting():
                 m * (m + 1) * K // 2 + m * (5 * m + 1) * pk // 2 + cube, m)
             assert cc_weighting(cluster, plan, k, "l2") == (0, 0)
             n_ant = cfg.N
-            prim_served = set(cluster.served[cluster.primary[k]])
+            prim_served = set(sets.served[cluster.primary[k]])
             assert cc_detector_ce(cluster, "pmmse", k, n_ant, tau) == \
                 n_ant * (n_ant + tau) * len(set(cluster.overlap[k]) & prim_served) * m
             assert cc_detector_ce(cluster, "pmmse-full", k, n_ant, tau) == \
@@ -199,9 +200,9 @@ def test_criterion_07_complexity_accounting():
         for l in range(L):
             n_ant = cfg.N
             assert cc_detector_ce(cluster, "lpmmse", l, n_ant, tau) == \
-                n_ant * (n_ant + tau) * len(cluster.served_primary[l])
+                n_ant * (n_ant + tau) * len(sets.served_primary[l])
             assert cc_detector_ce(cluster, "lpmmse-full", l, n_ant, tau) == \
-                n_ant * (n_ant + tau) * len(cluster.served[l])
+                n_ant * (n_ant + tau) * len(sets.served[l])
         overlap_total = sum(len(cluster.overlap[i]) for i in range(K))
         assert algorithm1_complexity(cluster, K, tau, L) == \
             K * L + (K - tau + L + 1) * tau + overlap_total
@@ -233,18 +234,19 @@ def test_criterion_08_scheduler_invariants():
                 assert cluster.primary[k] in cluster.serving[k]
                 assert k in cluster.overlap[k]
             for l in range(L):
-                sec_pilots = [plan.pilot_of[i] for i in cluster.served_secondary[l]]
+                sec_pilots = [plan.pilot_of[i]
+                              for i in cluster_sets(cluster).served_secondary[l]]
                 assert len(sec_pilots) == len(set(sec_pilots))
             for k in range(K):
                 for i in range(K):
                     assert ((i in cluster.overlap[k])
                             == (k in cluster.overlap[i]))
-            assert np.max(powers.p_ddot) == budget
+            assert np.max(powers) == budget
             gains = np.array([stats.beta[k, list(cluster.serving[k])].sum()
                               for k in range(K)])
             for k in range(K):
                 if gains[k] == min(gains[i] for i in cluster.overlap[k]):
-                    assert powers.p_ddot[k] == budget
+                    assert powers[k] == budget
             seen = set()
             for k in range(K):
                 if k in seen:
@@ -255,9 +257,9 @@ def test_criterion_08_scheduler_invariants():
                     component.add(node)
                     frontier |= set(cluster.overlap[node]) - component
                 seen |= component
-                assert any(powers.p_ddot[i] == budget for i in component)
+                assert any(powers[i] == budget for i in component)
             _, _, flat = run_algorithm1(stats, q, tau, 100.0, nu=0.0)
-            assert np.all(flat.p_ddot == budget)
+            assert np.all(flat == budget)
         except AssertionError:
             failures.append(trial)
     _report("criterion 8: scheduler invariants",
@@ -273,7 +275,7 @@ def test_criterion_09_degeneration_suite():
     cfg, stats, _, powers, plan, _, cluster = small_system(
         L=4, K=6, N=2, tau=3, seed=64, fading="rayleigh", b_da=None, b_ad=None)
     q0 = QuantizerConfig.ideal()
-    p = powers.p_ddot
+    p = powers
     ctx = build_estimation_context(stats, plan, p, q0, cfg.sigma2_mw)
     worst = 0.0
     z = crandn(substream(0, "z"), (stats.N,), 1e-10)
@@ -304,7 +306,7 @@ def test_criterion_10_fairness_direction():
         cfg = SimConfig(L=16, K=30, N=2, tau=5, b_da=4, b_ad=4,
                         fading="rayleigh", nu=0.8)
         ctx_f, cl_f, _ = build_system(cfg, seed)
-        ctx_e, cl_e, _ = build_system(cfg, seed, nu=0.0)
+        ctx_e, cl_e, _ = build_system(cfg.replace(nu=0.0), seed)
         frac = distributed_closed_report(ctx_f, cl_f, "plsfd", cfg.prelog)
         equal = distributed_closed_report(ctx_e, cl_e, "plsfd", cfg.prelog)
         tighter = delta_se(frac) < delta_se(equal)

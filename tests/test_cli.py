@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scfsim import cli, validation
+from scfsim import channel, cli, validation
 from scfsim.cli import main
 from scfsim.harness import REGISTRY
 
@@ -152,6 +152,28 @@ def test_d_bar_without_candidates_exits_2(tmp_path, capsys, monkeypatch,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
     assert "d_bar" in lines[0] and "UEs [0, 1, 2, 3, 4]" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_unconverged_quadrature_exits_2(tmp_path, capsys, monkeypatch, workers):
+    """A correlation quadrature that runs out of nodes prints one error line
+    naming asd_deg and N, also when a pool worker raises it. The node cap is
+    lowered to the first pass, so no real run out of nodes happens here."""
+    monkeypatch.setattr(channel, "QUAD_MAX_NODES", 128)
+    monkeypatch.setenv("SCFSIM_WORKERS", workers)
+    cfg = tmp_path / "asd.json"
+    cfg.write_text(json.dumps({"L": 3, "K": 4, "N": 2, "tau": 2, "asd_deg": 40}))
+    out = tmp_path / "never.csv"
+    for argv, n_ant in ((["run", "sum-se-vs-N", "--config", str(cfg),
+                          "--out", str(out)], 1),
+                        (["validate", "--config", str(cfg)], 2)):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
+        assert f"asd_deg=40, N={n_ant}" in lines[0]
     assert not out.exists()
 
 

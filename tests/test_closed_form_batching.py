@@ -76,7 +76,7 @@ def _f_kernels_pair(k, i, ctx, cluster):
     f_g += one_ad2 * tau * p[i] * quad_ki
     f_g += one_ad2 * tau * p[k] * quad_ik
 
-    if i in ctx.plan.copilot_sets[k]:
+    if i in oracles.copilot_sets(ctx.plan.pilot_of)[k]:
         f_e = one_ad2**2 * tau**2 * p[k] * p[i] * tr_cross**2
         f_e += 2.0 * one_ad2 * tau * np.sqrt(p[i] * p[k]) * np.real(
             tr_cross * np.vdot(h_bar_i, h_bar_k))
@@ -153,7 +153,7 @@ def test_lsfd_matrices_match_outer_products(system):
     p = ctx.p_ddot
     for k in range(ctx.K):
         ing = oracles.build_ingredients(k, ctx, cluster)
-        copilot = ctx.plan.copilot_sets[k]
+        copilot = oracles.copilot_sets(ctx.plan.pilot_of)[k]
         b_want = np.zeros_like(ing.b)
         for i in copilot:
             b_want[i] = [one_ad2 * ctx.tau * np.sqrt(p[k] * p[i]) * np.trace(

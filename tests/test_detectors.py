@@ -13,7 +13,7 @@ from scfsim.rng import substream
 from scfsim.scheduler import cluster_plan_from_indicators
 
 from conftest import lmmse_at_ap, small_system
-from oracles import joint_batch, local_combiners_full, ue_last
+from oracles import cluster_sets, joint_batch, local_combiners_full, ue_last
 
 
 LOCAL = ("lmmse", "lpmmse", "lpmmse-full")
@@ -41,7 +41,7 @@ def test_lmmse_k1_collinear_with_estimate():
     _, stats, _, powers, plan, _, cluster = small_system(
         L=1, K=1, N=3, tau=1, b_da=None, b_ad=None, seed=17)
     q0 = QuantizerConfig.ideal()
-    ctx = build_estimation_context(stats, plan, powers.p_ddot, q0, 1e-2)
+    ctx = build_estimation_context(stats, plan, powers, q0, 1e-2)
     # ideal hardware with the estimate treated as exact: R == C_hhat
     ctx.c_hhat[0, 0] = stats.R[0, 0]
     hhat_l = crandn(substream(0, "h"), (1, 3), 1e-9)
@@ -58,15 +58,15 @@ def test_lmmse_beats_mrc_instantaneous():
     l = 0
     static = np.array(ctx.c_n[l])
     for i in range(stats.K):
-        static += one_ad2 * powers.p_ddot[i] * (stats.R[i, l] - ctx.c_hhat[i, l])
+        static += one_ad2 * powers[i] * (stats.R[i, l] - ctx.c_hhat[i, l])
     v_all = local_combiners_full(hhat, ctx, cluster, "lmmse")
     won = 0
     for b in range(trials):
         h_l = hhat[b, :, l]
         s_mmse = _instantaneous_sinr(v_all[b, 0, l], h_l, 0, static,
-                                     powers.p_ddot, one_ad2)
+                                     powers, one_ad2)
         s_mrc = _instantaneous_sinr(h_l[0], h_l, 0, static,
-                                    powers.p_ddot, one_ad2)
+                                    powers, one_ad2)
         won += s_mmse >= s_mrc * (1 - 1e-10)
     assert won == trials
 
@@ -138,7 +138,7 @@ def test_centralized_masking_and_residual():
     static, est = centralized_system_matrices(ctx, cluster, "mmse")[1]
     sub = hhat[0][:, cluster.serving[1], :].reshape(4, -1)
     a = static + (1 - q.rho_ad) ** 2 * np.einsum(
-        "i,in,im->nm", powers.p_ddot[est], sub[est], np.conj(sub[est]))
+        "i,in,im->nm", powers[est], sub[est], np.conj(sub[est]))
     v_sub = centralized_combiners(serving_subspace(ue_last(hhat), cluster, 1),
                                   ctx, "mmse", 1, (static, est))[0]
     resid = np.linalg.norm(a @ v_sub - sub[1]) / np.linalg.norm(sub[1])
@@ -187,8 +187,8 @@ def test_sinr_scale_invariance():
 
     def sinr(v):
         cross = np.conj(v) @ sub.T
-        num = one_ad2 * powers.p_ddot[k] * np.abs(cross[k]) ** 2
-        den = one_ad2 * np.sum(powers.p_ddot * np.abs(cross) ** 2) - num
+        num = one_ad2 * powers[k] * np.abs(cross[k]) ** 2
+        den = one_ad2 * np.sum(powers * np.abs(cross) ** 2) - num
         den += np.real(np.vdot(v, w_sub @ v))
         return num / den
 
@@ -210,7 +210,7 @@ def test_pmmse_equals_mmse_when_neglected_ues_are_silent():
     cluster = cluster_plan_from_indicators(d, np.array([0, 0, 1, 1, 2]))
     k = 0
     kept = set(detector_sets(cluster, "pmmse", k)[2])
-    p = powers.p_ddot.copy()
+    p = powers.copy()
     for i in range(5):
         if i not in kept:
             p[i] = 0.0
@@ -228,15 +228,16 @@ def test_pmmse_equals_mmse_when_neglected_ues_are_silent():
 def _estimates_required(detector, plan, index):
     """Oracle: the estimate sets as ``scheduler.estimates_required`` stated
     them before the set table replaced it."""
+    sets = cluster_sets(plan)
     if detector == "lpmmse":
-        return set(plan.served_primary[index])
+        return set(sets.served_primary[index])
     if detector == "lpmmse-full":
-        return set(plan.served[index])
+        return set(sets.served[index])
     if detector == "pmmse":
-        primary_set = set(plan.served[plan.primary[index]])
-        return set(plan.overlap[index]) & primary_set
+        primary_set = set(sets.served[plan.primary[index]])
+        return set(sets.overlap[index]) & primary_set
     if detector == "pmmse-full":
-        return set(plan.overlap[index])
+        return set(sets.overlap[index])
     raise ValueError(f"unknown detector tag {detector!r}")
 
 
@@ -256,6 +257,7 @@ def _cluster_plans(draw):
 @given(_cluster_plans())
 def test_detector_sets_table(plan):
     every = set(range(plan.K))
+    sets = cluster_sets(plan)
     for method in LOCAL + CENTRALIZED:
         local = method in LOCAL
         for index in range(plan.L if local else plan.K):
@@ -263,13 +265,13 @@ def test_detector_sets_table(plan):
             for members in (aps, noise, est, stat):
                 assert members.dtype == int and np.all(np.diff(members) > 0)
             assert aps.tolist() == ([index] if local
-                                    else list(plan.serving[index]))
+                                    else list(sets.serving[index]))
             if method in ("lmmse", "mmse"):
                 assert set(noise) == set(est) == every and stat.size == 0
                 continue
             assert set(est) == _estimates_required(method, plan, index)
-            assert set(noise) == set(plan.served[index] if local
-                                     else plan.overlap[index])
+            assert set(noise) == set(sets.served[index] if local
+                                     else sets.overlap[index])
             # estimates and statistics split the noise set
             assert not set(est) & set(stat)
             assert set(est) | set(stat) == set(noise)

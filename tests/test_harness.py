@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,9 @@ from scfsim.config import ConfigError, SimConfig, config_hash, load_config
 from scfsim.harness import (EXPERIMENTS, ResultTable, build_system, delta_se,
                             emit_results, load_results, run_experiment,
                             worker_count)
+from scfsim import validation
+from scfsim.pilots import PilotPlan
+from scfsim.scheduler import ClusterPlan
 from scfsim.validation import run_invariant_checks
 
 TINY = dict(L=5, K=6, N=2, tau=3, trials=256, b_da=4, b_ad=4, seed=13)
@@ -246,9 +250,9 @@ def test_delta_se():
 def test_build_system_strategies_differ():
     cfg = SimConfig(**TINY)
     _, cl_a, pw_a = build_system(cfg, 3)
-    _, cl_e, pw_e = build_system(cfg, 3, nu=0.0)
-    assert np.allclose(pw_e.p_ddot, pw_e.p_ddot[0])
-    assert not np.allclose(pw_a.p_ddot, pw_a.p_ddot[0])
+    _, cl_e, pw_e = build_system(cfg.replace(nu=0.0), 3)
+    assert np.allclose(pw_e, pw_e[0])
+    assert not np.allclose(pw_a, pw_a[0])
     with pytest.raises(Exception, match="strategy"):
         build_system(cfg, 3, strategy="bogus")
 
@@ -258,6 +262,34 @@ def test_invariant_checks_pass():
     results = run_invariant_checks(cfg, 5)
     failed = [name for name, ok, _ in results if not ok]
     assert failed == []
+
+
+def _invariants_on(monkeypatch, d, primary, pilot_of):
+    """``run_invariant_checks`` on a drop whose plans are replaced."""
+    cfg = SimConfig(**TINY)
+    ctx, _, p_ddot = build_system(cfg, 5)
+    ctx = dataclasses.replace(ctx, plan=PilotPlan(cfg.tau, pilot_of))
+    cluster = ClusterPlan(D=np.array(d, dtype=bool), primary=np.array(primary))
+    monkeypatch.setattr(validation, "build_system",
+                        lambda *args: (ctx, cluster, p_ddot))
+    return {name for name, ok, _ in run_invariant_checks(cfg, 5) if not ok}
+
+
+def test_invariant_checks_fail_on_bad_plans(monkeypatch):
+    primary = [0, 1, 2, 3, 4, 0]
+    d = np.zeros((6, 5), dtype=bool)
+    d[np.arange(6), primary] = True
+    d[[1, 2], 0] = True                     # UEs 1 and 2: secondary at AP 0
+    # on different pilots, or sharing one with a UE AP 0 serves as primary
+    assert _invariants_on(monkeypatch, d, primary, [0, 1, 2, 0, 1, 2]) == set()
+    assert _invariants_on(monkeypatch, d, primary, [1, 0, 2, 0, 1, 1]) == set()
+    # two secondary UEs on one pilot at one AP
+    assert _invariants_on(monkeypatch, d, primary, [0, 1, 1, 2, 0, 2]) == {
+        "secondary-pilot-uniqueness"}
+    # UE 3's primary AP does not serve it
+    d[3] = [False, False, False, False, True]
+    assert _invariants_on(monkeypatch, d, primary, [0, 1, 2, 0, 1, 2]) == {
+        "one-primary-per-ue"}
 
 
 def test_validate_experiment_rows():

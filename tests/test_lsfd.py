@@ -23,7 +23,7 @@ def test_b_defined_only_for_copilot():
     _, stats, _, _, plan, ctx, cluster = small_system(seed=31)
     ing = oracles.build_ingredients(0, ctx, cluster)
     for i in range(stats.K):
-        if i in plan.copilot_sets[0]:
+        if i in oracles.copilot_sets(plan.pilot_of)[0]:
             assert np.all(ing.b[i] > 0)
         else:
             assert np.all(ing.b[i] == 0)
@@ -47,14 +47,14 @@ def test_ingredients_match_monte_carlo_moments():
         v = hhat[:, k, m_idx, :]
         g = np.einsum("bmn,bimn->bim", np.conj(v), h[:, :, m_idx, :])
         g_sum += g[:, k].sum(axis=0)
-        w_sum += np.einsum("i,bim,bin->mn", powers.p_ddot, g, np.conj(g))
+        w_sum += np.einsum("i,bim,bin->mn", powers, g, np.conj(g))
         f = np.einsum("bmn,bmn->bm", np.conj(v), noise[:, m_idx, :])
         f_sum += np.einsum("bm,bn->mn", f, np.conj(f))
         done += n
     g_bar = g_sum / trials
     one_ad2 = (1 - q.rho_ad) ** 2
     b_hat = (one_ad2 * w_sum / trials + f_sum / trials
-             - one_ad2 * powers.p_ddot[k] * np.outer(g_bar, np.conj(g_bar)))
+             - one_ad2 * powers[k] * np.outer(g_bar, np.conj(g_bar)))
 
     # E[g_kk] = lambda_k^k + b_k^k
     scale = np.abs(m.signal).max()

@@ -29,7 +29,8 @@ from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, _group_of,
                           batch_plan, centralized_mc_report,
                           distributed_mc_report, distributed_mc_sums)
 
-from oracles import data_noise_batch, joint_batch, zero_filled_local_combiners
+from oracles import (cluster_sets, data_noise_batch, joint_batch,
+                     zero_filled_local_combiners)
 
 SE_REL = 1e-12
 STDERR_REL = 1e-10
@@ -72,8 +73,9 @@ def system(request):
 
 def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
     """Every UE's moment sums, one fancy-index gather and einsum per UE."""
-    serving = [np.asarray(cluster.serving[k], dtype=int) for k in range(ctx.K)]
-    overlap = [np.asarray(cluster.overlap[k], dtype=int) for k in range(ctx.K)]
+    sets = cluster_sets(cluster)
+    serving = [np.asarray(m, dtype=int) for m in sets.serving]
+    overlap = [np.asarray(q, dtype=int) for q in sets.overlap]
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
     acc = DistributedSums(ctx, [len(s) for s in serving],
                           min(STDERR_GROUPS, len(batches)))
@@ -130,16 +132,17 @@ def _system_matrices_loop(ctx, cluster, method):
     """Per-UE static matrices, one UE and one serving AP at a time."""
     n_ant = ctx.N
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
+    sets = cluster_sets(cluster)
     out = {}
     for k in range(ctx.K):
-        serving = cluster.serving[k]
+        serving = sets.serving[k]
         m = len(serving) * n_ant
         if method == "mmse":
             noise_set = est_set = list(range(ctx.K))
             stat_set = []
         else:
-            overlap = set(cluster.overlap[k])
-            primary_served = set(cluster.served[cluster.primary[k]])
+            overlap = set(sets.overlap[k])
+            primary_served = set(sets.served[cluster.primary[k]])
             noise_set = sorted(overlap)
             if method == "pmmse":
                 est_set = sorted(overlap & primary_served)
@@ -169,10 +172,11 @@ def _lpmmse_static(ctx, cluster, full=False):
     """
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     static = np.empty_like(ctx.c_n)
+    sets = cluster_sets(cluster)
     for l in range(ctx.L):
-        served = cluster.served[l]
-        est_set = served if full else cluster.served_primary[l]
-        stat_set = () if full else cluster.served_secondary[l]
+        served = sets.served[l]
+        est_set = served if full else sets.served_primary[l]
+        stat_set = () if full else sets.served_secondary[l]
         acc = _noise_loop(ctx, served, l)
         for i in est_set:
             acc = acc + one_ad2 * ctx.p_ddot[i] * (ctx.stats.R[i, l] - ctx.c_hhat[i, l])
@@ -195,13 +199,13 @@ def _centralized_report_loop(ctx, cluster, detector, trials, seed, prelog):
     p = ctx.p_ddot
     log_sum = np.zeros((groups, ctx.K))
     count = np.zeros(groups)
+    serving_sets = cluster_sets(cluster).serving
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-centralized", b_idx)
         _, hhat = joint_batch(ctx, rng, hi - lo)
         g_idx = _group_of(b_idx, len(batches), groups)
         count[g_idx] += hi - lo
-        for k in range(ctx.K):
-            serving = cluster.serving[k]
+        for k, serving in enumerate(serving_sets):
             sub = hhat[:, :, serving, :].reshape(hhat.shape[0], ctx.K, -1)
             if detector == "mrc":
                 v = sub[:, k]
@@ -277,10 +281,10 @@ def test_local_statics_match_former_lpmmse_static(system, method):
         est_sets = [range(ctx.K)] * ctx.L
     elif method == "lpmmse":
         want = _lpmmse_static(ctx, cluster)
-        est_sets = cluster.served_primary
+        est_sets = cluster_sets(cluster).served_primary
     else:
         want = _lpmmse_static(ctx, cluster, full=True)
-        est_sets = cluster.served
+        est_sets = cluster_sets(cluster).served
     got = local_statics(ctx, cluster, method)
     assert len(got) == ctx.L
     for l in range(ctx.L):
@@ -316,7 +320,7 @@ def test_noise_covariance_calls_per_report(system, monkeypatch):
     for trials in (TRIALS, 2 * TRIALS):
         calls.clear()
         centralized_mc_report(ctx, cluster, "pmmse", trials, 1, 0.95)
-        assert calls == list(cluster.serving)             # K: one per UE
+        assert calls == list(cluster_sets(cluster).serving)   # K: one per UE
         calls.clear()
         distributed_mc_report(ctx, cluster, "lpmmse", "plsfd", trials, 1, 0.95)
         assert calls == [(l,) for l in range(ctx.L)]      # L: one per AP
@@ -327,15 +331,16 @@ def test_serving_subspace_is_a_view_under_the_full_plan(system):
     z = sample_joint(ctx, substream(4, "view"), 8)[1]
     hhat_t = estimates_ue_last(ctx, z)
     everyone = tuple(range(ctx.L))
+    serving = cluster_sets(cluster).serving
     for k in range(ctx.K):
         sub = detectors.serving_subspace(hhat_t, cluster, k)
-        gather = np.take(hhat_t, cluster.serving[k], axis=1)
+        gather = np.take(hhat_t, serving[k], axis=1)
         assert np.array_equal(sub, gather.reshape(8, -1, ctx.K))
-        assert np.shares_memory(sub, hhat_t) == (cluster.serving[k] == everyone)
+        assert np.shares_memory(sub, hhat_t) == (serving[k] == everyone)
     if plan == "full":
-        assert all(m == everyone for m in cluster.serving)
+        assert all(m == everyone for m in serving)
     else:
-        assert any(m != everyone for m in cluster.serving)
+        assert any(m != everyone for m in serving)
 
 
 @pytest.mark.parametrize("detector", DETECTORS["distributed"])

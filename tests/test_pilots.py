@@ -3,22 +3,24 @@ import pytest
 
 from scfsim.numerics import hermitize
 from scfsim.pilots import (block_diag_cov, build_estimation_context,
-                           make_pilot_plan, psi_matrix, round_robin_pilots)
+                           PilotPlan, psi_matrix, round_robin_pilots)
 from scfsim.quantization import QuantizerConfig, received_noise_covariance
 from scfsim.rng import substream
 
 from conftest import small_system, synthetic_stats
-from oracles import estimate_local, joint_batch
+from oracles import copilot_sets, estimate_local, joint_batch
 
 
 def test_pilot_plan_membership():
     plan = round_robin_pilots(5, 2)
     for k in range(5):
-        assert k in plan.copilot_sets[k]
+        on_k = plan.users_on_pilot(plan.pilot_of[k])
+        assert k in on_k and tuple(on_k.tolist()) == copilot_sets(plan.pilot_of)[k]
         for i in range(5):
-            assert (i in plan.copilot_sets[k]) == (plan.pilot_of[i] == plan.pilot_of[k])
+            assert (i in on_k) == (plan.pilot_of[i] == plan.pilot_of[k])
+    assert PilotPlan(2, [0, 1]).pilot_of.dtype == int
     with pytest.raises(ValueError):
-        make_pilot_plan([0, 3], tau=2)
+        PilotPlan(2, [0, 3])
 
 
 def test_psi_single_user_ideal():
@@ -39,8 +41,8 @@ def test_psi_two_copilot_terms_and_psd_excess():
     users = plan.users_on_pilot(t)
     manual = np.array(ctx.c_n[l])
     for i in users:
-        manual = manual + (1 - q.rho_ad) ** 2 * powers.p_ddot[i] * plan.tau * stats.R[i, l]
-    psi = psi_matrix(t, stats, plan, powers.p_ddot, q, ctx.c_n)[l]
+        manual = manual + (1 - q.rho_ad) ** 2 * powers[i] * plan.tau * stats.R[i, l]
+    psi = psi_matrix(t, stats, plan, powers, q, ctx.c_n)[l]
     assert np.allclose(psi, manual, rtol=1e-12)
     excess = hermitize(psi - ctx.c_n[l])
     assert np.min(np.linalg.eigvalsh(excess)) > -1e-12 * np.trace(excess).real
@@ -87,15 +89,15 @@ def test_joint_sampling_copilot_coupling_and_orthogonality():
     trials = 120000
     h, hhat = joint_batch(ctx, substream(3, "joint"), trials)
     k, l = 0, 0
-    copilot = [i for i in plan.copilot_sets[k] if i != k][0]
-    other = [i for i in range(stats.K) if i not in plan.copilot_sets[k]][0]
+    copilot = [i for i in copilot_sets(plan.pilot_of)[k] if i != k][0]
+    other = [i for i in range(stats.K) if i not in copilot_sets(plan.pilot_of)[k]][0]
 
     w_k = hhat[:, k, l] - stats.h_bar[k, l]
     w_i = hhat[:, copilot, l] - stats.h_bar[copilot, l]
     cross = np.mean(np.einsum("bn,bn->b", np.conj(w_k), w_i))
     one_ad2 = (1 - q.rho_ad) ** 2
     expected = one_ad2 * plan.tau * np.sqrt(
-        powers.p_ddot[k] * powers.p_ddot[copilot]) * np.trace(
+        powers[k] * powers[copilot]) * np.trace(
         stats.R[copilot, l] @ ctx.t_mat[k, l])
 
     def noise_floor(i):

@@ -100,7 +100,7 @@ def test_received_noise_ideal_hardware_reduces_to_thermal():
     _, stats, _, powers, _, _, _ = small_system(seed=1)
     q0 = QuantizerConfig.ideal()
     sigma2 = 0.123
-    c = received_noise_covariance(stats, powers.p_ddot, q0, sigma2,
+    c = received_noise_covariance(stats, powers, q0, sigma2,
                                   np.arange(stats.K), np.arange(stats.L))
     assert np.allclose(c, sigma2 * np.eye(stats.N), atol=1e-15)
 
@@ -130,7 +130,7 @@ def test_received_noise_hermitian_psd():
     _, stats, q, powers, _, _, _ = small_system(L=3, K=5, N=3, tau=2, seed=8)
     every = np.arange(stats.K)
     for l in range(stats.L):
-        c = received_noise_covariance(stats, powers.p_ddot, q, 1e-9,
+        c = received_noise_covariance(stats, powers, q, 1e-9,
                                       every, [l])[0]
         assert np.max(np.abs(c - c.conj().T)) < 1e-25
         assert np.min(np.linalg.eigvalsh(hermitize(c))) > 0

@@ -19,8 +19,8 @@ def _ideal_system(seed=60, L=3, K=5, N=2, tau=2):
                          b_da=None, b_ad=None)
     cfg, stats, _, powers, plan, _, cluster = parts
     q0 = QuantizerConfig.ideal()
-    ctx = build_estimation_context(stats, plan, powers.p_ddot, q0, cfg.sigma2_mw)
-    return cfg, stats, powers.p_ddot, plan, ctx, cluster
+    ctx = build_estimation_context(stats, plan, powers, q0, cfg.sigma2_mw)
+    return cfg, stats, powers, plan, ctx, cluster
 
 
 def test_estimation_agrees():

@@ -18,7 +18,7 @@ from scfsim.sampling import (_crandn_trials_last, estimates, estimates_ue_last,
                              sample_data_noise, sample_joint)
 
 from conftest import small_system
-from oracles import joint_batch, ue_last
+from oracles import copilot_sets, joint_batch, ue_last
 
 REL = 1e-13
 CONVERTERS = [(None, None), (1, 1), (2, 3), (3, 2), (4, 4)]
@@ -69,7 +69,7 @@ def _assert_close(got, want):
 def test_sampler_matches_einsum_oracle(fading, bits, n_ant, n_trials):
     ctx = small_system(L=3, K=5, N=n_ant, tau=2, b_da=bits[0], b_ad=bits[1],
                        fading=fading, seed=21)[5]
-    assert any(len(s) > 1 for s in ctx.plan.copilot_sets)
+    assert any(len(s) > 1 for s in copilot_sets(ctx.plan.pilot_of))
     rng, rng_oracle = substream(4, "joint"), substream(4, "joint")
     h, z = sample_joint(ctx, rng, n_trials)
     want_h, want_z, want_hhat = _oracle_joint(ctx, rng_oracle, n_trials)

@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scfsim import scheduler
+from scfsim import scheduler, validation
 from scfsim.channel import channel_statistics, generate_scenario
 from scfsim.config import ConfigError, SimConfig
 from scfsim.detectors import detector_sets
 from scfsim.quantization import QuantizerConfig
 from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce,
                               cc_weighting, cluster_plan_from_indicators,
-                              equal_power_plan, full_cluster_plan,
+                              equal_powers, full_cluster_plan,
                               run_algorithm1)
-from scfsim.pilots import make_pilot_plan
+from scfsim.pilots import PilotPlan
 
 
 def _scheduled(L=8, K=12, N=2, tau=4, seed=0, nu=0.8, b_da=4, b_ad=4,
@@ -31,11 +31,12 @@ def _scheduled(L=8, K=12, N=2, tau=4, seed=0, nu=0.8, b_da=4, b_ad=4,
 
 def _assert_plan_invariants(stats, q, cluster, plan, powers, p_max):
     k_count, l_count = stats.K, stats.L
+    sets = oracles.cluster_sets(cluster)
     for k in range(k_count):
         assert cluster.primary[k] in cluster.serving[k]
     for l in range(l_count):
-        prim, sec = set(cluster.served_primary[l]), set(cluster.served_secondary[l])
-        assert prim | sec == set(cluster.served[l])
+        prim, sec = set(sets.served_primary[l]), set(sets.served_secondary[l])
+        assert prim | sec == set(sets.served[l])
         assert prim & sec == set()
         pilots = [plan.pilot_of[k] for k in sec]
         assert len(pilots) == len(set(pilots))
@@ -46,14 +47,14 @@ def _assert_plan_invariants(stats, q, cluster, plan, powers, p_max):
             assert (i in cluster.overlap[k]) == shares
             assert (i in cluster.overlap[k]) == (k in cluster.overlap[i])
     budget = p_max * (1 - q.rho_da)
-    assert np.max(powers.p_ddot) == budget
-    assert np.all(powers.p_ddot > 0) and np.all(powers.p_ddot <= budget)
+    assert np.max(powers) == budget
+    assert np.all(powers > 0) and np.all(powers <= budget)
     # a UE that is the weakest of its own neighbourhood transmits the budget
     gains = np.array([stats.beta[k, list(cluster.serving[k])].sum()
                       for k in range(k_count)])
     for k in range(k_count):
         if gains[k] == min(gains[i] for i in cluster.overlap[k]):
-            assert powers.p_ddot[k] == budget
+            assert powers[k] == budget
     # hence every connected overlap component holds a full-power UE
     seen = set()
     for k in range(k_count):
@@ -65,7 +66,7 @@ def _assert_plan_invariants(stats, q, cluster, plan, powers, p_max):
             component.add(node)
             frontier |= set(cluster.overlap[node]) - component
         seen |= component
-        assert any(powers.p_ddot[i] == budget for i in component)
+        assert any(powers[i] == budget for i in component)
 
 
 @settings(max_examples=12, deadline=None)
@@ -82,7 +83,7 @@ def test_single_ue_reduction():
     stats, q, cluster, plan, powers = _scheduled(L=5, K=1, tau=1, seed=3)
     assert cluster.primary[0] == int(np.argmax(stats.beta[0]))
     assert plan.pilot_of[0] == 0
-    assert powers.p_ddot[0] == 100.0 * (1 - q.rho_da)
+    assert powers[0] == 100.0 * (1 - q.rho_da)
 
 
 def test_first_tau_ues_get_orthogonal_pilots():
@@ -92,8 +93,8 @@ def test_first_tau_ues_get_orthogonal_pilots():
 
 def test_nu_zero_gives_equal_power():
     _, q, _, _, powers = _scheduled(L=6, K=9, tau=3, seed=6, nu=0.0)
-    assert np.allclose(powers.p_ddot, 100.0 * (1 - q.rho_da))
-    assert np.max(powers.p_ddot) == 100.0 * (1 - q.rho_da)
+    assert np.allclose(powers, 100.0 * (1 - q.rho_da))
+    assert np.max(powers) == 100.0 * (1 - q.rho_da)
 
 
 def test_determinism():
@@ -101,7 +102,7 @@ def test_determinism():
     b = _scheduled(seed=11)
     assert np.array_equal(a[2].D, b[2].D)
     assert np.array_equal(a[3].pilot_of, b[3].pilot_of)
-    assert np.array_equal(a[4].p_ddot, b[4].p_ddot)
+    assert np.array_equal(a[4], b[4])
 
 
 def test_pilot_override_is_respected():
@@ -155,13 +156,95 @@ def test_one_cluster_plan_per_pass(monkeypatch):
 
 
 def _assert_same_fields(got, ref):
+    """Equal decisions, dtypes included; a cluster plan's derived views
+    must match the eager sets too."""
     assert type(got) is type(ref)
+    if isinstance(ref, np.ndarray):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        return
     for field in dataclasses.fields(ref):
         a, b = getattr(got, field.name), getattr(ref, field.name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), field.name
         else:
             assert a == b, field.name
+    if isinstance(ref, scheduler.ClusterPlan):
+        _assert_views_match_eager_sets(got)
+
+
+def _assert_views_match_eager_sets(plan):
+    sets = oracles.cluster_sets(plan)
+    assert tuple(tuple(m.tolist()) for m in plan.serving) == sets.serving
+    assert tuple(tuple(q.tolist()) for q in plan.overlap) == sets.overlap
+    assert all(v.dtype == np.intp for v in plan.serving + plan.overlap)
+    mask = np.zeros((plan.K, plan.K), dtype=bool)
+    for k, ues in enumerate(sets.overlap):
+        mask[k, list(ues)] = True
+    assert np.array_equal(plan.overlap_mask, mask)
+    for l in range(plan.L):
+        _, served, primary, secondary = detector_sets(plan, "lpmmse", l)
+        assert tuple(served.tolist()) == sets.served[l]
+        assert tuple(primary.tolist()) == sets.served_primary[l]
+        assert tuple(secondary.tolist()) == sets.served_secondary[l]
+    # derived once: a second read returns the same object
+    assert plan.overlap_mask is plan.overlap_mask and plan.serving is plan.serving
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(min_value=1, max_value=12),
+       L=st.integers(min_value=1, max_value=8), data=st.data())
+def test_cluster_views_match_eager_sets_on_random_masks(K, L, data):
+    d = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=L, max_size=L),
+                                    min_size=K, max_size=K)), dtype=bool)
+    primary = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=L - 1),
+                                          min_size=K, max_size=K)))
+    d[np.arange(K), primary] = True
+    _assert_views_match_eager_sets(cluster_plan_from_indicators(d, primary))
+
+
+def test_cluster_views_match_eager_sets_on_edge_plans():
+    stats, _, cluster, _, _ = _scheduled(L=6, K=9, tau=3, seed=23)
+    _assert_views_match_eager_sets(cluster)
+    _assert_views_match_eager_sets(full_cluster_plan(stats))
+    # UE 2 served by AP 3 alone; AP 1 serves nobody
+    d = np.zeros((4, 4), dtype=bool)
+    d[:, 0] = True
+    d[[0, 1], 2] = True
+    d[2] = [False, False, False, True]
+    plan = cluster_plan_from_indicators(d, np.array([0, 2, 3, 0]))
+    assert list(plan.serving[2]) == [3] and not plan.D[:, 1].any()
+    _assert_views_match_eager_sets(plan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=st.integers(min_value=2, max_value=5), data=st.data())
+def test_copilot_readers_match_eager_sets(tau, data):
+    pilot_of = data.draw(st.lists(st.integers(min_value=0, max_value=tau - 1),
+                                  min_size=2, max_size=10))
+    pilots = PilotPlan(tau, pilot_of)
+    assert pilots.pilot_of.dtype == int
+    copilot = oracles.copilot_sets(pilot_of)
+    n_users = len(pilot_of)
+    d = np.zeros((n_users, 3), dtype=bool)
+    d[:, 0] = True
+    d[::2, 1] = True
+    d[1::3, 2] = True
+    d[0, 0] = False
+    plan = cluster_plan_from_indicators(d, np.argmax(d, axis=1))
+    sets = oracles.cluster_sets(plan)
+    for k in range(n_users):
+        m = len(sets.serving[k])
+        for weighting, ues in (("plsfd", set(sets.overlap[k])),
+                               ("lsfd", set(range(n_users)))):
+            shared = len(ues & set(copilot[k]))
+            cm = (m * (m + 1) * len(ues)) // 2 + (m * (5 * m + 1) * shared) // 2 \
+                + (m**3 + 3 * m**2 - m) // 3
+            assert cc_weighting(plan, pilots, k, weighting) == (cm, m)
+    others = [i for i in range(n_users) if i not in copilot[0]]
+    if len(copilot[0]) > 1 and others:
+        cases = validation.theorem1_cases(pilots)
+        assert cases["copilot-same-ap"] == (0, copilot[0][1], 0, 0)
+        assert cases["orthogonal-cross-ap"] == (0, others[0], 0, 1)
 
 
 def _assert_matches_reference(stats, tau, **options):
@@ -225,7 +308,7 @@ def test_cc_plsfd_worked_examples():
     for k in range(1, 5):
         d[k, 0] = True
     plan = cluster_plan_from_indicators(d, np.zeros(5, dtype=int))
-    pilots = make_pilot_plan([0, 1, 2, 3, 1], tau=4)   # P_0 ∩ Q_0 = {0}
+    pilots = PilotPlan(4, [0, 1, 2, 3, 1])             # P_0 ∩ Q_0 = {0}
     assert len(plan.serving[0]) == 2 and len(plan.overlap[0]) == 5
     assert cc_weighting(plan, pilots, 0, "plsfd") == (32, 2)
 
@@ -234,14 +317,14 @@ def test_cc_plsfd_worked_examples():
     d[0, 0] = True
     d[1, 1] = True
     plan = cluster_plan_from_indicators(d, np.array([0, 1]))
-    pilots = make_pilot_plan([0, 0], tau=2)
+    pilots = PilotPlan(2, [0, 0])
     assert cc_weighting(plan, pilots, 0, "plsfd") == (5, 1)
 
 
 def test_cc_lsfd_vs_plsfd():
     d = np.ones((5, 3), dtype=bool)       # everyone overlaps everyone
     plan = cluster_plan_from_indicators(d, np.zeros(5, dtype=int))
-    pilots = make_pilot_plan([0, 1, 0, 1, 0], tau=2)
+    pilots = PilotPlan(2, [0, 1, 0, 1, 0])
     for k in range(5):
         assert (cc_weighting(plan, pilots, k, "lsfd")
                 == cc_weighting(plan, pilots, k, "plsfd"))
@@ -260,8 +343,9 @@ def test_cc_lsfd_vs_plsfd():
         primary = np.full(n_users, 2)
         primary[0] = 0
         plan = cluster_plan_from_indicators(d, primary)
-        pilots = make_pilot_plan([0] + [1] * (n_users - 1), tau=2)
-        assert plan.overlap[0] == (0,) and pilots.copilot_sets[0] == (0,)
+        pilots = PilotPlan(2, [0] + [1] * (n_users - 1))
+        assert list(plan.overlap[0]) == [0]
+        assert oracles.copilot_sets(pilots.pilot_of)[0] == (0,)
         counts[n_users] = cc_weighting(plan, pilots, 0, "lsfd")[0]
         # |M|=2, |Q|=1, |P∩Q|=1 -> 3 + 11 + 6 = 20 CMs for every K
         assert cc_weighting(plan, pilots, 0, "plsfd") == (20, 2)
@@ -277,15 +361,16 @@ def test_cc_lsfd_dominates_plsfd():
 
 def test_cc_detector_ce_formulas():
     stats, _, cluster, pilots, _ = _scheduled(L=6, K=10, tau=4, seed=22)
+    sets = oracles.cluster_sets(cluster)
     n_ant, tau = 2, 10
     for l in range(stats.L):
         got = cc_detector_ce(cluster, "lpmmse", l, n_ant, tau)
-        assert got == n_ant * (n_ant + tau) * len(cluster.served_primary[l])
+        assert got == n_ant * (n_ant + tau) * len(sets.served_primary[l])
         full = cc_detector_ce(cluster, "lpmmse-full", l, n_ant, tau)
-        assert full - got == n_ant * (n_ant + tau) * len(cluster.served_secondary[l])
+        assert full - got == n_ant * (n_ant + tau) * len(sets.served_secondary[l])
     for k in range(stats.K):
         got = cc_detector_ce(cluster, "pmmse", k, n_ant, tau)
-        primary_served = set(cluster.served[cluster.primary[k]])
+        primary_served = set(sets.served[cluster.primary[k]])
         expected = n_ant * (n_ant + tau) * len(
             set(cluster.overlap[k]) & primary_served) * len(cluster.serving[k])
         assert got == expected
@@ -324,13 +409,14 @@ def test_algorithm1_complexity_formula():
 
 def test_estimates_required_matches_proposition_sets():
     stats, _, cluster, _, _ = _scheduled(L=6, K=9, tau=3, seed=23)
+    sets = oracles.cluster_sets(cluster)
 
     def estimates(detector, index):
         return set(detector_sets(cluster, detector, index)[2])
 
     for l in range(stats.L):
-        assert estimates("lpmmse", l) == set(cluster.served_primary[l])
-        assert estimates("lpmmse-full", l) == set(cluster.served[l])
+        assert estimates("lpmmse", l) == set(sets.served_primary[l])
+        assert estimates("lpmmse-full", l) == set(sets.served[l])
     for k in range(stats.K):
         assert estimates("pmmse-full", k) == set(cluster.overlap[k])
 
@@ -340,5 +426,5 @@ def test_full_cluster_plan_and_equal_power():
     full = full_cluster_plan(stats)
     assert all(len(m) == stats.L for m in full.serving)
     assert all(len(o) == stats.K for o in full.overlap)
-    powers = equal_power_plan(stats.K, 100.0, q.rho_da)
-    assert np.all(powers.p_ddot == 100.0 * (1 - q.rho_da))
+    powers = equal_powers(stats.K, 100.0, q.rho_da)
+    assert np.all(powers == 100.0 * (1 - q.rho_da))

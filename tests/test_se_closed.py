@@ -14,7 +14,7 @@ from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.validation import desk_validation_config
 
 from conftest import small_system, synthetic_stats
-from oracles import f_kernels
+from oracles import cluster_sets, copilot_sets, f_kernels
 from oracles import theorem1_kernel as theorem1_kernel_four_case
 
 
@@ -61,10 +61,10 @@ def test_one_ue_kernel_blocks_are_a_column_of_the_served_blocks(centralized):
     _, stats, q, _, _, _, _ = small_system(L=6, K=9, N=2, tau=4, seed=48)
     cluster, plan, powers = run_algorithm1(stats, q, 4, 100.0)
     cfg = SimConfig(L=6, K=9, N=2, tau=4)
-    ctx = build_estimation_context(stats, plan, powers.p_ddot, q, cfg.sigma2_mw)
+    ctx = build_estimation_context(stats, plan, powers, q, cfg.sigma2_mw)
     checked = 0
     for l in range(ctx.L):
-        for served in (np.asarray(cluster.served[l], dtype=int),
+        for served in (np.asarray(cluster_sets(cluster).served[l], dtype=int),
                        np.arange(ctx.K)):
             table = _ap_kernels(ctx, l, served, centralized)
             for j, k in enumerate(served):
@@ -82,13 +82,13 @@ def test_one_ue_kernel_blocks_are_a_column_of_the_served_blocks(centralized):
 
 def test_kernel_case4_rayleigh_is_zero():
     _, _, _, _, plan, ctx, _ = small_system(seed=40, fading="rayleigh")
-    other = [i for i in range(4) if i not in plan.copilot_sets[0]][0]
+    other = [i for i in range(4) if i not in copilot_sets(plan.pilot_of)[0]][0]
     assert theorem1_kernel(0, other, 0, 1, ctx) == 0
 
 
 def test_kernel_case4_is_los_product():
     _, stats, _, _, plan, ctx, _ = small_system(seed=41)
-    other = [i for i in range(4) if i not in plan.copilot_sets[0]][0]
+    other = [i for i in range(4) if i not in copilot_sets(plan.pilot_of)[0]][0]
     got = theorem1_kernel(0, other, 0, 1, ctx)
     want = (np.vdot(stats.h_bar[0, 0], stats.h_bar[other, 0])
             * np.vdot(stats.h_bar[other, 1], stats.h_bar[0, 1]))
@@ -147,8 +147,8 @@ def test_prelog_scales_linearly():
 
 def test_f_kernels_orthogonal_pilot_has_no_copilot_term():
     _, _, _, _, plan, ctx, cluster = small_system(seed=44)
-    other = [i for i in range(4) if i not in plan.copilot_sets[0]][0]
-    copilot = [i for i in plan.copilot_sets[0] if i != 0][0]
+    other = [i for i in range(4) if i not in copilot_sets(plan.pilot_of)[0]][0]
+    copilot = [i for i in copilot_sets(plan.pilot_of)[0] if i != 0][0]
     _, f_e = f_kernels(0, ctx, cluster)
     assert f_e[other] == 0.0
     f_e_cp = f_e[copilot]
@@ -173,7 +173,7 @@ def test_se_monotone_in_resolution():
     base = small_system(L=3, K=4, N=2, tau=2, seed=46)
     stats, plan = base[1], base[4]
     prelog = 0.95
-    from scfsim.scheduler import equal_power_plan
+    from scfsim.scheduler import equal_powers
 
     def sweep(fixed_da, fixed_ad, vary):
         prev = None
@@ -181,8 +181,8 @@ def test_se_monotone_in_resolution():
             b_da = b if vary == "da" else fixed_da
             b_ad = b if vary == "ad" else fixed_ad
             q = QuantizerConfig(b_da=b_da, b_ad=b_ad)
-            powers = equal_power_plan(4, 100.0, q.rho_da)
-            ctx = build_estimation_context(stats, plan, powers.p_ddot, q,
+            powers = equal_powers(4, 100.0, q.rho_da)
+            ctx = build_estimation_context(stats, plan, powers, q,
                                            base[0].sigma2_mw)
             cluster = full_cluster_plan(stats)
             se = distributed_closed_report(ctx, cluster, "lsfd", prelog).se

@@ -45,7 +45,7 @@ def test_batch_plan_groups_are_equal(trials, shape, count):
 
 def test_zero_power_ue_gets_zero_se():
     cfg, stats, q, powers, plan, _, cluster = small_system(seed=50)
-    p = powers.p_ddot.copy()
+    p = powers.copy()
     p[2] = 0.0
     ctx = build_estimation_context(stats, plan, p, q, cfg.sigma2_mw)
     report = distributed_mc_report(ctx, cluster, "mrc", "lsfd", 2000, 0, 0.95)
@@ -127,7 +127,7 @@ def test_centralized_exact_mc_scalar_oracle():
     from scfsim.quantization import QuantizerConfig
     q0 = QuantizerConfig.ideal()
     sigma2 = small_system(L=1, K=1, N=2, tau=1, seed=57)[0].sigma2_mw
-    ctx = build_estimation_context(stats, plan, powers.p_ddot, q0, sigma2)
+    ctx = build_estimation_context(stats, plan, powers, q0, sigma2)
 
     trials = 60000
     got = centralized_mc_report(ctx, cluster, "mrc", trials, 7, 0.95).se[0]
@@ -135,9 +135,9 @@ def test_centralized_exact_mc_scalar_oracle():
     rng = substream(99, "oracle")
     factor = hermitian_sqrt(ctx.c_hhat[0, 0])
     draws = stats.h_bar[0, 0] + (factor @ crandn(rng, (trials, 2)).T).T
-    w = powers.p_ddot[0] * (stats.R[0, 0] - ctx.c_hhat[0, 0]) \
+    w = powers[0] * (stats.R[0, 0] - ctx.c_hhat[0, 0]) \
         + sigma2 * np.eye(2)
-    num = powers.p_ddot[0] * np.abs(np.einsum("bn,bn->b", np.conj(draws), draws)) ** 2
+    num = powers[0] * np.abs(np.einsum("bn,bn->b", np.conj(draws), draws)) ** 2
     den = np.real(np.einsum("bn,nm,bm->b", np.conj(draws), w, draws))
     oracle = 0.95 * np.mean(np.log2(1 + num / den))
     assert abs(got - oracle) / oracle < 0.02
