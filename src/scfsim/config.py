@@ -139,6 +139,9 @@ class SimConfig:
                               f"got {self.d_bar}")
         if not self.tau < self.tau_c:
             raise ConfigError(f"tau ({self.tau}) must be < tau_c ({self.tau_c})")
+        if not 0.0 < self.prelog < 1.0:     # tau/tau_c rounded to 0 or 1
+            raise ConfigError(f"tau_c must leave the prelog 1 - tau/tau_c "
+                              f"inside (0, 1) as a float, got {self.prelog}")
         if not 0.0 <= self.nu <= 1.0:
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
         if self.fading not in ("rician", "rayleigh"):

@@ -24,7 +24,7 @@ from . import se_closed
 from .channel import channel_statistics, generate_scenario
 from .config import SimConfig, config_hash
 from .lsfd import build_ingredients, se_from_moments
-from .pilots import build_estimation_context, random_pilots
+from .pilots import build_estimation_context
 from .quantization import QuantizerConfig
 from .rng import substream
 from .scheduler import run_algorithm1
@@ -109,8 +109,8 @@ def build_system(cfg, seed, strategy="algorithm1"):
     q = QuantizerConfig(b_da=cfg.b_da, b_ad=cfg.b_ad)
     pilot_override = None
     if strategy == "random-pilot":
-        pilot_override = random_pilots(cfg.K, cfg.tau,
-                                       substream(seed, "pilot-baseline")).pilot_of
+        pilot_override = substream(seed, "pilot-baseline").integers(
+            0, cfg.tau, size=cfg.K)
     elif strategy != "algorithm1":
         raise ExperimentError(f"unknown scheduling strategy {strategy!r}")
     cluster, pilots, p_ddot = run_algorithm1(

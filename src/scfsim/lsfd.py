@@ -10,23 +10,25 @@ them; ``lsfd_weights`` maps a bundle and a weighting (one of
 ``build_ingredients`` builds every UE's bundle in closed form, and
 ``se_mc.DistributedSums.moments`` estimates one from samples.
 
-The closed-form ingredients are, per served pair (k, l) and UE i:
+The closed-form ingredients are, per served pair (k, l) and UE i, written
+in the estimation context's estimator gain G_kl and estimate covariance
+C_kl (``pilots``), the matrices the Monte Carlo engine reads too:
 
     lambda_kl^i = h_bar_kl^H h_bar_il                  (LOS alignment)
-    b_kl^i      = (1-rho_ad)^2 tau sqrt(p̈_k p̈_i) tr(R_il Psi^{-1} R_kl)
+    b_kl^i      = (1-rho_ad) sqrt(tau p̈_i) tr(R_il G_kl^H)
                   (co-pilot estimate correlation; zero for i off P_k)
-    c_kl^i      = (1-rho_ad)^2 tau p̈_k (tr(R_il S_kl) + h_bar_il^H S_kl h_bar_il)
+    c_kl^i      = tr(R_il C_kl) + h_bar_il^H C_kl h_bar_il
                   + h_bar_kl^H R_il h_bar_kl           (interference power)
-    d_kl        = tr(E[n_x n_x^H] E[hhat_kl hhat_kl^H])  (AP-local noise)
+    d_kl        = tr(E[n_x n_x^H] (h_bar_kl h_bar_kl^H + C_kl))
+                                                       (AP-local noise)
 
-with S_kl = R_kl Psi^{-1} R_kl. They come from one pass over the APs: AP l
-gives the trace and quadratic-form kernels of the UEs it serves against every
-UE, each one (K x N^2)(N^2 x |served|) matmul (``_ap_kernels``, which the
-centralized closed form in ``se_closed`` reads too). Over the P served
-pairs the pass fills one (P, K) table g = lambda + b and two (P,) vectors,
-the p̈-weighted sums of c over all UEs and over Q_k. Since b is real and
-zero off P_k, the co-pilot cross terms fold into one weighted Gram of g
-over k's serving APs:
+They come from one pass over the APs: AP l gives g = lambda + b and c of the
+UEs it serves against every UE, each a (K x N^2) or (K x 2N^2) matmul
+(``_ap_kernels``, which the centralized closed form in ``se_closed`` reads
+too). Over the P served pairs the pass fills one (P, K) table g and two
+(P,) vectors, the p̈-weighted sums of c over all UEs and over Q_k. Since b
+is real and zero off P_k, the co-pilot cross terms fold into one weighted
+Gram of g over k's serving APs:
 
     C_k = (1-rho_ad)^2/(1-rho_da) [sum_{i in S} p̈_i g_i g_i^H
                                    + diag(sum_{i in S} p̈_i c_i)]
@@ -60,36 +62,27 @@ class Moments:
 
 def _ap_kernels(ctx, l, served, centralized=False):
     """Kernel blocks of AP l: column j is the served UE k = served[j], row i
-    every UE. Returns, each (K, |served|):
-
-        g_kl^i = lambda_kl^i + b_kl^i (complex), tr(R_il S_kl),
-        h_bar_kl^H R_il h_bar_kl, h_bar_il^H S_kl h_bar_il
-
-    and, for the centralized form, also tr(S_il S_kl) and
-    h_bar_kl^H S_il h_bar_kl. tr(A B) = vec(A) . vec(B^T), so each family is
-    one product of a (K, N^2) stack of A_il (R_il, h_bar_il h_bar_il^H,
-    S_il) with the (N^2, |served|) stack of B_kl^T (T_kl = Psi^{-1} R_kl,
-    S_kl, h_bar_kl h_bar_kl^H).
+    every UE. Returns two (K, |served|) blocks: g_kl^i = lambda_kl^i + b_kl^i
+    (complex) and c_kl^i, or for the centralized form the trace part of
+    f^g + f^e, which is c with C_il in place of R_il. tr(A B) =
+    vec(A) . vec(B^T), so b is one product of the R_il with the conj(G_kl),
+    and the second block one of [R_il or C_il | h_bar_il h_bar_il^H] with
+    [(C_kl + h_bar_kl h_bar_kl^H)^T ; C_kl^T].
     """
     stats, n2, m = ctx.stats, ctx.N ** 2, len(served)
     p, pilot = ctx.p_ddot, ctx.plan.pilot_of
     h = stats.h_bar[:, l]                                       # (K, N)
-    h_k = h[served]
-    served_side = np.concatenate((
-        np.swapaxes(ctx.t_mat[served, l], -1, -2).reshape(m, n2),
-        np.swapaxes(ctx.s_mat[served, l], -1, -2).reshape(m, n2),
-        (np.conj(h_k)[:, :, None] * h_k[:, None, :]).reshape(m, n2))).T
-    r = (stats.R[:, l].reshape(-1, n2) @ served_side).real
+    hh = h[:, :, None] * np.conj(h)[:, None, :]
+    c_k = ctx.c_hhat[served, l]
+    r = stats.R[:, l].reshape(-1, n2)
+    b = (r @ np.conj(ctx.est_gain[served, l]).reshape(m, n2).T).real
     b = np.where(pilot[:, None] == pilot[served],
-                 (1.0 - ctx.q.rho_ad) ** 2 * ctx.tau
-                 * np.sqrt(p[:, None] * p[served]) * r[:, :m], 0.0)
-    hh = (h[:, :, None] * np.conj(h)[:, None, :]).reshape(-1, n2)
-    kernels = (h @ np.conj(h_k).T + b, r[:, m:2 * m], r[:, 2 * m:],
-               (hh @ served_side[:, m:2 * m]).real)
-    if centralized:
-        s = (ctx.s_mat[:, l].reshape(-1, n2) @ served_side[:, m:]).real
-        kernels += (s[:, :m], s[:, m:])
-    return kernels
+                 (1.0 - ctx.q.rho_ad) * np.sqrt(ctx.tau * p)[:, None] * b, 0.0)
+    left = ctx.c_hhat[:, l].reshape(-1, n2) if centralized else r
+    c = (np.concatenate((left, hh.reshape(-1, n2)), axis=1) @ np.concatenate((
+        np.swapaxes(c_k + hh[served], -1, -2).reshape(m, n2),
+        np.swapaxes(c_k, -1, -2).reshape(m, n2)), axis=1).T).real
+    return h @ np.conj(h[served]).T + b, c
 
 
 def build_ingredients(ctx, cluster):
@@ -101,7 +94,7 @@ def build_ingredients(ctx, cluster):
     if not sizes.all():
         raise ValueError(f"UE {np.argmin(sizes)} has an empty serving set")
     one_ad2 = (1.0 - q.rho_ad) ** 2
-    tau, p = ctx.tau, ctx.p_ddot
+    p = ctx.p_ddot
 
     # served pairs (k, l), UE-major: UE k's pairs are first[k] + range(|M_k|)
     kk, ll = np.nonzero(served_by)
@@ -114,10 +107,9 @@ def build_ingredients(ctx, cluster):
     c_partial = np.empty(len(kk))                    # the same over Q_k
     for l in range(ctx.L):
         served = np.flatnonzero(served_by[:, l])
-        g_l, tr_rs, quad_r, quad_s = _ap_kernels(ctx, l, served)
+        g_l, c = _ap_kernels(ctx, l, served)
         rows = pair[served, l]
         g[rows] = g_l.T
-        c = one_ad2 * tau * p[served] * (tr_rs + quad_s) + quad_r
         c_full[rows] = p @ c
         c_partial[rows] = np.einsum("ji,ij->j", p * overlap[served], c)
 

@@ -2,14 +2,15 @@
 
 The pilot plan holds the scheduler's decision only: tau and each UE's pilot.
 
-The estimation context precomputes, per AP and per link, every matrix the
-detectors, closed forms, and Monte Carlo samplers reuse: receive-noise
-covariances, estimator gains, and the estimate covariances. The per-link
-matrices are stored as (K, L, N, N) stacks and come from one batched solve
-of every (k, l) system against the pilot-domain covariance Psi of k's pilot
-(``psi_matrix``), which is not kept.
-The per-AP error-plus-noise matrices W, which the centralized closed form
-and the centralized Monte Carlo detectors both read, are built here too.
+The estimation context holds the (K, L, N, N) stacks both engines read: the
+estimator gains G_kl = (1-rho_ad) sqrt(p̈_k tau) R_kl Psi^{-1}, with which
+the Monte Carlo sampler forms estimates, and the estimate covariances
+C_kl = (1-rho_ad)^2 p̈_k tau R_kl Psi^{-1} R_kl, which the detectors and the
+closed forms read. Both come from one batched solve of every (k, l) system
+against the covariance Psi of k's pilot at AP l (``psi_matrix``); Psi and
+the solve's Psi^{-1} R are not kept. The per-AP error-plus-noise matrices W,
+which the centralized closed form and the centralized Monte Carlo detectors
+both read, are built here too.
 """
 
 from dataclasses import dataclass
@@ -26,12 +27,18 @@ class PilotPlan:
     ``pilot_of == pilot_of[k]``, formed where it is read."""
 
     tau: int
-    pilot_of: np.ndarray       # (K,) pilot index per UE, 0-based
+    pilot_of: np.ndarray       # (K,) int: UE k's pilot index, in [0, tau)
 
     def __post_init__(self):
-        object.__setattr__(self, "pilot_of", np.asarray(self.pilot_of, dtype=int))
-        if np.any(self.pilot_of < 0) or np.any(self.pilot_of >= self.tau):
+        pilot_of = np.asarray(self.pilot_of)
+        # a list mixing bools and ints converts to an int array: read its items
+        if (pilot_of.ndim != 1 or pilot_of.dtype.kind not in "iu" or any(
+                isinstance(v, (bool, np.bool_)) for v in self.pilot_of)):
+            raise ValueError(f"pilot_of must be a 1-D array of integer pilot "
+                             f"indices, got {self.pilot_of!r}")
+        if np.any(pilot_of < 0) or np.any(pilot_of >= self.tau):
             raise ValueError("pilot indices out of range")
+        object.__setattr__(self, "pilot_of", pilot_of.astype(int, copy=False))
 
     @property
     def K(self):
@@ -43,10 +50,6 @@ class PilotPlan:
 
 def round_robin_pilots(n_users, tau):
     return PilotPlan(tau, np.arange(n_users) % tau)
-
-
-def random_pilots(n_users, tau, rng):
-    return PilotPlan(tau, rng.integers(0, tau, size=n_users))
 
 
 def psi_matrix(t, stats, plan, p_ddot, q, c_n):
@@ -69,13 +72,10 @@ class EstimationContext:
     p_ddot: np.ndarray         # (K,) effective transmit powers (DAC gain applied)
     q: object                  # QuantizerConfig
     sigma2: float
-    c_n: np.ndarray            # (L, N, N) receive-noise covariance per AP
-    c_n_sqrt: np.ndarray       # (L, N, N) factor F with F F^H = c_n
-    w: np.ndarray              # (L, N, N) c_n + (1-rho_ad)^2 Sum_i p̈_i (R_il - C_il)
-    est_gain: np.ndarray       # (K, L, N, N): (1-rho_ad) sqrt(p̈ tau) R Psi^{-1}
-    t_mat: np.ndarray          # (K, L, N, N): Psi^{-1} R  (for trace kernels)
-    s_mat: np.ndarray          # (K, L, N, N): R Psi^{-1} R
-    c_hhat: np.ndarray         # (K, L, N, N) estimate covariance
+    c_n_sqrt: np.ndarray       # (L, N, N) factor F of the receive noise C_n = F F^H
+    w: np.ndarray              # (L, N, N) C_n + (1-rho_ad)^2 Sum_i p̈_i (R_il - C_il)
+    est_gain: np.ndarray       # (K, L, N, N) estimator gains G_kl
+    c_hhat: np.ndarray         # (K, L, N, N) estimate covariances C_kl
     adc_diag: np.ndarray       # (L, N): diag(E[x x^H]) at the ADC input
     nx_diag: np.ndarray        # (L, N): AP-local noise, channel-independent diagonal part
     nx_iso: np.ndarray         # (L,): AP-local noise, isotropic part
@@ -139,10 +139,9 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
     nx_iso = one_ad * (sigma2 + (q.rho_ad / (1.0 - q.rho_da))
                        * np.einsum("i,il->l", p_ddot, stats.beta_los))
     return EstimationContext(stats=stats, plan=plan, p_ddot=p_ddot, q=q,
-                             sigma2=sigma2, c_n=c_n, c_n_sqrt=c_n_sqrt, w=w,
-                             est_gain=est_gain, t_mat=t_mat,
-                             s_mat=s_mat, c_hhat=c_hhat, adc_diag=adc_diag,
-                             nx_diag=nx_diag, nx_iso=nx_iso)
+                             sigma2=sigma2, c_n_sqrt=c_n_sqrt, w=w,
+                             est_gain=est_gain, c_hhat=c_hhat,
+                             adc_diag=adc_diag, nx_diag=nx_diag, nx_iso=nx_iso)
 
 
 def block_diag_cov(per_ap):

@@ -112,6 +112,11 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
     if tau < 1 or iterations < 1:
         raise ValueError("tau and iterations must be >= 1")
     k_count, l_count = stats.K, stats.L
+    if pilot_override is not None:
+        pilot_override = PilotPlan(tau, pilot_override).pilot_of
+        if len(pilot_override) != k_count:
+            raise ValueError(f"pilot_override has {len(pilot_override)} "
+                             f"pilots for {k_count} UEs")
     users, aps = np.arange(k_count), np.arange(l_count)
     if d_bar is None:
         d_bar = np.sqrt(2.0) * stats.scenario.area_side
@@ -131,7 +136,7 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
 
     for _ in range(iterations):
         if pilot_override is not None:
-            pilot = np.array(pilot_override, dtype=int)
+            pilot = pilot_override.copy()
         else:
             pilot = users.copy()     # UEs k < tau keep pilot k
             for k in range(tau, k_count):

@@ -7,9 +7,14 @@ gives the kernel blocks of the UEs it serves against every UE
 (``lsfd._ap_kernels``, the blocks the distributed closed form reads too),
 and adds them to the rows of its served UEs in two (K, K) accumulators:
 sum_{l in M_k} g_kl^i, with g = lambda + b the distributed form's mean
-gain, and the trace terms. f^g + f^e is |sum_l g_kl^i|^2 plus the trace
-terms, because the co-pilot part f^e = b^2 + 2 b Re(lambda) completes the
-square of the LOS part |lambda|^2. The interference, the noise term
+gain, and the trace part, in the estimate covariances C_kl of the
+estimation context:
+
+    tr(C_il C_kl) + h_bar_il^H C_kl h_bar_il + h_bar_kl^H C_il h_bar_kl.
+
+f^g + f^e is |sum_l g_kl^i|^2 plus the trace part, because the co-pilot
+part f^e = b^2 + 2 b Re(lambda) completes the square of the LOS part
+|lambda|^2. The interference, the noise term
 sum_{l in M_k} tr(W_l E[hhat_kl hhat_kl^H]) and the SE are then array
 operations; the per-AP error-plus-noise matrices W_l are a field of the
 estimation context (``ctx.w``), which the Monte Carlo engine reads too.
@@ -32,11 +37,9 @@ def theorem1_kernel(k, i, l1, l2, ctx):
 
     The kernel is g_{k,l1}^i conj(g_{k,l2}^i), plus c_kl^i when l1 == l2.
     """
-    g, tr_rs, quad_r, quad_s = (x[i, 0] for x in _ap_kernels(ctx, l1, [k]))
+    g, c = (x[i, 0] for x in _ap_kernels(ctx, l1, [k]))
     if l1 != l2:
         return complex(g * np.conj(_ap_kernels(ctx, l2, [k])[0][i, 0]))
-    one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    c = one_ad2 * ctx.tau * ctx.p_ddot[k] * (tr_rs + quad_s) + quad_r
     return complex(g * np.conj(g) + c)
 
 
@@ -45,21 +48,18 @@ def se_centralized_closed(ctx, cluster, prelog):
     approximation."""
     k_count = ctx.K
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    tau, p = ctx.tau, ctx.p_ddot
+    p = ctx.p_ddot
 
     # f^g + f^e of UE k (row) against UE i (column) is |sum_l g_kl^i|^2 plus
-    # the trace terms, all summed over k's serving APs: each AP adds its
+    # the trace part, all summed over k's serving APs: each AP adds its
     # blocks to the rows of the UEs it serves
     g = np.zeros((k_count, k_count), dtype=complex)
     f = np.zeros((k_count, k_count))
     for l in range(ctx.L):
         served = np.flatnonzero(cluster.D[:, l])
-        g_l, _, _, quad_s, tr_ss, quad_sk = _ap_kernels(
-            ctx, l, served, centralized=True)
-        p_k, p_i = p[served], p[:, None]
+        g_l, trace_part = _ap_kernels(ctx, l, served, centralized=True)
         g[served] += g_l.T
-        f[served] += (one_ad2 * tau * (one_ad2 * tau * p_k * p_i * tr_ss
-                                       + p_i * quad_sk + p_k * quad_s)).T
+        f[served] += trace_part.T
     f += np.abs(g) ** 2
     num = one_ad2 * p * np.diagonal(f)
     np.fill_diagonal(f, 0.0)

@@ -1,12 +1,17 @@
 """Per-UE and single-link reference implementations kept as test oracles.
 
 The simulator evaluates both MRC closed forms for every UE at once
-(``lsfd.build_ingredients``, ``se_closed.se_centralized_closed``); the
-builders below are the former one-UE-at-a-time versions, with every
-Theorem-2 ingredient (lambda, b, c, d) exposed, the four-case Theorem-1
-kernel formula that ``se_closed.theorem1_kernel`` now reads from the
-closed forms' per-AP kernel table, and the former builder of the per-AP
-error-plus-noise matrices W that the estimation context now holds.
+(``lsfd.build_ingredients``, ``se_closed.se_centralized_closed``) from the
+estimation context's estimator gains G and estimate covariances C. The
+oracles derive the receive noise C_n and the products Psi^{-1} R and
+R Psi^{-1} R themselves (``receive_noise``, ``estimator_products``: the
+pilot covariance of ``pilots.psi_matrix`` and one solve), so they do not
+read the context under test for them. The builders below are the former
+one-UE-at-a-time versions, with every Theorem-2 ingredient (lambda, b, c,
+d) exposed, the four-case Theorem-1 kernel formula that
+``se_closed.theorem1_kernel`` now reads from the closed forms' per-AP kernel
+table, and the former builder of the per-AP error-plus-noise matrices W that
+the estimation context now holds.
 ``run_algorithm1`` and its two helpers are the former loop-based
 scheduler, which ``scheduler.run_algorithm1`` runs as array steps;
 ``cluster_sets`` and ``copilot_sets`` are the former plans' eager sets,
@@ -151,6 +156,27 @@ def local_combiners_full(hhat, ctx, cluster, method):
 
 
 # ---------------------------------------------------------------------------
+# estimation matrices
+# ---------------------------------------------------------------------------
+
+def receive_noise(ctx):
+    """(L, N, N) receive-noise covariances C_n, by the call the estimation
+    context's builder makes."""
+    return received_noise_covariance(ctx.stats, ctx.p_ddot, ctx.q, ctx.sigma2,
+                                     np.arange(ctx.K), np.arange(ctx.L))
+
+
+def estimator_products(ctx):
+    """(Psi^{-1} R_kl, R_kl Psi^{-1} R_kl), each (K, L, N, N), with Psi the
+    covariance of k's pilot at AP l: one solve of every (k, l) system."""
+    c_n = receive_noise(ctx)
+    psi = np.stack([psi_matrix(t, ctx.stats, ctx.plan, ctx.p_ddot, ctx.q, c_n)
+                    for t in range(ctx.tau)])
+    t_mat = np.linalg.solve(psi[ctx.plan.pilot_of], ctx.stats.R)
+    return t_mat, hermitize(ctx.stats.R @ t_mat)
+
+
+# ---------------------------------------------------------------------------
 # the distributed closed form, one UE at a time
 # ---------------------------------------------------------------------------
 
@@ -187,8 +213,9 @@ def build_ingredients(k, ctx, cluster):
     lam = np.einsum("mn,imn->im", np.conj(h_bar_k), stats.h_bar[:, m_idx])
 
     # trace kernels against this UE's estimator sandwich S_kl = R Psi^{-1} R
-    s_k = ctx.s_mat[k, m_idx]                            # (|M|, N, N)
-    t_k = ctx.t_mat[k, m_idx]                            # (|M|, N, N) = Psi^{-1} R_kl
+    t_mat, s_mat = estimator_products(ctx)
+    s_k = s_mat[k, m_idx]                                # (|M|, N, N)
+    t_k = t_mat[k, m_idx]                                # (|M|, N, N) = Psi^{-1} R_kl
     r_all = stats.R[:, m_idx]                            # (K, |M|, N, N)
 
     b = np.zeros((ctx.K, len(serving)))
@@ -262,16 +289,17 @@ def theorem1_kernel(k, i, l1, l2, ctx):
     h_k1, h_i1 = stats.h_bar[k, l1], stats.h_bar[i, l1]
     h_k2, h_i2 = stats.h_bar[k, l2], stats.h_bar[i, l2]
     los_cross = np.vdot(h_k1, h_i1) * np.vdot(h_i2, h_k2)
+    t_mat, s_mat = estimator_products(ctx)
 
     if l1 == l2:
-        s_k = ctx.s_mat[k, l1]
+        s_k = s_mat[k, l1]
         common = (np.vdot(h_k1, stats.R[i, l1] @ h_k1)
                   + one_ad2 * tau * p[k] * (
                       np.trace(stats.R[i, l1] @ s_k)
                       + np.vdot(h_i1, s_k @ h_i1)))
         value = los_cross + common
         if copilot:
-            tr1 = np.trace(stats.R[i, l1] @ ctx.t_mat[k, l1])
+            tr1 = np.trace(stats.R[i, l1] @ t_mat[k, l1])
             value += one_ad2**2 * tau**2 * p[k] * p[i] * np.abs(tr1) ** 2
             value += 2.0 * one_ad2 * tau * np.sqrt(p[i] * p[k]) * np.real(
                 tr1 * np.vdot(h_i1, h_k1))
@@ -279,8 +307,9 @@ def theorem1_kernel(k, i, l1, l2, ctx):
 
     if not copilot:
         return complex(los_cross)
-    psi = psi_matrix(ctx.plan.pilot_of[k], stats, ctx.plan, p, ctx.q, ctx.c_n)
-    tr1 = np.trace(stats.R[i, l1] @ ctx.t_mat[k, l1])
+    psi = psi_matrix(ctx.plan.pilot_of[k], stats, ctx.plan, p, ctx.q,
+                     receive_noise(ctx))
+    tr1 = np.trace(stats.R[i, l1] @ t_mat[k, l1])
     tr2 = np.trace(stats.R[k, l2] @ np.linalg.solve(psi[l2], stats.R[i, l2]))
     value = los_cross + one_ad2**2 * tau**2 * p[k] * p[i] * tr1 * tr2
     value += one_ad2 * tau * np.sqrt(p[k] * p[i]) * (
@@ -300,8 +329,7 @@ def centralized_error_noise(ctx):
     every, aps = np.arange(ctx.K), np.arange(ctx.L)
     stats = ctx.stats
     est, stat = np.ix_(every, aps), np.ix_(every[:0], aps)
-    return received_noise_covariance(stats, ctx.p_ddot, ctx.q, ctx.sigma2,
-                                     every, aps) + one_ad2 * (
+    return receive_noise(ctx) + one_ad2 * (
         np.einsum("i,ianm->anm", ctx.p_ddot[every], stats.R[est] - ctx.c_hhat[est])
         + np.einsum("i,ianm->anm", ctx.p_ddot[every[:0]], stats.R[stat]))
 
@@ -318,8 +346,9 @@ def f_kernels(k, ctx, cluster):
     tau, p = ctx.tau, ctx.p_ddot
     h_bar_k = stats.h_bar[k, m_idx]                      # (|M|, N)
     h_bar = stats.h_bar[:, m_idx]                        # (K, |M|, N)
-    s_all = ctx.s_mat[:, m_idx]                          # (K, |M|, N, N)
-    s_k = ctx.s_mat[k, m_idx]
+    t_mat, s_mat = estimator_products(ctx)
+    s_all = s_mat[:, m_idx]                              # (K, |M|, N, N)
+    s_k = s_mat[k, m_idx]
     los_cross = np.einsum("mn,imn->i", np.conj(h_bar_k), h_bar)
 
     tr_mix = np.einsum("imnp,mpn->i", s_all, s_k).real
@@ -328,7 +357,7 @@ def f_kernels(k, ctx, cluster):
     quad_ik = np.einsum("imn,mnp,imp->i", np.conj(h_bar), s_k, h_bar).real
     # tr(R_il Psi_k^{-1} R_kl): the co-pilot coupling
     tr_cross = np.einsum("imnp,mpn->i", stats.R[:, m_idx],
-                         ctx.t_mat[k, m_idx]).real
+                         t_mat[k, m_idx]).real
 
     f_g = np.abs(los_cross) ** 2
     f_g += one_ad2**2 * tau**2 * p[k] * p * tr_mix

@@ -74,7 +74,9 @@ def test_cli_rejects_unknown_experiment():
     ({"area_side": True}, "area_side"),
     # once loaded, then an OverflowError or a zero noise power in the run
     ({"sigma2_dbm": 4000}, "sigma2_dbm"), ({"sigma2_dbm": -4000}, "sigma2_dbm"),
-    ({"noise_figure_db": 4000}, "noise_figure_db"), ({"b_ad": 10**400}, "b_ad")))
+    ({"noise_figure_db": 4000}, "noise_figure_db"), ({"b_ad": 10**400}, "b_ad"),
+    # once loaded, then a prelog of 1.0 refused by SEReport
+    ({"L": 4, "K": 5, "N": 2, "tau": 3, "trials": 64, "tau_c": 10**20}, "tau_c")))
 def test_bad_config_prints_one_line_and_exits_2(tmp_path, capsys, config, field):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

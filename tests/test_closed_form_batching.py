@@ -66,12 +66,13 @@ def _f_kernels_pair(k, i, ctx, cluster):
 
     f_g = np.abs(los_cross) ** 2
     tr_mix = quad_ki = quad_ik = tr_cross = 0.0
+    t_mat, s_mat = oracles.estimator_products(ctx)
     for l in serving:
-        s_k, s_i = ctx.s_mat[k, l], ctx.s_mat[i, l]
+        s_k, s_i = s_mat[k, l], s_mat[i, l]
         tr_mix += np.trace(s_k @ s_i).real
         quad_ki += np.vdot(stats.h_bar[k, l], s_i @ stats.h_bar[k, l]).real
         quad_ik += np.vdot(stats.h_bar[i, l], s_k @ stats.h_bar[i, l]).real
-        tr_cross += np.trace(stats.R[i, l] @ ctx.t_mat[k, l]).real
+        tr_cross += np.trace(stats.R[i, l] @ t_mat[k, l]).real
     f_g += one_ad2**2 * tau**2 * p[k] * p[i] * tr_mix
     f_g += one_ad2 * tau * p[i] * quad_ki
     f_g += one_ad2 * tau * p[k] * quad_ik
@@ -151,13 +152,14 @@ def test_lsfd_matrices_match_outer_products(system):
     ctx, cluster = system
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     p = ctx.p_ddot
+    t_mat, _ = oracles.estimator_products(ctx)
     for k in range(ctx.K):
         ing = oracles.build_ingredients(k, ctx, cluster)
         copilot = oracles.copilot_sets(ctx.plan.pilot_of)[k]
         b_want = np.zeros_like(ing.b)
         for i in copilot:
             b_want[i] = [one_ad2 * ctx.tau * np.sqrt(p[k] * p[i]) * np.trace(
-                ctx.stats.R[i, l] @ ctx.t_mat[k, l]).real for l in ing.serving]
+                ctx.stats.R[i, l] @ t_mat[k, l]).real for l in ing.serving]
         _assert_close(ing.b, b_want)
         # same additions in the same order as the loop: equal, not just close
         overlap = cluster.overlap[k]
@@ -225,7 +227,7 @@ def test_context_w_is_the_former_error_noise_builder(system):
 def _lmmse_static_formula(ctx):
     """The L-MMSE static part as the former dedicated helper computed it."""
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    static = np.array(ctx.c_n)
+    static = oracles.receive_noise(ctx)
     for l in range(ctx.L):
         static[l] += one_ad2 * np.einsum(
             "i,inm->nm", ctx.p_ddot, ctx.stats.R[:, l] - ctx.c_hhat[:, l])

@@ -13,7 +13,8 @@ from scfsim.rng import substream
 from scfsim.scheduler import cluster_plan_from_indicators
 
 from conftest import lmmse_at_ap, small_system
-from oracles import cluster_sets, joint_batch, local_combiners_full, ue_last
+from oracles import (cluster_sets, joint_batch, local_combiners_full,
+                     receive_noise, ue_last)
 
 
 LOCAL = ("lmmse", "lpmmse", "lpmmse-full")
@@ -56,7 +57,7 @@ def test_lmmse_beats_mrc_instantaneous():
     _, hhat = joint_batch(ctx, substream(1, "det"), trials)
     one_ad2 = (1 - q.rho_ad) ** 2
     l = 0
-    static = np.array(ctx.c_n[l])
+    static = receive_noise(ctx)[l]
     for i in range(stats.K):
         static += one_ad2 * powers[i] * (stats.R[i, l] - ctx.c_hhat[i, l])
     v_all = local_combiners_full(hhat, ctx, cluster, "lmmse")

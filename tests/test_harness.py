@@ -34,6 +34,14 @@ def test_load_config_validation(tmp_path):
     bad.write_text(json.dumps({"tau": 200, "tau_c": 200}))
     with pytest.raises(ConfigError, match="tau"):
         load_config(bad)
+    # a tau_c that rounds the prelog 1 - tau/tau_c to 1 loaded, then the run
+    # ended in a traceback from SEReport; one that rounds it to 0 likewise
+    for i, (tau, tau_c) in enumerate(((3, 10**20), (2**60, 2**60 + 1))):
+        path = tmp_path / f"prelog_{i}.json"
+        path.write_text(json.dumps({"L": 4, "K": 5, "N": 2, "tau": tau,
+                                    "trials": 64, "tau_c": tau_c}))
+        with pytest.raises(ConfigError, match="tau_c must leave the prelog"):
+            load_config(path)
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(ConfigError, match="bogus"):

@@ -171,7 +171,7 @@ def _lpmmse_static(ctx, cluster, full=False):
     their estimates; the hardware-noise terms run over the served set only.
     """
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    static = np.empty_like(ctx.c_n)
+    static = np.empty_like(ctx.w)
     sets = cluster_sets(cluster)
     for l in range(ctx.L):
         served = sets.served[l]

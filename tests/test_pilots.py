@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from scfsim.config import SimConfig
+from scfsim.harness import build_system
 from scfsim.numerics import hermitize
 from scfsim.pilots import (block_diag_cov, build_estimation_context,
                            PilotPlan, psi_matrix, round_robin_pilots)
 from scfsim.quantization import QuantizerConfig, received_noise_covariance
 from scfsim.rng import substream
+from scfsim.scheduler import equal_powers
 
 from conftest import small_system, synthetic_stats
-from oracles import copilot_sets, estimate_local, joint_batch
+from oracles import (copilot_sets, estimate_local, estimator_products,
+                     joint_batch, receive_noise)
 
 
 def test_pilot_plan_membership():
@@ -21,6 +25,26 @@ def test_pilot_plan_membership():
     assert PilotPlan(2, [0, 1]).pilot_of.dtype == int
     with pytest.raises(ValueError):
         PilotPlan(2, [0, 3])
+
+
+@pytest.mark.parametrize("pilot_of", (
+    [0.5, 1.9, 2.99], np.array([0.0, 1.0, 2.0]), [True, 1, 2],
+    np.array([True, False, True]), [[0, 1, 2]], np.zeros((3, 1), dtype=int),
+    1, ["0", "1", "2"]), ids=("floats", "integral-floats", "bool-in-list",
+                              "bool-array", "2-d-list", "2-d-array", "scalar",
+                              "strings"))
+def test_pilot_plan_rejects_malformed_pilots(pilot_of):
+    """Non-integer pilots were floored ([0.5, 1.9, 2.99] read [0 1 2]), a bool
+    read as pilot 1, and a 2-D pilot_of was accepted."""
+    with pytest.raises(ValueError, match="pilot_of must be a 1-D array"):
+        PilotPlan(3, pilot_of)
+
+
+def test_pilot_plan_takes_any_integer_dtype():
+    for dtype in (np.uint8, np.int32, np.int64):
+        plan = PilotPlan(3, np.array([2, 0, 1], dtype=dtype))
+        assert plan.pilot_of.dtype == int
+        assert plan.pilot_of.tolist() == [2, 0, 1]
 
 
 def test_psi_single_user_ideal():
@@ -39,13 +63,43 @@ def test_psi_two_copilot_terms_and_psd_excess():
     _, stats, q, powers, plan, ctx, _ = small_system(L=2, K=4, N=2, tau=2)
     t, l = 0, 1
     users = plan.users_on_pilot(t)
-    manual = np.array(ctx.c_n[l])
+    c_n = receive_noise(ctx)
+    manual = np.array(c_n[l])
     for i in users:
         manual = manual + (1 - q.rho_ad) ** 2 * powers[i] * plan.tau * stats.R[i, l]
-    psi = psi_matrix(t, stats, plan, powers, q, ctx.c_n)[l]
+    psi = psi_matrix(t, stats, plan, powers, q, c_n)[l]
     assert np.allclose(psi, manual, rtol=1e-12)
-    excess = hermitize(psi - ctx.c_n[l])
+    excess = hermitize(psi - c_n[l])
     assert np.min(np.linalg.eigvalsh(excess)) > -1e-12 * np.trace(excess).real
+
+
+@pytest.mark.parametrize("plan", ("full", "algorithm1"))
+@pytest.mark.parametrize("fading", ("rician", "rayleigh"))
+@pytest.mark.parametrize("bits", (1, 2))
+def test_context_holds_the_estimator_gain_and_covariance(bits, fading, plan):
+    """The two matrices both engines read, against Psi^{-1} R from the
+    oracle's own solve: est_gain = (1-rho_ad) sqrt(p̈ tau) (Psi^{-1} R)^H and
+    c_hhat = (1-rho_ad)^2 p̈ tau R Psi^{-1} R, each link to 1e-12 relative.
+    The full plan is ``scfsim validate``'s (round-robin pilots, equal
+    power); Algorithm 1 picks the pilots and the powers."""
+    cfg = SimConfig(L=6, K=9, N=3, tau=3, area_side=400.0, b_da=bits,
+                    b_ad=bits, fading=fading)
+    ctx, _, _ = build_system(cfg, 11)
+    if plan == "full":
+        ctx = build_estimation_context(
+            ctx.stats, round_robin_pilots(cfg.K, cfg.tau),
+            equal_powers(cfg.K, cfg.p_max_mw, ctx.q.rho_da), ctx.q,
+            cfg.sigma2_mw)
+    t_mat, s_mat = estimator_products(ctx)
+    one_ad, p, tau = 1.0 - ctx.q.rho_ad, ctx.p_ddot, ctx.tau
+    gain = (one_ad * np.sqrt(p * tau))[:, None, None, None] * np.conj(
+        np.swapaxes(t_mat, -1, -2))
+    cov = (one_ad**2 * p * tau)[:, None, None, None] * s_mat
+    for got, want in ((ctx.est_gain, gain), (ctx.c_hhat, cov)):
+        scale = np.max(np.abs(want), axis=(-2, -1))
+        assert np.all(scale > 0)
+        gap = np.max(np.abs(got - want), axis=(-2, -1))
+        assert np.all(gap <= 1e-12 * scale)
 
 
 def test_estimate_pure_los_link():
@@ -98,7 +152,7 @@ def test_joint_sampling_copilot_coupling_and_orthogonality():
     one_ad2 = (1 - q.rho_ad) ** 2
     expected = one_ad2 * plan.tau * np.sqrt(
         powers[k] * powers[copilot]) * np.trace(
-        stats.R[copilot, l] @ ctx.t_mat[k, l])
+        stats.R[copilot, l] @ estimator_products(ctx)[0][k, l])
 
     def noise_floor(i):
         power = (np.trace(ctx.c_hhat[k, l]).real

@@ -115,6 +115,27 @@ def test_pilot_override_is_respected():
     assert np.array_equal(plan.pilot_of, forced)
 
 
+@pytest.mark.parametrize("override, match", (
+    ([0, 1, 2], "3 pilots for 5 UEs"), ([0, 1, 2, 0, 1, 2], "6 pilots"),
+    ([0, 1, 2, 3, 0], "out of range"), ([0, 1, 2, -1, 0], "out of range"),
+    ([0, 1, 2, 0.5, 1], "pilot_of"), ([[0, 1, 2, 0, 1]], "pilot_of")))
+def test_malformed_pilot_override_is_refused_before_the_first_pass(
+        monkeypatch, override, match):
+    """A 3-UE override on 5 UEs came back as a 3-UE PilotPlan beside a 5-UE
+    ClusterPlan, and an out-of-range one was refused only after every pass
+    had run."""
+    cfg = SimConfig(L=6, K=5, N=2, tau=3)
+    stats = channel_statistics(generate_scenario(cfg, 2), 2, cfg.asd_rad)
+    q = QuantizerConfig(b_da=4, b_ad=4)
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("an Algorithm-1 pass ran")
+
+    monkeypatch.setattr(scheduler, "fractional_powers", no_pass)
+    with pytest.raises(ValueError, match=match):
+        run_algorithm1(stats, q, 3, 100.0, pilot_override=override)
+
+
 def test_empty_candidate_set_raises():
     cfg = SimConfig(L=4, K=4, N=2, tau=2)
     scn = generate_scenario(cfg, 1)

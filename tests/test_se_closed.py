@@ -14,7 +14,7 @@ from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.validation import desk_validation_config
 
 from conftest import small_system, synthetic_stats
-from oracles import cluster_sets, copilot_sets, f_kernels
+from oracles import cluster_sets, copilot_sets, estimator_products, f_kernels
 from oracles import theorem1_kernel as theorem1_kernel_four_case
 
 
@@ -162,8 +162,9 @@ def test_f_kernels_rayleigh_drops_los_terms():
     tau, p = ctx.tau, ctx.p_ddot
     k, i = 0, 1
     f_g = f_kernels(k, ctx, cluster)[0][i]
+    _, s_mat = estimator_products(ctx)
     trace_only = one_ad2**2 * tau**2 * p[k] * p[i] * sum(
-        np.trace(ctx.s_mat[k, l] @ ctx.s_mat[i, l]).real
+        np.trace(s_mat[k, l] @ s_mat[i, l]).real
         for l in cluster.serving[k])
     assert f_g == pytest.approx(trace_only, rel=1e-12)
 
