@@ -118,6 +118,10 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
+        # a spread wider than half a turn is outside the local-scattering
+        # model, and the quadrature takes minutes to give up on one
+        if self.asd_deg > 180.0:
+            raise ConfigError(f"asd_deg must be at most 180, got {self.asd_deg}")
         if math.radians(self.asd_deg) ** 2 < sys.float_info.min:
             raise ConfigError(f"asd_deg must be large enough that its square "
                               f"in radians is a normal float, got {self.asd_deg}")

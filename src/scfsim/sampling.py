@@ -11,10 +11,12 @@ Batches are held trials-last: true channels (K, L, N, n), LOS-stripped
 pilot observations (tau, L, N, n), data noise (L, N, n). Every correlation,
 noise-factor and estimator product is a BLAS matmul of N x N by N x n. The
 random draws keep the (n, ...) order of ``crandn`` and are written straight
-into that layout. A batch holds one copy of the true channels; estimates
-are formed from the pilot observations only on the (UE, AP) pairs an
-engine reads (``estimates``), or for every pair in the UE-last (n, L, N, K)
-layout of the centralized subspaces (``estimates_ue_last``).
+into that layout; the pilot noise is transformed in place, one pilot at a
+time, and each data-noise draw is freed once it is mixed. A batch holds
+one copy of the true channels; estimates are formed from the pilot
+observations only on the (UE, AP) pairs an engine reads (``estimates``),
+or for every pair in the UE-last (n, L, N, K) layout of the centralized
+subspaces (``estimates_ue_last``).
 """
 
 import numpy as np
@@ -43,15 +45,20 @@ def sample_joint(ctx, rng, n_trials):
     """
     h = _crandn_trials_last(rng, n_trials, (ctx.K, ctx.L, ctx.N))
     r_sqrt = ctx.stats.r_sqrt
+    # one UE at a time, through one reused buffer of one UE's channels
+    product = np.empty(h.shape[1:], dtype=complex)
     for k in range(ctx.K):
-        # one UE at a time, so the product's temporary is one UE's channels
-        h[k] = r_sqrt[k] @ h[k]
+        np.matmul(r_sqrt[k], h[k], out=product)
+        h[k] = product
+    del product
 
     one_ad = 1.0 - ctx.q.rho_ad
     root_tau = np.sqrt(ctx.tau)
-    # per-pilot effective noise, independent across pilots and APs
-    z = ctx.c_n_sqrt @ _crandn_trials_last(
-        rng, n_trials, (ctx.tau, ctx.L, ctx.N))
+    # per-pilot effective noise, independent across pilots and APs,
+    # transformed in place one pilot at a time
+    z = _crandn_trials_last(rng, n_trials, (ctx.tau, ctx.L, ctx.N))
+    for t in range(ctx.tau):
+        z[t] = ctx.c_n_sqrt @ z[t]
     for t in range(ctx.tau):
         for i in ctx.plan.users_on_pilot(t):
             z[t] += one_ad * np.sqrt(ctx.p_ddot[i]) * root_tau * h[i]
@@ -99,12 +106,15 @@ def sample_data_noise(ctx, h, rng):
     n_trials = h.shape[-1]
     q = ctx.q
     one_ad = 1.0 - q.rho_ad
-    n_da = crandn(rng, (n_trials, ctx.K), q.rho_da * ctx.p_full)
-    n_an = _crandn_trials_last(rng, n_trials, (ctx.L, ctx.N), ctx.sigma2)
-    n_ad = _crandn_trials_last(rng, n_trials, (ctx.L, ctx.N),
-                               q.rho_ad * one_ad * ctx.adc_diag)
-    n_da_t = np.ascontiguousarray(n_da.T)                        # (K, n)
+    n_da_t = np.ascontiguousarray(                               # (K, n)
+        crandn(rng, (n_trials, ctx.K), q.rho_da * ctx.p_full).T)
     mixed = h[0] * n_da_t[0]
     for k in range(1, ctx.K):
         mixed += h[k] * n_da_t[k]
-    return one_ad * (mixed + n_an) + n_ad
+    del n_da_t
+    # the stream order is n_da, n_an, n_ad; each draw is freed once mixed
+    mixed += _crandn_trials_last(rng, n_trials, (ctx.L, ctx.N), ctx.sigma2)
+    mixed *= one_ad
+    mixed += _crandn_trials_last(rng, n_trials, (ctx.L, ctx.N),
+                                 q.rho_ad * one_ad * ctx.adc_diag)
+    return mixed

@@ -12,9 +12,11 @@ Trials are processed in fixed-size batches with per-batch derived RNG
 streams and summed in batch order, so results are bit-identical no matter
 how the surrounding experiment is scheduled. A batch holds one copy of the
 true channels plus only what its engine reads, in the layout it reads
-(``sampling``). The distributed engine forms estimates and combiners only
-on the pairs its local detector reads and serves, and reads the
-trials-last channels in place. The centralized engine drops the channels
+(``sampling``). The distributed engine draws each batch whole and consumes
+it in trial chunks of about CHUNK_ELEMS elements: per chunk it forms
+estimates and combiners only on the pairs its local detector reads and
+serves, and reads the trials-last channels in place, so a large batch
+costs little beyond its draws. The centralized engine drops the channels
 once the pilot observations exist and writes every estimate UE-last, so
 each UE's serving subspace is one gather, or a view when it is every AP.
 Estimate-free combiner parts (static matrices, error-plus-noise blocks)
@@ -37,6 +39,7 @@ from .sampling import (estimates, estimates_ue_last, sample_data_noise,
                        sample_joint)
 
 MC_BATCH_ELEMS = 1 << 21   # target complex elements per (trials x K x L x N) batch
+CHUNK_ELEMS = 1 << 16      # the same per distributed-engine chunk of a batch
 STDERR_GROUPS = 10
 
 
@@ -79,6 +82,18 @@ def batch_plan(trials, k_count, l_count, n_ant):
         count = -(-count // STDERR_GROUPS) * STDERR_GROUPS
     edges = [trials * i // count for i in range(count + 1)]
     return [(edges[i], edges[i + 1]) for i in range(count)]
+
+
+def _chunks(n_trials, per_trial):
+    """Trial slices of one batch, sizes within one trial of each other.
+
+    With size = max(64, CHUNK_ELEMS // per_trial) there are n_trials // size
+    slices, one at least, so each holds size to 2 size - 1 trials and a
+    batch shorter than 2 size (every paper-scale batch) is one slice.
+    """
+    count = max(1, n_trials // max(64, CHUNK_ELEMS // max(1, per_trial)))
+    edges = [n_trials * i // count for i in range(count + 1)]
+    return [slice(edges[i], edges[i + 1]) for i in range(count)]
 
 
 def _group_of(batch_idx, n_batches, groups):
@@ -138,13 +153,17 @@ def _gram(x):
 def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     """Joint Monte Carlo sample sums of every UE's distributed moments.
 
-    A batch holds the true channels, trials-last (K, L, N, n), and the
-    combiners on the served pairs, (P, N, n) in UE-major order. UE k's
-    effective channels g (|M_k|, K, n) of every UE are, per serving AP, N
-    multiply-adds of its conjugated combiner with that AP's (K, n) channel
-    slices, read in place; the interference Grams are BLAS products of
-    sqrt(p̈)-scaled g. When Q_k is every UE the overlap Gram is the full
-    one.
+    A batch is drawn whole: the true channels, trials-last (K, L, N, n),
+    the pilot observations and the data noise, with the same streams and
+    draws at any chunk size. It is consumed in the trial chunks of
+    ``_chunks``; a chunk of c trials holds the estimates on ``local_pairs``
+    and the combiners on the served pairs, (P, N, c) in UE-major order, and
+    one UE's effective channels at a time. UE k's g (|M_k|, K, c) of every
+    UE are, per serving AP, N multiply-adds of its conjugated combiner with
+    that AP's (K, c) channel slices, read in place; the interference Grams
+    are BLAS products of sqrt(p̈)-scaled g. When Q_k is every UE the overlap
+    Gram is the full one. Each chunk's g sums, Grams, F and d are added to
+    its batch's stderr group.
     """
     _check_detector("distributed", detector)
     serving = cluster.serving
@@ -161,36 +180,39 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
         rng = substream(seed, "mc-distributed", b_idx)
         h, z = sample_joint(ctx, rng, hi - lo)
         noise = sample_data_noise(ctx, h, rng)                   # (L, N, n)
-        v = local_combiners(estimates(ctx, z, *pairs), ctx, cluster,
-                            detector, statics)                   # (P, N, n)
-        del z
         g_idx = _group_of(b_idx, len(batches), acc.groups)
         acc.count[g_idx] += hi - lo
-        for k in range(ctx.K):
-            v_k = v[bounds[k]:bounds[k + 1]]                     # (M, N, n)
-            cv = np.conj(v_k)
-            g = np.empty((sizes[k], ctx.K, hi - lo), dtype=complex)
-            for j, l in enumerate(serving[k]):
-                np.multiply(h[:, l, 0], cv[j, 0], out=g[j])      # (K, n)
-                for a in range(1, ctx.N):
-                    g[j] += h[:, l, a] * cv[j, a]
-            acc.g_sum[k][g_idx] += g[:, k].sum(axis=1)
-            g *= sqrt_p
-            w_full = _gram(g.reshape(sizes[k], -1))
-            acc.w_full[k][g_idx] += w_full
-            q_idx = overlap[k]
-            acc.w_overlap[k][g_idx] += (
-                w_full if q_idx is None
-                else _gram(g[:, q_idx].reshape(sizes[k], -1)))
-            f = np.sum(cv * noise[serving[k]], axis=1)          # (M, n)
-            acc.f_outer[k][g_idx] += _gram(f)
-            v_abs2 = np.sum(np.abs(v_k) ** 2, axis=-1)          # (M, N)
-            acc.d_local[k][g_idx] += (
-                np.sum(v_abs2 * ctx.nx_diag[serving[k]], axis=1)
-                + np.sum(v_abs2, axis=1) * ctx.nx_iso[serving[k]])
-        # freed before the next batch is drawn, not overwritten after it;
-        # v_k and cv would keep v alive
-        del h, noise, v, v_k, cv, g
+        for t in _chunks(hi - lo, ctx.K * ctx.L * ctx.N):
+            v = local_combiners(estimates(ctx, z[..., t], *pairs), ctx,
+                                cluster, detector, statics)      # (P, N, c)
+            for k in range(ctx.K):
+                v_k = v[bounds[k]:bounds[k + 1]]                 # (M, N, c)
+                cv = np.conj(v_k)
+                g = np.empty((sizes[k], ctx.K, t.stop - t.start),
+                             dtype=complex)
+                for j, l in enumerate(serving[k]):
+                    np.multiply(h[:, l, 0, t], cv[j, 0], out=g[j])   # (K, c)
+                    for a in range(1, ctx.N):
+                        g[j] += h[:, l, a, t] * cv[j, a]
+                acc.g_sum[k][g_idx] += g[:, k].sum(axis=1)
+                g *= sqrt_p
+                w_full = _gram(g.reshape(sizes[k], -1))
+                acc.w_full[k][g_idx] += w_full
+                q_idx = overlap[k]
+                acc.w_overlap[k][g_idx] += (
+                    w_full if q_idx is None
+                    else _gram(g[:, q_idx].reshape(sizes[k], -1)))
+                f = np.sum(cv * noise[serving[k], :, t], axis=1)    # (M, c)
+                acc.f_outer[k][g_idx] += _gram(f)
+                v_abs2 = np.sum(np.abs(v_k) ** 2, axis=-1)      # (M, N)
+                acc.d_local[k][g_idx] += (
+                    np.sum(v_abs2 * ctx.nx_diag[serving[k]], axis=1)
+                    + np.sum(v_abs2, axis=1) * ctx.nx_iso[serving[k]])
+            # freed before the next chunk is formed, not overwritten after
+            # it; v_k and cv would keep v alive
+            del v, v_k, cv, g
+        # freed before the next batch is drawn
+        del h, z, noise
     return acc
 
 

@@ -100,6 +100,17 @@ def test_load_config_validation(tmp_path):
         path.write_text(json.dumps({"asd_deg": value}))
         with pytest.raises(ConfigError, match="asd_deg"):
             load_config(path)
+    # an ASD wider than half a turn, outside the local-scattering model: on a
+    # 16-AP x 20-UE drop the quadrature ran 51 s (1e6, N=2) and 58 s (1000,
+    # N=8) before its QuadratureError; 180 itself loads
+    for i, (value, n_ant) in enumerate(((1e6, 2), (1000, 8), (180.5, 2))):
+        path = tmp_path / f"wide_asd_{i}.json"
+        path.write_text(json.dumps({"asd_deg": value, "N": n_ant}))
+        with pytest.raises(ConfigError, match="asd_deg must be at most 180"):
+            load_config(path)
+    widest = tmp_path / "widest_asd.json"
+    widest.write_text(json.dumps({"asd_deg": 180, "N": 8}))
+    assert load_config(widest).asd_deg == 180
     # a noise power that overflows (sigma2_dbm or noise_figure_db at 4000
     # dB) or underflows to zero (-4000 dB), and bits too large for the
     # distortion law: each loaded, then crashed inside the run

@@ -253,6 +253,29 @@ def test_distributed_sums_and_report_match_loop(system, detector, monkeypatch):
         _assert_per_ue_close(report.stderr, oracle.stderr, STDERR_REL)
 
 
+@pytest.mark.parametrize("detector", DETECTORS["distributed"])
+def test_chunked_batches_match_one_chunk(system, detector, monkeypatch):
+    # ten 200-trial batches, each consumed in one chunk and in three chunks
+    # of 66-67 trials: the same draws, summed in another order
+    ctx, cluster, _ = system
+    per_trial = ctx.K * ctx.L * ctx.N
+    trials = 2000
+    assert [hi - lo for lo, hi in batch_plan(trials, ctx.K, ctx.L, ctx.N)] \
+        == [200] * 10
+    runs = {}
+    for name, elems in (("one", 1 << 40), ("many", 64 * per_trial)):
+        monkeypatch.setattr(se_mc, "CHUNK_ELEMS", elems)
+        runs[name] = distributed_mc_sums(ctx, cluster, detector, trials, 8)
+    assert len(se_mc._chunks(200, per_trial)) == 3
+    one, many = runs["one"], runs["many"]
+    assert np.array_equal(one.count, many.count)
+    for k in range(ctx.K):
+        for g_sel in (slice(None), slice(0, 1)):
+            got, want = many.moments(k, g_sel), one.moments(k, g_sel)
+            for field in ("signal", "c_full", "c_partial"):
+                _assert_close(getattr(got, field), getattr(want, field), SE_REL)
+
+
 @pytest.mark.parametrize("detector", DETECTORS["centralized"])
 def test_centralized_report_matches_loop(system, detector):
     ctx, cluster, _ = system

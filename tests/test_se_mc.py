@@ -7,6 +7,7 @@ from scfsim import se_mc
 from scfsim.config import SimConfig
 from scfsim.harness import build_system
 from scfsim.pilots import build_estimation_context
+from scfsim.scheduler import full_cluster_plan
 from scfsim.se_mc import (MC_BATCH_ELEMS, STDERR_GROUPS, _group_of,
                           batch_plan, centralized_mc_report,
                           distributed_mc_report, distributed_mc_sums)
@@ -221,3 +222,19 @@ def test_report_peaks_stay_near_one_batch():
         call()                       # per-context memos are built outside the trace
         peak = _traced_peak(call)
         assert peak <= bound * batch, (name, peak / batch)
+
+    # the full plan at the shape `scfsim validate` runs, in 10,000-trial
+    # batches: a batch is drawn whole and consumed in chunks, so a chunk's
+    # estimates, combiners and effective channels stay a fraction of it.
+    # Consuming each batch whole peaked at 3.43, 4.69 and 4.47 batches
+    cfg = SimConfig(L=4, K=6, N=2, tau=3, b_da=1, b_ad=2)
+    ctx = build_system(cfg, 0)[0]
+    cluster = full_cluster_plan(ctx.stats)
+    assert [hi - lo for lo, hi in batch_plan(100000, ctx.K, ctx.L, ctx.N)] \
+        == [10000] * 10
+    batch = ctx.K * ctx.L * ctx.N * 10000 * np.dtype(complex).itemsize
+    for detector in ("mrc", "lmmse", "lpmmse"):
+        distributed_mc_report(ctx, cluster, detector, "lsfd", 640, 1, 0.95)
+        peak = _traced_peak(lambda: distributed_mc_report(
+            ctx, cluster, detector, "lsfd", 100000, 1, 0.95))
+        assert peak <= 2.6 * batch, (detector, peak / batch)
