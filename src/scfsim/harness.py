@@ -24,10 +24,10 @@ from . import se_closed
 from .channel import channel_statistics, generate_scenario
 from .config import SimConfig, config_hash
 from .lsfd import build_ingredients, se_from_moments
-from .pilots import build_estimation_context
+from .pilots import build_estimation_context, round_robin_pilots
 from .quantization import QuantizerConfig
 from .rng import substream
-from .scheduler import run_algorithm1
+from .scheduler import equal_powers, full_cluster_plan, run_algorithm1
 from .se_mc import SEReport, centralized_mc_report, distributed_mc_report
 from . import __version__
 
@@ -82,15 +82,6 @@ def emit_results(table, fmt, path):
     return path
 
 
-def load_results(path):
-    """Inverse of emit_results for the JSON format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    columns = tuple(payload["columns"])
-    rows = [tuple(row[c] for c in columns) for row in payload["rows"]]
-    return ResultTable(columns=columns, rows=rows, meta=payload["meta"])
-
-
 # ---------------------------------------------------------------------------
 # scenario construction and evaluation
 # ---------------------------------------------------------------------------
@@ -98,25 +89,32 @@ def load_results(path):
 def build_system(cfg, seed, strategy="algorithm1"):
     """Scenario + statistics + scheduling for one seeded drop.
 
-    ``strategy``: "algorithm1" (the joint scheduler) or "random-pilot"
-    (scheduler with uniformly random pilots). Returns the estimation
-    context, the cluster plan and the (K,) p̈ array; cfg.nu = 0 gives
-    equal power.
+    ``strategy``: "algorithm1" (the joint scheduler), "random-pilot"
+    (scheduler with uniformly random pilots) or "full" (no scheduler:
+    equal powers, round-robin pilots and every AP serving every UE, the
+    drop the validation suite checks the closed forms on). Returns the
+    estimation context, the cluster plan and the (K,) p̈ array; cfg.nu = 0
+    gives equal power.
     """
     scenario = generate_scenario(cfg, seed)
     stats = channel_statistics(scenario, seed, cfg.asd_rad,
                                rayleigh=(cfg.fading == "rayleigh"))
     q = QuantizerConfig(b_da=cfg.b_da, b_ad=cfg.b_ad)
-    pilot_override = None
-    if strategy == "random-pilot":
-        pilot_override = substream(seed, "pilot-baseline").integers(
-            0, cfg.tau, size=cfg.K)
-    elif strategy != "algorithm1":
+    if strategy == "full":
+        p_ddot = equal_powers(cfg.K, cfg.p_max_mw, q.rho_da)
+        pilots = round_robin_pilots(cfg.K, cfg.tau)
+        cluster = full_cluster_plan(stats)
+    elif strategy in ("algorithm1", "random-pilot"):
+        pilot_override = None
+        if strategy == "random-pilot":
+            pilot_override = substream(seed, "pilot-baseline").integers(
+                0, cfg.tau, size=cfg.K)
+        cluster, pilots, p_ddot = run_algorithm1(
+            stats, q, cfg.tau, cfg.p_max_mw, eta_db=cfg.eta_db, nu=cfg.nu,
+            d_bar=cfg.d_bar, iterations=cfg.iterations,
+            pilot_override=pilot_override)
+    else:
         raise ExperimentError(f"unknown scheduling strategy {strategy!r}")
-    cluster, pilots, p_ddot = run_algorithm1(
-        stats, q, cfg.tau, cfg.p_max_mw, eta_db=cfg.eta_db, nu=cfg.nu,
-        d_bar=cfg.d_bar, iterations=cfg.iterations,
-        pilot_override=pilot_override)
     ctx = build_estimation_context(stats, pilots, p_ddot, q, cfg.sigma2_mw)
     return ctx, cluster, p_ddot
 

@@ -10,13 +10,17 @@ same trial's true channels and is shared across APs.
 Batches are held trials-last: true channels (K, L, N, n), LOS-stripped
 pilot observations (tau, L, N, n), data noise (L, N, n). Every correlation,
 noise-factor and estimator product is a BLAS matmul of N x N by N x n. The
-random draws keep the (n, ...) order of ``crandn`` and are written straight
-into that layout; the pilot noise is transformed in place, one pilot at a
-time, and each data-noise draw is freed once it is mixed. A batch holds
-one copy of the true channels; estimates are formed from the pilot
-observations only on the (UE, AP) pairs an engine reads (``estimates``),
-or for every pair in the UE-last (n, L, N, K) layout of the centralized
-subspaces (``estimates_ue_last``).
+random draws keep the (n, ...) order of ``crandn``, which writes them into
+that layout: each part, real then imaginary, in trial blocks through one
+reused float buffer. A draw block holds about
+``numerics.DRAW_BLOCK_ELEMS`` values and at least 32 trials, so on a
+64-trial paper-scale batch the buffer is a quarter of the batch. The pilot
+noise is transformed in place, one pilot at a time, and each data-noise
+draw is freed once it is mixed. A batch holds one copy of the true
+channels; estimates are formed from the pilot observations only on the
+(UE, AP) pairs an engine reads (``estimates``), or for every pair in the
+UE-last (n, L, N, K) layout of the centralized subspaces
+(``estimates_ue_last``).
 """
 
 import numpy as np
@@ -27,8 +31,8 @@ from .numerics import crandn
 def _crandn_trials_last(rng, n_trials, shape, var=1.0):
     """``crandn(rng, (n_trials, *shape), var)``, stored trials-last.
 
-    The same draws in the same order, written through an (n, ...) view of
-    the trials-last array instead of copied into it.
+    The same draws in the same order, written in trial blocks through an
+    (n, ...) view of the trials-last array instead of copied into it.
     """
     out = np.empty(shape + (n_trials,), dtype=complex)
     crandn(rng, (n_trials,) + shape, var, out=np.moveaxis(out, -1, 0))

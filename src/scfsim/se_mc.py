@@ -16,12 +16,17 @@ true channels plus only what its engine reads, in the layout it reads
 it in trial chunks of about CHUNK_ELEMS elements: per chunk it forms
 estimates and combiners only on the pairs its local detector reads and
 serves, and reads the trials-last channels in place, so a large batch
-costs little beyond its draws. The centralized engine drops the channels
-once the pilot observations exist and writes every estimate UE-last, so
-each UE's serving subspace is one gather, or a view when it is every AP.
-Estimate-free combiner parts (static matrices, error-plus-noise blocks)
-are built once per report, and detector and weighting names are checked
-before sampling.
+costs little beyond its draws. Within a chunk, each UE's effective
+channels and the conjugated copy its Grams take are formed in sub-chunks
+of at most CHUNK_ELEMS elements of g. The centralized engine drops the
+channels once the pilot observations exist and writes every estimate
+UE-last; each UE then walks the batch in chunks of at most CHUNK_ELEMS /
+(|M_k| N K) trials, and a chunk holds that UE's serving subspace (one
+gather, or a view when it is every AP), its combiner temporaries and its
+per-trial rates. At paper scale (L=64, K=150) both engines then peak in
+the channel draw, within 0.3 batches of the channels. Estimate-free
+combiner parts (static matrices, error-plus-noise blocks) are built once
+per report, and detector and weighting names are checked before sampling.
 """
 
 import math
@@ -39,7 +44,8 @@ from .sampling import (estimates, estimates_ue_last, sample_data_noise,
                        sample_joint)
 
 MC_BATCH_ELEMS = 1 << 21   # target complex elements per (trials x K x L x N) batch
-CHUNK_ELEMS = 1 << 16      # the same per distributed-engine chunk of a batch
+CHUNK_ELEMS = 1 << 16      # the same per distributed chunk of a batch, per UE
+                           # sub-chunk of its g, per centralized UE chunk
 STDERR_GROUPS = 10
 
 
@@ -57,7 +63,10 @@ class SEReport:
     def __post_init__(self):
         if not 0.0 < self.prelog < 1.0:
             raise ValueError(f"prelog must lie in (0, 1), got {self.prelog}")
-        if np.any(np.asarray(self.se) < 0):
+        se = np.asarray(self.se)
+        if not np.all(np.isfinite(se)):
+            raise ValueError("spectral efficiencies must be finite")
+        if np.any(se < 0):
             raise ValueError("spectral efficiencies must be non-negative")
 
     @property
@@ -84,6 +93,13 @@ def batch_plan(trials, k_count, l_count, n_ant):
     return [(edges[i], edges[i + 1]) for i in range(count)]
 
 
+def _slices(n_trials, count):
+    """``count`` trial slices of one batch, sizes within one trial of each
+    other."""
+    edges = [n_trials * i // count for i in range(count + 1)]
+    return [slice(edges[i], edges[i + 1]) for i in range(count)]
+
+
 def _chunks(n_trials, per_trial):
     """Trial slices of one batch, sizes within one trial of each other.
 
@@ -91,9 +107,16 @@ def _chunks(n_trials, per_trial):
     slices, one at least, so each holds size to 2 size - 1 trials and a
     batch shorter than 2 size (every paper-scale batch) is one slice.
     """
-    count = max(1, n_trials // max(64, CHUNK_ELEMS // max(1, per_trial)))
-    edges = [n_trials * i // count for i in range(count + 1)]
-    return [slice(edges[i], edges[i + 1]) for i in range(count)]
+    count = n_trials // max(64, CHUNK_ELEMS // max(1, per_trial))
+    return _slices(n_trials, max(1, count))
+
+
+def _ue_chunks(n_trials, per_trial):
+    """The fewest trial slices of at most CHUNK_ELEMS elements each, at
+    ``per_trial`` elements a trial (one trial a slice at least): the
+    pieces in which one UE's work walks a batch or a chunk."""
+    count = -(-n_trials * per_trial // CHUNK_ELEMS)
+    return _slices(n_trials, max(1, min(n_trials, count)))
 
 
 def _group_of(batch_idx, n_batches, groups):
@@ -157,13 +180,15 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     the pilot observations and the data noise, with the same streams and
     draws at any chunk size. It is consumed in the trial chunks of
     ``_chunks``; a chunk of c trials holds the estimates on ``local_pairs``
-    and the combiners on the served pairs, (P, N, c) in UE-major order, and
-    one UE's effective channels at a time. UE k's g (|M_k|, K, c) of every
-    UE are, per serving AP, N multiply-adds of its conjugated combiner with
-    that AP's (K, c) channel slices, read in place; the interference Grams
-    are BLAS products of sqrt(p̈)-scaled g. When Q_k is every UE the overlap
-    Gram is the full one. Each chunk's g sums, Grams, F and d are added to
-    its batch's stderr group.
+    and the combiners on the served pairs, (P, N, c) in UE-major order.
+    Each UE walks the chunk again in the sub-chunks of ``_ue_chunks``, at
+    most CHUNK_ELEMS / (|M_k| K) trials each, which hold its effective
+    channels g (|M_k|, K, c') of every UE and the conjugated copy its Grams
+    take. Per serving AP, g is N multiply-adds of UE k's conjugated
+    combiner with that AP's (K, c') channel slices, read in place; the
+    interference Grams are BLAS products of sqrt(p̈)-scaled g. When Q_k is
+    every UE the overlap Gram is the full one. Each sub-chunk's g sums and
+    Grams, and each chunk's F and d, are added to its batch's stderr group.
     """
     _check_detector("distributed", detector)
     serving = cluster.serving
@@ -185,23 +210,28 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
         for t in _chunks(hi - lo, ctx.K * ctx.L * ctx.N):
             v = local_combiners(estimates(ctx, z[..., t], *pairs), ctx,
                                 cluster, detector, statics)      # (P, N, c)
+            h_t = h[..., t]
             for k in range(ctx.K):
                 v_k = v[bounds[k]:bounds[k + 1]]                 # (M, N, c)
                 cv = np.conj(v_k)
-                g = np.empty((sizes[k], ctx.K, t.stop - t.start),
-                             dtype=complex)
-                for j, l in enumerate(serving[k]):
-                    np.multiply(h[:, l, 0, t], cv[j, 0], out=g[j])   # (K, c)
-                    for a in range(1, ctx.N):
-                        g[j] += h[:, l, a, t] * cv[j, a]
-                acc.g_sum[k][g_idx] += g[:, k].sum(axis=1)
-                g *= sqrt_p
-                w_full = _gram(g.reshape(sizes[k], -1))
-                acc.w_full[k][g_idx] += w_full
-                q_idx = overlap[k]
-                acc.w_overlap[k][g_idx] += (
-                    w_full if q_idx is None
-                    else _gram(g[:, q_idx].reshape(sizes[k], -1)))
+                for u in _ue_chunks(t.stop - t.start, sizes[k] * ctx.K):
+                    g = np.empty((sizes[k], ctx.K, u.stop - u.start),
+                                 dtype=complex)
+                    for j, l in enumerate(serving[k]):
+                        np.multiply(h_t[:, l, 0, u], cv[j, 0, u],
+                                    out=g[j])                    # (K, c')
+                        for a in range(1, ctx.N):
+                            g[j] += h_t[:, l, a, u] * cv[j, a, u]
+                    acc.g_sum[k][g_idx] += g[:, k].sum(axis=1)
+                    g *= sqrt_p
+                    w_full = _gram(g.reshape(sizes[k], -1))
+                    acc.w_full[k][g_idx] += w_full
+                    q_idx = overlap[k]
+                    acc.w_overlap[k][g_idx] += (
+                        w_full if q_idx is None
+                        else _gram(g[:, q_idx].reshape(sizes[k], -1)))
+                    # freed before the next sub-chunk is formed
+                    del g
                 f = np.sum(cv * noise[serving[k], :, t], axis=1)    # (M, c)
                 acc.f_outer[k][g_idx] += _gram(f)
                 v_abs2 = np.sum(np.abs(v_k) ** 2, axis=-1)      # (M, N)
@@ -210,9 +240,9 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
                     + np.sum(v_abs2, axis=1) * ctx.nx_iso[serving[k]])
             # freed before the next chunk is formed, not overwritten after
             # it; v_k and cv would keep v alive
-            del v, v_k, cv, g
+            del v, v_k, cv
         # freed before the next batch is drawn
-        del h, z, noise
+        del h, h_t, z, noise
     return acc
 
 
@@ -242,8 +272,12 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
 
     Each batch's true channels are dropped once the pilot observations
     exist, and its estimates are written one AP at a time straight into the
-    UE-last layout, so every UE's serving subspace is one gather (a view
-    when M_k is every AP) shared by its combiner and its SINR.
+    UE-last layout. Each UE walks the batch in the trial chunks of
+    ``_ue_chunks``, at most CHUNK_ELEMS / (|M_k| N K) trials each:
+    a chunk's serving subspace is one gather (a view when M_k is every AP)
+    shared by its combiner and its SINR, so the gather and the combiner
+    temporaries never hold more than about one chunk. The per-trial
+    log2(1 + SINR) terms fill one (n,) buffer, summed once per UE.
     """
     _check_detector("centralized", detector)
     statics = (centralized_system_matrices(ctx, cluster, detector)
@@ -265,16 +299,22 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
         del z
         g_idx = _group_of(b_idx, len(batches), groups)
         count[g_idx] += hi - lo
+        rate = np.empty(hi - lo)
         for k in range(ctx.K):
-            sub = serving_subspace(hhat_t, cluster, k)          # (n, m, K)
-            v = centralized_combiners(sub, ctx, detector, k, statics[k])
-            cross2 = np.abs((np.conj(v)[:, None, :] @ sub)[:, 0]) ** 2
-            own = p[k] * cross2[:, k]
-            num = one_ad2 * own
-            inter = one_ad2 * (cross2 @ p - own)
-            noise = np.real(np.sum(np.conj(v) * (v @ w_sub[k].T), axis=1))
-            log_sum[g_idx, k] += np.sum(np.log2(1.0 + num / (inter + noise)))
-        del hhat_t, sub, v
+            per_trial = cluster.serving[k].size * ctx.N * ctx.K
+            for t in _ue_chunks(hi - lo, per_trial):
+                sub = serving_subspace(hhat_t[t], cluster, k)   # (c, m, K)
+                v = centralized_combiners(sub, ctx, detector, k, statics[k])
+                cross2 = np.abs((np.conj(v)[:, None, :] @ sub)[:, 0]) ** 2
+                own = p[k] * cross2[:, k]
+                num = one_ad2 * own
+                inter = one_ad2 * (cross2 @ p - own)
+                noise = np.real(np.sum(np.conj(v) * (v @ w_sub[k].T), axis=1))
+                rate[t] = np.log2(1.0 + num / (inter + noise))
+                # freed before the next chunk is gathered
+                del sub, v
+            log_sum[g_idx, k] += np.sum(rate)
+        del hhat_t
 
     se = prelog * log_sum.sum(axis=0) / count.sum()
     stderr = np.full(ctx.K, np.nan)

@@ -11,15 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import channel_statistics, generate_scenario
 from .config import ConfigError
 from .harness import build_system, distributed_closed_report
 from .numerics import hermitize
-from .pilots import build_estimation_context, round_robin_pilots
-from .quantization import QuantizerConfig
 from .rng import substream
 from .sampling import estimates, sample_joint
-from .scheduler import equal_powers, full_cluster_plan
 from .se_closed import se_centralized_closed, theorem1_kernel
 from .se_mc import batch_plan, centralized_mc_report, distributed_mc_report
 
@@ -97,17 +93,10 @@ def run_validation(cfg, seed):
             f"validation needs K > tau, tau >= 2 and L >= 2 (a UE sharing "
             f"UE 0's pilot, one on another pilot, and two APs); got "
             f"K={cfg.K}, tau={cfg.tau}, L={cfg.L}")
-    scenario = generate_scenario(cfg, seed)
-    stats = channel_statistics(scenario, seed, cfg.asd_rad,
-                               rayleigh=(cfg.fading == "rayleigh"))
-    q = QuantizerConfig(b_da=cfg.b_da, b_ad=cfg.b_ad)
-    p_ddot = equal_powers(cfg.K, cfg.p_max_mw, q.rho_da)
-    plan = round_robin_pilots(cfg.K, cfg.tau)
-    cluster = full_cluster_plan(stats)
-    ctx = build_estimation_context(stats, plan, p_ddot, q, cfg.sigma2_mw)
+    ctx, cluster, _ = build_system(cfg, seed, strategy="full")
     checks = []
 
-    cases = theorem1_cases(plan)
+    cases = theorem1_cases(ctx.plan)
     mc_vals = _kernel_mc(ctx, list(cases.values()), cfg.trials, seed)
     for (case, indices), mc in zip(cases.items(), mc_vals):
         closed = theorem1_kernel(*indices, ctx)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scfsim import channel, cli, validation
+from scfsim import channel, cli, harness
 from scfsim.cli import main
 from scfsim.harness import REGISTRY
 
@@ -122,7 +122,7 @@ def test_validation_without_theorem1_cases_exits_2(tmp_path, capsys,
     def no_drop(*args, **kwargs):
         raise AssertionError("a drop was drawn before the config was refused")
 
-    monkeypatch.setattr(validation, "generate_scenario", no_drop)
+    monkeypatch.setattr(harness, "generate_scenario", no_drop)
     cfg = tmp_path / "small.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "never.csv"

@@ -8,8 +8,7 @@ import pytest
 
 from scfsim.config import ConfigError, SimConfig, config_hash, load_config
 from scfsim.harness import (EXPERIMENTS, ResultTable, build_system, delta_se,
-                            emit_results, load_results, run_experiment,
-                            worker_count)
+                            emit_results, run_experiment, worker_count)
 from scfsim import validation
 from scfsim.pilots import PilotPlan
 from scfsim.scheduler import ClusterPlan
@@ -175,9 +174,11 @@ def test_emit_empty_table_and_roundtrip(tmp_path):
                        meta={"x": 1})
     json_path = tmp_path / "t.json"
     emit_results(full, "json", json_path)
-    back = load_results(json_path)
-    assert [list(r) for r in back.rows] == [list(r) for r in full.rows]
-    assert back.meta == full.meta
+    back = json.loads(json_path.read_text(encoding="utf-8"))
+    assert back["columns"] == list(full.columns)
+    assert [[row[c] for c in full.columns] for row in back["rows"]] \
+        == [list(r) for r in full.rows]
+    assert back["meta"] == full.meta
 
     csv2 = tmp_path / "t.csv"
     emit_results(full, "csv", csv2)
@@ -261,9 +262,10 @@ def test_delta_se():
     with pytest.raises(ValueError):
         SEReport(se=np.array([0.5]), prelog=1.0, scheme="distributed",
                  detector="mrc", weighting="lsfd", evaluation="closed-form")
-    with pytest.raises(ValueError):
-        SEReport(se=np.array([-0.1]), prelog=0.9, scheme="distributed",
-                 detector="mrc", weighting="lsfd", evaluation="closed-form")
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SEReport(se=np.array([0.5, bad]), prelog=0.9, scheme="distributed",
+                     detector="mrc", weighting="lsfd", evaluation="closed-form")
 
 
 def test_build_system_strategies_differ():
@@ -272,6 +274,10 @@ def test_build_system_strategies_differ():
     _, cl_e, pw_e = build_system(cfg.replace(nu=0.0), 3)
     assert np.allclose(pw_e, pw_e[0])
     assert not np.allclose(pw_a, pw_a[0])
+    ctx_f, cl_f, pw_f = build_system(cfg, 3, strategy="full")
+    assert cl_f.D.all() and not cl_a.D.all()
+    assert np.array_equal(ctx_f.plan.pilot_of, np.arange(cfg.K) % cfg.tau)
+    assert np.all(pw_f == pw_a.max())
     with pytest.raises(Exception, match="strategy"):
         build_system(cfg, 3, strategy="bogus")
 

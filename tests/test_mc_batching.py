@@ -255,25 +255,63 @@ def test_distributed_sums_and_report_match_loop(system, detector, monkeypatch):
 
 @pytest.mark.parametrize("detector", DETECTORS["distributed"])
 def test_chunked_batches_match_one_chunk(system, detector, monkeypatch):
-    # ten 200-trial batches, each consumed in one chunk and in three chunks
-    # of 66-67 trials: the same draws, summed in another order
+    # ten 200-trial batches, each consumed in one chunk, in three chunks of
+    # 66-67 trials, and in three chunks whose UEs walk them again in
+    # sub-chunks of a few trials: the same draws, summed in another order
     ctx, cluster, _ = system
     per_trial = ctx.K * ctx.L * ctx.N
     trials = 2000
     assert [hi - lo for lo, hi in batch_plan(trials, ctx.K, ctx.L, ctx.N)] \
         == [200] * 10
     runs = {}
-    for name, elems in (("one", 1 << 40), ("many", 64 * per_trial)):
+    for name, elems in (("one", 1 << 40), ("many", 64 * per_trial),
+                        ("sub", 20 * ctx.K)):
         monkeypatch.setattr(se_mc, "CHUNK_ELEMS", elems)
         runs[name] = distributed_mc_sums(ctx, cluster, detector, trials, 8)
-    assert len(se_mc._chunks(200, per_trial)) == 3
-    one, many = runs["one"], runs["many"]
-    assert np.array_equal(one.count, many.count)
-    for k in range(ctx.K):
-        for g_sel in (slice(None), slice(0, 1)):
-            got, want = many.moments(k, g_sel), one.moments(k, g_sel)
-            for field in ("signal", "c_full", "c_partial"):
-                _assert_close(getattr(got, field), getattr(want, field), SE_REL)
+        assert len(se_mc._chunks(200, per_trial)) == (name != "one") * 2 + 1
+        sub_chunks = len(se_mc._ue_chunks(67, ctx.K))
+        assert (sub_chunks > 1) == (name == "sub")
+    one = runs["one"]
+    for chunked in (runs["many"], runs["sub"]):
+        assert np.array_equal(one.count, chunked.count)
+        for k in range(ctx.K):
+            for g_sel in (slice(None), slice(0, 1)):
+                got, want = chunked.moments(k, g_sel), one.moments(k, g_sel)
+                for field in ("signal", "c_full", "c_partial"):
+                    _assert_close(getattr(got, field), getattr(want, field),
+                                  SE_REL)
+
+
+@pytest.mark.parametrize("n_trials, per_trial, sizes", [
+    (64, 1 << 10, [64]),               # the whole batch fits
+    (64, 1 << 11, [32, 32]),           # exactly CHUNK_ELEMS each
+    (64, 2250, [21, 21, 22]),          # 15 APs x 150 UEs: 47,250 elements
+    (5, 1 << 20, [1] * 5),             # one trial exceeds it: one each
+])
+def test_ue_chunks_are_the_fewest_within_the_budget(n_trials, per_trial,
+                                                    sizes):
+    got = se_mc._ue_chunks(n_trials, per_trial)
+    assert [t.stop - t.start for t in got] == sizes
+    assert got[0].start == 0 and got[-1].stop == n_trials
+    assert all(a.stop == b.start for a, b in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("detector", DETECTORS["centralized"])
+def test_centralized_ue_chunks_match_one_chunk(system, detector, monkeypatch):
+    # four 64-trial batches, each UE's trials walked whole and in chunks of
+    # at most 384 / (|M_k| N K) trials: 21-22 trials for a UE with one
+    # serving AP, 3-4 when every AP serves it
+    ctx, cluster, _ = system
+    runs = {}
+    for name, elems in (("one", 1 << 40), ("many", 384)):
+        monkeypatch.setattr(se_mc, "CHUNK_ELEMS", elems)
+        runs[name] = centralized_mc_report(ctx, cluster, detector, TRIALS, 6,
+                                           0.95)
+        counts = [len(se_mc._ue_chunks(64, m.size * ctx.N * ctx.K))
+                  for m in cluster.serving]
+        assert (min(counts) > 1) if name == "many" else (max(counts) == 1)
+    _assert_per_ue_close(runs["many"].se, runs["one"].se, SE_REL)
+    _assert_per_ue_close(runs["many"].stderr, runs["one"].stderr, SE_REL)
 
 
 @pytest.mark.parametrize("detector", DETECTORS["centralized"])

@@ -12,6 +12,7 @@ the data noise.
 import numpy as np
 import pytest
 
+from scfsim import numerics
 from scfsim.numerics import crandn
 from scfsim.rng import substream
 from scfsim.sampling import (_crandn_trials_last, estimates, estimates_ue_last,
@@ -95,6 +96,43 @@ def test_trials_last_draws_are_bit_identical(shape, n_trials):
     got = _crandn_trials_last(substream(2, "draw"), n_trials, shape, var)
     want = crandn(substream(2, "draw"), (n_trials,) + shape, var)
     assert np.array_equal(got, np.moveaxis(want, 0, -1))
+
+
+class _CountingRng:
+    """A Generator whose ``standard_normal`` calls are recorded."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.sizes.append(out.shape[0])
+        return out
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 3, 2), (1, 1)])
+@pytest.mark.parametrize("budget_trials, n_trials, blocks", [
+    (None, 7, [7]),                  # one block, at the default budget
+    (0, 32, [32]),                   # one block at the 32-trial floor
+    (0, 64, [32, 32]),               # exactly two
+    (0, 100, [32, 32, 32, 4]),       # several, the last one ragged
+    (40, 100, [40, 40, 20]),
+])
+def test_trials_last_draws_in_blocks_are_bit_identical(
+        shape, budget_trials, n_trials, blocks, monkeypatch):
+    """Each part is drawn in blocks of whole trials, real parts first, and
+    the values are ``crandn``'s one-shot draw, for scalar and array ``var``."""
+    if budget_trials is not None:
+        monkeypatch.setattr(numerics, "DRAW_BLOCK_ELEMS",
+                            budget_trials * int(np.prod(shape)))
+    for var in (1.0, 0.3, np.linspace(0.5, 2.0, shape[-1])):
+        rng = _CountingRng(substream(2, "draw"))
+        got = _crandn_trials_last(rng, n_trials, shape, var)
+        want = crandn(substream(2, "draw"), (n_trials,) + shape, var)
+        assert got.shape == shape + (n_trials,)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.moveaxis(want, 0, -1))
+        assert rng.sizes == blocks * 2
 
 
 def test_shapes_and_repeatability():
