@@ -31,21 +31,36 @@ def _load(args):
     return cfg
 
 
+def _cannot_write(path, exc):
+    """One error line for an OSError on --out, naming the part of the path
+    that failed when it is not the whole path (a file where a directory
+    should be)."""
+    where = f" ({exc.filename})" if exc.filename not in (None, path) else ""
+    return ExperimentError(f"cannot write --out {path}: "
+                           f"{exc.strerror or exc}{where}")
+
+
 def _cmd_run(args):
     cfg = _load(args)
     path = args.out or f"{args.experiment}.{args.format}"
-    # before the run, so a path that cannot be written fails in seconds
-    if os.path.isdir(path):
-        raise ExperimentError(f"cannot write --out {path}: it is a directory")
-    directory = os.path.dirname(path)
-    if directory:
-        try:
+    # opened before the run, so a path that cannot be written fails in
+    # seconds; appending leaves an existing file as it is, and a file made
+    # here is removed again until the results are written
+    try:
+        directory = os.path.dirname(path)
+        if directory:
             os.makedirs(directory, exist_ok=True)
-        except OSError as exc:
-            raise ExperimentError(f"cannot write --out {path}: cannot make "
-                                  f"directory {directory}: {exc.strerror}") from exc
+        existed = os.path.exists(path)
+        open(path, "ab").close()
+        if not existed:
+            os.remove(path)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
     table = run_experiment(args.experiment, cfg)
-    emit_results(table, args.format, path)
+    try:
+        emit_results(table, args.format, path)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
     print(f"{args.experiment}: {len(table.rows)} rows -> {path}")
     return 0
 

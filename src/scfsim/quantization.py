@@ -15,6 +15,7 @@ detector's static part for its noise set on its APs.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,14 @@ def distortion_factor(bits):
     """Distortion factor for a b-bit converter; ``None`` or "ideal" gives 0."""
     if bits is None or bits == "ideal":
         return 0.0
-    bits = int(bits)
+    # int() would floor 2.7 to 2 bits, and read True as 1 bit and "3" as 3
+    if isinstance(bits, bool):
+        raise ValueError(f"converter resolution must be an integer, got {bits!r}")
+    try:
+        bits = operator.index(bits)
+    except TypeError:
+        raise ValueError(f"converter resolution must be an integer, "
+                         f"got {bits!r}") from None
     if bits < 1:
         raise ValueError(f"converter resolution must be >= 1 bit, got {bits}")
     if bits in DISTORTION_TABLE:

@@ -13,8 +13,11 @@ weakest UE in every overlap neighbourhood transmits at full power.
 
 The results are the decisions only: a ``ClusterPlan`` (the indicator matrix
 D and each UE's primary AP), a ``pilots.PilotPlan`` (each UE's pilot) and
-the (K,) array of effective powers p̈. The sets read from them, M_k, Q_k and
-the (K, K) overlap mask, are built once per plan, on first read.
+the (K,) array of effective powers p̈. Both plans check their decisions when
+they are built, so a plan that exists is well formed: D is a (K, L) bool
+matrix and each UE's primary AP is an index in [0, L) that serves it. The
+sets read from a cluster plan, M_k, Q_k and the (K, K) overlap mask, are
+built once per plan, on first read.
 """
 
 import functools
@@ -31,11 +34,39 @@ from .pilots import PilotPlan
 
 @dataclass(frozen=True)
 class ClusterPlan:
-    """Algorithm 1's service decisions. The sets derived from them, M_k and
-    Q_k, are built on first read; D_l is column l of D."""
+    """Algorithm 1's service decisions, checked when the plan is built: a
+    malformed D or primary, or a primary AP that does not serve its UE,
+    raises ``ValueError``. The sets derived from them, M_k and Q_k, are built
+    on first read; D_l is column l of D."""
 
     D: np.ndarray              # (K, L) bool service indicators
-    primary: np.ndarray        # (K,) primary AP per UE
+    primary: np.ndarray        # (K,) int: UE k's primary AP, which serves it
+
+    def __post_init__(self):
+        d_matrix = np.asarray(self.D)
+        # an integer 0/1 array converts; any other value would be truncated
+        if d_matrix.ndim != 2 or not (d_matrix.dtype == bool or (
+                d_matrix.dtype.kind in "iu" and np.isin(d_matrix, (0, 1)).all())):
+            raise ValueError(f"D must be a 2-D bool array of service "
+                             f"indicators, got {self.D!r}")
+        d_matrix = d_matrix.astype(bool, copy=False)
+        k_count, l_count = d_matrix.shape
+        primary = np.asarray(self.primary)
+        # a list mixing bools and ints converts to an int array: read its items
+        if (primary.ndim != 1 or primary.dtype.kind not in "iu" or any(
+                isinstance(v, (bool, np.bool_)) for v in self.primary)):
+            raise ValueError(f"primary must be a 1-D array of integer AP "
+                             f"indices, got {self.primary!r}")
+        if len(primary) != k_count:
+            raise ValueError(f"primary has {len(primary)} entries for "
+                             f"{k_count} UEs")
+        if np.any(primary < 0) or np.any(primary >= l_count):
+            raise ValueError(f"primary AP indices out of range [0, {l_count})")
+        unserved = np.flatnonzero(~d_matrix[np.arange(k_count), primary])
+        if unserved.size:
+            raise ValueError(f"primary AP of UE {unserved[0]} does not serve it")
+        object.__setattr__(self, "D", d_matrix)
+        object.__setattr__(self, "primary", primary.astype(int, copy=False))
 
     @property
     def K(self):
@@ -63,20 +94,11 @@ class ClusterPlan:
         return tuple(np.flatnonzero(row) for row in self.overlap_mask)
 
 
-def cluster_plan_from_indicators(d_matrix, primary):
-    d_matrix = np.asarray(d_matrix, dtype=bool)
-    primary = np.asarray(primary, dtype=int)
-    unserved = np.flatnonzero(~d_matrix[np.arange(len(primary)), primary])
-    if unserved.size:
-        raise ValueError(f"primary AP of UE {unserved[0]} does not serve it")
-    return ClusterPlan(D=d_matrix, primary=primary)
-
-
 def full_cluster_plan(stats):
     """Canonical unscaled system: every AP serves every UE."""
     d_matrix = np.ones((stats.K, stats.L), dtype=bool)
     primary = np.argmax(stats.beta, axis=1)
-    return cluster_plan_from_indicators(d_matrix, primary)
+    return ClusterPlan(d_matrix, primary)
 
 
 def equal_powers(n_users, p_max, rho_da):
@@ -156,7 +178,7 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
             admit = ~d_matrix[on_t].any(axis=0) & admissible[best, aps]
             d_matrix[best[admit], aps[admit]] = True
 
-        cluster = cluster_plan_from_indicators(d_matrix, primary)
+        cluster = ClusterPlan(d_matrix, primary)
         p_ddot = fractional_powers(cluster, stats.beta, p_max, q.rho_da, nu)
 
     return cluster, PilotPlan(tau, pilot), p_ddot

@@ -31,25 +31,58 @@ def test_run_emits_file(tmp_path, capsys):
     assert payload["rows"]
 
 
-@pytest.mark.parametrize("out", ("file/x.csv", "file/sub/x.csv", "dir"),
-                         ids=("x.csv", "sub/x.csv", "directory"))
+@pytest.mark.parametrize("out", ("file/x.csv", "file/sub/x.csv", "dir",
+                                 "x" * 300 + ".csv", "newdir/"),
+                         ids=("x.csv", "sub/x.csv", "directory", "long-name",
+                              "trailing-slash"))
 def test_run_fails_on_impossible_out_before_running(tmp_path, monkeypatch,
                                                     capsys, out):
-    """An --out below a regular file, or naming a directory, prints one
-    error line naming the path and exits 2 before the experiment runs."""
+    """An --out below a regular file, naming a directory, with a name too
+    long for the file system, or ending in a slash prints one error line
+    naming the path and exits 2 before the experiment runs. The last two
+    ran the whole experiment, then died with a traceback."""
     def no_run(*args, **kwargs):
         raise AssertionError("experiment ran before the output path failed")
 
     monkeypatch.setattr(cli, "run_experiment", no_run)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
-    path = str(tmp_path / out)
+    path = f"{tmp_path}/{out}"        # a Path would drop the trailing slash
     assert main(["run", "sum-se-vs-N", "--out", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
     assert path in lines[0]
+
+
+def test_failed_run_leaves_out_as_it_was(tmp_path, monkeypatch):
+    """The path is opened before the run without truncating it, and a file
+    made for the check is gone again when the run fails."""
+    def failed_run(*args, **kwargs):
+        raise harness.ExperimentError("the run failed")
+
+    monkeypatch.setattr(cli, "run_experiment", failed_run)
+    old = tmp_path / "old.csv"
+    old.write_text("earlier results\n")
+    new = tmp_path / "new.csv"
+    for out in (old, new):
+        assert main(["run", "sum-se-vs-N", "--out", str(out)]) == 2
+    assert old.read_text() == "earlier results\n" and not new.exists()
+
+
+def test_unwritable_results_exit_2(tmp_path, monkeypatch, capsys):
+    """An OSError while the results are written is one error line too."""
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: None)
+    monkeypatch.setattr(cli, "emit_results", full_disk)
+    path = str(tmp_path / "x.csv")
+    assert main(["run", "sum-se-vs-N", "--out", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"scfsim: error: cannot write --out {path}: "
+                     f"No space left on device"]
 
 
 def test_validate_exit_codes(tmp_path, capsys):

@@ -10,7 +10,7 @@ from scfsim.numerics import crandn, hermitize
 from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
-from scfsim.scheduler import cluster_plan_from_indicators
+from scfsim.scheduler import ClusterPlan
 
 from conftest import lmmse_at_ap, small_system
 from oracles import (cluster_sets, joint_batch, local_combiners_full,
@@ -89,8 +89,8 @@ def test_lmmse_matches_ideal_rayleigh_formula():
 def test_lpmmse_reduces_to_lmmse_when_all_primary():
     _, stats, q, powers, plan, ctx, _ = small_system(L=1, K=3, N=2, tau=3, seed=20)
     # single AP serving everyone as primary: N_l^P covers all UEs
-    cluster = cluster_plan_from_indicators(np.ones((3, 1), dtype=bool),
-                                           np.zeros(3, dtype=int))
+    cluster = ClusterPlan(np.ones((3, 1), dtype=bool),
+                          np.zeros(3, dtype=int))
     hhat = crandn(substream(3, "h"), (3, 2), 1e-9)[None, :, None]
     got = local_combiners_full(hhat, ctx, cluster, "lpmmse")
     want = local_combiners_full(hhat, ctx, cluster, "lmmse")
@@ -100,7 +100,7 @@ def test_lpmmse_reduces_to_lmmse_when_all_primary():
     d = np.ones((3, 1), dtype=bool)
     d[2, 0] = False
     with pytest.raises(ValueError, match="primary AP of UE 2"):
-        cluster_plan_from_indicators(d, np.zeros(3, dtype=int))
+        ClusterPlan(d, np.zeros(3, dtype=int))
 
 
 def test_lpmmse_system_matrix_hermitian_pd():
@@ -126,7 +126,7 @@ def test_centralized_masking_and_residual():
     d[:, 0] = True
     d[1, 2] = True
     d[3, 1] = True
-    cluster = cluster_plan_from_indicators(d, np.zeros(4, dtype=int))
+    cluster = ClusterPlan(d, np.zeros(4, dtype=int))
     _, hhat = joint_batch(ctx, substream(5, "c"), 1)
     # a centralized vector has entries on its serving APs only
     for k in range(4):
@@ -208,7 +208,7 @@ def test_pmmse_equals_mmse_when_neglected_ues_are_silent():
     d[0, 0] = d[1, 0] = True       # UEs 0,1 share AP 0
     d[2, 1] = d[3, 1] = True       # UEs 2,3 on AP 1
     d[4, 2] = True
-    cluster = cluster_plan_from_indicators(d, np.array([0, 0, 1, 1, 2]))
+    cluster = ClusterPlan(d, np.array([0, 0, 1, 1, 2]))
     k = 0
     kept = set(detector_sets(cluster, "pmmse", k)[2])
     p = powers.copy()
@@ -251,7 +251,7 @@ def _cluster_plans(draw):
                                         max_size=n_aps),
                                min_size=n_ues, max_size=n_ues)))
     d[np.arange(n_ues), primary] = True
-    return cluster_plan_from_indicators(d, primary)
+    return ClusterPlan(d, primary)
 
 
 @settings(max_examples=80, deadline=None)

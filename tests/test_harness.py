@@ -289,12 +289,11 @@ def test_invariant_checks_pass():
     assert failed == []
 
 
-def _invariants_on(monkeypatch, d, primary, pilot_of):
+def _invariants_on(monkeypatch, cluster, pilot_of):
     """``run_invariant_checks`` on a drop whose plans are replaced."""
     cfg = SimConfig(**TINY)
     ctx, _, p_ddot = build_system(cfg, 5)
     ctx = dataclasses.replace(ctx, plan=PilotPlan(cfg.tau, pilot_of))
-    cluster = ClusterPlan(D=np.array(d, dtype=bool), primary=np.array(primary))
     monkeypatch.setattr(validation, "build_system",
                         lambda *args: (ctx, cluster, p_ddot))
     return {name for name, ok, _ in run_invariant_checks(cfg, 5) if not ok}
@@ -305,15 +304,20 @@ def test_invariant_checks_fail_on_bad_plans(monkeypatch):
     d = np.zeros((6, 5), dtype=bool)
     d[np.arange(6), primary] = True
     d[[1, 2], 0] = True                     # UEs 1 and 2: secondary at AP 0
+    cluster = ClusterPlan(d, primary)
     # on different pilots, or sharing one with a UE AP 0 serves as primary
-    assert _invariants_on(monkeypatch, d, primary, [0, 1, 2, 0, 1, 2]) == set()
-    assert _invariants_on(monkeypatch, d, primary, [1, 0, 2, 0, 1, 1]) == set()
+    assert _invariants_on(monkeypatch, cluster, [0, 1, 2, 0, 1, 2]) == set()
+    assert _invariants_on(monkeypatch, cluster, [1, 0, 2, 0, 1, 1]) == set()
     # two secondary UEs on one pilot at one AP
-    assert _invariants_on(monkeypatch, d, primary, [0, 1, 1, 2, 0, 2]) == {
+    assert _invariants_on(monkeypatch, cluster, [0, 1, 1, 2, 0, 2]) == {
         "secondary-pilot-uniqueness"}
-    # UE 3's primary AP does not serve it
+    # UE 3's primary AP does not serve it: such a plan cannot be built, so a
+    # valid plan (UE 3 on AP 4 alone) has its primary corrupted afterwards
+    d = d.copy()
     d[3] = [False, False, False, False, True]
-    assert _invariants_on(monkeypatch, d, primary, [0, 1, 2, 0, 1, 2]) == {
+    cluster = ClusterPlan(d, [0, 1, 2, 4, 4, 0])
+    object.__setattr__(cluster, "primary", np.array(primary))
+    assert _invariants_on(monkeypatch, cluster, [0, 1, 2, 0, 1, 2]) == {
         "one-primary-per-ue"}
 
 

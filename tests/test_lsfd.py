@@ -115,9 +115,9 @@ def test_l2_vector_and_se_ordering():
 
 def test_single_ap_weight_scale_invariance():
     _, _, _, _, _, ctx, _ = small_system(L=1, K=3, N=2, tau=3, seed=36)
-    from scfsim.scheduler import cluster_plan_from_indicators
-    cluster = cluster_plan_from_indicators(np.ones((3, 1), dtype=bool),
-                                           np.zeros(3, dtype=int))
+    from scfsim.scheduler import ClusterPlan
+    cluster = ClusterPlan(np.ones((3, 1), dtype=bool),
+                          np.zeros(3, dtype=int))
     m = build_ingredients(ctx, cluster)[0]
     prelog = 0.9
     best = se_from_moments(m, "lsfd", prelog)

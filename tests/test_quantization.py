@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,26 @@ def test_formula_beyond_table():
     assert distortion_factor(None) == 0.0
     with pytest.raises(ValueError):
         distortion_factor(0)
+
+
+@pytest.mark.parametrize("bits", (2.7, 2.0, 0.5, True, False, np.bool_(True),
+                                  "3", "ideal ", [2]),
+                         ids=("2.7", "2.0", "0.5", "True", "False", "np-True",
+                              "string", "padded-ideal", "list"))
+def test_non_integer_resolution_is_refused(bits):
+    """2.7 read as the 2-bit factor, True as 1 bit and "3" as 3 bits; 0.5
+    was refused as "got 0"."""
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bits!r}")):
+        distortion_factor(bits)
+    with pytest.raises(ValueError, match="must be an integer"):
+        QuantizerConfig(b_da=4, b_ad=bits)
+
+
+@pytest.mark.parametrize("dtype", (np.int8, np.uint8, np.int64))
+def test_numpy_integer_resolution_is_read(dtype):
+    assert distortion_factor(dtype(3)) == TABLE[3]
+    assert QuantizerConfig(b_da=dtype(2), b_ad=dtype(6)).rho_ad == \
+        distortion_factor(6)
 
 
 @given(st.integers(min_value=1, max_value=24))

@@ -11,10 +11,9 @@ from scfsim.channel import channel_statistics, generate_scenario
 from scfsim.config import ConfigError, SimConfig
 from scfsim.detectors import detector_sets
 from scfsim.quantization import QuantizerConfig
-from scfsim.scheduler import (algorithm1_complexity, cc_detector_ce,
-                              cc_weighting, cluster_plan_from_indicators,
-                              equal_powers, full_cluster_plan,
-                              run_algorithm1)
+from scfsim.scheduler import (ClusterPlan, algorithm1_complexity,
+                              cc_detector_ce, cc_weighting, equal_powers,
+                              full_cluster_plan, run_algorithm1)
 from scfsim.pilots import PilotPlan
 
 
@@ -168,12 +167,47 @@ def test_one_cluster_plan_per_pass(monkeypatch):
     built = []
 
     def counted(*args):
-        built.append(cluster_plan_from_indicators(*args))
+        built.append(ClusterPlan(*args))
         return built[-1]
 
-    monkeypatch.setattr(scheduler, "cluster_plan_from_indicators", counted)
+    monkeypatch.setattr(scheduler, "ClusterPlan", counted)
     cluster = _scheduled(iterations=3)[2]
     assert len(built) == 3 and cluster is built[-1]
+
+
+_SERVE_ALL = np.ones((3, 2), dtype=bool)       # K=3 UEs, L=2 APs
+
+
+@pytest.mark.parametrize("d, primary, field", (
+    (_SERVE_ALL, [-1, 0, 1], "primary"), (_SERVE_ALL, [0, 1], "primary"),
+    (_SERVE_ALL, [0.7, 1.2, 0], "primary"),
+    (_SERVE_ALL, np.array([0.0, 1.0, 0.0]), "primary"),
+    (_SERVE_ALL, [True, 0, 1], "primary"),
+    (_SERVE_ALL, np.array([True, False, True]), "primary"),
+    (_SERVE_ALL, [2, 0, 1], "primary"), (_SERVE_ALL, 0, "primary"),
+    (_SERVE_ALL, [[0, 1, 0]], "primary"),
+    (np.ones(3, dtype=bool), [0, 0, 0], "D"),
+    (np.ones((3, 2, 1), dtype=bool), [0, 1, 0], "D"),
+    (np.full((3, 2), 0.5), [0, 1, 0], "D"), (np.full((3, 2), 2), [0, 1, 0], "D"),
+    (np.eye(3, 2, dtype=bool), [0, 1, 1], "primary")),
+    ids=("negative", "short", "floats", "integral-floats", "bool-in-list",
+         "bool-array", "index-L", "scalar", "2-d-primary", "1-d-D", "3-d-D",
+         "float-D", "int-D-not-0/1", "primary-not-served"))
+def test_cluster_plan_rejects_malformed_decisions(d, primary, field):
+    """A primary of -1 wrapped to AP L-1 in the serve check, a short primary
+    list was accepted, floats and bools were floored to AP indices, an index
+    >= L or a 1-D D raised a bare IndexError, and a 3-D D was accepted."""
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        ClusterPlan(d, primary)
+
+
+def test_cluster_plan_converts_an_integer_0_1_d():
+    d = np.zeros((4, 3), dtype=bool)
+    d[:, 0] = d[1, 2] = d[3, 1] = True
+    primary = np.array([0, 2, 0, 1])
+    for dtype in (np.uint8, np.int32, int):
+        _assert_same_fields(ClusterPlan(d.astype(dtype), primary),
+                            ClusterPlan(d, primary))
 
 
 def _assert_same_fields(got, ref):
@@ -220,7 +254,7 @@ def test_cluster_views_match_eager_sets_on_random_masks(K, L, data):
     primary = np.array(data.draw(st.lists(st.integers(min_value=0, max_value=L - 1),
                                           min_size=K, max_size=K)))
     d[np.arange(K), primary] = True
-    _assert_views_match_eager_sets(cluster_plan_from_indicators(d, primary))
+    _assert_views_match_eager_sets(ClusterPlan(d, primary))
 
 
 def test_cluster_views_match_eager_sets_on_edge_plans():
@@ -232,7 +266,7 @@ def test_cluster_views_match_eager_sets_on_edge_plans():
     d[:, 0] = True
     d[[0, 1], 2] = True
     d[2] = [False, False, False, True]
-    plan = cluster_plan_from_indicators(d, np.array([0, 2, 3, 0]))
+    plan = ClusterPlan(d, np.array([0, 2, 3, 0]))
     assert list(plan.serving[2]) == [3] and not plan.D[:, 1].any()
     _assert_views_match_eager_sets(plan)
 
@@ -251,7 +285,7 @@ def test_copilot_readers_match_eager_sets(tau, data):
     d[::2, 1] = True
     d[1::3, 2] = True
     d[0, 0] = False
-    plan = cluster_plan_from_indicators(d, np.argmax(d, axis=1))
+    plan = ClusterPlan(d, np.argmax(d, axis=1))
     sets = oracles.cluster_sets(plan)
     for k in range(n_users):
         m = len(sets.serving[k])
@@ -328,7 +362,7 @@ def test_cc_plsfd_worked_examples():
     d[0, :2] = True
     for k in range(1, 5):
         d[k, 0] = True
-    plan = cluster_plan_from_indicators(d, np.zeros(5, dtype=int))
+    plan = ClusterPlan(d, np.zeros(5, dtype=int))
     pilots = PilotPlan(4, [0, 1, 2, 3, 1])             # P_0 ∩ Q_0 = {0}
     assert len(plan.serving[0]) == 2 and len(plan.overlap[0]) == 5
     assert cc_weighting(plan, pilots, 0, "plsfd") == (32, 2)
@@ -337,14 +371,14 @@ def test_cc_plsfd_worked_examples():
     d = np.zeros((2, 4), dtype=bool)
     d[0, 0] = True
     d[1, 1] = True
-    plan = cluster_plan_from_indicators(d, np.array([0, 1]))
+    plan = ClusterPlan(d, np.array([0, 1]))
     pilots = PilotPlan(2, [0, 0])
     assert cc_weighting(plan, pilots, 0, "plsfd") == (5, 1)
 
 
 def test_cc_lsfd_vs_plsfd():
     d = np.ones((5, 3), dtype=bool)       # everyone overlaps everyone
-    plan = cluster_plan_from_indicators(d, np.zeros(5, dtype=int))
+    plan = ClusterPlan(d, np.zeros(5, dtype=int))
     pilots = PilotPlan(2, [0, 1, 0, 1, 0])
     for k in range(5):
         assert (cc_weighting(plan, pilots, k, "lsfd")
@@ -363,7 +397,7 @@ def test_cc_lsfd_vs_plsfd():
         d[1:, 2] = True
         primary = np.full(n_users, 2)
         primary[0] = 0
-        plan = cluster_plan_from_indicators(d, primary)
+        plan = ClusterPlan(d, primary)
         pilots = PilotPlan(2, [0] + [1] * (n_users - 1))
         assert list(plan.overlap[0]) == [0]
         assert oracles.copilot_sets(pilots.pilot_of)[0] == (0,)
@@ -405,25 +439,25 @@ def test_cc_detector_ce_point_value():
     # N=2, tau=10, |N_l^P|=3 -> 72
     d = np.zeros((3, 2), dtype=bool)
     d[:, 0] = True
-    plan = cluster_plan_from_indicators(d, np.zeros(3, dtype=int))
+    plan = ClusterPlan(d, np.zeros(3, dtype=int))
     assert cc_detector_ce(plan, "lpmmse", 0, 2, 10) == 72
 
 
 def test_algorithm1_complexity_formula():
     # K=tau=1, L=1, |L(d_bar)|=1, |Q_0|=1 -> 2K + 2tau = 4
-    plan1 = cluster_plan_from_indicators(np.ones((1, 1), dtype=bool),
-                                         np.zeros(1, dtype=int))
+    plan1 = ClusterPlan(np.ones((1, 1), dtype=bool),
+                        np.zeros(1, dtype=int))
     assert algorithm1_complexity(plan1, 1, 1, 1) == 4
 
     # independence of N is structural (no N argument); linearity in overlap
     K = 4
     d = np.zeros((K, K), dtype=bool)
     d[np.arange(K), np.arange(K)] = True
-    plan = cluster_plan_from_indicators(d, np.arange(K))
+    plan = ClusterPlan(d, np.arange(K))
     base = algorithm1_complexity(plan, 10, 3, 5)
     doubled_d = d.copy()
     doubled_d[:, 0] = True
-    plan2 = cluster_plan_from_indicators(doubled_d, np.arange(K))
+    plan2 = ClusterPlan(doubled_d, np.arange(K))
     extra = sum(len(plan2.overlap[k]) for k in range(K)) - K
     assert algorithm1_complexity(plan2, 10, 3, 5) == base + extra
 

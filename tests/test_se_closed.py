@@ -8,8 +8,7 @@ from scfsim.harness import distributed_closed_report
 from scfsim.lsfd import _ap_kernels, build_ingredients, se_from_moments
 from scfsim.pilots import build_estimation_context, round_robin_pilots
 from scfsim.quantization import QuantizerConfig
-from scfsim.scheduler import (cluster_plan_from_indicators, full_cluster_plan,
-                              run_algorithm1)
+from scfsim.scheduler import ClusterPlan, full_cluster_plan, run_algorithm1
 from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.validation import desk_validation_config
 
@@ -105,8 +104,8 @@ def test_distributed_scalar_oracle():
     p = np.array([4.0])
     sigma2 = 2e-3
     ctx = build_estimation_context(stats, plan, p, q0, sigma2)
-    cluster = cluster_plan_from_indicators(np.ones((1, 1), dtype=bool),
-                                           np.zeros(1, dtype=int))
+    cluster = ClusterPlan(np.ones((1, 1), dtype=bool),
+                          np.zeros(1, dtype=int))
     moments = build_ingredients(ctx, cluster)[0]
     prelog = 0.9
     norm2 = np.vdot(stats.h_bar[0, 0], stats.h_bar[0, 0]).real
