@@ -13,6 +13,7 @@ converge, prints one error line and exits 2.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -40,27 +41,47 @@ def _cannot_write(path, exc):
                            f"{exc.strerror or exc}{where}")
 
 
+@contextlib.contextmanager
+def _removed_on_failure(path):
+    """If the block raises, remove the file at ``path`` and the directories
+    above it, innermost first, that did not exist when it was entered."""
+    made = [] if os.path.lexists(path) else [(os.remove, path)]
+    directory = os.path.dirname(path)
+    while directory and not os.path.exists(directory):
+        made.append((os.rmdir, directory))
+        directory = os.path.dirname(directory)
+    try:
+        yield
+    except BaseException:
+        for remove, leftover in made:
+            with contextlib.suppress(OSError):
+                remove(leftover)
+        raise
+
+
 def _cmd_run(args):
     cfg = _load(args)
     path = args.out or f"{args.experiment}.{args.format}"
     # opened before the run, so a path that cannot be written fails in
-    # seconds; appending leaves an existing file as it is, and a file made
-    # here is removed again until the results are written
-    try:
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        existed = os.path.exists(path)
-        open(path, "ab").close()
-        if not existed:
-            os.remove(path)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
-    table = run_experiment(args.experiment, cfg)
-    try:
-        emit_results(table, args.format, path)
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
+    # seconds; appending leaves an existing file as it is. A file or
+    # directory made here is gone again if the check, the run or the write
+    # fails.
+    with _removed_on_failure(path):
+        try:
+            directory = os.path.dirname(path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            existed = os.path.exists(path)
+            open(path, "ab").close()
+            if not existed:
+                os.remove(path)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
+        table = run_experiment(args.experiment, cfg)
+        try:
+            emit_results(table, args.format, path)
+        except OSError as exc:
+            raise _cannot_write(path, exc) from None
     print(f"{args.experiment}: {len(table.rows)} rows -> {path}")
     return 0
 

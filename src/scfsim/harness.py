@@ -5,9 +5,10 @@ the closed-form-vs-Monte-Carlo validation suite.
 Every experiment is one ``REGISTRY`` entry: its point specs, the point
 function that evaluates one spec, the reducer that turns the per-point
 results into rows (pass-through, or pooled by label into empirical CDFs) and
-the output columns. Points are independent (sweep values, strategy/drop
-pairs), each with an RNG stream derived from (seed, experiment, point id).
-They may run in a process pool (SCFSIM_WORKERS); results are reduced in spec
+the output columns. Points are independent: a sweep value, or a CDF's
+scenario drop, whose channel statistics all of the CDF's variants share.
+Each draws from RNG streams derived from (seed, experiment, point id). They
+may run in a process pool (SCFSIM_WORKERS); results are reduced in spec
 order, so output bytes never depend on the worker count.
 """
 
@@ -16,7 +17,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -86,19 +87,20 @@ def emit_results(table, fmt, path):
 # scenario construction and evaluation
 # ---------------------------------------------------------------------------
 
-def build_system(cfg, seed, strategy="algorithm1"):
+def build_system(cfg, seed, strategy="algorithm1", stats=None):
     """Scenario + statistics + scheduling for one seeded drop.
 
     ``strategy``: "algorithm1" (the joint scheduler), "random-pilot"
     (scheduler with uniformly random pilots) or "full" (no scheduler:
     equal powers, round-robin pilots and every AP serving every UE, the
-    drop the validation suite checks the closed forms on). Returns the
-    estimation context, the cluster plan and the (K,) p̈ array; cfg.nu = 0
-    gives equal power.
+    drop the validation suite checks the closed forms on). ``stats``, the
+    drop's channel statistics from an earlier call with this seed, skips
+    rebuilding them. Returns the estimation context, the cluster plan and
+    the (K,) p̈ array; cfg.nu = 0 gives equal power.
     """
-    scenario = generate_scenario(cfg, seed)
-    stats = channel_statistics(scenario, seed, cfg.asd_rad,
-                               rayleigh=(cfg.fading == "rayleigh"))
+    if stats is None:
+        stats = channel_statistics(generate_scenario(cfg, seed), seed, cfg.asd_rad,
+                                   rayleigh=(cfg.fading == "rayleigh"))
     q = QuantizerConfig(b_da=cfg.b_da, b_ad=cfg.b_ad)
     if strategy == "full":
         p_ddot = equal_powers(cfg.K, cfg.p_max_mw, q.rho_da)
@@ -183,22 +185,19 @@ DISTRIBUTED_CDF_STRATEGIES = (
 CENTRALIZED_CDF_STRATEGIES = ("mrc", "mmse", "pmmse", "pmmse-full")
 
 
-class CdfPoint(NamedTuple):
-    """One scenario drop of a CDF, pooled under ``label``."""
-
-    label: str
-    tag: str            # substream tag; with ``rep`` it fixes the drop seed
-    rep: int
-    strategy: str       # build_system scheduling strategy
-    overrides: dict     # config overrides for the drop and its evaluation
-
-
-def _point_cdf(cfg, seed, point):
-    rep_seed = substream(seed, point.tag, point.rep).integers(0, 2**63)
-    point_cfg = cfg.replace(**point.overrides)
-    ctx, cluster, _ = build_system(point_cfg, rep_seed, point.strategy)
-    report = evaluate(point_cfg, ctx, cluster, rep_seed)
-    return list(map(float, report.se))
+def _point_cdf(cfg, seed, spec):
+    """One scenario drop of a CDF: (label, per-UE SEs) for each variant, all
+    on the first variant's channel statistics."""
+    tag, rep, variants = spec
+    rep_seed = substream(seed, tag, rep).integers(0, 2**63)
+    stats, results = None, []
+    for label, strategy, overrides in variants:
+        point_cfg = cfg.replace(**overrides)
+        ctx, cluster, _ = build_system(point_cfg, rep_seed, strategy, stats)
+        stats = ctx.stats
+        report = evaluate(point_cfg, ctx, cluster, rep_seed)
+        results.append((label, list(map(float, report.se))))
+    return results
 
 
 def _cdf_rows(label, samples):
@@ -213,16 +212,16 @@ def _validate_rows(cfg, seed, _spec):
     return [(c.name, c.case, c.closed, c.monte_carlo, c.rel_gap) for c in checks]
 
 
-# reducers: (specs, per-point results) -> table rows --------------------------
+# reducers: per-point results -> table rows -----------------------------------
 
-def _concat_rows(specs, points):
+def _concat_rows(points):
     return [row for point in points for row in point]
 
 
-def _pooled_cdf_rows(specs, points):
+def _pooled_cdf_rows(points):
     pooled = {}
-    for spec, ses in zip(specs, points):
-        pooled.setdefault(spec.label, []).extend(ses)
+    for label, ses in (pair for point in points for pair in point):
+        pooled.setdefault(label, []).extend(ses)
     return [row for label in sorted(pooled) for row in _cdf_rows(label, pooled[label])]
 
 
@@ -232,7 +231,7 @@ def _pooled_cdf_rows(specs, points):
 class Experiment:
     specs: tuple        # one picklable spec per independent point, reduce order
     point: Callable     # point(cfg, seed, spec) -> that point's results
-    reduce: Callable    # reduce(specs, results) -> rows
+    reduce: Callable    # reduce(results, in spec order) -> rows
     columns: tuple
 
 
@@ -242,10 +241,10 @@ def _sweep(sweep_name, values):
 
 
 def _cdf(tag, variants, reps=CDF_REPS):
-    """``variants``: (label, strategy, config overrides) triples, each drawn
-    on ``reps`` scenario drops."""
-    specs = tuple(CdfPoint(label, tag, rep, strategy, overrides)
-                  for label, strategy, overrides in variants for rep in range(reps))
+    """``variants``: (label, strategy, config overrides) triples, all drawn
+    on each of ``reps`` scenario drops; the overrides touch only fields the
+    drop's channel statistics do not read."""
+    specs = tuple((tag, rep, tuple(variants)) for rep in range(reps))
     return Experiment(specs, _point_cdf, _pooled_cdf_rows, ("strategy", "se", "cdf"))
 
 
@@ -309,5 +308,5 @@ def run_experiment(name, cfg, workers=None):
             "trials": cfg.trials, "version": __version__,
             "config": cfg.to_dict()}
     points = _map_points(name, cfg, seed, experiment.specs, workers)
-    rows = experiment.reduce(experiment.specs, points)
+    rows = experiment.reduce(points)
     return ResultTable(experiment.columns, rows, meta).with_provenance(cfg, seed)

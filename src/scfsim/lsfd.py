@@ -91,8 +91,6 @@ def build_ingredients(ctx, cluster):
     stats, q = ctx.stats, ctx.q
     served_by = cluster.D                                       # (K, L)
     sizes = served_by.sum(axis=1)
-    if not sizes.all():
-        raise ValueError(f"UE {np.argmin(sizes)} has an empty serving set")
     one_ad2 = (1.0 - q.rho_ad) ** 2
     p = ctx.p_ddot
 

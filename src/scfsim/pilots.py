@@ -30,7 +30,7 @@ class PilotPlan:
     pilot_of: np.ndarray       # (K,) int: UE k's pilot index, in [0, tau)
 
     def __post_init__(self):
-        pilot_of = np.asarray(self.pilot_of)
+        pilot_of = np.array(self.pilot_of)     # an owned copy
         # a list mixing bools and ints converts to an int array: read its items
         if (pilot_of.ndim != 1 or pilot_of.dtype.kind not in "iu" or any(
                 isinstance(v, (bool, np.bool_)) for v in self.pilot_of)):
@@ -38,7 +38,10 @@ class PilotPlan:
                              f"indices, got {self.pilot_of!r}")
         if np.any(pilot_of < 0) or np.any(pilot_of >= self.tau):
             raise ValueError("pilot indices out of range")
-        object.__setattr__(self, "pilot_of", pilot_of.astype(int, copy=False))
+        # read-only once checked, so the check holds for the plan's life
+        pilot_of = pilot_of.astype(int, copy=False)
+        pilot_of.setflags(write=False)
+        object.__setattr__(self, "pilot_of", pilot_of)
 
     @property
     def K(self):

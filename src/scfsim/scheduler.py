@@ -14,10 +14,11 @@ weakest UE in every overlap neighbourhood transmits at full power.
 The results are the decisions only: a ``ClusterPlan`` (the indicator matrix
 D and each UE's primary AP), a ``pilots.PilotPlan`` (each UE's pilot) and
 the (K,) array of effective powers p̈. Both plans check their decisions when
-they are built, so a plan that exists is well formed: D is a (K, L) bool
-matrix and each UE's primary AP is an index in [0, L) that serves it. The
-sets read from a cluster plan, M_k, Q_k and the (K, K) overlap mask, are
-built once per plan, on first read.
+they are built and keep read-only copies of them, so a plan that exists is
+well formed for its whole life: D is a (K, L) bool matrix and each UE's
+primary AP is an index in [0, L) that serves it. The sets read from a
+cluster plan, M_k, Q_k and the (K, K) overlap mask, are built once per
+plan, on first read.
 """
 
 import functools
@@ -49,9 +50,11 @@ class ClusterPlan:
                 d_matrix.dtype.kind in "iu" and np.isin(d_matrix, (0, 1)).all())):
             raise ValueError(f"D must be a 2-D bool array of service "
                              f"indicators, got {self.D!r}")
-        d_matrix = d_matrix.astype(bool, copy=False)
+        # owned copies, read-only once checked: the checks then hold for the
+        # plan's whole life, and so do the sets cached from it
+        d_matrix = d_matrix.astype(bool)
         k_count, l_count = d_matrix.shape
-        primary = np.asarray(self.primary)
+        primary = np.array(self.primary)
         # a list mixing bools and ints converts to an int array: read its items
         if (primary.ndim != 1 or primary.dtype.kind not in "iu" or any(
                 isinstance(v, (bool, np.bool_)) for v in self.primary)):
@@ -65,8 +68,11 @@ class ClusterPlan:
         unserved = np.flatnonzero(~d_matrix[np.arange(k_count), primary])
         if unserved.size:
             raise ValueError(f"primary AP of UE {unserved[0]} does not serve it")
+        primary = primary.astype(int, copy=False)
+        for owned in (d_matrix, primary):
+            owned.setflags(write=False)
         object.__setattr__(self, "D", d_matrix)
-        object.__setattr__(self, "primary", primary.astype(int, copy=False))
+        object.__setattr__(self, "primary", primary)
 
     @property
     def K(self):

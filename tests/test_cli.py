@@ -32,15 +32,17 @@ def test_run_emits_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("out", ("file/x.csv", "file/sub/x.csv", "dir",
-                                 "x" * 300 + ".csv", "newdir/"),
+                                 "x" * 300 + ".csv", "newdir/",
+                                 "a/b/" + "x" * 300 + ".csv"),
                          ids=("x.csv", "sub/x.csv", "directory", "long-name",
-                              "trailing-slash"))
+                              "trailing-slash", "long-name-in-new-dirs"))
 def test_run_fails_on_impossible_out_before_running(tmp_path, monkeypatch,
                                                     capsys, out):
     """An --out below a regular file, naming a directory, with a name too
     long for the file system, or ending in a slash prints one error line
-    naming the path and exits 2 before the experiment runs. The last two
-    ran the whole experiment, then died with a traceback."""
+    naming the path and exits 2 before the experiment runs, leaving no
+    directory behind. The last two ran the whole experiment, then died with
+    a traceback."""
     def no_run(*args, **kwargs):
         raise AssertionError("experiment ran before the output path failed")
 
@@ -54,21 +56,26 @@ def test_run_fails_on_impossible_out_before_running(tmp_path, monkeypatch,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("scfsim: error: ")
     assert path in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
 
 
 def test_failed_run_leaves_out_as_it_was(tmp_path, monkeypatch):
     """The path is opened before the run without truncating it, and a file
-    made for the check is gone again when the run fails."""
+    or directory made for the check is gone again when the run or the check
+    fails. The directories were left behind: a failed run below a new
+    nested directory, and an --out ending in a slash."""
     def failed_run(*args, **kwargs):
         raise harness.ExperimentError("the run failed")
 
     monkeypatch.setattr(cli, "run_experiment", failed_run)
     old = tmp_path / "old.csv"
     old.write_text("earlier results\n")
-    new = tmp_path / "new.csv"
-    for out in (old, new):
+    (tmp_path / "kept").mkdir()
+    for out in (old, tmp_path / "new.csv", tmp_path / "kept" / "a" / "b" / "new.csv",
+                f"{tmp_path}/new-out-dir/", f"{tmp_path}/kept/c/new-out-dir/"):
         assert main(["run", "sum-se-vs-N", "--out", str(out)]) == 2
-    assert old.read_text() == "earlier results\n" and not new.exists()
+    assert old.read_text() == "earlier results\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept", "old.csv"]
 
 
 def test_unwritable_results_exit_2(tmp_path, monkeypatch, capsys):
@@ -78,11 +85,12 @@ def test_unwritable_results_exit_2(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_experiment", lambda *args: None)
     monkeypatch.setattr(cli, "emit_results", full_disk)
-    path = str(tmp_path / "x.csv")
+    path = str(tmp_path / "new" / "x.csv")
     assert main(["run", "sum-se-vs-N", "--out", path]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"scfsim: error: cannot write --out {path}: "
                      f"No space left on device"]
+    assert not (tmp_path / "new").exists()
 
 
 def test_validate_exit_codes(tmp_path, capsys):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from scfsim.config import ConfigError, SimConfig, config_hash, load_config
-from scfsim.harness import (EXPERIMENTS, ResultTable, build_system, delta_se,
-                            emit_results, run_experiment, worker_count)
-from scfsim import validation
+from scfsim.channel import channel_statistics
+from scfsim.harness import (EXPERIMENTS, REGISTRY, ResultTable, build_system,
+                            delta_se, emit_results, run_experiment, worker_count)
+from scfsim import harness, validation
 from scfsim.pilots import PilotPlan
 from scfsim.scheduler import ClusterPlan
 from scfsim.validation import run_invariant_checks
@@ -229,6 +230,42 @@ def test_worker_determinism(name, tmp_path):
     emit_results(one, "csv", tmp_path / "one.csv")
     emit_results(two, "csv", tmp_path / "two.csv")
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, drops", (
+    ("cdf-detectors-distributed", 4), ("cdf-detectors-centralized", 4),
+    ("cdf-algorithm", 4), ("cdf-vs-nu", 2)))
+def test_cdf_builds_each_drop_once(monkeypatch, name, drops):
+    """A CDF's variants share each drop's channel statistics: one build per
+    drop, not one per (variant, drop) pair (24, 16, 12 and 12 builds)."""
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return channel_statistics(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "channel_statistics", counted)
+    run_experiment(name, SimConfig(**TINY), workers=1)
+    assert len(built) == len(set(built)) == drops
+
+
+def test_cdf_variants_override_only_what_a_drop_does_not_read():
+    """Sharing a drop's statistics is sound because no variant overrides a
+    field they read: the statistics are the same under every override."""
+    evaluation_fields = {"scheme", "detector", "weighting", "nu"}
+    cdfs = [e for e in REGISTRY.values() if e.point is harness._point_cdf]
+    assert len(cdfs) == 4
+    for experiment in cdfs:
+        for _tag, _rep, variants in experiment.specs:
+            assert all(set(overrides) <= evaluation_fields
+                       for _label, _strategy, overrides in variants)
+    cfg = SimConfig(**TINY)
+    shifted = cfg.replace(scheme="centralized", detector="pmmse",
+                          weighting="l2", nu=0.3)
+    one, two = (build_system(c, 7)[0].stats for c in (cfg, shifted))
+    for a, b in ((one, two), (one.scenario, two.scenario)):
+        for name in (f.name for f in dataclasses.fields(a) if f.name != "scenario"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_worker_count_env(monkeypatch):

@@ -47,6 +47,20 @@ def test_pilot_plan_takes_any_integer_dtype():
         assert plan.pilot_of.tolist() == [2, 0, 1]
 
 
+def test_pilot_plan_owns_read_only_pilots():
+    """The plan kept the caller's pilot_of: editing it afterwards moved the
+    plan's pilots past its range check. The plan now keeps a copy that
+    cannot be written."""
+    for dtype in (int, np.int32):
+        pilot_of = np.array([2, 0, 1], dtype=dtype)
+        plan = PilotPlan(3, pilot_of)
+        pilot_of[:] = 7
+        assert plan.pilot_of.tolist() == [2, 0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            plan.pilot_of[0] = 1
+        assert plan.pilot_of.tolist() == [2, 0, 1]
+
+
 def test_psi_single_user_ideal():
     _, stats, _, _, _, _, _ = small_system(L=1, K=1, N=2, tau=1, seed=6)
     q0 = QuantizerConfig.ideal()

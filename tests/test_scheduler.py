@@ -210,6 +210,23 @@ def test_cluster_plan_converts_an_integer_0_1_d():
                             ClusterPlan(d, primary))
 
 
+def test_cluster_plan_owns_read_only_decisions():
+    """The plan kept the caller's D and primary: editing them afterwards
+    left UE 1 unserved by its primary AP while the cached M_1 still read
+    [0 1]. The plan now keeps copies that cannot be written."""
+    for d_dtype, p_dtype in ((bool, int), (np.uint8, np.int32)):
+        d, primary = np.ones((3, 2), dtype=d_dtype), np.array([0, 1, 0], p_dtype)
+        plan = ClusterPlan(d, primary)
+        plan.serving, plan.overlap          # cached before the edits
+        d[1, 1], d[:, 0], primary[:] = False, False, 1
+        assert plan.D.all() and plan.primary.tolist() == [0, 1, 0]
+        _assert_views_match_eager_sets(plan)
+        for field in (plan.D, plan.primary):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0
+        assert plan.D.all() and plan.primary.tolist() == [0, 1, 0]
+
+
 def _assert_same_fields(got, ref):
     """Equal decisions, dtypes included; a cluster plan's derived views
     must match the eager sets too."""
