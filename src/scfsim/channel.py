@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NotPositiveSemidefiniteError, db_to_linear, hermitize
+from .numerics import NotPositiveSemidefiniteError, _is_integer, db_to_linear, hermitize
 from .rng import substream
 
 PATHLOSS_INTERCEPT_DB = -30.5
@@ -60,8 +60,11 @@ class Scenario:
     antennas_per_ap: int
 
     def __post_init__(self):
-        if self.area_side <= 0 or self.antennas_per_ap < 1:
-            raise ValueError("area_side and antennas_per_ap must be positive")
+        if self.area_side <= 0:
+            raise ValueError("area_side must be positive")
+        if not (_is_integer(self.antennas_per_ap) and self.antennas_per_ap >= 1):
+            raise ValueError(f"antennas_per_ap must be an integer >= 1, "
+                             f"got {self.antennas_per_ap!r}")
         if self.ap_positions.ndim != 2 or self.ap_positions.shape[1] != 2:
             raise ValueError("ap_positions must be (L, 2)")
         if self.ue_positions.ndim != 2 or self.ue_positions.shape[1] != 2:

@@ -44,8 +44,10 @@ def _cannot_write(path, exc):
 @contextlib.contextmanager
 def _removed_on_failure(path):
     """If the block raises, remove the file at ``path`` and the directories
-    above it, innermost first, that did not exist when it was entered."""
-    made = [] if os.path.lexists(path) else [(os.remove, path)]
+    above it, innermost first, that did not exist when it was entered. The
+    file is the one the path resolves to, so a dangling symlink stays."""
+    target = os.path.realpath(path)
+    made = [] if os.path.lexists(target) else [(os.remove, target)]
     directory = os.path.dirname(path)
     while directory and not os.path.exists(directory):
         made.append((os.rmdir, directory))
@@ -71,10 +73,7 @@ def _cmd_run(args):
             directory = os.path.dirname(path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
-            existed = os.path.exists(path)
             open(path, "ab").close()
-            if not existed:
-                os.remove(path)
         except OSError as exc:
             raise _cannot_write(path, exc) from None
         table = run_experiment(args.experiment, cfg)

@@ -1,29 +1,20 @@
-"""Simulation configuration: defaults, JSON loading, validation, hashing."""
+"""Simulation configuration: defaults, JSON loading, validation, hashing,
+and the one vocabulary of detectors and weightings that every entry point
+checks names against (``check_detector``, ``check_weighting``)."""
 
 import dataclasses
 import hashlib
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
+from .numerics import _is_integer
 from .quantization import distortion_factor
 
 
 class ConfigError(ValueError):
     """Raised on unparseable files or invariant-violating field values."""
-
-
-def _is_integer(value):
-    """Whether ``operator.index`` takes ``value``, bools excluded."""
-    if isinstance(value, bool):
-        return False
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 def _is_real(value):
@@ -46,6 +37,23 @@ DETECTORS = {
     "centralized": ("mrc", "mmse", "pmmse", "pmmse-full"),
 }
 WEIGHTINGS = ("lsfd", "plsfd", "l2")
+
+
+def check_detector(scheme, name):
+    """Raise ``ConfigError`` unless ``scheme`` is a processing scheme and
+    ``name`` one of its detectors."""
+    # a tuple: an unhashable scheme (a JSON list) is a miss, not a TypeError
+    if scheme not in tuple(DETECTORS):
+        raise ConfigError(f"scheme must be {'|'.join(DETECTORS)}, got {scheme!r}")
+    if name not in DETECTORS[scheme]:
+        raise ConfigError(f"{name!r} is not a {scheme} detector; the {scheme} "
+                          f"scheme takes {'|'.join(DETECTORS[scheme])}")
+
+
+def check_weighting(name):
+    """Raise ``ConfigError`` unless ``name`` is a second-stage weighting."""
+    if name not in WEIGHTINGS:
+        raise ConfigError(f"unknown weighting {name!r}; choose from {'|'.join(WEIGHTINGS)}")
 
 
 @dataclass
@@ -150,15 +158,8 @@ class SimConfig:
             raise ConfigError(f"nu must lie in [0, 1], got {self.nu}")
         if self.fading not in ("rician", "rayleigh"):
             raise ConfigError(f"fading must be rician|rayleigh, got {self.fading!r}")
-        if self.scheme not in tuple(DETECTORS):
-            raise ConfigError(f"scheme must be distributed|centralized, got {self.scheme!r}")
-        if self.detector not in DETECTORS[self.scheme]:
-            raise ConfigError(
-                f"detector {self.detector!r} is not available for the {self.scheme} "
-                f"scheme; choose from {'|'.join(DETECTORS[self.scheme])}")
-        if self.weighting not in WEIGHTINGS:
-            raise ConfigError(
-                f"weighting must be {'|'.join(WEIGHTINGS)}, got {self.weighting!r}")
+        check_detector(self.scheme, self.detector)
+        check_weighting(self.weighting)
 
     @property
     def sigma2_mw(self):

@@ -2,8 +2,9 @@
 
 Local (per-AP) detectors: MRC, L-MMSE, and the partial LP-MMSE that lets
 channel statistics stand in for the estimates of secondary-served UEs.
-Centralized detectors: MMSE and the partial P-MMSE, solved on the UE's
+Centralized detectors: MRC, MMSE and the partial P-MMSE, on the UE's
 serving-AP subspace, so a combining vector lives on its serving APs only.
+Every entry point takes each name ``config.check_detector`` takes.
 
 Every MMSE-family detector is one formula on different sets.
 ``detector_sets`` is the table: for a method and an index (the AP of a
@@ -33,7 +34,7 @@ subspace is one gather, or a view when M_k is every AP
 
 import numpy as np
 
-from .config import DETECTORS
+from .config import check_detector
 from .numerics import hermitize
 from .pilots import block_diag_cov
 from .quantization import received_noise_covariance
@@ -42,12 +43,6 @@ from .quantization import received_noise_covariance
 # ---------------------------------------------------------------------------
 # the detector sets and the static part
 # ---------------------------------------------------------------------------
-
-def _check_detector(scheme, detector):
-    if detector not in DETECTORS[scheme]:
-        raise ValueError(f"unknown {scheme} detector {detector!r}; "
-                         f"choose from {'|'.join(DETECTORS[scheme])}")
-
 
 def detector_sets(cluster, method, index):
     """(APs, noise set, estimate set, statistics set) as sorted int arrays.
@@ -123,7 +118,7 @@ def local_statics(ctx, cluster, method):
 
     Validates ``method`` (see ``local_combiners``).
     """
-    _check_detector("distributed", method)
+    check_detector("distributed", method)
     if method == "mrc":
         return None
     return [static_part(ctx, cluster, method, l) for l in range(ctx.L)]
@@ -184,8 +179,10 @@ def local_combiners(est, ctx, cluster, method, statics):
 
 def centralized_system_matrices(ctx, cluster, method):
     """Per UE, ``static_part`` on its serving subspace: (matrix, estimate
-    set). Validates ``method``: "mmse", "pmmse" or "pmmse-full"."""
-    _check_detector("centralized", method)
+    set), or None per UE for MRC. Validates ``method``."""
+    check_detector("centralized", method)
+    if method == "mrc":
+        return [None] * ctx.K
     return [static_part(ctx, cluster, method, k) for k in range(ctx.K)]
 
 
@@ -209,7 +206,7 @@ def centralized_combiners(sub, ctx, method, k, static):
     ``centralized_system_matrices``, built once for every batch (None for
     MRC, which has no system matrix).
     """
-    _check_detector("centralized", method)
+    check_detector("centralized", method)
     if method == "mrc":
         return sub[..., k]
     mat, est_set = static

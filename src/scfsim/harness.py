@@ -23,7 +23,7 @@ import numpy as np
 
 from . import se_closed
 from .channel import channel_statistics, generate_scenario
-from .config import SimConfig, config_hash
+from .config import DETECTORS, SimConfig, config_hash
 from .lsfd import build_ingredients, se_from_moments
 from .pilots import build_estimation_context, round_robin_pilots
 from .quantization import QuantizerConfig
@@ -182,7 +182,7 @@ DISTRIBUTED_CDF_STRATEGIES = (
     ("mrc", "lsfd"), ("mrc", "plsfd"), ("mrc", "l2"),
     ("lmmse", "lsfd"), ("lpmmse", "plsfd"), ("lpmmse-full", "plsfd"),
 )
-CENTRALIZED_CDF_STRATEGIES = ("mrc", "mmse", "pmmse", "pmmse-full")
+CENTRALIZED_CDF_STRATEGIES = DETECTORS["centralized"]
 
 
 def _point_cdf(cfg, seed, spec):

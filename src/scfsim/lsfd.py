@@ -5,7 +5,7 @@ The distributed scheme is MRC at the APs followed by a second-stage
 weighting, applied to three second moments of UE k served by the AP set
 M_k: E[g_kk], the interference-plus-noise matrix C_k (sums over all UEs) and
 its overlap-restricted counterpart C_k^P (sums over Q_k). ``Moments`` holds
-them; ``lsfd_weights`` maps a bundle and a weighting (one of
+them; ``lsfd_weights`` maps a bundle and a weighting (checked against
 ``config.WEIGHTINGS``) to weights, ``se_from_moments`` to the SE.
 ``build_ingredients`` builds every UE's bundle in closed form, and
 ``se_mc.DistributedSums.moments`` estimates one from samples.
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import WEIGHTINGS
+from .config import check_weighting
 from .numerics import hermitize, solve_hermitian
 
 
@@ -145,12 +145,6 @@ def build_ingredients(ctx, cluster):
     return tuple(moments)
 
 
-def _check_weighting(weighting):
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"unknown weighting {weighting!r}; "
-                         f"choose from {'|'.join(WEIGHTINGS)}")
-
-
 def lsfd_weights(moments, weighting):
     """Second-stage weights: C_k^{-1} E[g_kk] for lsfd, (C_k^P)^{-1} E[g_kk]
     for the scalable plsfd, all ones for l2.
@@ -158,7 +152,7 @@ def lsfd_weights(moments, weighting):
     C_k has the mean-signal term removed, so C_k^{-1} E[g_kk] is the
     Rayleigh-quotient optimum of the SINR in ``se_from_moments``.
     """
-    _check_weighting(weighting)
+    check_weighting(weighting)
     if weighting == "l2":
         return np.ones(len(moments.signal), dtype=complex)
     c = moments.c_full if weighting == "lsfd" else moments.c_partial

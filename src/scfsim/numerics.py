@@ -1,8 +1,9 @@
-"""Small numeric helpers shared across the simulator: dB conversion,
-complex Gaussian sampling, and Hermitian linear algebra."""
+"""Small numeric helpers shared across the simulator: integer and index
+checks, dB conversion, complex Gaussian sampling, Hermitian linear algebra."""
 
 import logging
 import math
+import operator
 
 import numpy as np
 
@@ -13,6 +14,37 @@ DRAW_BLOCK_ELEMS = 1 << 16   # float values per block of a drawn part
 
 class NotPositiveSemidefiniteError(ValueError):
     """Raised when a matrix required to be PSD has genuinely negative spectrum."""
+
+
+def _is_integer(value):
+    """Whether ``operator.index`` takes ``value``, bools excluded: int()
+    would floor 2.7 to 2, and read True as 1 and "3" as 3."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _index_array(name, values, bound, length=None):
+    """``values`` as an owned, read-only 1-D int array of indices in
+    [0, ``bound``), of ``length`` entries when that is given; anything else
+    raises a ``ValueError`` whose message starts with ``name``."""
+    indices = np.array(values)
+    # a list mixing bools and ints converts to an int array: read its items
+    if (indices.ndim != 1 or indices.dtype.kind not in "iu"
+            or not all(map(_is_integer, values))):
+        raise ValueError(f"{name} must be a 1-D array of integer indices, "
+                         f"got {values!r}")
+    if length is not None and len(indices) != length:
+        raise ValueError(f"{name} has {len(indices)} entries, not {length}")
+    if np.any(indices < 0) or np.any(indices >= bound):
+        raise ValueError(f"{name} indices out of range [0, {bound})")
+    indices = indices.astype(int, copy=False)
+    indices.setflags(write=False)
+    return indices
 
 
 def db_to_linear(x_db):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import hermitize
+from .numerics import _index_array, _is_integer, hermitize
 from .quantization import received_noise_covariance
 
 
@@ -30,18 +30,10 @@ class PilotPlan:
     pilot_of: np.ndarray       # (K,) int: UE k's pilot index, in [0, tau)
 
     def __post_init__(self):
-        pilot_of = np.array(self.pilot_of)     # an owned copy
-        # a list mixing bools and ints converts to an int array: read its items
-        if (pilot_of.ndim != 1 or pilot_of.dtype.kind not in "iu" or any(
-                isinstance(v, (bool, np.bool_)) for v in self.pilot_of)):
-            raise ValueError(f"pilot_of must be a 1-D array of integer pilot "
-                             f"indices, got {self.pilot_of!r}")
-        if np.any(pilot_of < 0) or np.any(pilot_of >= self.tau):
-            raise ValueError("pilot indices out of range")
-        # read-only once checked, so the check holds for the plan's life
-        pilot_of = pilot_of.astype(int, copy=False)
-        pilot_of.setflags(write=False)
-        object.__setattr__(self, "pilot_of", pilot_of)
+        if not (_is_integer(self.tau) and self.tau >= 1):
+            raise ValueError(f"tau must be an integer >= 1, got {self.tau!r}")
+        # an owned, read-only copy, so the check holds for the plan's life
+        object.__setattr__(self, "pilot_of", _index_array("pilot_of", self.pilot_of, self.tau))
 
     @property
     def K(self):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import hermitize
+from .numerics import _is_integer, hermitize
 
 DISTORTION_TABLE = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 
@@ -29,14 +29,9 @@ def distortion_factor(bits):
     """Distortion factor for a b-bit converter; ``None`` or "ideal" gives 0."""
     if bits is None or bits == "ideal":
         return 0.0
-    # int() would floor 2.7 to 2 bits, and read True as 1 bit and "3" as 3
-    if isinstance(bits, bool):
+    if not _is_integer(bits):
         raise ValueError(f"converter resolution must be an integer, got {bits!r}")
-    try:
-        bits = operator.index(bits)
-    except TypeError:
-        raise ValueError(f"converter resolution must be an integer, "
-                         f"got {bits!r}") from None
+    bits = operator.index(bits)     # a numpy uint8 would overflow -2b-1
     if bits < 1:
         raise ValueError(f"converter resolution must be >= 1 bit, got {bits}")
     if bits in DISTORTION_TABLE:

@@ -1,6 +1,6 @@
 """Joint AP cluster formation, pilot assignment, and uplink power control,
 plus the exact complexity counts: ``cc_weighting`` for each weighting of
-``config.WEIGHTINGS``, ``cc_detector_ce`` for each detector.
+``config.WEIGHTINGS``, ``cc_detector_ce`` for each MMSE-family detector.
 
 Each UE's primary AP is the strongest AP (largest large-scale gain) within
 ``d_bar`` of it, fixed once before the M passes. Every pass is a few array
@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, check_weighting
 from .detectors import detector_sets
-from .lsfd import _check_weighting
-from .numerics import linear_to_db
+from .numerics import _index_array, _is_integer, linear_to_db
 from .pilots import PilotPlan
 
 
@@ -53,24 +52,12 @@ class ClusterPlan:
         # owned copies, read-only once checked: the checks then hold for the
         # plan's whole life, and so do the sets cached from it
         d_matrix = d_matrix.astype(bool)
+        d_matrix.setflags(write=False)
         k_count, l_count = d_matrix.shape
-        primary = np.array(self.primary)
-        # a list mixing bools and ints converts to an int array: read its items
-        if (primary.ndim != 1 or primary.dtype.kind not in "iu" or any(
-                isinstance(v, (bool, np.bool_)) for v in self.primary)):
-            raise ValueError(f"primary must be a 1-D array of integer AP "
-                             f"indices, got {self.primary!r}")
-        if len(primary) != k_count:
-            raise ValueError(f"primary has {len(primary)} entries for "
-                             f"{k_count} UEs")
-        if np.any(primary < 0) or np.any(primary >= l_count):
-            raise ValueError(f"primary AP indices out of range [0, {l_count})")
+        primary = _index_array("primary", self.primary, l_count, k_count)
         unserved = np.flatnonzero(~d_matrix[np.arange(k_count), primary])
         if unserved.size:
             raise ValueError(f"primary AP of UE {unserved[0]} does not serve it")
-        primary = primary.astype(int, copy=False)
-        for owned in (d_matrix, primary):
-            owned.setflags(write=False)
         object.__setattr__(self, "D", d_matrix)
         object.__setattr__(self, "primary", primary)
 
@@ -137,8 +124,9 @@ def run_algorithm1(stats, q, tau, p_max, eta_db=-20.0, nu=0.8, d_bar=None,
     proceed unchanged.
     Raises ``ConfigError`` if some UE has no AP within ``d_bar``.
     """
-    if tau < 1 or iterations < 1:
-        raise ValueError("tau and iterations must be >= 1")
+    for name, value in (("tau", tau), ("iterations", iterations)):
+        if not (_is_integer(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     k_count, l_count = stats.K, stats.L
     if pilot_override is not None:
         pilot_override = PilotPlan(tau, pilot_override).pilot_of
@@ -203,7 +191,7 @@ def cc_weighting(plan, pilot_plan, k, weighting):
     P_k ∩ S m(5m+1)/2 each, and the m x m solve (m^3 + 3m^2 - m)/3 plus m
     divisions. The all-ones l2 weighting costs nothing.
     """
-    _check_weighting(weighting)
+    check_weighting(weighting)
     if weighting == "l2":
         return 0, 0
     m = int(np.count_nonzero(plan.D[k]))

@@ -34,10 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import (_check_detector, centralized_combiners,
-                        centralized_system_matrices, local_combiners,
-                        local_pairs, local_statics, serving_subspace)
-from .lsfd import Moments, _check_weighting, se_from_moments
+from .config import check_weighting
+from .detectors import (centralized_combiners, centralized_system_matrices,
+                        local_combiners, local_pairs, local_statics,
+                        serving_subspace)
+from .lsfd import Moments, se_from_moments
 from .pilots import block_diag_cov
 from .rng import substream
 from .sampling import (estimates, estimates_ue_last, sample_data_noise,
@@ -190,7 +191,6 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     every UE the overlap Gram is the full one. Each sub-chunk's g sums and
     Grams, and each chunk's F and d, are added to its batch's stderr group.
     """
-    _check_detector("distributed", detector)
     serving = cluster.serving
     overlap = [None if q.size == ctx.K else q for q in cluster.overlap]
     sizes = [m.size for m in serving]
@@ -250,7 +250,7 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
                           prelog):
     """Per-UE distributed SE (hardening bound) by joint Monte Carlo."""
     # checked before any trial is drawn, like the detector in the sums
-    _check_weighting(weighting)
+    check_weighting(weighting)
     sums = distributed_mc_sums(ctx, cluster, detector, trials, seed)
     groups = sums.groups
     se = np.empty(ctx.K)
@@ -279,9 +279,8 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     temporaries never hold more than about one chunk. The per-trial
     log2(1 + SINR) terms fill one (n,) buffer, summed once per UE.
     """
-    _check_detector("centralized", detector)
-    statics = (centralized_system_matrices(ctx, cluster, detector)
-               if detector != "mrc" else {k: None for k in range(ctx.K)})
+    # checks the detector before any trial is drawn
+    statics = centralized_system_matrices(ctx, cluster, detector)
     w_sub = [block_diag_cov(ctx.w[None, serving])[0]
              for serving in cluster.serving]
 

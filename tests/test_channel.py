@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from scfsim import channel
-from scfsim.channel import (MIN_DISTANCE_M, channel_statistics,
+from scfsim.channel import (MIN_DISTANCE_M, Scenario, channel_statistics,
                             generate_scenario, large_scale_fading,
                             rician_factor, spatial_correlation)
 from scfsim.config import SimConfig
@@ -36,6 +36,15 @@ def test_generate_scenario_degenerate_and_deterministic():
 def test_generate_scenario_rejects_bad_dims():
     with pytest.raises(Exception):
         SimConfig(L=0, K=4)
+
+
+def test_scenario_refuses_a_non_integer_antenna_count():
+    """Scenario(..., antennas_per_ap=2.5) was accepted."""
+    positions = np.array([[100.0, 200.0], [300.0, 400.0]])
+    for n_ant in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="^antennas_per_ap must be an integer"):
+            Scenario(1000.0, positions, positions[:1], antennas_per_ap=n_ant)
+    assert Scenario(1000.0, positions, positions[:1], antennas_per_ap=np.int64(2)).N == 2
 
 
 def test_pathloss_reference_points():

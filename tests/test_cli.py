@@ -78,6 +78,36 @@ def test_failed_run_leaves_out_as_it_was(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept", "old.csv"]
 
 
+def test_run_writes_through_a_dangling_symlink(tmp_path, capsys):
+    """An --out that is a dangling symlink: the run writes the results to
+    the link's target and keeps the link. The open check removed the link
+    after opening through it, so the results landed in a regular file at
+    the link's path and an empty target was left beside it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 4, "K": 5, "N": 2, "tau": 3, "trials": 64}))
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    assert main(["run", "sum-se-vs-N", "--config", str(cfg),
+                 "--out", str(link)]) == 0
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_text().startswith("sweep,value,ue_index,se,")
+
+
+def test_failed_run_through_a_dangling_symlink_keeps_it_dangling(tmp_path,
+                                                                 capsys):
+    """A failed run through a dangling-symlink --out leaves the link as it
+    was and no target. It removed the link and left an empty target."""
+    cfg = tmp_path / "d-bar.json"
+    cfg.write_text(json.dumps({"L": 4, "K": 5, "N": 2, "tau": 3, "d_bar": 1}))
+    link, target = tmp_path / "link.csv", tmp_path / "target.csv"
+    link.symlink_to(target)
+    assert main(["run", "sum-se-vs-N", "--config", str(cfg),
+                 "--out", str(link)]) == 2
+    assert "d_bar" in capsys.readouterr().err
+    assert link.is_symlink() and link.readlink() == target
+    assert not target.exists()
+
+
 def test_unwritable_results_exit_2(tmp_path, monkeypatch, capsys):
     """An OSError while the results are written is one error line too."""
     def full_disk(*args):

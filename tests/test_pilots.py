@@ -40,6 +40,22 @@ def test_pilot_plan_rejects_malformed_pilots(pilot_of):
         PilotPlan(3, pilot_of)
 
 
+@pytest.mark.parametrize("tau, pilot_of", ((2.5, [0, 1, 2]), (True, [0, 0])),
+                         ids=("float", "bool"))
+def test_pilot_plan_refuses_a_non_integer_tau(tau, pilot_of):
+    """A tau of 2.5 or True was accepted: the range check compared the
+    pilots against it as a number."""
+    with pytest.raises(ValueError, match=rf"^tau must be an integer >= 1, got {tau!r}"):
+        PilotPlan(tau, pilot_of)
+
+
+def test_round_robin_pilots_blames_a_float_tau():
+    """round_robin_pilots(6, 3.0) failed on its float pilots, naming
+    pilot_of, not the tau the caller passed."""
+    with pytest.raises(ValueError, match=r"^tau must be an integer >= 1, got 3\.0"):
+        round_robin_pilots(6, 3.0)
+
+
 def test_pilot_plan_takes_any_integer_dtype():
     for dtype in (np.uint8, np.int32, np.int64):
         plan = PilotPlan(3, np.array([2, 0, 1], dtype=dtype))

@@ -135,6 +135,27 @@ def test_malformed_pilot_override_is_refused_before_the_first_pass(
         run_algorithm1(stats, q, 3, 100.0, pilot_override=override)
 
 
+@pytest.mark.parametrize("counts, field", (
+    (dict(tau=3.0), "tau"), (dict(tau=True), "tau"),
+    (dict(iterations=True), "iterations"), (dict(iterations=2.0), "iterations")),
+    ids=("float-tau", "bool-tau", "bool-iterations", "float-iterations"))
+def test_algorithm1_refuses_non_integer_counts_before_the_first_pass(
+        monkeypatch, counts, field):
+    """A tau of 3.0 raised a bare TypeError inside the pilot pass, and
+    iterations=True ran one pass."""
+    cfg = SimConfig(L=6, K=5, N=2, tau=3)
+    stats = channel_statistics(generate_scenario(cfg, 2), 2, cfg.asd_rad)
+    q = QuantizerConfig(b_da=4, b_ad=4)
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("an Algorithm-1 pass ran")
+
+    monkeypatch.setattr(scheduler, "fractional_powers", no_pass)
+    kwargs = dict(tau=3, p_max=100.0, iterations=2) | counts
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1"):
+        run_algorithm1(stats, q, **kwargs)
+
+
 def test_empty_candidate_set_raises():
     cfg = SimConfig(L=4, K=4, N=2, tau=2)
     scn = generate_scenario(cfg, 1)
