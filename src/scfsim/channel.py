@@ -60,8 +60,9 @@ class Scenario:
     antennas_per_ap: int
 
     def __post_init__(self):
-        if self.area_side <= 0:
-            raise ValueError("area_side must be positive")
+        if not (np.isfinite(self.area_side) and self.area_side > 0):
+            raise ValueError(f"area_side must be finite and > 0, "
+                             f"got {self.area_side!r}")
         if not (_is_integer(self.antennas_per_ap) and self.antennas_per_ap >= 1):
             raise ValueError(f"antennas_per_ap must be an integer >= 1, "
                              f"got {self.antennas_per_ap!r}")
@@ -123,8 +124,6 @@ class ChannelStatistics:
 
 def generate_scenario(cfg, seed):
     """Drop L APs and K UEs uniformly at random over the deployment square."""
-    if cfg.L < 1 or cfg.K < 1 or cfg.N < 1 or cfg.area_side <= 0:
-        raise ValueError("scenario dimensions must be positive")
     rng = substream(seed, "scenario")
     ap = rng.uniform(0.0, cfg.area_side, size=(cfg.L, 2))
     ue = rng.uniform(0.0, cfg.area_side, size=(cfg.K, 2))
@@ -233,10 +232,11 @@ def _check_asd(asd):
     # or an asd whose square underflows below the smallest normal float,
     # makes them NaN (asd**2 == 0) or finite but wrong (a subnormal asd**2:
     # at 1e-160 degrees they sum to 1.33). NaN weights never converge, so
-    # the node doubling would spend its whole budget before failing.
-    if not (np.isfinite(asd) and asd > 0):
-        raise ValueError(f"angular standard deviation must be finite and > 0, "
-                         f"got {asd}")
+    # the node doubling would spend its whole budget before failing. Past
+    # pi, outside the model, the rows take minutes to converge, if ever.
+    if not (np.isfinite(asd) and 0 < asd <= np.pi):
+        raise ValueError(f"angular standard deviation must be finite, > 0 "
+                         f"and at most pi rad, got {asd}")
     if asd**2 < np.finfo(float).tiny:
         raise ValueError(f"angular standard deviation {asd} rad is too small: "
                          f"its square underflows")

@@ -26,7 +26,7 @@ estimation context holds as ``ctx.w``.
 
 Local combiners read and return trials-last (pairs, N, n) arrays: they read
 the estimates of ``local_pairs`` and return one vector per served pair, in
-the UE-major order of ``served_pairs``, so UE k's vectors are one slice. A
+the rows of ``ClusterPlan.pair_of``, so UE k's vectors are one slice. A
 centralized batch holds every estimate UE-last, (n, L, N, K), so each UE's
 subspace is one gather, or a view when M_k is every AP
 (``serving_subspace``).
@@ -58,13 +58,13 @@ def detector_sets(cluster, method, index):
         pmmse        M_k  Q_k      Q_k ∩ D_(primary k)   the rest of Q_k
         pmmse-full   M_k  Q_k      Q_k                   -
 
-    D_l, the UEs AP l serves, is column l of the plan's D.
+    D_l, the UEs AP l serves, is the plan's ``served[l]``.
     """
     every = np.arange(cluster.K)
     none = every[:0]
     if method in ("lmmse", "lpmmse", "lpmmse-full"):
         aps = np.array([index], dtype=int)
-        served = np.flatnonzero(cluster.D[:, index])
+        served = cluster.served[index]
         on_l = cluster.primary[served] == index
         sets = {"lmmse": (every, every, none),
                 "lpmmse": (served, served[on_l], served[~on_l]),
@@ -124,12 +124,6 @@ def local_statics(ctx, cluster, method):
     return [static_part(ctx, cluster, method, l) for l in range(ctx.L)]
 
 
-def served_pairs(cluster):
-    """(UEs, APs) of the served pairs, UE-major: UE k's pairs are one slice,
-    its serving APs in order."""
-    return np.nonzero(cluster.D)
-
-
 def local_pairs(cluster, method):
     """(UEs, APs) of the pairs whose estimates ``local_combiners`` reads,
     UE-major: every pair for L-MMSE, whose estimate sets are every UE; the
@@ -137,14 +131,14 @@ def local_pairs(cluster, method):
     """
     if method == "lmmse":
         return np.nonzero(np.ones_like(cluster.D))
-    return served_pairs(cluster)
+    return np.nonzero(cluster.D)
 
 
 def local_combiners(est, ctx, cluster, method, statics):
     """Batched local combining vectors on the served pairs, (P, N, n).
 
     ``est`` holds the estimates of the pairs ``local_pairs(cluster,
-    method)``, (pairs, N, n); the result's rows follow ``served_pairs``.
+    method)``, (pairs, N, n); the result's rows follow ``cluster.pair_of``.
     ``method``: "mrc", "lmmse", "lpmmse" (partial), or "lpmmse-full"
     (estimates for every served UE, the unreduced scalable baseline).
     ``statics``: ``local_statics(ctx, cluster, method)``, which validates
@@ -156,20 +150,17 @@ def local_combiners(est, ctx, cluster, method, statics):
 
     row = np.full(cluster.D.shape, -1)
     row[local_pairs(cluster, method)] = np.arange(len(est))
-    n_served = np.count_nonzero(cluster.D)
-    v_row = np.full(cluster.D.shape, -1)
-    v_row[served_pairs(cluster)] = np.arange(n_served)
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    v = np.empty((n_served,) + est.shape[1:], dtype=complex)
+    v = np.empty((np.count_nonzero(cluster.D),) + est.shape[1:], dtype=complex)
     for l, (static, est_set) in enumerate(statics):
-        served = np.flatnonzero(cluster.D[:, l])
+        served = cluster.served[l]
         if served.size == 0:
             continue
         e = est[row[est_set, l]]                            # (|est|, N, n)
         a = static[None] + one_ad2 * np.einsum(
             "i,inb,imb->bnm", ctx.p_ddot[est_set], e, np.conj(e))
         rhs = est[row[served, l]].T                         # (n, N, |served|)
-        v[v_row[served, l]] = np.linalg.solve(a, rhs).T
+        v[cluster.pair_of[served, l]] = np.linalg.solve(a, rhs).T
     return v
 
 

@@ -19,8 +19,8 @@ C_kl (``pilots``), the matrices the Monte Carlo engine reads too:
                   (co-pilot estimate correlation; zero for i off P_k)
     c_kl^i      = tr(R_il C_kl) + h_bar_il^H C_kl h_bar_il
                   + h_bar_kl^H R_il h_bar_kl           (interference power)
-    d_kl        = tr(E[n_x n_x^H] (h_bar_kl h_bar_kl^H + C_kl))
-                                                       (AP-local noise)
+    d_kl        = tr(diag(nx_l) (h_bar_kl h_bar_kl^H + C_kl))
+                  (AP-local noise, from the context's ``nx``)
 
 They come from one pass over the APs: AP l gives g = lambda + b and c of the
 UEs it serves against every UE, each a (K x N^2) or (K x 2N^2) matmul
@@ -89,24 +89,21 @@ def build_ingredients(ctx, cluster):
     """The closed-form Moments of every UE under the given plan, from one
     pass over the APs; a tuple indexed by UE."""
     stats, q = ctx.stats, ctx.q
-    served_by = cluster.D                                       # (K, L)
-    sizes = served_by.sum(axis=1)
+    sizes = cluster.D.sum(axis=1)
     one_ad2 = (1.0 - q.rho_ad) ** 2
     p = ctx.p_ddot
 
     # served pairs (k, l), UE-major: UE k's pairs are first[k] + range(|M_k|)
-    kk, ll = np.nonzero(served_by)
+    kk, ll = np.nonzero(cluster.D)
     first = np.cumsum(sizes) - sizes
-    pair = np.zeros(served_by.shape, dtype=int)
-    pair[kk, ll] = np.arange(len(kk))
     overlap = cluster.overlap_mask                              # i in Q_k
     g = np.empty((len(kk), ctx.K), dtype=complex)    # [(k, l), i] lambda + b
     c_full = np.empty(len(kk))                       # sum_i p̈_i c_kl^i
     c_partial = np.empty(len(kk))                    # the same over Q_k
     for l in range(ctx.L):
-        served = np.flatnonzero(served_by[:, l])
+        served = cluster.served[l]
         g_l, c = _ap_kernels(ctx, l, served)
-        rows = pair[served, l]
+        rows = cluster.pair_of[served, l]
         g[rows] = g_l.T
         c_full[rows] = p @ c
         c_partial[rows] = np.einsum("ji,ij->j", p * overlap[served], c)
@@ -114,8 +111,7 @@ def build_ingredients(ctx, cluster):
     # d_kl = tr(E[n_x n_x^H] E[hhat hhat^H]); the first factor is diagonal
     e_diag = (np.abs(stats.h_bar[kk, ll]) ** 2
               + np.diagonal(ctx.c_hhat, axis1=-2, axis2=-1)[kk, ll].real)
-    d = (np.einsum("pn,pn->p", ctx.nx_diag[ll], e_diag)
-         + ctx.nx_iso[ll] * e_diag.sum(axis=1))
+    d = np.einsum("pn,pn->p", ctx.nx[ll], e_diag)
 
     scale = one_ad2 / (1.0 - q.rho_da)
     moments = [None] * ctx.K

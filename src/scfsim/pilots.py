@@ -8,9 +8,10 @@ the Monte Carlo sampler forms estimates, and the estimate covariances
 C_kl = (1-rho_ad)^2 p̈_k tau R_kl Psi^{-1} R_kl, which the detectors and the
 closed forms read. Both come from one batched solve of every (k, l) system
 against the covariance Psi of k's pilot at AP l (``psi_matrix``); Psi and
-the solve's Psi^{-1} R are not kept. The per-AP error-plus-noise matrices W,
-which the centralized closed form and the centralized Monte Carlo detectors
-both read, are built here too.
+the solve's Psi^{-1} R are not kept. Built here too: the per-AP
+error-plus-noise matrices W, which both centralized engines read, and the
+diagonal AP-local noise ``nx``, thermal plus b_ad-bit ADC distortion, which
+both distributed engines read.
 """
 
 from dataclasses import dataclass
@@ -72,8 +73,7 @@ class EstimationContext:
     est_gain: np.ndarray       # (K, L, N, N) estimator gains G_kl
     c_hhat: np.ndarray         # (K, L, N, N) estimate covariances C_kl
     adc_diag: np.ndarray       # (L, N): diag(E[x x^H]) at the ADC input
-    nx_diag: np.ndarray        # (L, N): AP-local noise, channel-independent diagonal part
-    nx_iso: np.ndarray         # (L,): AP-local noise, isotropic part
+    nx: np.ndarray             # (L, N): diagonal of the AP-local noise E[n_x n_x^H]
 
     @property
     def K(self):
@@ -128,15 +128,12 @@ def build_estimation_context(stats, plan, p_ddot, q, sigma2):
     nlos_diag = np.einsum("i,ilmm->lm", p_raw, stats.R).real
     adc_diag = los_diag + nlos_diag + sigma2
 
-    # E[n_x n_x^H] for the channel-independent AP noise (thermal + ADC + LOS-DAC)
-    nx_diag = (q.rho_ad * one_ad / (1.0 - q.rho_da)) * np.einsum(
-        "i,ilmm->lm", p_ddot, stats.R).real
-    nx_iso = one_ad * (sigma2 + (q.rho_ad / (1.0 - q.rho_da))
-                       * np.einsum("i,il->l", p_ddot, stats.beta_los))
+    # AP-local noise: thermal plus the ADC distortion of the received signal
+    nx = one_ad * (q.rho_ad * adc_diag + one_ad * sigma2)
     return EstimationContext(stats=stats, plan=plan, p_ddot=p_ddot, q=q,
                              sigma2=sigma2, c_n_sqrt=c_n_sqrt, w=w,
                              est_gain=est_gain, c_hhat=c_hhat,
-                             adc_diag=adc_diag, nx_diag=nx_diag, nx_iso=nx_iso)
+                             adc_diag=adc_diag, nx=nx)
 
 
 def block_diag_cov(per_ap):

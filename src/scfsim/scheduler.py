@@ -17,8 +17,9 @@ the (K,) array of effective powers p̈. Both plans check their decisions when
 they are built and keep read-only copies of them, so a plan that exists is
 well formed for its whole life: D is a (K, L) bool matrix and each UE's
 primary AP is an index in [0, L) that serves it. The sets read from a
-cluster plan, M_k, Q_k and the (K, K) overlap mask, are built once per
-plan, on first read.
+cluster plan are built once per plan, on first read: M_k, D_l, Q_k, the
+(K, K) overlap mask, and the numbering of the served pairs (``pair_of``)
+that both engines' per-pair arrays follow.
 """
 
 import functools
@@ -36,8 +37,8 @@ from .pilots import PilotPlan
 class ClusterPlan:
     """Algorithm 1's service decisions, checked when the plan is built: a
     malformed D or primary, or a primary AP that does not serve its UE,
-    raises ``ValueError``. The sets derived from them, M_k and Q_k, are built
-    on first read; D_l is column l of D."""
+    raises ``ValueError``. The sets derived from them, M_k, D_l, Q_k and the
+    served-pair numbering, are built on first read."""
 
     D: np.ndarray              # (K, L) bool service indicators
     primary: np.ndarray        # (K,) int: UE k's primary AP, which serves it
@@ -73,6 +74,21 @@ class ClusterPlan:
     def serving(self):
         """Per UE, M_k: its serving APs as a sorted int array."""
         return tuple(np.flatnonzero(row) for row in self.D)
+
+    @functools.cached_property
+    def served(self):
+        """Per AP, D_l: the UEs it serves as a sorted int array."""
+        return tuple(np.flatnonzero(col) for col in self.D.T)
+
+    @functools.cached_property
+    def pair_of(self):
+        """(K, L) int, read-only: each served pair's row in the UE-major
+        order of ``np.nonzero(D)``, -1 off D. UE k's rows are consecutive,
+        its serving APs in order, from the sum of |M_i| over i < k."""
+        pair_of = np.full(self.D.shape, -1)
+        pair_of[self.D] = np.arange(np.count_nonzero(self.D))
+        pair_of.setflags(write=False)
+        return pair_of
 
     @functools.cached_property
     def overlap_mask(self):

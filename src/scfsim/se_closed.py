@@ -56,7 +56,7 @@ def se_centralized_closed(ctx, cluster, prelog):
     g = np.zeros((k_count, k_count), dtype=complex)
     f = np.zeros((k_count, k_count))
     for l in range(ctx.L):
-        served = np.flatnonzero(cluster.D[:, l])
+        served = cluster.served[l]
         g_l, trace_part = _ap_kernels(ctx, l, served, centralized=True)
         g[served] += g_l.T
         f[served] += trace_part.T

@@ -235,9 +235,8 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
                 f = np.sum(cv * noise[serving[k], :, t], axis=1)    # (M, c)
                 acc.f_outer[k][g_idx] += _gram(f)
                 v_abs2 = np.sum(np.abs(v_k) ** 2, axis=-1)      # (M, N)
-                acc.d_local[k][g_idx] += (
-                    np.sum(v_abs2 * ctx.nx_diag[serving[k]], axis=1)
-                    + np.sum(v_abs2, axis=1) * ctx.nx_iso[serving[k]])
+                acc.d_local[k][g_idx] += np.sum(v_abs2 * ctx.nx[serving[k]],
+                                                axis=1)
             # freed before the next chunk is formed, not overwritten after
             # it; v_k and cv would keep v alive
             del v, v_k, cv

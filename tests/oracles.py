@@ -11,7 +11,8 @@ one-UE-at-a-time versions, with every Theorem-2 ingredient (lambda, b, c,
 d) exposed, the four-case Theorem-1 kernel formula that
 ``se_closed.theorem1_kernel`` now reads from the closed forms' per-AP kernel
 table, and the former builder of the per-AP error-plus-noise matrices W that
-the estimation context now holds.
+the estimation context now holds, and the former two-part formula of the
+AP-local noise the context now holds as ``nx`` (``ap_local_noise``).
 ``run_algorithm1`` and its two helpers are the former loop-based
 scheduler, which ``scheduler.run_algorithm1`` runs as array steps;
 ``cluster_sets`` and ``copilot_sets`` are the former plans' eager sets,
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scfsim.detectors import (local_combiners, local_pairs, local_statics,
-                              served_pairs)
+from scfsim.detectors import local_combiners, local_pairs, local_statics
 from scfsim.lsfd import Moments
 from scfsim.numerics import (NotPositiveSemidefiniteError, crandn, hermitize,
                              linear_to_db)
@@ -149,7 +149,7 @@ def local_combiners_full(hhat, ctx, cluster, method):
     scattered into a zero-filled (n, K, L, N) array."""
     est = np.moveaxis(hhat, 0, -1)[local_pairs(cluster, method)]
     v = np.zeros_like(hhat)
-    v[(slice(None),) + served_pairs(cluster)] = np.moveaxis(
+    v[(slice(None),) + np.nonzero(cluster.D)] = np.moveaxis(
         local_combiners(est, ctx, cluster, method,
                         local_statics(ctx, cluster, method)), -1, 0)
     return v
@@ -332,6 +332,20 @@ def centralized_error_noise(ctx):
     return receive_noise(ctx) + one_ad2 * (
         np.einsum("i,ianm->anm", ctx.p_ddot[every], stats.R[est] - ctx.c_hhat[est])
         + np.einsum("i,ianm->anm", ctx.p_ddot[every[:0]], stats.R[stat]))
+
+
+def ap_local_noise(ctx):
+    """(L, N) diagonal AP-local noise as the estimation context's former
+    builder computed it: a channel-independent diagonal part from R's
+    diagonal and an isotropic part from thermal noise and the LOS powers,
+    added together."""
+    q, p = ctx.q, ctx.p_ddot
+    one_ad = 1.0 - q.rho_ad
+    nx_diag = (q.rho_ad * one_ad / (1.0 - q.rho_da)) * np.einsum(
+        "i,ilmm->lm", p, ctx.stats.R).real
+    nx_iso = one_ad * (ctx.sigma2 + (q.rho_ad / (1.0 - q.rho_da))
+                       * np.einsum("i,il->l", p, ctx.stats.beta_los))
+    return nx_diag + nx_iso[:, None]
 
 
 def f_kernels(k, ctx, cluster):

@@ -47,6 +47,15 @@ def test_scenario_refuses_a_non_integer_antenna_count():
     assert Scenario(1000.0, positions, positions[:1], antennas_per_ap=np.int64(2)).N == 2
 
 
+def test_scenario_refuses_a_non_finite_area_side():
+    """Scenario(nan, ...) and Scenario(inf, ...) were accepted: the check
+    read ``area_side <= 0``, which is False for both."""
+    positions = np.array([[100.0, 200.0]])
+    for side in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^area_side must be finite and > 0"):
+            Scenario(side, positions, positions, antennas_per_ap=2)
+
+
 def test_pathloss_reference_points():
     assert np.isclose(large_scale_fading(1.0), 10 ** (-30.5 / 10), rtol=1e-12)
     assert np.isclose(large_scale_fading(1000.0), 10 ** (-140.6 / 10), rtol=1e-12)
@@ -98,8 +107,11 @@ def test_spatial_correlation_riemann_oracle():
     assert np.max(np.abs(r[:, 0] - oracle)) < 1e-8 * np.max(np.abs(oracle))
 
 
-# the last two square to a subnormal float and to zero
-BAD_ASDS = (np.nan, 0.0, -1.0, np.inf, np.radians(1e-160), np.radians(1e-198))
+# two that square to a subnormal float and to zero, then two wider than the
+# half turn the config allows, whose rows took a minute to converge (1000
+# degrees, N=4) or never did (1e4 degrees)
+BAD_ASDS = (np.nan, 0.0, -1.0, np.inf, np.radians(1e-160), np.radians(1e-198),
+            np.nextafter(np.pi, 4.0), np.radians(1e4))
 
 
 def _no_quadrature(*args):
@@ -111,6 +123,7 @@ def test_spatial_correlation_requires_positive_asd(monkeypatch):
     for asd in BAD_ASDS:
         with pytest.raises(ValueError):
             spatial_correlation(0.0, asd, 1.0, 2)
+    channel._check_asd(SimConfig(asd_deg=180).asd_rad)     # the widest one
 
 
 def test_channel_statistics_rejects_bad_asd(monkeypatch):

@@ -18,7 +18,7 @@ import pytest
 from scfsim import detectors, se_mc
 from scfsim.config import DETECTORS, SimConfig
 from scfsim.detectors import (centralized_system_matrices, local_combiners,
-                              local_pairs, local_statics, served_pairs)
+                              local_pairs, local_statics)
 from scfsim.harness import build_system
 from scfsim.numerics import crandn, hermitize
 from scfsim.quantization import received_noise_covariance
@@ -29,8 +29,8 @@ from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, _group_of,
                           batch_plan, centralized_mc_report,
                           distributed_mc_report, distributed_mc_sums)
 
-from oracles import (cluster_sets, data_noise_batch, joint_batch,
-                     zero_filled_local_combiners)
+from oracles import (ap_local_noise, cluster_sets, data_noise_batch,
+                     joint_batch, zero_filled_local_combiners)
 
 SE_REL = 1e-12
 STDERR_REL = 1e-10
@@ -79,7 +79,7 @@ def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
     acc = DistributedSums(ctx, [len(s) for s in serving],
                           min(STDERR_GROUPS, len(batches)))
-    p = ctx.p_ddot
+    p, nx = ctx.p_ddot, ap_local_noise(ctx)
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-distributed", b_idx)
         h, hhat = joint_batch(ctx, rng, hi - lo)
@@ -99,9 +99,7 @@ def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
             f = np.einsum("bmn,bmn->bm", np.conj(v_k), noise[:, m_idx, :])
             acc.f_outer[k][g_idx] += np.einsum("bm,bn->mn", f, np.conj(f))
             v_abs2 = np.abs(v_k) ** 2
-            acc.d_local[k][g_idx] += (
-                np.einsum("bmn,mn->m", v_abs2, ctx.nx_diag[m_idx])
-                + np.einsum("bmn,m->m", v_abs2, ctx.nx_iso[m_idx]))
+            acc.d_local[k][g_idx] += np.einsum("bmn,mn->m", v_abs2, nx[m_idx])
     return acc
 
 
@@ -416,14 +414,34 @@ def test_served_pair_combiners_match_zero_filled(system, detector):
     if detector == "lmmse":
         assert len(pairs[0]) == ctx.K * ctx.L
     else:
-        assert np.array_equal(pairs, served_pairs(cluster))
+        assert np.array_equal(pairs, np.nonzero(cluster.D))
     got = local_combiners(estimates(ctx, z, *pairs), ctx, cluster, detector,
                           local_statics(ctx, cluster, detector))
-    served = served_pairs(cluster)
+    served = np.nonzero(cluster.D)
     assert got.shape == (len(served[0]), ctx.N, 16)
     assert np.all(np.diff(served[0]) >= 0)            # UE-major
     want = zero_filled_local_combiners(hhat, ctx, cluster, detector)
     _assert_close(np.moveaxis(got, -1, 0), want[(slice(None),) + served], SE_REL)
+
+
+def test_plan_numbers_the_served_pairs(system):
+    """D_l is column l of D, and ``pair_of`` numbers the served pairs in the
+    order of ``np.nonzero(D)``, -1 off D: UE k's rows are the slice of the
+    cumulative |M_k| sums that the distributed engine (``bounds``) and the
+    closed form (``first``) read. The numbering cannot be written."""
+    ctx, cluster, _ = system
+    d, pair_of = cluster.D, cluster.pair_of
+    for l in range(ctx.L):
+        assert np.array_equal(cluster.served[l], np.flatnonzero(d[:, l]))
+    assert np.array_equal(pair_of[np.nonzero(d)], np.arange(np.count_nonzero(d)))
+    assert np.all(pair_of[~d] == -1)
+    sizes = [m.size for m in cluster.serving]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    for k in range(ctx.K):
+        assert np.array_equal(pair_of[k, cluster.serving[k]],
+                              bounds[k] + np.arange(sizes[k]))
+    with pytest.raises(ValueError, match="read-only"):
+        pair_of[0, 0] = 0
 
 
 def test_crandn_draws_are_unchanged():

@@ -11,8 +11,8 @@ from scfsim.rng import substream
 from scfsim.scheduler import equal_powers
 
 from conftest import small_system, synthetic_stats
-from oracles import (copilot_sets, estimate_local, estimator_products,
-                     joint_batch, receive_noise)
+from oracles import (ap_local_noise, copilot_sets, estimate_local,
+                     estimator_products, joint_batch, receive_noise)
 
 
 def test_pilot_plan_membership():
@@ -103,15 +103,10 @@ def test_psi_two_copilot_terms_and_psd_excess():
     assert np.min(np.linalg.eigvalsh(excess)) > -1e-12 * np.trace(excess).real
 
 
-@pytest.mark.parametrize("plan", ("full", "algorithm1"))
-@pytest.mark.parametrize("fading", ("rician", "rayleigh"))
-@pytest.mark.parametrize("bits", (1, 2))
-def test_context_holds_the_estimator_gain_and_covariance(bits, fading, plan):
-    """The two matrices both engines read, against Psi^{-1} R from the
-    oracle's own solve: est_gain = (1-rho_ad) sqrt(p̈ tau) (Psi^{-1} R)^H and
-    c_hhat = (1-rho_ad)^2 p̈ tau R Psi^{-1} R, each link to 1e-12 relative.
-    The full plan is ``scfsim validate``'s (round-robin pilots, equal
-    power); Algorithm 1 picks the pilots and the powers."""
+def _context(bits, fading, plan):
+    """The estimation context of a 6-AP, 9-UE drop. The full plan is
+    ``scfsim validate``'s (round-robin pilots, equal power); Algorithm 1
+    picks the pilots and the powers."""
     cfg = SimConfig(L=6, K=9, N=3, tau=3, area_side=400.0, b_da=bits,
                     b_ad=bits, fading=fading)
     ctx, _, _ = build_system(cfg, 11)
@@ -120,6 +115,17 @@ def test_context_holds_the_estimator_gain_and_covariance(bits, fading, plan):
             ctx.stats, round_robin_pilots(cfg.K, cfg.tau),
             equal_powers(cfg.K, cfg.p_max_mw, ctx.q.rho_da), ctx.q,
             cfg.sigma2_mw)
+    return ctx
+
+
+@pytest.mark.parametrize("plan", ("full", "algorithm1"))
+@pytest.mark.parametrize("fading", ("rician", "rayleigh"))
+@pytest.mark.parametrize("bits", (1, 2))
+def test_context_holds_the_estimator_gain_and_covariance(bits, fading, plan):
+    """The two matrices both engines read, against Psi^{-1} R from the
+    oracle's own solve: est_gain = (1-rho_ad) sqrt(p̈ tau) (Psi^{-1} R)^H and
+    c_hhat = (1-rho_ad)^2 p̈ tau R Psi^{-1} R, each link to 1e-12 relative."""
+    ctx = _context(bits, fading, plan)
     t_mat, s_mat = estimator_products(ctx)
     one_ad, p, tau = 1.0 - ctx.q.rho_ad, ctx.p_ddot, ctx.tau
     gain = (one_ad * np.sqrt(p * tau))[:, None, None, None] * np.conj(
@@ -130,6 +136,20 @@ def test_context_holds_the_estimator_gain_and_covariance(bits, fading, plan):
         assert np.all(scale > 0)
         gap = np.max(np.abs(got - want), axis=(-2, -1))
         assert np.all(gap <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("plan", ("full", "algorithm1"))
+@pytest.mark.parametrize("fading", ("rician", "rayleigh"))
+@pytest.mark.parametrize("bits", (None, 1, 4))
+def test_context_holds_one_ap_local_noise_term(bits, fading, plan):
+    """``nx``, thermal noise plus the ADC distortion of the ADC-input
+    diagonal, is the former two-part formula (R's diagonal, then thermal
+    noise plus the LOS powers) to 1e-14 relative: |h_bar_il,n|^2 is
+    beta_los_il on a ULA."""
+    ctx = _context(bits, fading, plan)
+    want = ap_local_noise(ctx)
+    assert ctx.nx.shape == (ctx.L, ctx.N) and ctx.nx.dtype == float
+    assert np.all(np.abs(ctx.nx - want) <= 1e-14 * want)
 
 
 def test_estimate_pure_los_link():

@@ -274,6 +274,10 @@ def _assert_views_match_eager_sets(plan):
     for k, ues in enumerate(sets.overlap):
         mask[k, list(ues)] = True
     assert np.array_equal(plan.overlap_mask, mask)
+    assert tuple(tuple(s.tolist()) for s in plan.served) == sets.served
+    pairs = [(k, l) for k, aps in enumerate(sets.serving) for l in aps]
+    assert [plan.pair_of[k, l] for k, l in pairs] == list(range(len(pairs)))
+    assert np.count_nonzero(plan.pair_of >= 0) == len(pairs)
     for l in range(plan.L):
         _, served, primary, secondary = detector_sets(plan, "lpmmse", l)
         assert tuple(served.tolist()) == sets.served[l]
