@@ -167,11 +167,9 @@ def _point_sum_sweep(cfg, seed, spec):
     point_cfg = cfg.replace(**{sweep_name: int(value)})
     ctx, cluster, _ = build_system(point_cfg, seed)
     rows = []
-    for scheme, report in (
-            ("distributed",
-             distributed_closed_report(ctx, cluster, cfg.weighting, point_cfg.prelog)),
-            ("centralized",
-             centralized_closed_report(ctx, cluster, point_cfg.prelog))):
+    for scheme in ("distributed", "centralized"):
+        report = evaluate(point_cfg.replace(scheme=scheme, detector="mrc"),
+                          ctx, cluster, seed)
         for k in range(ctx.K):
             rows.append((f"{sweep_name}:{scheme}", value, k, float(report.se[k]), 0.0))
         rows.append((f"{sweep_name}:{scheme}", value, "sum", report.sum_se, 0.0))

@@ -59,28 +59,26 @@ def crandn(rng, shape, var=1.0, out=None):
     """Circularly symmetric complex Gaussian samples, elementwise variance ``var``.
 
     ``var`` broadcasts to ``shape``; real and imaginary parts each carry
-    half the variance. The parts are drawn real first, straight into one
-    complex array. Without ``out`` each part is drawn whole into a new
-    array. With ``out`` (of ``shape``, any strides, such as a trials-last
-    array seen through an (n, ...) view) each part is drawn in blocks along
-    the first axis through one reused float buffer: a block holds about
-    DRAW_BLOCK_ELEMS values and at least 32 rows, so each element's rows
-    still fill whole cache lines of a trials-last array (2-row blocks made
-    a paper-scale draw 2.2x slower). The values and their order are the
-    same either way.
+    half the variance. The draws fill ``out`` (of ``shape``, any strides,
+    such as a trials-last array seen through an (n, ...) view), or a new
+    C-ordered complex array when ``out`` is None: each part, real then
+    imaginary, in blocks along the first axis through one reused float
+    buffer. A block holds about DRAW_BLOCK_ELEMS values and at least 32
+    rows, so each element's rows still fill whole cache lines of a
+    trials-last array (2-row blocks made a paper-scale draw 2.2x slower).
+    The values and their order are those of one whole-array
+    ``rng.standard_normal`` draw per part, real part first.
     """
     if out is None:
         out = np.empty(shape, dtype=complex)
-        out.real = rng.standard_normal(shape)
-        out.imag = rng.standard_normal(shape)
-    else:
-        n, row = len(out), out.shape[1:]
-        block = max(32, DRAW_BLOCK_ELEMS // max(1, math.prod(row)))
-        buf = np.empty((min(block, n),) + row)
-        for part in (out.real, out.imag):
-            for lo in range(0, n, block):
-                drawn = rng.standard_normal(out=buf[:min(block, n - lo)])
-                part[lo:lo + len(drawn)] = drawn
+    rows = np.atleast_1d(out)          # a view: a 0-d draw is one row
+    n, row = len(rows), rows.shape[1:]
+    block = max(32, DRAW_BLOCK_ELEMS // max(1, math.prod(row)))
+    buf = np.empty((min(block, n),) + row)
+    for part in (rows.real, rows.imag):
+        for lo in range(0, n, block):
+            drawn = rng.standard_normal(out=buf[:min(block, n - lo)])
+            part[lo:lo + len(drawn)] = drawn
     out *= np.sqrt(np.asarray(var, dtype=float) / 2.0)
     return out
 

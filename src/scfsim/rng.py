@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 
+from .numerics import _is_integer
+
 
 def _tag_to_int(tag):
     if isinstance(tag, (int, np.integer)):
@@ -21,6 +23,12 @@ def _tag_to_int(tag):
 
 
 def substream(seed, *tags):
-    """Generator for (seed, *tags); distinct tag tuples give independent streams."""
+    """Generator for (seed, *tags); distinct tag tuples give independent streams.
+
+    ``seed`` is an integer >= 0 (a numpy integer too); anything else raises
+    ``ValueError``, where int() would floor 2.7 to 2 and read True as 1.
+    """
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     entropy = [int(seed)] + [_tag_to_int(t) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(entropy))

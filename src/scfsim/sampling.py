@@ -9,10 +9,11 @@ same trial's true channels and is shared across APs.
 
 Batches are held trials-last: true channels (K, L, N, n), LOS-stripped
 pilot observations (tau, L, N, n), data noise (L, N, n). Every correlation,
-noise-factor and estimator product is a BLAS matmul of N x N by N x n. The
-random draws keep the (n, ...) order of ``crandn``, which writes them into
-that layout: each part, real then imaginary, in trial blocks through one
-reused float buffer. A draw block holds about
+noise-factor and estimator product is a BLAS matmul of N x N by N x n.
+Every random draw, the (K, n) UE DAC noise included, keeps the (n, ...)
+order of ``crandn``, which writes it into that layout
+(``_crandn_trials_last``): each part, real then imaginary, in trial blocks
+through one reused float buffer. A draw block holds about
 ``numerics.DRAW_BLOCK_ELEMS`` values and at least 32 trials, so on a
 64-trial paper-scale batch the buffer is a quarter of the batch. The pilot
 noise is transformed in place, one pilot at a time, and each data-noise
@@ -63,9 +64,8 @@ def sample_joint(ctx, rng, n_trials):
     z = _crandn_trials_last(rng, n_trials, (ctx.tau, ctx.L, ctx.N))
     for t in range(ctx.tau):
         z[t] = ctx.c_n_sqrt @ z[t]
-    for t in range(ctx.tau):
-        for i in ctx.plan.users_on_pilot(t):
-            z[t] += one_ad * np.sqrt(ctx.p_ddot[i]) * root_tau * h[i]
+    for i, t in enumerate(ctx.plan.pilot_of):
+        z[t] += one_ad * np.sqrt(ctx.p_ddot[i]) * root_tau * h[i]
     h += ctx.stats.h_bar[..., None]
     return h, z
 
@@ -110,8 +110,8 @@ def sample_data_noise(ctx, h, rng):
     n_trials = h.shape[-1]
     q = ctx.q
     one_ad = 1.0 - q.rho_ad
-    n_da_t = np.ascontiguousarray(                               # (K, n)
-        crandn(rng, (n_trials, ctx.K), q.rho_da * ctx.p_full).T)
+    n_da_t = _crandn_trials_last(rng, n_trials, (ctx.K,),
+                                 q.rho_da * ctx.p_full)          # (K, n)
     mixed = h[0] * n_da_t[0]
     for k in range(1, ctx.K):
         mixed += h[k] * n_da_t[k]

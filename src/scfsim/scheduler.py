@@ -17,9 +17,9 @@ the (K,) array of effective powers p̈. Both plans check their decisions when
 they are built and keep read-only copies of them, so a plan that exists is
 well formed for its whole life: D is a (K, L) bool matrix and each UE's
 primary AP is an index in [0, L) that serves it. The sets read from a
-cluster plan are built once per plan, on first read: M_k, D_l, Q_k, the
-(K, K) overlap mask, and the numbering of the served pairs (``pair_of``)
-that both engines' per-pair arrays follow.
+cluster plan are built once per plan, on first read, and are read-only:
+M_k, D_l, Q_k, the (K, K) overlap mask, and the numbering of the served
+pairs (``pair_of``) that both engines' per-pair arrays follow.
 """
 
 import functools
@@ -33,12 +33,18 @@ from .numerics import _index_array, _is_integer, linear_to_db
 from .pilots import PilotPlan
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class ClusterPlan:
     """Algorithm 1's service decisions, checked when the plan is built: a
     malformed D or primary, or a primary AP that does not serve its UE,
-    raises ``ValueError``. The sets derived from them, M_k, D_l, Q_k and the
-    served-pair numbering, are built on first read."""
+    raises ``ValueError``. The sets derived from them, M_k, D_l, Q_k, the
+    overlap mask and the served-pair numbering, are built on first read and
+    are read-only."""
 
     D: np.ndarray              # (K, L) bool service indicators
     primary: np.ndarray        # (K,) int: UE k's primary AP, which serves it
@@ -72,13 +78,13 @@ class ClusterPlan:
 
     @functools.cached_property
     def serving(self):
-        """Per UE, M_k: its serving APs as a sorted int array."""
-        return tuple(np.flatnonzero(row) for row in self.D)
+        """Per UE, M_k: its serving APs as a sorted, read-only int array."""
+        return tuple(_read_only(np.flatnonzero(row)) for row in self.D)
 
     @functools.cached_property
     def served(self):
-        """Per AP, D_l: the UEs it serves as a sorted int array."""
-        return tuple(np.flatnonzero(col) for col in self.D.T)
+        """Per AP, D_l: the UEs it serves as a sorted, read-only int array."""
+        return tuple(_read_only(np.flatnonzero(col)) for col in self.D.T)
 
     @functools.cached_property
     def pair_of(self):
@@ -87,20 +93,20 @@ class ClusterPlan:
         its serving APs in order, from the sum of |M_i| over i < k."""
         pair_of = np.full(self.D.shape, -1)
         pair_of[self.D] = np.arange(np.count_nonzero(self.D))
-        pair_of.setflags(write=False)
-        return pair_of
+        return _read_only(pair_of)
 
     @functools.cached_property
     def overlap_mask(self):
-        """(K, K) bool: the serving clusters of UEs k and i intersect."""
+        """(K, K) bool, read-only: the serving clusters of UEs k and i
+        intersect."""
         d_int = self.D.astype(int)
-        return (d_int @ d_int.T) > 0
+        return _read_only((d_int @ d_int.T) > 0)
 
     @functools.cached_property
     def overlap(self):
-        """Per UE, Q_k: the UEs whose clusters meet its own, as a sorted int
-        array."""
-        return tuple(np.flatnonzero(row) for row in self.overlap_mask)
+        """Per UE, Q_k: the UEs whose clusters meet its own, as a sorted,
+        read-only int array."""
+        return tuple(_read_only(np.flatnonzero(row)) for row in self.overlap_mask)
 
 
 def full_cluster_plan(stats):

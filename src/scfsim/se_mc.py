@@ -39,6 +39,7 @@ from .detectors import (centralized_combiners, centralized_system_matrices,
                         local_combiners, local_pairs, local_statics,
                         serving_subspace)
 from .lsfd import Moments, se_from_moments
+from .numerics import _is_integer
 from .pilots import block_diag_cov
 from .rng import substream
 from .sampling import (estimates, estimates_ue_last, sample_data_noise,
@@ -82,8 +83,11 @@ def batch_plan(trials, k_count, l_count, n_ant):
     group-based standard errors exist whenever the budget allows. Sizes
     differ by at most one trial, and when there are more batches than stderr
     groups their count is a multiple of the group count, so every group holds
-    the same number of trials, give or take one per batch.
+    the same number of trials, give or take one per batch. A ``trials``
+    that is not an integer >= 1 raises ``ValueError``.
     """
+    if not (_is_integer(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     per_trial = max(1, k_count * l_count * n_ant)
     by_groups = -(-trials // STDERR_GROUPS)
     size = int(max(64, min(by_groups, MC_BATCH_ELEMS // per_trial)))

@@ -452,3 +452,11 @@ def test_crandn_draws_are_unchanged():
                                  + 1j * rng.standard_normal((64, 5, 3)))
     assert np.array_equal(got, want)
     assert got.dtype == complex and got.flags.c_contiguous
+    # a 0-d shape, a bare int, empty shapes and a draw of two blocks
+    for shape in ((), 5, (0,), (4, 0), (0, 4), (3000, 40)):
+        got = crandn(substream(4, "crandn"), shape, 0.7)
+        rng = substream(4, "crandn")
+        want = np.sqrt(0.7 / 2.0) * (rng.standard_normal(shape)
+                                     + 1j * rng.standard_normal(shape))
+        assert got.shape == np.shape(want) and got.dtype == complex
+        assert np.array_equal(got, want)

@@ -248,6 +248,24 @@ def test_cluster_plan_owns_read_only_decisions():
         assert plan.D.all() and plan.primary.tolist() == [0, 1, 0]
 
 
+def test_cluster_plan_derived_sets_are_read_only():
+    """M_k, D_l, Q_k and the overlap mask were writable: on a plan where
+    UEs 0 and 1 share no AP, setting overlap_mask[0, 1] made a later
+    overlap[0] read [0 1] for every reader."""
+    d = np.array([[True, False], [False, True], [True, True]])
+    plan = ClusterPlan(d, np.array([0, 1, 0]))
+    fields = (plan.serving[0], plan.served[0], plan.overlap_mask, plan.pair_of)
+    for field in fields:
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        plan.overlap_mask[0, 1] = True
+    assert plan.overlap[0].tolist() == [0, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        plan.overlap[0][0] = 1
+    assert plan.serving[0].tolist() == [0] and plan.served[0].tolist() == [0, 2]
+
+
 def _assert_same_fields(got, ref):
     """Equal decisions, dtypes included; a cluster plan's derived views
     must match the eager sets too."""

@@ -7,6 +7,7 @@ from scfsim import se_mc
 from scfsim.config import SimConfig
 from scfsim.harness import build_system
 from scfsim.pilots import build_estimation_context
+from scfsim.rng import substream
 from scfsim.scheduler import full_cluster_plan
 from scfsim.se_mc import (MC_BATCH_ELEMS, STDERR_GROUPS, _group_of,
                           batch_plan, centralized_mc_report,
@@ -42,6 +43,38 @@ def test_batch_plan_groups_are_equal(trials, shape, count):
     for b_idx, size in enumerate(sizes):
         per_group[_group_of(b_idx, count, groups)] += size
     assert per_group.max() - per_group.min() <= count // groups
+
+
+@pytest.mark.parametrize("trials", [0, -5, 2.5, True])
+def test_mc_reports_refuse_a_bad_trial_count(trials, monkeypatch):
+    """0 and -5 raised ZeroDivisionError and 2.5 a TypeError; True ran one
+    trial and reported trials=True. Each is refused before any draw."""
+    _, _, _, _, _, ctx, cluster = small_system(seed=52)
+    # a draw would call None and raise TypeError, not the ValueError
+    monkeypatch.setattr(se_mc, "sample_joint", None)
+    for report in (
+            lambda: distributed_mc_report(ctx, cluster, "mrc", "lsfd", trials,
+                                          0, 0.9),
+            lambda: centralized_mc_report(ctx, cluster, "mrc", trials, 0, 0.9),
+            lambda: batch_plan(trials, ctx.K, ctx.L, ctx.N)):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer "
+                                             rf">= 1, got {trials!r}$"):
+            report()
+
+
+@pytest.mark.parametrize("seed", [2.7, True, "3", -1])
+def test_substream_refuses_a_seed_that_is_not_a_count(seed):
+    """int() floored 2.7 to 2, so a report at seed 2.7 was the report at
+    seed 2 bit for bit; True read as 1 and "3" as 3."""
+    with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, "
+                                         rf"got {seed!r}$"):
+        substream(seed, "x")
+    _, _, _, _, _, ctx, cluster = small_system(seed=52)
+    with pytest.raises(ValueError, match="^seed"):
+        distributed_mc_report(ctx, cluster, "mrc", "lsfd", 64, seed, 0.9)
+    # numpy integers are seeds: the CDF points derive theirs with integers()
+    assert (substream(np.int64(3), "x").integers(2**62)
+            == substream(3, "x").integers(2**62))
 
 
 def test_zero_power_ue_gets_zero_se():
