@@ -5,6 +5,14 @@ Each UE-AP link carries a large-scale gain split into a deterministic LOS ray
 spatial correlation matrix follows a Gaussian local-scattering model evaluated
 by adaptive Gauss-Legendre quadrature.
 
+Two checks of that quadrature are skipped where a cheaper fact proves their
+outcome, so R keeps every bit. A Gauss-Legendre error bound, which depends
+on (ASD, N) only, certifies that 128 and 256 nodes agree to QUAD_RTOL, and
+only the 256-node pass then runs (``_converged_rows``). A Cholesky
+factorization of each chunk, shifted down by a trace-scaled margin, proves
+that no eigenvalue needs clipping, and the ``eigh`` then does not run
+(``_toeplitz_psd``). Where a proof fails, the full check runs.
+
 ``channel_statistics`` runs that quadrature on a thread pool, one
 ``CORRELATION_CHUNK`` of links per task: ``np.exp`` and the quadrature's
 matrix-vector product release the GIL. The pool has min(chunks, CPU count)
@@ -188,9 +196,49 @@ def _correlation_rows(thetas, asd, n_antennas, n_nodes):
     return rows
 
 
+@functools.lru_cache(maxsize=64)
+def _certified_gap(asd, n_antennas):
+    """Upper bound on the largest gap between any row's 128- and 256-node
+    evaluations, for every nominal angle.
+
+    In x-units (delta = 20 asd x) the integrand is
+    f(x) = 20/sqrt(2 pi) exp(-200 x^2) exp(j pi m sin(theta + 20 asd x)),
+    analytic in x. On the Bernstein ellipse E_rho with semi-minor axis
+    b = (rho - 1/rho)/2, |f| <= M = 20/sqrt(2 pi) exp(200 b^2
+    + pi (N-1) sinh(20 asd b)) for every theta and m <= N-1. An n-node
+    Gauss-Legendre rule, read conservatively as degree n-1, is then off by at
+    most B(n) = 64 M rho^(-2(n-1)) / (15 (rho^2 - 1)) (Trefethen, ATAP
+    Thm 19.3). Any rho gives a valid bound, so the smallest B(128) + B(256)
+    on a fixed grid of b is taken, plus a rounding term for the two sums.
+    Evaluated in log space; a sinh argument past 30 gives an infinite bound,
+    which is still an upper bound and never certifies.
+    """
+    b = np.linspace(0.0, 2.0, 513)[1:]
+    log_rho = np.arcsinh(b)
+    arg = 20.0 * asd * b
+    spread = np.pi * (n_antennas - 1) * np.sinh(np.minimum(arg, 30.0))
+    log_m = (np.log(20.0 / np.sqrt(2.0 * np.pi)) + 200.0 * b * b
+             + np.where(arg > 30.0, np.inf, spread))
+    log_front = np.log(64.0 / 15.0) + log_m - np.log(np.expm1(2.0 * log_rho))
+    log_gap = np.logaddexp(log_front - 254.0 * log_rho,
+                           log_front - 510.0 * log_rho)
+    eps = np.finfo(float).eps
+    rounding = eps * (256 + np.pi * (n_antennas - 1) * (np.pi + 20.0 * asd + 1.0))
+    return float(np.exp(np.min(log_gap))) + rounding
+
+
 def _converged_rows(thetas, asd, n_antennas, max_nodes):
     """Node count doubled from 128 until successive evaluations agree to
-    QUAD_RTOL."""
+    QUAD_RTOL.
+
+    Each row's largest entry, antenna 0's, is the Gaussian weight sum, about
+    1, so a gap bound of QUAD_RTOL/2 from ``_certified_gap`` proves that the
+    128 -> 256 comparison passes, and only the 256-node rows it would return
+    are computed. Where the bound is larger (wide ASD or many antennas) or
+    the budget is below 256 nodes, the doubling runs in full.
+    """
+    if max_nodes >= 256 and _certified_gap(asd, n_antennas) <= QUAD_RTOL / 2:
+        return _correlation_rows(thetas, asd, n_antennas, 256)
     rows, n_nodes = None, 128
     while n_nodes <= max_nodes:
         refined = _correlation_rows(thetas, asd, n_antennas, n_nodes)
@@ -210,12 +258,31 @@ def _toeplitz_psd(rows):
     Gauss-Legendre weights are positive, so the integrated matrix is PSD up
     to rounding; eigenvalues inside the clip band are zeroed, anything more
     negative raises.
+
+    The ``eigh`` runs only where a clip or a raise could happen. If the
+    Cholesky factorization of every full - s trace I succeeds, each matrix's
+    smallest eigenvalue exceeds s trace less the factorization's backward
+    error, about N(N+1)u times its norm (Higham, "Accuracy and Stability of
+    Numerical Algorithms", Thm 10.5). s = max(1e-12, 4 N^2 eps) keeps that
+    margin above the backward error of ``eigh`` too, so its eigenvalues
+    would all be >= 0 and ``full`` would come back unchanged: it is returned
+    as it is. A chunk with any matrix that fails (narrow ASD with many
+    antennas: at ASD 0.5 deg and N = 8 most links clip) takes the ``eigh``
+    path.
     """
     n_antennas = rows.shape[1]
     idx = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
     full = np.where(idx[None] >= 0, rows[:, np.abs(idx)],
                     np.conj(rows[:, np.abs(idx)]))
     full = hermitize(full)
+    shift = max(1e-12, 4 * n_antennas**2 * np.finfo(float).eps) \
+        * np.trace(full, axis1=1, axis2=2).real
+    try:
+        np.linalg.cholesky(full - shift[:, None, None] * np.eye(n_antennas))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        return full
     w, v = np.linalg.eigh(full)
     trace = np.sum(w, axis=1)
     floor = -np.maximum(trace, np.finfo(float).tiny) * 1e-10

@@ -22,7 +22,8 @@ engines no longer build: every pair's estimates, the UE-last copy, and the
 former zero-filled local combiners. The single-link helpers (LOS steering
 vector, PSD square root, one channel draw, one local MMSE estimate, the
 DAC/ADC models applied to one signal) are the textbook forms the batched
-code paths are checked against.
+code paths are checked against; ``toeplitz_psd`` is the former PSD assembly
+of the correlation matrices, which ran ``eigh`` on every link.
 """
 
 from dataclasses import dataclass
@@ -63,6 +64,26 @@ def hermitian_sqrt(r):
         raise NotPositiveSemidefiniteError(
             f"min eigenvalue {np.min(w):.3e} below tolerance {floor:.3e}")
     return v * np.sqrt(np.clip(w, 0.0, None))
+
+
+def toeplitz_psd(rows):
+    """(J, N) generator rows -> (J, N, N) Hermitian PSD Toeplitz matrices,
+    one ``eigh`` per matrix: eigenvalues inside the clip band are zeroed,
+    anything more negative raises (the former ``channel._toeplitz_psd``)."""
+    n_antennas = rows.shape[1]
+    idx = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
+    full = np.where(idx[None] >= 0, rows[:, np.abs(idx)],
+                    np.conj(rows[:, np.abs(idx)]))
+    full = hermitize(full)
+    w, v = np.linalg.eigh(full)
+    trace = np.sum(w, axis=1)
+    floor = -np.maximum(trace, np.finfo(float).tiny) * PSD_CLIP_FRACTION
+    if np.any(w < floor[:, None]):
+        raise NotPositiveSemidefiniteError("quadrature produced an indefinite matrix")
+    if np.min(w) < 0.0:
+        w = np.clip(w, 0.0, None)
+        full = hermitize(np.einsum("jnm,jm,jpm->jnp", v, w, np.conj(v)))
+    return full
 
 
 def sample_channel(h_bar, r, rng):

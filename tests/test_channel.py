@@ -6,11 +6,11 @@ from scfsim.channel import (MIN_DISTANCE_M, Scenario, channel_statistics,
                             generate_scenario, large_scale_fading,
                             rician_factor, spatial_correlation)
 from scfsim.config import SimConfig
-from scfsim.numerics import hermitize
+from scfsim.numerics import NotPositiveSemidefiniteError, hermitize
 from scfsim.rng import substream
 
 from conftest import small_system
-from oracles import los_steering, sample_channel
+from oracles import los_steering, sample_channel, toeplitz_psd
 
 
 def test_generate_scenario_paper_scale():
@@ -172,6 +172,89 @@ def test_64_node_pass_never_converges(asd_deg):
     scale = np.max(np.abs(fine), axis=1)
     assert np.all(np.abs(fine[:, 0] - coarse[:, 0])
                   >= 10 * channel.QUAD_RTOL * scale)
+
+
+GRID_ASDS_DEG = (0.5, 2, 5, 10, 15, 20, 30, 45, 60)
+GRID_N = (1, 2, 3, 4, 8, 16, 32, 64)
+
+
+def _spy(monkeypatch, module, name):
+    """Record the positional arguments of every call to module.name."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_certified_gap_never_contradicts_the_doubling(monkeypatch):
+    """Where the Gauss-Legendre bound certifies a (ASD, N) pair, the node
+    doubling with the certificate switched off stops at 256 nodes, and the
+    certified pass, which runs 256 nodes only, returns the same bits."""
+    thetas = np.random.default_rng(28).uniform(-np.pi, np.pi, 512)
+    certified = [(a, n) for a in GRID_ASDS_DEG for n in GRID_N
+                 if channel._certified_gap(np.radians(a), n)
+                 <= channel.QUAD_RTOL / 2]
+    assert {(15, 2), (15, 3), (15, 4)} <= set(certified)
+    assert not {(15, 8), (30, 3), (5, 32), (2, 64)} & set(certified)
+    calls = _spy(monkeypatch, channel, "_correlation_rows")
+
+    def converged(a, n):
+        calls.clear()
+        rows = channel._converged_rows(thetas, np.radians(a), n,
+                                       channel.QUAD_MAX_NODES)
+        return rows, [args[3] for args in calls]
+
+    fast = {}
+    for a, n in certified:
+        fast[a, n], nodes = converged(a, n)
+        assert nodes == [256]
+    monkeypatch.setattr(channel, "_certified_gap", lambda asd, n: np.inf)
+    for a, n in certified:
+        rows, nodes = converged(a, n)
+        assert nodes == [128, 256], (a, n)
+        assert np.array_equal(rows, fast[a, n])
+
+
+def _rows(asd_deg, n_ant):
+    thetas = np.random.default_rng(7).uniform(-np.pi, np.pi, 512)
+    return channel._converged_rows(thetas, np.radians(asd_deg), n_ant,
+                                   channel.QUAD_MAX_NODES)
+
+
+def test_toeplitz_psd_skips_eigh_where_cholesky_proves_no_clip(monkeypatch):
+    """At the paper's ASD 15 deg and N = 3 the shifted Cholesky succeeds,
+    so the matrices come back without an ``eigh``, equal to the eigh-only
+    assembly."""
+    rows = _rows(15, 3)
+    oracle = toeplitz_psd(rows)
+    eigh_calls = _spy(monkeypatch, np.linalg, "eigh")
+    assert np.array_equal(channel._toeplitz_psd(rows), oracle)
+    assert eigh_calls == []
+
+
+def test_toeplitz_psd_clips_like_the_eigh_assembly(monkeypatch):
+    """At ASD 0.5 deg and N = 8 quadrature noise makes eigenvalues slightly
+    negative: the Cholesky fails and the clip runs as in the eigh-only
+    assembly."""
+    rows = _rows(0.5, 8)
+    clip_calls = _spy(monkeypatch, np, "clip")
+    oracle = toeplitz_psd(rows)
+    assert len(clip_calls) == 1
+    assert np.array_equal(channel._toeplitz_psd(rows), oracle)
+
+
+def test_toeplitz_psd_refuses_an_indefinite_chunk():
+    rows = _rows(15, 3)
+    rows[7, 1] = 2.0 * rows[7, 0]   # |off-diagonal| above the diagonal
+    with pytest.raises(NotPositiveSemidefiniteError):
+        toeplitz_psd(rows)
+    with pytest.raises(NotPositiveSemidefiniteError):
+        channel._toeplitz_psd(rows)
 
 
 def test_statistics_invariants():

@@ -1,8 +1,9 @@
 """The threaded correlation build of ``channel_statistics``.
 
-The oracle is the serial build the pool replaced: whole-chunk phase arrays
-and one chunk after another on the calling thread. R must match it bit for
-bit, for any thread count.
+The oracle is the serial build the pool replaced: whole-chunk phase arrays,
+one chunk after another on the calling thread, the node doubling on every
+chunk and an ``eigh`` on every link. R must match it bit for bit, for any
+thread count.
 """
 
 import functools
@@ -17,9 +18,11 @@ import pytest
 
 from scfsim import channel
 from scfsim.channel import (QUAD_MAX_NODES, QUAD_RTOL, QuadratureError,
-                            _gauss_legendre, _toeplitz_psd, channel_statistics,
+                            _gauss_legendre, channel_statistics,
                             generate_scenario)
 from scfsim.config import SimConfig
+
+from oracles import toeplitz_psd
 
 # The serial build's chunk: each chunk stops refining on its worst link, so
 # the chunk boundaries are part of R's bits.
@@ -61,7 +64,7 @@ def _serial_correlation(stats, asd):
         hi = min(lo + CHUNK, len(flat_theta))
         rows = _serial_converged(flat_theta[lo:hi], asd, n_ant,
                                  QUAD_RTOL, QUAD_MAX_NODES)
-        corr[lo:hi] = _toeplitz_psd(rows)
+        corr[lo:hi] = toeplitz_psd(rows)
     return corr.reshape(stats.K, stats.L, n_ant, n_ant) \
         * stats.beta_nlos[..., None, None]
 
