@@ -4,11 +4,13 @@ the closed-form-vs-Monte-Carlo validation suite.
 
 Every experiment is one ``REGISTRY`` entry: its point specs, the point
 function that evaluates one spec, the reducer that turns the per-point
-results into rows (pass-through, or pooled by label into empirical CDFs) and
-the output columns. Points are independent: a sweep value, or a CDF's
-scenario drop, whose channel statistics all of the CDF's variants share.
-Each draws from RNG streams derived from (seed, experiment, point id). They
-may run in a process pool (SCFSIM_WORKERS); results are reduced in spec
+results into rows (sweep rows, or pooled by label into empirical CDFs) and
+the output columns. A point is one scenario drop, the systems scheduled on
+it and the reports read from each system, each built once (``_point``): a
+sum-SE sweep has one point per N, which the statistics read, and one point
+for all ADC bit widths; a CDF has one point per drop. Each draws from RNG
+streams derived from (seed, experiment, point id). Points are independent
+and may run in a process pool (SCFSIM_WORKERS); results are reduced in spec
 order, so output bytes never depend on the worker count.
 """
 
@@ -162,20 +164,6 @@ def delta_se(report):
 # experiment points
 # ---------------------------------------------------------------------------
 
-def _point_sum_sweep(cfg, seed, spec):
-    sweep_name, value = spec
-    point_cfg = cfg.replace(**{sweep_name: int(value)})
-    ctx, cluster, _ = build_system(point_cfg, seed)
-    rows = []
-    for scheme in ("distributed", "centralized"):
-        report = evaluate(point_cfg.replace(scheme=scheme, detector="mrc"),
-                          ctx, cluster, seed)
-        for k in range(ctx.K):
-            rows.append((f"{sweep_name}:{scheme}", value, k, float(report.se[k]), 0.0))
-        rows.append((f"{sweep_name}:{scheme}", value, "sum", report.sum_se, 0.0))
-    return rows
-
-
 DISTRIBUTED_CDF_STRATEGIES = (
     ("mrc", "lsfd"), ("mrc", "plsfd"), ("mrc", "l2"),
     ("lmmse", "lsfd"), ("lpmmse", "plsfd"), ("lpmmse-full", "plsfd"),
@@ -183,18 +171,25 @@ DISTRIBUTED_CDF_STRATEGIES = (
 CENTRALIZED_CDF_STRATEGIES = DETECTORS["centralized"]
 
 
-def _point_cdf(cfg, seed, spec):
-    """One scenario drop of a CDF: (label, per-UE SEs) for each variant, all
-    on the first variant's channel statistics."""
-    tag, rep, variants = spec
-    rep_seed = substream(seed, tag, rep).integers(0, 2**63)
+def _point(cfg, seed, spec):
+    """One scenario drop, spec (drop, systems): (label, per-UE SEs) for each
+    evaluation, in spec order. ``drop`` None is the seed's own drop, a (tag,
+    rep) pair a substream of it; a system is (strategy, overrides,
+    evaluations), an evaluation (label, overrides). Each level is built once:
+    the drop's statistics from the first system's config, which later systems
+    override only in fields the statistics do not read, and each system's
+    context, which its evaluations override only in scheme, detector and
+    weighting, the fields ``build_system`` does not read."""
+    drop, systems = spec
+    drop_seed = seed if drop is None else substream(seed, *drop).integers(0, 2**63)
     stats, results = None, []
-    for label, strategy, overrides in variants:
-        point_cfg = cfg.replace(**overrides)
-        ctx, cluster, _ = build_system(point_cfg, rep_seed, strategy, stats)
+    for strategy, overrides, evaluations in systems:
+        system_cfg = cfg.replace(**overrides)
+        ctx, cluster, _ = build_system(system_cfg, drop_seed, strategy, stats)
         stats = ctx.stats
-        report = evaluate(point_cfg, ctx, cluster, rep_seed)
-        results.append((label, list(map(float, report.se))))
+        for label, evaluation in evaluations:
+            report = evaluate(system_cfg.replace(**evaluation), ctx, cluster, drop_seed)
+            results.append((label, list(map(float, report.se))))
     return results
 
 
@@ -216,6 +211,14 @@ def _concat_rows(points):
     return [row for point in points for row in point]
 
 
+def _sweep_rows(points):
+    rows = []
+    for (sweep, value), ses in (pair for point in points for pair in point):
+        rows.extend((sweep, value, k, se, 0.0) for k, se in enumerate(ses))
+        rows.append((sweep, value, "sum", float(np.sum(ses)), 0.0))
+    return rows
+
+
 def _pooled_cdf_rows(points):
     pooled = {}
     for label, ses in (pair for point in points for pair in point):
@@ -233,35 +236,41 @@ class Experiment:
     columns: tuple
 
 
-def _sweep(sweep_name, values):
-    return Experiment(tuple((sweep_name, v) for v in values), _point_sum_sweep,
-                      _concat_rows, ("sweep", "value", "ue_index", "se", "stderr"))
+def _mrc_system(sweep, value):
+    return ("algorithm1", {sweep: value}, tuple(
+        ((f"{sweep}:{scheme}", value), {"scheme": scheme, "detector": "mrc"})
+        for scheme in ("distributed", "centralized")))
 
 
-def _cdf(tag, variants, reps=CDF_REPS):
-    """``variants``: (label, strategy, config overrides) triples, all drawn
-    on each of ``reps`` scenario drops; the overrides touch only fields the
-    drop's channel statistics do not read."""
-    specs = tuple((tag, rep, tuple(variants)) for rep in range(reps))
-    return Experiment(specs, _point_cdf, _pooled_cdf_rows, ("strategy", "se", "cdf"))
+def _cdf(tag, systems, reps=CDF_REPS):
+    """``systems`` drawn on each of ``reps`` scenario drops of ``tag``."""
+    specs = tuple(((tag, rep), tuple(systems)) for rep in range(reps))
+    return Experiment(specs, _point, _pooled_cdf_rows, ("strategy", "se", "cdf"))
 
 
+_SWEEP_COLUMNS = ("sweep", "value", "ue_index", "se", "stderr")
 REGISTRY = {
-    "sum-se-vs-N": _sweep("N", N_SWEEP),
-    "sum-se-vs-bits": _sweep("b_ad", BITS_SWEEP),
+    # N is read by the channel statistics: one drop per value
+    "sum-se-vs-N": Experiment(tuple((None, (_mrc_system("N", n),)) for n in N_SWEEP),
+                              _point, _sweep_rows, _SWEEP_COLUMNS),
+    # b_ad is not: one drop, one system per value
+    "sum-se-vs-bits": Experiment(
+        ((None, tuple(_mrc_system("b_ad", b) for b in BITS_SWEEP)),),
+        _point, _sweep_rows, _SWEEP_COLUMNS),
     "cdf-detectors-distributed": _cdf("cdf-distributed", [
-        (f"{d}+{w}", "algorithm1",
-         {"scheme": "distributed", "detector": d, "weighting": w})
-        for d, w in DISTRIBUTED_CDF_STRATEGIES]),
+        ("algorithm1", {}, tuple(
+            (f"{d}+{w}", {"scheme": "distributed", "detector": d, "weighting": w})
+            for d, w in DISTRIBUTED_CDF_STRATEGIES))]),
     "cdf-detectors-centralized": _cdf("cdf-centralized", [
-        (d, "algorithm1", {"scheme": "centralized", "detector": d})
-        for d in CENTRALIZED_CDF_STRATEGIES]),
+        ("algorithm1", {}, tuple(
+            (d, {"scheme": "centralized", "detector": d})
+            for d in CENTRALIZED_CDF_STRATEGIES))]),
     "cdf-algorithm": _cdf("cdf-algorithm", [
-        ("algorithm1", "algorithm1", {}),
-        ("random-pilot", "random-pilot", {}),
-        ("equal-power", "algorithm1", {"nu": 0.0})]),
+        ("algorithm1", {}, (("algorithm1", {}),)),
+        ("random-pilot", {}, (("random-pilot", {}),)),
+        ("algorithm1", {"nu": 0.0}, (("equal-power", {}),))]),
     "cdf-vs-nu": _cdf("cdf-nu", [
-        (f"nu={nu:g}", "algorithm1", {"nu": nu}) for nu in NU_SWEEP],
+        ("algorithm1", {"nu": nu}, ((f"nu={nu:g}", {}),)) for nu in NU_SWEEP],
         reps=max(1, CDF_REPS // 2)),
     "validate-closed-forms": Experiment(
         ((),), _validate_rows, _concat_rows,

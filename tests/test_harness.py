@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from scfsim.config import ConfigError, SimConfig, config_hash, load_config
-from scfsim.channel import channel_statistics
 from scfsim.harness import (EXPERIMENTS, REGISTRY, ResultTable, build_system,
                             delta_se, emit_results, run_experiment, worker_count)
 from scfsim import harness, validation
@@ -232,40 +231,72 @@ def test_worker_determinism(name, tmp_path):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name, drops", (
-    ("cdf-detectors-distributed", 4), ("cdf-detectors-centralized", 4),
-    ("cdf-algorithm", 4), ("cdf-vs-nu", 2)))
-def test_cdf_builds_each_drop_once(monkeypatch, name, drops):
-    """A CDF's variants share each drop's channel statistics: one build per
-    drop, not one per (variant, drop) pair (24, 16, 12 and 12 builds)."""
-    built = []
+# channel_statistics, run_algorithm1 and build_estimation_context calls on TINY
+BUILDS = (("sum-se-vs-N", (4, 4, 4)), ("sum-se-vs-bits", (1, 5, 5)),
+          ("cdf-detectors-distributed", (4, 4, 4)),
+          ("cdf-detectors-centralized", (4, 4, 4)),
+          ("cdf-algorithm", (4, 12, 12)), ("cdf-vs-nu", (2, 12, 12)))
 
-    def counted(*args, **kwargs):
-        built.append(args[1])
-        return channel_statistics(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "channel_statistics", counted)
+@pytest.mark.parametrize("name, builds", BUILDS,
+                         ids=[f"{name}-{builds[0]}" for name, builds in BUILDS])
+def test_cdf_builds_each_drop_once(monkeypatch, name, builds):
+    """Each level of a point is built once: a drop's channel statistics, and
+    each system's Algorithm 1 and estimation context. A build per report
+    would read 5/5/5 for sum-se-vs-bits (one drop, five bit widths), 4/24/24
+    and 4/16/16 for the detector CDFs (six and four reports per drop)."""
+    calls = {}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(fn.__name__, []).append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    levels = ("channel_statistics", "run_algorithm1", "build_estimation_context")
+    for level in levels:
+        monkeypatch.setattr(harness, level, counted(getattr(harness, level)))
     run_experiment(name, SimConfig(**TINY), workers=1)
-    assert len(built) == len(set(built)) == drops
+    assert tuple(len(calls.get(level, ())) for level in levels) == builds
+    # no drop, a (seed, N) pair, is built twice
+    drops = [(int(a[1]), a[0].antennas_per_ap) for a in calls["channel_statistics"]]
+    assert len(set(drops)) == len(drops)
 
 
 def test_cdf_variants_override_only_what_a_drop_does_not_read():
-    """Sharing a drop's statistics is sound because no variant overrides a
-    field they read: the statistics are the same under every override."""
-    evaluation_fields = {"scheme", "detector", "weighting", "nu"}
-    cdfs = [e for e in REGISTRY.values() if e.point is harness._point_cdf]
-    assert len(cdfs) == 4
-    for experiment in cdfs:
-        for _tag, _rep, variants in experiment.specs:
-            assert all(set(overrides) <= evaluation_fields
-                       for _label, _strategy, overrides in variants)
+    """Sharing is sound at both levels of a point. A system after a point's
+    first differs from it only in fields the drop's statistics do not read,
+    so the statistics are the same under its overrides; an evaluation
+    overrides only fields build_system does not read, so the context and the
+    plans are the same under its overrides."""
+    statistics_free = {"nu", "b_ad"}
+    evaluation_fields = {"scheme", "detector", "weighting"}
     cfg = SimConfig(**TINY)
-    shifted = cfg.replace(scheme="centralized", detector="pmmse",
-                          weighting="l2", nu=0.3)
-    one, two = (build_system(c, 7)[0].stats for c in (cfg, shifted))
-    for a, b in ((one, two), (one.scenario, two.scenario)):
+    points = [e for e in REGISTRY.values() if e.point is harness._point]
+    assert len(points) == 6
+    for experiment in points:
+        for _drop, systems in experiment.specs:
+            first, *later = (dataclasses.asdict(cfg.replace(**overrides))
+                             for _strategy, overrides, _evaluations in systems)
+            for system in later:
+                assert {f for f, v in system.items() if v != first[f]} <= statistics_free
+            assert all(set(overrides) <= evaluation_fields
+                       for _strategy, _overrides, evaluations in systems
+                       for _label, overrides in evaluations)
+    shifted = cfg.replace(scheme="centralized", detector="pmmse", weighting="l2")
+    (ctx, plan, p_ddot), (ctx2, plan2, p_ddot2) = (build_system(c, 7)
+                                                   for c in (cfg, shifted))
+    stats = build_system(shifted.replace(nu=0.3, b_ad=1), 7)[0].stats
+    for a, b in ((ctx.stats, stats), (ctx.stats.scenario, stats.scenario)):
         for name in (f.name for f in dataclasses.fields(a) if f.name != "scenario"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("p_ddot", "sigma2", "c_n_sqrt", "w", "est_gain", "c_hhat",
+                 "adc_diag", "nx"):
+        assert np.array_equal(getattr(ctx, name), getattr(ctx2, name)), name
+    assert ctx.q == ctx2.q and ctx.plan.tau == ctx2.plan.tau
+    for a, b in ((ctx.plan.pilot_of, ctx2.plan.pilot_of), (plan.D, plan2.D),
+                 (plan.primary, plan2.primary), (p_ddot, p_ddot2)):
+        assert np.array_equal(a, b)
 
 
 def test_worker_count_env(monkeypatch):
