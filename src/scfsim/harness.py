@@ -125,8 +125,7 @@ def build_system(cfg, seed, strategy="algorithm1", stats=None):
 
 def distributed_closed_report(ctx, cluster, weighting, prelog):
     """Closed-form per-UE distributed SE (MRC detection)."""
-    se = np.array([se_from_moments(moments, weighting, prelog)
-                   for moments in build_ingredients(ctx, cluster)])
+    se = se_from_moments(build_ingredients(ctx, cluster), weighting, prelog)
     return SEReport(se=se, prelog=prelog, scheme="distributed", detector="mrc",
                     weighting=weighting, evaluation="closed-form")
 

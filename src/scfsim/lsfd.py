@@ -5,10 +5,11 @@ The distributed scheme is MRC at the APs followed by a second-stage
 weighting, applied to three second moments of UE k served by the AP set
 M_k: E[g_kk], the interference-plus-noise matrix C_k (sums over all UEs) and
 its overlap-restricted counterpart C_k^P (sums over Q_k). ``Moments`` holds
-them; ``lsfd_weights`` maps a bundle and a weighting (checked against
-``config.WEIGHTINGS``) to weights, ``se_from_moments`` to the SE.
-``build_ingredients`` builds every UE's bundle in closed form, and
-``se_mc.DistributedSums.moments`` estimates one from samples.
+them for a size class, the UEs sharing one |M_k| (``size_classes``);
+``lsfd_weights`` maps a class and a weighting (checked against
+``config.WEIGHTINGS``) to weights in one batched solve, ``se_from_moments``
+a tuple of classes to every UE's SE. ``build_ingredients`` builds the
+classes in closed form, and ``se_mc.DistributedSums.moments`` from samples.
 
 The closed-form ingredients are, per served pair (k, l) and UE i, written
 in the estimation context's estimator gain G_kl and estimate covariance
@@ -34,8 +35,8 @@ Gram of g over k's serving APs:
                                    + diag(sum_{i in S} p̈_i c_i)]
           - (1-rho_ad)^2 p̈_k E[g_kk] E[g_kk]^H + diag(d_k),
 
-with S = all UEs for C_k and S = Q_k for C_k^P, and E[g_kk] = g_k. The
-UEs that share one |M_k| are assembled in one batched matmul.
+with S = all UEs for C_k and S = Q_k for C_k^P, and E[g_kk] = g_k. Each
+size class is assembled in one batched matmul.
 Under the ULA model all trace kernels are real; tiny imaginary residue from
 quadrature is dropped. The LSFD levels follow Björnson & Sanguinetti,
 "Making Cell-Free Massive MIMO Competitive With MMSE Processing and
@@ -52,12 +53,20 @@ from .numerics import hermitize, solve_hermitian
 
 @dataclass(frozen=True)
 class Moments:
-    """The second moments the distributed SE of one UE k rests on."""
-    signal: np.ndarray         # (|M_k|,) E[g_kk]
-    c_full: np.ndarray         # (|M_k|, |M_k|) C_k, sums over all UEs
-    c_partial: np.ndarray      # (|M_k|, |M_k|) C_k^P, sums over Q_k
-    p_ddot_k: float
+    """The second moments of the n UEs k of one size class, m = |M_k|."""
+    ues: np.ndarray            # (n,) the UEs k
+    signal: np.ndarray         # (n, m) E[g_kk]
+    c_full: np.ndarray         # (n, m, m) C_k, sums over all UEs
+    c_partial: np.ndarray      # (n, m, m) C_k^P, sums over Q_k
+    p_ddot: np.ndarray         # (n,) p̈_k
     one_ad2: float             # (1 - rho_ad)^2
+
+
+def size_classes(sizes):
+    """The UEs of each serving-set size |M_k| in use: every UE once."""
+    sizes = np.asarray(sizes)
+    return tuple(np.flatnonzero(sizes == m)
+                 for m in np.flatnonzero(np.bincount(sizes)))
 
 
 def _ap_kernels(ctx, l, served, centralized=False):
@@ -86,8 +95,8 @@ def _ap_kernels(ctx, l, served, centralized=False):
 
 
 def build_ingredients(ctx, cluster):
-    """The closed-form Moments of every UE under the given plan, from one
-    pass over the APs; a tuple indexed by UE."""
+    """The closed-form Moments under the given plan, from one pass over the
+    APs: a tuple of size classes (``size_classes``)."""
     stats, q = ctx.stats, ctx.q
     sizes = cluster.D.sum(axis=1)
     one_ad2 = (1.0 - q.rho_ad) ** 2
@@ -114,9 +123,9 @@ def build_ingredients(ctx, cluster):
     d = np.einsum("pn,pn->p", ctx.nx[ll], e_diag)
 
     scale = one_ad2 / (1.0 - q.rho_da)
-    moments = [None] * ctx.K
-    for m in np.flatnonzero(np.bincount(sizes)):        # each |M_k| in use
-        ues = np.flatnonzero(sizes == m)
+    classes = []
+    for ues in size_classes(sizes):
+        m = sizes[ues[0]]
         rows = first[ues, None] + np.arange(m)                  # (n, m)
         signal = g[rows, ues[:, None]]                          # E[g_kk], (n, m)
         diag = np.arange(m)
@@ -132,38 +141,37 @@ def build_ingredients(ctx, cluster):
             acc[:, diag, diag] += d[rows]
             return hermitize(acc)
 
-        full = interference(p[None], c_full)
-        partial = interference(p * overlap[ues], c_partial)
-        for j, k in enumerate(ues):
-            moments[k] = Moments(signal=signal[j], c_full=full[j],
-                                 c_partial=partial[j], p_ddot_k=float(p[k]),
-                                 one_ad2=one_ad2)
-    return tuple(moments)
+        classes.append(Moments(
+            ues=ues, signal=signal, c_full=interference(p[None], c_full),
+            c_partial=interference(p * overlap[ues], c_partial),
+            p_ddot=p[ues], one_ad2=one_ad2))
+    return tuple(classes)
 
 
 def lsfd_weights(moments, weighting):
-    """Second-stage weights: C_k^{-1} E[g_kk] for lsfd, (C_k^P)^{-1} E[g_kk]
-    for the scalable plsfd, all ones for l2.
+    """(n, m) second-stage weights of one size class: C_k^{-1} E[g_kk] for
+    lsfd, (C_k^P)^{-1} E[g_kk] for the scalable plsfd, all ones for l2.
 
     C_k has the mean-signal term removed, so C_k^{-1} E[g_kk] is the
     Rayleigh-quotient optimum of the SINR in ``se_from_moments``.
     """
     check_weighting(weighting)
     if weighting == "l2":
-        return np.ones(len(moments.signal), dtype=complex)
+        return np.ones(moments.signal.shape, dtype=complex)
     c = moments.c_full if weighting == "lsfd" else moments.c_partial
     return solve_hermitian(c, moments.signal)
 
 
-def se_from_moments(moments, weighting, prelog):
-    """Distributed SE of one UE from its Moments under the given weighting.
-
-    The denominator always uses C_k, also when the weights came from C_k^P.
-    """
-    a = lsfd_weights(moments, weighting)
-    if not np.any(a):
-        raise ValueError("all-zero weighting vector")
-    num = moments.one_ad2 * moments.p_ddot_k * np.abs(
-        np.vdot(a, moments.signal)) ** 2
-    den = np.real(np.vdot(a, moments.c_full @ a))
-    return prelog * np.log2(1.0 + num / den)
+def se_from_moments(classes, weighting, prelog):
+    """Distributed SE of every UE of the size classes, in UE order, under
+    the given weighting. The denominator always uses C_k, also when the
+    weights came from C_k^P."""
+    se = []
+    for c in classes:
+        a = np.conj(lsfd_weights(c, weighting))                 # (n, m)
+        if not np.all(np.any(a, axis=1)):
+            raise ValueError("all-zero weighting vector")
+        num = c.one_ad2 * c.p_ddot * np.abs(np.sum(a * c.signal, axis=1)) ** 2
+        den = np.einsum("nm,nmj,nj->n", a, c.c_full, np.conj(a)).real
+        se.append(prelog * np.log2(1.0 + num / den))
+    return np.concatenate(se)[np.argsort(np.concatenate([c.ues for c in classes]))]

@@ -88,18 +88,17 @@ def hermitize(a):
 
 
 def solve_hermitian(a, b):
-    """Solve a @ x = b for Hermitian ``a``.
-
-    Cholesky first; if the matrix is numerically indefinite (rank-one
-    subtractions at extreme SNR can do this), retry with a tiny trace-scaled
-    ridge and log the event.
-    """
-    a = np.asarray(a)
+    """Solve a @ x = b for Hermitian ``a`` (..., m, m): one Cholesky over the
+    stack; if it fails, per matrix, with a tiny trace-scaled ridge (logged)
+    where rank-one subtractions at extreme SNR leave one indefinite."""
+    a, b = np.asarray(a), np.asarray(b)
     try:
         c = np.linalg.cholesky(a)
-        y = np.linalg.solve(c, b)
-        return np.linalg.solve(np.conj(c.T), y)
+        y = np.linalg.solve(c, b[..., None])
+        return np.linalg.solve(np.conj(np.swapaxes(c, -1, -2)), y)[..., 0]
     except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            return np.stack([solve_hermitian(*pair) for pair in zip(a, b)])
         jitter = 1e-12 * np.trace(a).real / a.shape[-1]
         log.warning("hermitian solve fell back to ridge %.3e", jitter)
         return np.linalg.solve(a + jitter * np.eye(a.shape[-1]), b)

@@ -22,8 +22,8 @@ estimation context (``ctx.w``), which the Monte Carlo engine reads too.
 Also the expectation kernel E[hhat_k^H h_i h_i^H hhat_k] the distributed
 expressions rest on (Theorem 1), read from the same per-AP kernel blocks,
 which ``scfsim validate`` checks against Monte Carlo. The distributed closed
-form is ``lsfd.build_ingredients`` followed by ``lsfd.se_from_moments``, the
-path the Monte Carlo engine shares.
+form is ``lsfd.build_ingredients``'s size classes taken to every UE's SE by
+``lsfd.se_from_moments``, the path the Monte Carlo engine shares.
 """
 
 import numpy as np

@@ -2,31 +2,23 @@
 
 Distributed scheme: the hardening bound evaluated from jointly sampled
 (channel, estimate, receive-noise) trials. The trials are summed into
-per-UE sample moments (``DistributedSums``), which give the same
-``lsfd.Moments`` bundle the closed form builds; ``lsfd.se_from_moments``
-turns it into weights and SE for both engines, so numerator and denominator
-share the same trials to keep the ratio variance down. Centralized scheme:
-the instantaneous-SINR bound averaged over estimate realizations.
+sample moments per size class (``DistributedSums``), which give the same
+``lsfd.Moments`` classes the closed form builds; ``lsfd.se_from_moments``
+turns them into weights and SE for both engines, so numerator and
+denominator share the same trials to keep the ratio variance down.
+Centralized scheme: the instantaneous-SINR bound averaged over estimate
+realizations.
 
 Trials are processed in fixed-size batches with per-batch derived RNG
 streams and summed in batch order, so results are bit-identical no matter
 how the surrounding experiment is scheduled. A batch holds one copy of the
 true channels plus only what its engine reads, in the layout it reads
-(``sampling``). The distributed engine draws each batch whole and consumes
-it in trial chunks of about CHUNK_ELEMS elements: per chunk it forms
-estimates and combiners only on the pairs its local detector reads and
-serves, and reads the trials-last channels in place, so a large batch
-costs little beyond its draws. Within a chunk, each UE's effective
-channels and the conjugated copy its Grams take are formed in sub-chunks
-of at most CHUNK_ELEMS elements of g. The centralized engine drops the
-channels once the pilot observations exist and writes every estimate
-UE-last; each UE then walks the batch in chunks of at most CHUNK_ELEMS /
-(|M_k| N K) trials, and a chunk holds that UE's serving subspace (one
-gather, or a view when it is every AP), its combiner temporaries and its
-per-trial rates. At paper scale (L=64, K=150) both engines then peak in
-the channel draw, within 0.3 batches of the channels. Estimate-free
-combiner parts (static matrices, error-plus-noise blocks) are built once
-per report, and detector and weighting names are checked before sampling.
+(``sampling``), and is consumed in trial chunks of at most about
+CHUNK_ELEMS elements (``distributed_mc_sums``, ``centralized_mc_report``).
+At paper scale (L=64, K=150) both engines then peak in the channel draw,
+within 0.3 batches of the channels. Estimate-free combiner parts (static
+matrices, error-plus-noise blocks) are built once per report, and detector
+and weighting names are checked before sampling.
 """
 
 import math
@@ -38,7 +30,7 @@ from .config import check_weighting
 from .detectors import (centralized_combiners, centralized_system_matrices,
                         local_combiners, local_pairs, local_statics,
                         serving_subspace)
-from .lsfd import Moments, se_from_moments
+from .lsfd import Moments, se_from_moments, size_classes
 from .numerics import _is_integer
 from .pilots import block_diag_cov
 from .rng import substream
@@ -129,25 +121,28 @@ def _group_of(batch_idx, n_batches, groups):
 
 
 class DistributedSums:
-    """Per-UE running sums of every Eq.-18 moment, split into stderr groups."""
+    """Running sums of every Eq.-18 moment, split into stderr groups: one
+    (groups, n, m[, m]) array per size class, row j for UE ``ues[c][j]``."""
 
     def __init__(self, ctx, sizes, groups):
         self.p = ctx.p_ddot
         self.one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
         self.rho_da = ctx.q.rho_da
         self.count = np.zeros(groups)
-        self.g_sum = [np.zeros((groups, m), dtype=complex) for m in sizes]
-        self.w_full = [np.zeros((groups, m, m), dtype=complex) for m in sizes]
-        self.w_overlap = [np.zeros((groups, m, m), dtype=complex) for m in sizes]
-        self.f_outer = [np.zeros((groups, m, m), dtype=complex) for m in sizes]
-        self.d_local = [np.zeros((groups, m)) for m in sizes]
+        self.ues = size_classes(sizes)
+        shapes = [(groups, len(ues), sizes[ues[0]]) for ues in self.ues]
+        self.g_sum = [np.zeros(s, dtype=complex) for s in shapes]
+        self.w_full = [np.zeros(s + s[-1:], dtype=complex) for s in shapes]
+        self.w_overlap = [np.zeros(s + s[-1:], dtype=complex) for s in shapes]
+        self.f_outer = [np.zeros(s + s[-1:], dtype=complex) for s in shapes]
+        self.d_local = [np.zeros(s) for s in shapes]
 
     @property
     def groups(self):
         return len(self.count)
 
-    def moments(self, k, sel=slice(None)):
-        """UE k's Moments from the trials of the stderr groups ``sel``:
+    def moments(self, sel=slice(None)):
+        """Each size class's Moments from the trials of the groups ``sel``:
 
             C_k   = (1-rho_ad)^2 W + F - (1-rho_ad)^2 p̈_k g g^H
             C_k^P = diag(d) + (1-rho_ad)^2/(1-rho_da) W_Q
@@ -158,19 +153,20 @@ class DistributedSums:
         Gram and d its AP-local diagonal.
         """
         n = self.count[sel].sum()
-        g_bar = self.g_sum[k][sel].sum(axis=0) / n
-        w_full = self.w_full[k][sel].sum(axis=0) / n
-        w_overlap = self.w_overlap[k][sel].sum(axis=0) / n
-        f_mat = self.f_outer[k][sel].sum(axis=0) / n
-        d_vec = self.d_local[k][sel].sum(axis=0) / n
-        signal_term = self.one_ad2 * self.p[k] * np.outer(g_bar, np.conj(g_bar))
-        return Moments(
-            signal=g_bar,
-            c_full=self.one_ad2 * w_full + f_mat - signal_term,
-            c_partial=(np.diag(d_vec)
-                       + self.one_ad2 / (1.0 - self.rho_da) * w_overlap
-                       - signal_term),
-            p_ddot_k=float(self.p[k]), one_ad2=self.one_ad2)
+        sums = (self.g_sum, self.w_full, self.w_overlap, self.f_outer, self.d_local)
+        classes = []
+        for c, ues in enumerate(self.ues):
+            g_bar, w, w_q, f, d = (s[c][sel].sum(axis=0) / n for s in sums)
+            signal_term = self.one_ad2 * self.p[ues, None, None] * (
+                g_bar[:, :, None] * np.conj(g_bar[:, None, :]))
+            classes.append(Moments(
+                ues=ues, signal=g_bar,
+                c_full=self.one_ad2 * w + f - signal_term,
+                c_partial=(d[:, :, None] * np.eye(d.shape[1])
+                           + self.one_ad2 / (1.0 - self.rho_da) * w_q
+                           - signal_term),
+                p_ddot=self.p[ues], one_ad2=self.one_ad2))
+        return tuple(classes)
 
 
 def _gram(x):
@@ -215,32 +211,33 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
             v = local_combiners(estimates(ctx, z[..., t], *pairs), ctx,
                                 cluster, detector, statics)      # (P, N, c)
             h_t = h[..., t]
-            for k in range(ctx.K):
-                v_k = v[bounds[k]:bounds[k + 1]]                 # (M, N, c)
-                cv = np.conj(v_k)
-                for u in _ue_chunks(t.stop - t.start, sizes[k] * ctx.K):
-                    g = np.empty((sizes[k], ctx.K, u.stop - u.start),
-                                 dtype=complex)
-                    for j, l in enumerate(serving[k]):
-                        np.multiply(h_t[:, l, 0, u], cv[j, 0, u],
-                                    out=g[j])                    # (K, c')
-                        for a in range(1, ctx.N):
-                            g[j] += h_t[:, l, a, u] * cv[j, a, u]
-                    acc.g_sum[k][g_idx] += g[:, k].sum(axis=1)
-                    g *= sqrt_p
-                    w_full = _gram(g.reshape(sizes[k], -1))
-                    acc.w_full[k][g_idx] += w_full
-                    q_idx = overlap[k]
-                    acc.w_overlap[k][g_idx] += (
-                        w_full if q_idx is None
-                        else _gram(g[:, q_idx].reshape(sizes[k], -1)))
-                    # freed before the next sub-chunk is formed
-                    del g
-                f = np.sum(cv * noise[serving[k], :, t], axis=1)    # (M, c)
-                acc.f_outer[k][g_idx] += _gram(f)
-                v_abs2 = np.sum(np.abs(v_k) ** 2, axis=-1)      # (M, N)
-                acc.d_local[k][g_idx] += np.sum(v_abs2 * ctx.nx[serving[k]],
-                                                axis=1)
+            for cls, ues in enumerate(acc.ues):
+                for row, k in enumerate(ues):
+                    v_k = v[bounds[k]:bounds[k + 1]]             # (M, N, c)
+                    cv = np.conj(v_k)
+                    for u in _ue_chunks(t.stop - t.start, sizes[k] * ctx.K):
+                        g = np.empty((sizes[k], ctx.K, u.stop - u.start),
+                                     dtype=complex)
+                        for j, l in enumerate(serving[k]):
+                            np.multiply(h_t[:, l, 0, u], cv[j, 0, u],
+                                        out=g[j])                # (K, c')
+                            for a in range(1, ctx.N):
+                                g[j] += h_t[:, l, a, u] * cv[j, a, u]
+                        acc.g_sum[cls][g_idx, row] += g[:, k].sum(axis=1)
+                        g *= sqrt_p
+                        w_full = _gram(g.reshape(sizes[k], -1))
+                        acc.w_full[cls][g_idx, row] += w_full
+                        q_idx = overlap[k]
+                        acc.w_overlap[cls][g_idx, row] += (
+                            w_full if q_idx is None
+                            else _gram(g[:, q_idx].reshape(sizes[k], -1)))
+                        # freed before the next sub-chunk is formed
+                        del g
+                    f = np.sum(cv * noise[serving[k], :, t], axis=1)  # (M, c)
+                    acc.f_outer[cls][g_idx, row] += _gram(f)
+                    v_abs2 = np.sum(np.abs(v_k) ** 2, axis=-1)  # (M, N)
+                    acc.d_local[cls][g_idx, row] += np.sum(
+                        v_abs2 * ctx.nx[serving[k]], axis=1)
             # freed before the next chunk is formed, not overwritten after
             # it; v_k and cv would keep v alive
             del v, v_k, cv
@@ -255,16 +252,12 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
     # checked before any trial is drawn, like the detector in the sums
     check_weighting(weighting)
     sums = distributed_mc_sums(ctx, cluster, detector, trials, seed)
-    groups = sums.groups
-    se = np.empty(ctx.K)
+    se = se_from_moments(sums.moments(), weighting, prelog)
     stderr = np.full(ctx.K, np.nan)
-    for k in range(ctx.K):
-        se[k] = se_from_moments(sums.moments(k), weighting, prelog)
-        if groups >= 2:
-            per_group = [se_from_moments(sums.moments(k, slice(g_i, g_i + 1)),
-                                         weighting, prelog)
-                         for g_i in range(groups)]
-            stderr[k] = np.std(per_group, ddof=1) / math.sqrt(groups)
+    if sums.groups >= 2:
+        per_group = [se_from_moments(sums.moments(slice(g, g + 1)), weighting,
+                                     prelog) for g in range(sums.groups)]
+        stderr = np.std(per_group, axis=0, ddof=1) / math.sqrt(sums.groups)
     return SEReport(se=se, prelog=prelog, scheme="distributed",
                     detector=detector, weighting=weighting,
                     evaluation="monte-carlo", trials=trials, stderr=stderr)

@@ -8,7 +8,11 @@ R Psi^{-1} R themselves (``receive_noise``, ``estimator_products``: the
 pilot covariance of ``pilots.psi_matrix`` and one solve), so they do not
 read the context under test for them. The builders below are the former
 one-UE-at-a-time versions, with every Theorem-2 ingredient (lambda, b, c,
-d) exposed, the four-case Theorem-1 kernel formula that
+d) exposed and UE k's Moments as a one-UE size class; ``ue_row`` reads UE
+k's row out of the simulator's size classes or Monte Carlo sums, and
+``lsfd_weights`` / ``se_from_moments`` are the former per-UE weights and SE
+(one 2-D solve, ``np.vdot``) that the batched ones are checked against.
+Also the four-case Theorem-1 kernel formula that
 ``se_closed.theorem1_kernel`` now reads from the closed forms' per-AP kernel
 table, and the former builder of the per-AP error-plus-noise matrices W that
 the estimation context now holds, and the former two-part formula of the
@@ -26,18 +30,23 @@ code paths are checked against; ``toeplitz_psd`` is the former PSD assembly
 of the correlation matrices, which ran ``eigh`` on every link.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
+from scfsim.config import check_weighting
 from scfsim.detectors import local_combiners, local_pairs, local_statics
 from scfsim.lsfd import Moments
 from scfsim.numerics import (NotPositiveSemidefiniteError, crandn, hermitize,
-                             linear_to_db)
+                             linear_to_db, solve_hermitian)
 from scfsim.pilots import PilotPlan, psi_matrix
 from scfsim.quantization import received_noise_covariance
 from scfsim.sampling import estimates, sample_data_noise, sample_joint
 from scfsim.scheduler import ClusterPlan
+from scfsim.se_mc import DistributedSums
+
+SUM_FIELDS = ("g_sum", "w_full", "w_overlap", "f_outer", "d_local")
 
 # eigenvalues above -PSD_CLIP_FRACTION * trace are treated as rounding noise
 PSD_CLIP_FRACTION = 1e-10
@@ -211,7 +220,7 @@ class LsfdIngredients:
     b: np.ndarray              # (K, |M_k|) real; rows meaningful for i in P_k
     c: np.ndarray              # (K, |M_k|) real
     d: np.ndarray              # (|M_k|,) real
-    moments: Moments           # signal = lambda_k^k + b_k^k
+    moments: Moments           # UE k's one-UE class; signal = lambda_k^k + b_k^k
 
 
 def build_ingredients(k, ctx, cluster):
@@ -287,15 +296,55 @@ def build_ingredients(k, ctx, cluster):
         return hermitize(acc)
 
     moments = Moments(
-        signal=signal,
-        c_full=interference(np.arange(ctx.K), cp_idx),
+        ues=np.array([k]), signal=signal[None],
+        c_full=interference(np.arange(ctx.K), cp_idx)[None],
         c_partial=interference(
             np.asarray(overlap, dtype=int),
-            np.asarray(sorted(set(copilot) & set(overlap)), dtype=int)),
-        p_ddot_k=float(p[k]), one_ad2=one_ad2)
+            np.asarray(sorted(set(copilot) & set(overlap)), dtype=int))[None],
+        p_ddot=p[[k]], one_ad2=one_ad2)
     return LsfdIngredients(
         k=k, serving=tuple(serving), copilot=tuple(copilot),
         overlap=tuple(overlap), lam=lam, b=b, c=c, d=d, moments=moments)
+
+
+def ue_row(x, k):
+    """UE k's row: of a tuple of size classes (``lsfd.build_ingredients``,
+    ``DistributedSums.moments``), the one-UE class; of a
+    ``DistributedSums``, the views (groups, m[, m]) of its five sums by
+    name, which the loop oracles add to in place."""
+    sums = isinstance(x, DistributedSums)
+    ues = x.ues if sums else [m.ues for m in x]
+    hits = [(c, j) for c, u in enumerate(ues) for j in np.flatnonzero(u == k)]
+    assert len(hits) == 1, f"UE {k} sits in {len(hits)} class rows"
+    c, j = hits[0]
+    if sums:
+        return {name: getattr(x, name)[c][:, j] for name in SUM_FIELDS}
+    return dataclasses.replace(x[c], **{
+        name: getattr(x[c], name)[j:j + 1]
+        for name in ("ues", "signal", "c_full", "c_partial", "p_ddot")})
+
+
+def lsfd_weights(moments, weighting):
+    """The former per-UE second-stage weights of a one-UE class: one 2-D
+    solve."""
+    check_weighting(weighting)
+    signal = moments.signal[0]
+    if weighting == "l2":
+        return np.ones(len(signal), dtype=complex)
+    c = moments.c_full if weighting == "lsfd" else moments.c_partial
+    return solve_hermitian(c[0], signal)
+
+
+def se_from_moments(moments, weighting, prelog):
+    """The former per-UE distributed SE of a one-UE class, in ``np.vdot``
+    form."""
+    a = lsfd_weights(moments, weighting)
+    if not np.any(a):
+        raise ValueError("all-zero weighting vector")
+    num = moments.one_ad2 * moments.p_ddot[0] * np.abs(
+        np.vdot(a, moments.signal[0])) ** 2
+    den = np.real(np.vdot(a, moments.c_full[0] @ a))
+    return prelog * np.log2(1.0 + num / den)
 
 
 def theorem1_kernel(k, i, l1, l2, ctx):

@@ -281,7 +281,7 @@ def test_criterion_09_degeneration_suite():
     z = crandn(substream(0, "z"), (stats.N,), 1e-10)
     hhat_l = crandn(substream(1, "h"), (stats.K, stats.N), 1e-9)
     v_ap0 = lmmse_at_ap(hhat_l, 0, ctx, cluster)
-    moments = build_ingredients(ctx, cluster)
+    se = se_from_moments(build_ingredients(ctx, cluster), "lsfd", cfg.prelog)
     for k in range(stats.K):
         for l in range(stats.L):
             got = estimate_local(z, k, l, ctx)
@@ -290,7 +290,7 @@ def test_criterion_09_degeneration_suite():
         got_v = v_ap0[k]
         want_v = ideal.ideal_lmmse(k, 0, hhat_l, stats, plan, p, ctx.sigma2)
         worst = max(worst, np.max(np.abs(got_v - want_v)) / np.max(np.abs(want_v)))
-        got_se = se_from_moments(moments[k], "lsfd", cfg.prelog)
+        got_se = se[k]
         want_se = ideal.ideal_se_mrc_lsfd(k, stats, plan, p, ctx.sigma2,
                                           cfg.prelog)
         worst = max(worst, abs(got_se - want_se) / abs(want_se))

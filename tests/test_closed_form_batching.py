@@ -118,7 +118,7 @@ def _interference_outer(ing, ctx, sum_set, copilot_set):
                        + np.outer(ing.b[i], np.conj(ing.lam[i]))
                        + np.outer(ing.lam[i], ing.b[i]))
     acc *= one_ad2 / (1.0 - ctx.q.rho_da)
-    signal = ing.moments.signal
+    signal = ing.moments.signal[0]
     acc -= one_ad2 * p[k] * np.outer(signal, np.conj(signal))
     acc += np.diag(ing.d)
     return 0.5 * (acc + acc.conj().T)
@@ -164,9 +164,9 @@ def test_lsfd_matrices_match_outer_products(system):
         # same additions in the same order as the loop: equal, not just close
         overlap = cluster.overlap[k]
         assert np.array_equal(
-            ing.moments.c_full,
+            ing.moments.c_full[0],
             _interference_outer(ing, ctx, range(ctx.K), copilot))
-        assert np.array_equal(ing.moments.c_partial, _interference_outer(
+        assert np.array_equal(ing.moments.c_partial[0], _interference_outer(
             ing, ctx, overlap, sorted(set(copilot) & set(overlap))))
 
 
@@ -196,16 +196,21 @@ def test_all_ue_closed_forms_match_per_ue_oracles(network, fading, plan):
         assert len(np.unique(cluster.D.sum(axis=1))) > 1
 
     moments = build_ingredients(ctx, cluster)
-    assert len(moments) == ctx.K
+    # every UE sits in exactly one class row
+    assert np.array_equal(np.sort(np.concatenate([m.ues for m in moments])),
+                          np.arange(ctx.K))
+    se = {w: se_from_moments(moments, w, 0.95) for w in WEIGHTINGS}
     for k in range(ctx.K):
         want = oracles.build_ingredients(k, ctx, cluster).moments
+        row = oracles.ue_row(moments, k)
         for field in ("signal", "c_full", "c_partial"):
-            _assert_close(getattr(moments[k], field), getattr(want, field))
-        assert (moments[k].p_ddot_k, moments[k].one_ad2) == (want.p_ddot_k,
-                                                             want.one_ad2)
+            _assert_close(getattr(row, field), getattr(want, field))
+        assert np.array_equal(row.p_ddot, want.p_ddot)
+        assert row.one_ad2 == want.one_ad2
         for weighting in WEIGHTINGS:
-            got = se_from_moments(moments[k], weighting, 0.95)
-            assert abs(got - se_from_moments(want, weighting, 0.95)) <= REL * got
+            got = se[weighting][k]
+            want_se = oracles.se_from_moments(want, weighting, 0.95)
+            assert abs(got - want_se) <= REL * got
 
     got = se_centralized_closed(ctx, cluster, 0.95)
     want = np.array([oracles.se_centralized_closed(k, ctx, cluster, 0.95)

@@ -13,6 +13,12 @@ are fixed, so each verdict is reproducible; each bound below holds the
 family-wise false-alarm rate of its test at 1% when the closed form is
 exact. The quantiles were computed with ``scipy.stats``, which the suite
 does not depend on.
+
+On the same (1,2)-bit cells of both fadings and plans, the batched step from
+moments to SE, one solve per serving-set size class, is pinned to the
+former per-UE one (``oracles.se_from_moments``) applied to each UE's row:
+to 1e-13 relative for the closed form, and to 1e-12 for the MC report's SE
+and stderr, whose per-UE oracle reads the same sums.
 """
 
 import numpy as np
@@ -21,10 +27,11 @@ import pytest
 from scfsim import se_mc
 from scfsim.config import WEIGHTINGS, SimConfig
 from scfsim.harness import build_system, distributed_closed_report
+from scfsim.lsfd import build_ingredients
 from scfsim.rng import substream
 from scfsim.se_closed import theorem1_kernel
 from scfsim.validation import theorem1_cases
-from oracles import joint_batch
+from oracles import joint_batch, se_from_moments, ue_row
 
 NETWORK = dict(L=8, K=10, N=2, tau=4)
 DROP_SEED, MC_SEED = 21, 5
@@ -85,6 +92,55 @@ def test_distributed_se_closed_form_matches_mc(fading, strategy, converters,
     z = np.concatenate(z)
     assert np.max(np.abs(z)) <= SE_MAX_ABS_Z, z
     assert np.mean(z ** 2) <= SE_MEAN_Z2, z
+
+
+# the batched SE against the per-UE oracle: 10 batches of 64 trials, one per
+# stderr group
+ORACLE_TRIALS = 640
+CLOSED_REL, MC_REL = 1e-13, 1e-12
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("fading", FADINGS)
+def test_batched_se_matches_per_ue_oracle(fading, strategy, monkeypatch):
+    cfg, ctx, cluster = _system(fading, strategy)
+    sizes = cluster.D.sum(axis=1)
+    classes = build_ingredients(ctx, cluster)
+    sums = se_mc.distributed_mc_sums(ctx, cluster, "mrc", ORACLE_TRIALS,
+                                     MC_SEED)
+    assert sums.groups == 10
+    # every UE sits in exactly one class row, of its own serving-set size
+    for ues in ([c.ues for c in classes], sums.ues,
+                [c.ues for c in sums.moments()]):
+        assert np.array_equal(np.sort(np.concatenate(ues)), np.arange(ctx.K))
+    for c in classes:
+        assert np.all(sizes[c.ues] == c.signal.shape[1])
+    assert (len(classes) > 1) == (strategy == "algorithm1")
+
+    monkeypatch.setattr(se_mc, "distributed_mc_sums", lambda *args: sums)
+    pooled = sums.moments()
+    grouped = [sums.moments(slice(g, g + 1)) for g in range(sums.groups)]
+    for weighting in WEIGHTINGS:
+        closed = distributed_closed_report(ctx, cluster, weighting, cfg.prelog)
+        want = [se_from_moments(ue_row(classes, k), weighting, cfg.prelog)
+                for k in range(ctx.K)]
+        assert _rel(closed.se, want) <= CLOSED_REL
+
+        mc = se_mc.distributed_mc_report(ctx, cluster, "mrc", weighting,
+                                         ORACLE_TRIALS, MC_SEED, cfg.prelog)
+        want_se, want_stderr = [], []
+        for k in range(ctx.K):
+            want_se.append(se_from_moments(ue_row(pooled, k), weighting,
+                                           cfg.prelog))
+            per_group = [se_from_moments(ue_row(m, k), weighting, cfg.prelog)
+                         for m in grouped]
+            want_stderr.append(np.std(per_group, ddof=1) / np.sqrt(len(grouped)))
+        assert _rel(mc.se, want_se) <= MC_REL
+        assert _rel(mc.stderr, want_stderr) <= MC_REL
 
 
 @pytest.mark.parametrize("fading, strategy", KERNEL_CELLS)

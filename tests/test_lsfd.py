@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
-from scfsim.config import SimConfig
+from scfsim import lsfd
+from scfsim.config import ConfigError, SimConfig
 from scfsim.harness import build_system
 from scfsim.lsfd import Moments, build_ingredients, lsfd_weights, se_from_moments
+from scfsim.numerics import crandn, solve_hermitian
 from scfsim.rng import substream
 from scfsim.scheduler import full_cluster_plan
 from scfsim.se_mc import distributed_mc_sums
@@ -32,7 +36,7 @@ def test_b_defined_only_for_copilot():
 def test_ingredients_match_monte_carlo_moments():
     _, stats, q, powers, plan, ctx, cluster = small_system(seed=32)
     k = 0
-    m = build_ingredients(ctx, cluster)[k]
+    m = oracles.ue_row(build_ingredients(ctx, cluster), k)
     trials = 150000
     rng = substream(8, "moments")
     m_idx = np.asarray(cluster.serving[k])
@@ -57,40 +61,90 @@ def test_ingredients_match_monte_carlo_moments():
              - one_ad2 * powers[k] * np.outer(g_bar, np.conj(g_bar)))
 
     # E[g_kk] = lambda_k^k + b_k^k
-    scale = np.abs(m.signal).max()
-    assert np.max(np.abs(g_bar - m.signal)) < 0.02 * scale
+    scale = np.abs(m.signal[0]).max()
+    assert np.max(np.abs(g_bar - m.signal[0])) < 0.02 * scale
     # closed-form C_k = Monte Carlo B_k^d
-    assert (np.linalg.norm(b_hat - m.c_full) / np.linalg.norm(m.c_full)) < 0.05
+    assert (np.linalg.norm(b_hat - m.c_full[0])
+            / np.linalg.norm(m.c_full[0])) < 0.05
 
 
 def test_optimal_weights_identity_matrix():
-    g = np.array([1 + 1j, 2.0, -3j])
-    m = Moments(signal=g, c_full=np.eye(3), c_partial=2.0 * np.eye(3),
-                p_ddot_k=1.0, one_ad2=1.0)
+    g = np.array([[1 + 1j, 2.0, -3j]])
+    m = Moments(ues=np.array([0]), signal=g, c_full=np.eye(3)[None],
+                c_partial=2.0 * np.eye(3)[None], p_ddot=np.ones(1),
+                one_ad2=1.0)
     assert np.allclose(lsfd_weights(m, "lsfd"), g)
     assert np.allclose(lsfd_weights(m, "plsfd"), g / 2.0)
-    assert np.array_equal(lsfd_weights(m, "l2"), np.ones(3))
+    assert np.array_equal(lsfd_weights(m, "l2"), np.ones((1, 3)))
     with pytest.raises(ValueError, match="weighting"):
         lsfd_weights(m, "mr")
 
 
+def _definite_stack(seed, n, m):
+    """n Hermitian positive-definite (m, m) matrices and n right-hand sides."""
+    rng = substream(seed, "solve-stack")
+    x = crandn(rng, (n, m, m))
+    return x @ np.conj(np.swapaxes(x, -1, -2)) + m * np.eye(m), crandn(rng, (n, m))
+
+
+def _cholesky_2d(a, b):
+    c = np.linalg.cholesky(a)
+    return np.linalg.solve(np.conj(c.T), np.linalg.solve(c, b))
+
+
+def test_solve_hermitian_falls_back_per_matrix(caplog):
+    a, b = _definite_stack(14, 5, 3)
+    a[2] = np.diag([2.0, -1e-14, 1.0])      # numerically indefinite
+    with caplog.at_level(logging.WARNING, logger="scfsim.numerics"):
+        x = solve_hermitian(a, b)
+    ridge = [r for r in caplog.records if "ridge" in r.getMessage()]
+    assert len(ridge) == len(caplog.records) == 1
+    for j in (0, 1, 3, 4):
+        assert np.array_equal(x[j], _cholesky_2d(a[j], b[j]))
+    jitter = 1e-12 * np.trace(a[2]).real / 3
+    assert np.array_equal(x[2], np.linalg.solve(a[2] + jitter * np.eye(3), b[2]))
+
+
+def test_solve_hermitian_definite_stack_logs_nothing(caplog):
+    a, b = _definite_stack(15, 6, 4)
+    with caplog.at_level(logging.DEBUG, logger="scfsim.numerics"):
+        x = solve_hermitian(a, b)
+    assert not caplog.records
+    for j in range(6):
+        assert np.array_equal(x[j], _cholesky_2d(a[j], b[j]))
+
+
+def test_bad_weighting_raises_before_any_solve(monkeypatch):
+    _, _, _, _, _, ctx, cluster = small_system(seed=37)
+    classes = build_ingredients(ctx, cluster)
+
+    def no_solve(*args):
+        raise AssertionError("solved before the weighting was checked")
+
+    monkeypatch.setattr(lsfd, "solve_hermitian", no_solve)
+    with pytest.raises(ConfigError, match="weighting"):
+        se_from_moments(classes, "mr", 0.95)
+
+
 def test_optimal_weights_maximality():
     _, _, q, powers, _, ctx, cluster = small_system(seed=33)
-    m = build_ingredients(ctx, cluster)[1]
+    m = oracles.ue_row(build_ingredients(ctx, cluster), 1)
     one_ad2 = (1 - q.rho_ad) ** 2
+    signal, c_full = m.signal[0], m.c_full[0]
 
     def sinr(a):
-        num = one_ad2 * m.p_ddot_k * np.abs(np.vdot(a, m.signal)) ** 2
-        return num / np.real(np.vdot(a, m.c_full @ a))
+        num = one_ad2 * m.p_ddot[0] * np.abs(np.vdot(a, signal)) ** 2
+        return num / np.real(np.vdot(a, c_full @ a))
 
-    best = sinr(lsfd_weights(m, "lsfd"))
-    assert se_from_moments(m, "lsfd", 1.0) == pytest.approx(np.log2(1 + best),
-                                                           rel=1e-12)
+    best = sinr(lsfd_weights(m, "lsfd")[0])
+    assert se_from_moments((m,), "lsfd", 1.0)[0] == pytest.approx(
+        np.log2(1 + best), rel=1e-12)
     rng = substream(9, "rand-a")
     for _ in range(100):
-        a = rng.standard_normal(len(m.signal)) + 1j * rng.standard_normal(len(m.signal))
+        a = rng.standard_normal(len(signal)) + 1j * rng.standard_normal(len(signal))
         assert sinr(a) <= best * (1 + 1e-10)
-    assert sinr(5.0 * lsfd_weights(m, "lsfd")) == pytest.approx(best, rel=1e-12)
+    assert sinr(5.0 * lsfd_weights(m, "lsfd")[0]) == pytest.approx(best,
+                                                                 rel=1e-12)
 
 
 def test_plsfd_equals_lsfd_with_full_overlap():
@@ -105,12 +159,13 @@ def test_plsfd_equals_lsfd_with_full_overlap():
 def test_l2_vector_and_se_ordering():
     _, _, _, _, _, ctx, cluster = small_system(seed=35)
     prelog = 0.95
-    for k, m in enumerate(build_ingredients(ctx, cluster)):
-        assert np.array_equal(lsfd_weights(m, "l2"),
-                              np.ones(len(cluster.serving[k])))
-        best = se_from_moments(m, "lsfd", prelog)
-        l2 = se_from_moments(m, "l2", prelog)
-        assert l2 <= best * (1 + 1e-12)
+    classes = build_ingredients(ctx, cluster)
+    for m in classes:
+        for k, ones in zip(m.ues, lsfd_weights(m, "l2")):
+            assert np.array_equal(ones, np.ones(len(cluster.serving[k])))
+    best = se_from_moments(classes, "lsfd", prelog)
+    l2 = se_from_moments(classes, "l2", prelog)
+    assert np.all(l2 <= best * (1 + 1e-12))
 
 
 def test_single_ap_weight_scale_invariance():
@@ -118,10 +173,10 @@ def test_single_ap_weight_scale_invariance():
     from scfsim.scheduler import ClusterPlan
     cluster = ClusterPlan(np.ones((3, 1), dtype=bool),
                           np.zeros(3, dtype=int))
-    m = build_ingredients(ctx, cluster)[0]
+    classes = build_ingredients(ctx, cluster)
     prelog = 0.9
-    best = se_from_moments(m, "lsfd", prelog)
-    one = se_from_moments(m, "l2", prelog)
+    best = se_from_moments(classes, "lsfd", prelog)
+    one = se_from_moments(classes, "l2", prelog)
     assert one == pytest.approx(best, rel=1e-10)
 
 
@@ -156,12 +211,18 @@ def mrc_moments(request):
 @pytest.mark.parametrize("field", ["signal", "c_full", "c_partial"])
 def test_mc_moments_match_closed_form(mrc_moments, field):
     ctx, cluster, runs = mrc_moments
+    closed = build_ingredients(ctx, cluster)
+    pooled = [r.moments() for r in runs]
+    grouped = [r.moments(slice(g, g + 1)) for r in runs for g in range(r.groups)]
+
+    def ue_field(classes, k):
+        return getattr(oracles.ue_row(classes, k), field)[0]
+
     worst = 0.0
-    for k, moments in enumerate(build_ingredients(ctx, cluster)):
-        want = getattr(moments, field)
-        got = np.mean([getattr(r.moments(k), field) for r in runs], axis=0)
-        per_group = np.array([getattr(r.moments(k, slice(g, g + 1)), field)
-                              for r in runs for g in range(r.groups)])
+    for k in range(ctx.K):
+        want = ue_field(closed, k)
+        got = np.mean([ue_field(m, k) for m in pooled], axis=0)
+        per_group = np.array([ue_field(m, k) for m in grouped])
         floor = 1e-9 * np.max(np.abs(want))    # entries that are exactly zero
         for part in (np.real, np.imag):
             stderr = part(per_group).std(axis=0, ddof=1) / np.sqrt(len(per_group))

@@ -29,8 +29,9 @@ from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, _group_of,
                           batch_plan, centralized_mc_report,
                           distributed_mc_report, distributed_mc_sums)
 
-from oracles import (ap_local_noise, cluster_sets, data_noise_batch,
-                     joint_batch, zero_filled_local_combiners)
+from oracles import (SUM_FIELDS, ap_local_noise, cluster_sets,
+                     data_noise_batch, joint_batch, ue_row,
+                     zero_filled_local_combiners)
 
 SE_REL = 1e-12
 STDERR_REL = 1e-10
@@ -88,18 +89,19 @@ def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
         g_idx = _group_of(b_idx, len(batches), acc.groups)
         acc.count[g_idx] += hi - lo
         for k in range(ctx.K):
+            row = ue_row(acc, k)
             m_idx = serving[k]
             v_k = v[:, k, m_idx, :]
             g = np.einsum("bmn,bimn->bim", np.conj(v_k), h[:, :, m_idx, :])
-            acc.g_sum[k][g_idx] += g[:, k].sum(axis=0)
-            acc.w_full[k][g_idx] += np.einsum("i,bim,bin->mn", p, g, np.conj(g))
+            row["g_sum"][g_idx] += g[:, k].sum(axis=0)
+            row["w_full"][g_idx] += np.einsum("i,bim,bin->mn", p, g, np.conj(g))
             q_idx = overlap[k]
-            acc.w_overlap[k][g_idx] += np.einsum(
+            row["w_overlap"][g_idx] += np.einsum(
                 "i,bim,bin->mn", p[q_idx], g[:, q_idx], np.conj(g[:, q_idx]))
             f = np.einsum("bmn,bmn->bm", np.conj(v_k), noise[:, m_idx, :])
-            acc.f_outer[k][g_idx] += np.einsum("bm,bn->mn", f, np.conj(f))
+            row["f_outer"][g_idx] += np.einsum("bm,bn->mn", f, np.conj(f))
             v_abs2 = np.abs(v_k) ** 2
-            acc.d_local[k][g_idx] += np.einsum("bmn,mn->m", v_abs2, nx[m_idx])
+            row["d_local"][g_idx] += np.einsum("bmn,mn->m", v_abs2, nx[m_idx])
     return acc
 
 
@@ -236,9 +238,9 @@ def test_distributed_sums_and_report_match_loop(system, detector, monkeypatch):
     want = _distributed_sums_loop(ctx, cluster, detector, TRIALS, 5)
     assert got.groups == want.groups >= 2
     assert np.array_equal(got.count, want.count)
-    for field in ("g_sum", "w_full", "w_overlap", "f_outer", "d_local"):
+    for field in SUM_FIELDS:
         for k in range(ctx.K):
-            _assert_close(getattr(got, field)[k], getattr(want, field)[k], SE_REL)
+            _assert_close(ue_row(got, k)[field], ue_row(want, k)[field], SE_REL)
 
     for weighting in ("lsfd", "plsfd"):
         report = distributed_mc_report(ctx, cluster, detector, weighting,
@@ -272,12 +274,12 @@ def test_chunked_batches_match_one_chunk(system, detector, monkeypatch):
     one = runs["one"]
     for chunked in (runs["many"], runs["sub"]):
         assert np.array_equal(one.count, chunked.count)
-        for k in range(ctx.K):
-            for g_sel in (slice(None), slice(0, 1)):
-                got, want = chunked.moments(k, g_sel), one.moments(k, g_sel)
+        for g_sel in (slice(None), slice(0, 1)):
+            got, want = chunked.moments(g_sel), one.moments(g_sel)
+            for k in range(ctx.K):
                 for field in ("signal", "c_full", "c_partial"):
-                    _assert_close(getattr(got, field), getattr(want, field),
-                                  SE_REL)
+                    _assert_close(getattr(ue_row(got, k), field),
+                                  getattr(ue_row(want, k), field), SE_REL)
 
 
 @pytest.mark.parametrize("n_trials, per_trial, sizes", [
@@ -357,7 +359,8 @@ def test_full_plan_overlap_gram_is_the_full_gram(system):
     for k in range(ctx.K):
         full_overlap = len(cluster.overlap[k]) == ctx.K
         assert full_overlap or plan != "full"
-        assert np.array_equal(sums.w_overlap[k], sums.w_full[k]) == full_overlap
+        row = ue_row(sums, k)
+        assert np.array_equal(row["w_overlap"], row["w_full"]) == full_overlap
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_lmmse_agrees():
 def test_closed_form_se_agrees():
     cfg, stats, p, plan, ctx, cluster = _ideal_system(seed=63)
     prelog = cfg.prelog
-    for k, moments in enumerate(build_ingredients(ctx, cluster)):
-        got = se_from_moments(moments, "lsfd", prelog)
+    se = se_from_moments(build_ingredients(ctx, cluster), "lsfd", prelog)
+    for k, got in enumerate(se):
         want = ideal.ideal_se_mrc_lsfd(k, stats, plan, p, ctx.sigma2, prelog)
         assert abs(got - want) <= 1e-8 * abs(want)

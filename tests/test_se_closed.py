@@ -13,7 +13,8 @@ from scfsim.se_closed import se_centralized_closed, theorem1_kernel
 from scfsim.validation import desk_validation_config
 
 from conftest import small_system, synthetic_stats
-from oracles import cluster_sets, copilot_sets, estimator_products, f_kernels
+from oracles import (cluster_sets, copilot_sets, estimator_products, f_kernels,
+                     ue_row)
 from oracles import theorem1_kernel as theorem1_kernel_four_case
 
 
@@ -106,40 +107,54 @@ def test_distributed_scalar_oracle():
     ctx = build_estimation_context(stats, plan, p, q0, sigma2)
     cluster = ClusterPlan(np.ones((1, 1), dtype=bool),
                           np.zeros(1, dtype=int))
-    moments = build_ingredients(ctx, cluster)[0]
     prelog = 0.9
     norm2 = np.vdot(stats.h_bar[0, 0], stats.h_bar[0, 0]).real
     expected = prelog * np.log2(1 + p[0] * norm2 / sigma2)
-    assert se_from_moments(moments, "lsfd", prelog) == pytest.approx(
-        expected, rel=1e-10)
+    se = se_from_moments(build_ingredients(ctx, cluster), "lsfd", prelog)
+    assert se[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_corollary_consistency_and_scale_invariance():
     _, _, _, _, _, ctx, cluster = small_system(seed=42)
     prelog = 0.95
-    for m in build_ingredients(ctx, cluster):
+    classes = build_ingredients(ctx, cluster)
+    for k in range(ctx.K):
+        m = ue_row(classes, k)
         # the LSFD SE is the Rayleigh-quotient optimum p̈ s^H C_k^{-1} s
-        quotient = m.one_ad2 * m.p_ddot_k * np.real(
-            np.vdot(m.signal, np.linalg.solve(m.c_full, m.signal)))
-        best = se_from_moments(m, "lsfd", prelog)
+        quotient = m.one_ad2 * m.p_ddot[0] * np.real(
+            np.vdot(m.signal[0], np.linalg.solve(m.c_full[0], m.signal[0])))
+        best = se_from_moments((m,), "lsfd", prelog)[0]
         assert best == pytest.approx(prelog * np.log2(1 + quotient), rel=1e-10)
         # rescaling g_kk (the combiner) leaves every weighting's SE unchanged
         scaled = dataclasses.replace(m, signal=5.0 * m.signal,
                                      c_full=25.0 * m.c_full,
                                      c_partial=25.0 * m.c_partial)
         for weighting in ("lsfd", "plsfd", "l2"):
-            assert se_from_moments(scaled, weighting, prelog) == pytest.approx(
-                se_from_moments(m, weighting, prelog), rel=1e-10)
+            assert se_from_moments((scaled,), weighting, prelog) == \
+                pytest.approx(se_from_moments((m,), weighting, prelog),
+                              rel=1e-10)
     with pytest.raises(ValueError, match="all-zero"):
-        se_from_moments(dataclasses.replace(m, signal=0.0 * m.signal), "lsfd",
-                        prelog)
+        se_from_moments((dataclasses.replace(m, signal=0.0 * m.signal),),
+                        "lsfd", prelog)
+    # one UE's zero signal in a class of several still raises, under either
+    # solved weighting
+    crowded = max(range(len(classes)), key=lambda c: len(classes[c].ues))
+    assert len(classes[crowded].ues) > 1
+    signal = classes[crowded].signal.copy()
+    signal[1] = 0.0
+    zeroed = list(classes)
+    zeroed[crowded] = dataclasses.replace(classes[crowded], signal=signal)
+    for weighting in ("lsfd", "plsfd"):
+        with pytest.raises(ValueError, match="all-zero"):
+            se_from_moments(tuple(zeroed), weighting, prelog)
 
 
 def test_prelog_scales_linearly():
     _, _, _, _, _, ctx, cluster = small_system(seed=43)
-    m = build_ingredients(ctx, cluster)[0]
-    se1 = se_from_moments(m, "lsfd", 1.0)
-    assert se_from_moments(m, "lsfd", 0.25) == pytest.approx(0.25 * se1, rel=1e-14)
+    classes = build_ingredients(ctx, cluster)
+    se1 = se_from_moments(classes, "lsfd", 1.0)
+    assert se_from_moments(classes, "lsfd", 0.25) == pytest.approx(
+        0.25 * se1, rel=1e-14)
     assert se_centralized_closed(ctx, cluster, 0.5) == pytest.approx(
         0.5 * se_centralized_closed(ctx, cluster, 1.0), rel=1e-14)
 
