@@ -15,21 +15,22 @@ that no eigenvalue needs clipping, and the ``eigh`` then does not run
 
 ``channel_statistics`` runs that quadrature on a thread pool, one
 ``CORRELATION_CHUNK`` of links per task: ``np.exp`` and the quadrature's
-matrix-vector product release the GIL. The pool has min(chunks, CPU count)
-threads, and one inside a ``multiprocessing`` child (a harness pool worker),
-so threads times processes stay within the cores. Every link gets the same
-arithmetic as a serial build, so R is bit-identical for any thread count.
+matrix-vector product release the GIL. The pool has min(chunks, CPUs this
+process may run on) threads, and one inside a ``multiprocessing`` child (a
+harness pool worker), so threads times processes stay within the cores.
+Every link gets the same arithmetic as a serial build, so R is
+bit-identical for any thread count.
 """
 
 import functools
 import multiprocessing
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NotPositiveSemidefiniteError, _is_integer, db_to_linear, hermitize
+from .numerics import (NotPositiveSemidefiniteError, _is_integer,
+                       _usable_cpus, db_to_linear, hermitize)
 from .rng import substream
 
 PATHLOSS_INTERCEPT_DB = -30.5
@@ -331,13 +332,13 @@ CORRELATION_CHUNK = 512
 def _quadrature_threads(n_chunks):
     if multiprocessing.parent_process() is not None:
         return 1
-    return min(n_chunks, os.cpu_count() or 1)
+    return min(n_chunks, _usable_cpus())
 
 
 def channel_statistics(scenario, seed, asd_rad, rayleigh=False):
     """Build every link's statistics; shadow fading drawn from the seed.
 
-    The correlation quadrature runs on min(chunks, CPU count) threads, one
+    The correlation quadrature runs on min(chunks, usable CPUs) threads, one
     inside a ``multiprocessing`` child. The workers run only the private
     quadrature helpers and numpy; the PSD assembly, which calls public
     ``numerics`` functions, runs on the calling thread in chunk order.

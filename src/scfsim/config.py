@@ -9,12 +9,25 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .channel import PATHLOSS_INTERCEPT_DB, PATHLOSS_SLOPE_DB, SHADOW_STD_DB
 from .numerics import _is_integer
 from .quantization import distortion_factor
 
 
 class ConfigError(ValueError):
     """Raised on unparseable files or invariant-violating field values."""
+
+
+# The largest area side whose path gains the estimates can square: at the
+# area diagonal, with each gain SHADOW_MARGIN_STD shadow-fading standard
+# deviations below its mean, the product of two gains (estimate covariances
+# scale with beta^2) is still a normal float, to rounding. Past it such
+# products lose digits in the subnormals; from about 1e43 m they round to 0
+# and runs die in a singular solve or a non-finite SE.
+SHADOW_MARGIN_STD = 5
+MAX_AREA_SIDE = 10.0 ** (
+    (PATHLOSS_INTERCEPT_DB - SHADOW_MARGIN_STD * SHADOW_STD_DB
+     - 5.0 * math.log10(sys.float_info.min)) / PATHLOSS_SLOPE_DB) / math.sqrt(2.0)
 
 
 def _is_real(value):
@@ -126,6 +139,13 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if self.area_side > MAX_AREA_SIDE:
+            raise ConfigError(
+                f"area_side must be at most {MAX_AREA_SIDE:.4g} m, where two "
+                f"path gains at the area diagonal, each "
+                f"{SHADOW_MARGIN_STD * SHADOW_STD_DB:g} dB of shadowing "
+                f"({SHADOW_MARGIN_STD} standard deviations) below the mean, "
+                f"still multiply to a normal float; got {self.area_side}")
         # a spread wider than half a turn is outside the local-scattering
         # model, and the quadrature takes minutes to give up on one
         if self.asd_deg > 180.0:

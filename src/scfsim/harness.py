@@ -27,6 +27,7 @@ from . import se_closed
 from .channel import channel_statistics, generate_scenario
 from .config import DETECTORS, SimConfig, config_hash
 from .lsfd import build_ingredients, se_from_moments
+from .numerics import _usable_cpus
 from .pilots import build_estimation_context, round_robin_pilots
 from .quantization import QuantizerConfig
 from .rng import substream
@@ -285,13 +286,15 @@ def _run_point(args):
 
 
 def worker_count():
-    """Pool size from SCFSIM_WORKERS, at least 1 and at most the CPU count."""
+    """Pool size from SCFSIM_WORKERS, at least 1 and at most the CPUs this
+    process may use (``numerics._usable_cpus``: its affinity set, not the
+    machine's count)."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         requested = int(raw)
     except ValueError:
         raise ExperimentError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(1, min(requested, os.cpu_count() or 1))
+    return max(1, min(requested, _usable_cpus()))
 
 
 def _map_points(name, cfg, seed, specs, workers):

@@ -1,9 +1,11 @@
 """Small numeric helpers shared across the simulator: integer and index
-checks, dB conversion, complex Gaussian sampling, Hermitian linear algebra."""
+checks, dB conversion, complex Gaussian sampling, Hermitian linear algebra,
+and the CPU count that sizes both worker pools."""
 
 import logging
 import math
 import operator
+import os
 
 import numpy as np
 
@@ -26,6 +28,15 @@ def _is_integer(value):
     except TypeError:
         return False
     return True
+
+
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (a container or ``taskset`` can narrow it below the machine's
+    count), else ``os.cpu_count()``, 1 if that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _index_array(name, values, bound, length=None):

@@ -9,19 +9,19 @@ denominator share the same trials to keep the ratio variance down.
 Centralized scheme: the instantaneous-SINR bound averaged over estimate
 realizations.
 
-Trials are processed in fixed-size batches with per-batch derived RNG
-streams and summed in batch order, so results are bit-identical no matter
-how the surrounding experiment is scheduled. A batch holds one copy of the
-true channels plus only what its engine reads, in the layout it reads
-(``sampling``), and is consumed in trial chunks of at most about
-CHUNK_ELEMS elements (``distributed_mc_sums``, ``centralized_mc_report``).
-At paper scale (L=64, K=150) both engines then peak in the channel draw,
-within 0.3 batches of the channels. Estimate-free combiner parts (static
-matrices, error-plus-noise blocks) are built once per report, and detector
-and weighting names are checked before sampling.
+Every Monte Carlo estimate here and in ``validation`` follows one schedule
+of batches, RNG streams and stderr groups (``mc_batches``) and is summed in
+batch order, so results are bit-identical no matter how the surrounding
+experiment is scheduled; both reports take standard errors from one rule
+(``_stderr``). A batch holds one copy of the true channels plus only what
+its engine reads, in the layout it reads (``sampling``), and is consumed in
+trial chunks of at most about CHUNK_ELEMS elements (``distributed_mc_sums``,
+``centralized_mc_report``). At paper scale (L=64, K=150) both engines then
+peak in the channel draw, within 0.3 batches of the channels. Estimate-free
+combiner parts (static matrices, error-plus-noise blocks) are built once per
+report, and detector and weighting names are checked before sampling.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +86,7 @@ def batch_plan(trials, k_count, l_count, n_ant):
     count = -(-trials // size)
     if count > STDERR_GROUPS:
         count = -(-count // STDERR_GROUPS) * STDERR_GROUPS
-    edges = [trials * i // count for i in range(count + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(count)]
+    return [(s.start, s.stop) for s in _slices(trials, count)]
 
 
 def _slices(n_trials, count):
@@ -116,21 +115,38 @@ def _ue_chunks(n_trials, per_trial):
     return _slices(n_trials, max(1, min(n_trials, count)))
 
 
-def _group_of(batch_idx, n_batches, groups):
-    return batch_idx * groups // n_batches
+def mc_batches(ctx, trials, seed, tag):
+    """The one Monte Carlo schedule: (batches, counts). ``batches`` yields
+    (stderr group b G // B, trial count, ``substream(seed, tag, b)``) for
+    each batch b of ``batch_plan`` in order; ``counts`` (G,) holds every
+    group's trial count, G = min(STDERR_GROUPS, B)."""
+    plan = batch_plan(trials, ctx.K, ctx.L, ctx.N)
+    group = np.arange(len(plan)) * min(STDERR_GROUPS, len(plan)) // len(plan)
+    counts = np.bincount(group, [hi - lo for lo, hi in plan])
+    return ((group[b], hi - lo, substream(seed, tag, b))
+            for b, (lo, hi) in enumerate(plan)), counts
+
+
+def _stderr(per_group):
+    """Per-UE ddof-1 standard error over the (G, K) group estimates: the
+    spread of the G estimates over sqrt(G), all NaN (K,) below two groups."""
+    if len(per_group) < 2:
+        return np.full(np.shape(per_group)[1], np.nan)
+    return np.std(per_group, axis=0, ddof=1) / np.sqrt(len(per_group))
 
 
 class DistributedSums:
-    """Running sums of every Eq.-18 moment, split into stderr groups: one
-    (groups, n, m[, m]) array per size class, row j for UE ``ues[c][j]``."""
+    """Running sums of every Eq.-18 moment, split into stderr groups of
+    ``counts`` trials: one (groups, n, m[, m]) array per size class, row j
+    for UE ``ues[c][j]``."""
 
-    def __init__(self, ctx, sizes, groups):
+    def __init__(self, ctx, sizes, counts):
         self.p = ctx.p_ddot
         self.one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
         self.rho_da = ctx.q.rho_da
-        self.count = np.zeros(groups)
+        self.count = counts
         self.ues = size_classes(sizes)
-        shapes = [(groups, len(ues), sizes[ues[0]]) for ues in self.ues]
+        shapes = [(len(counts), len(ues), sizes[ues[0]]) for ues in self.ues]
         self.g_sum = [np.zeros(s, dtype=complex) for s in shapes]
         self.w_full = [np.zeros(s + s[-1:], dtype=complex) for s in shapes]
         self.w_overlap = [np.zeros(s + s[-1:], dtype=complex) for s in shapes]
@@ -195,19 +211,16 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     overlap = [None if q.size == ctx.K else q for q in cluster.overlap]
     sizes = [m.size for m in serving]
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
-    acc = DistributedSums(ctx, sizes, min(STDERR_GROUPS, len(batches)))
+    batches, counts = mc_batches(ctx, trials, seed, "mc-distributed")
+    acc = DistributedSums(ctx, sizes, counts)
     statics = local_statics(ctx, cluster, detector)
     pairs = local_pairs(cluster, detector)
     sqrt_p = np.sqrt(ctx.p_ddot)[:, None]
 
-    for b_idx, (lo, hi) in enumerate(batches):
-        rng = substream(seed, "mc-distributed", b_idx)
-        h, z = sample_joint(ctx, rng, hi - lo)
+    for g_idx, n, rng in batches:
+        h, z = sample_joint(ctx, rng, n)
         noise = sample_data_noise(ctx, h, rng)                   # (L, N, n)
-        g_idx = _group_of(b_idx, len(batches), acc.groups)
-        acc.count[g_idx] += hi - lo
-        for t in _chunks(hi - lo, ctx.K * ctx.L * ctx.N):
+        for t in _chunks(n, ctx.K * ctx.L * ctx.N):
             v = local_combiners(estimates(ctx, z[..., t], *pairs), ctx,
                                 cluster, detector, statics)      # (P, N, c)
             h_t = h[..., t]
@@ -253,11 +266,9 @@ def distributed_mc_report(ctx, cluster, detector, weighting, trials, seed,
     check_weighting(weighting)
     sums = distributed_mc_sums(ctx, cluster, detector, trials, seed)
     se = se_from_moments(sums.moments(), weighting, prelog)
-    stderr = np.full(ctx.K, np.nan)
-    if sums.groups >= 2:
-        per_group = [se_from_moments(sums.moments(slice(g, g + 1)), weighting,
-                                     prelog) for g in range(sums.groups)]
-        stderr = np.std(per_group, axis=0, ddof=1) / math.sqrt(sums.groups)
+    stderr = _stderr([se_from_moments(sums.moments(slice(g, g + 1)),
+                                      weighting, prelog)
+                      for g in range(sums.groups)])
     return SEReport(se=se, prelog=prelog, scheme="distributed",
                     detector=detector, weighting=weighting,
                     evaluation="monte-carlo", trials=trials, stderr=stderr)
@@ -280,24 +291,19 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
     w_sub = [block_diag_cov(ctx.w[None, serving])[0]
              for serving in cluster.serving]
 
-    batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
-    groups = min(STDERR_GROUPS, len(batches))
+    batches, count = mc_batches(ctx, trials, seed, "mc-centralized")
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
     p = ctx.p_ddot
-    log_sum = np.zeros((groups, ctx.K))
-    count = np.zeros(groups)
+    log_sum = np.zeros((len(count), ctx.K))
 
-    for b_idx, (lo, hi) in enumerate(batches):
-        rng = substream(seed, "mc-centralized", b_idx)
-        z = sample_joint(ctx, rng, hi - lo)[1]
+    for g_idx, n, rng in batches:
+        z = sample_joint(ctx, rng, n)[1]
         hhat_t = estimates_ue_last(ctx, z)                      # (n, L, N, K)
         del z
-        g_idx = _group_of(b_idx, len(batches), groups)
-        count[g_idx] += hi - lo
-        rate = np.empty(hi - lo)
+        rate = np.empty(n)
         for k in range(ctx.K):
             per_trial = cluster.serving[k].size * ctx.N * ctx.K
-            for t in _ue_chunks(hi - lo, per_trial):
+            for t in _ue_chunks(n, per_trial):
                 sub = serving_subspace(hhat_t[t], cluster, k)   # (c, m, K)
                 v = centralized_combiners(sub, ctx, detector, k, statics[k])
                 cross2 = np.abs((np.conj(v)[:, None, :] @ sub)[:, 0]) ** 2
@@ -312,10 +318,7 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
         del hhat_t
 
     se = prelog * log_sum.sum(axis=0) / count.sum()
-    stderr = np.full(ctx.K, np.nan)
-    if groups >= 2:
-        per_group = prelog * log_sum / count[:, None]
-        stderr = np.std(per_group, axis=0, ddof=1) / math.sqrt(groups)
+    stderr = _stderr(prelog * log_sum / count[:, None])
     return SEReport(se=se, prelog=prelog, scheme="centralized",
                     detector=detector, weighting=None,
                     evaluation="monte-carlo", trials=trials, stderr=stderr)

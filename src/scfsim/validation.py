@@ -14,10 +14,9 @@ import numpy as np
 from .config import ConfigError
 from .harness import build_system, distributed_closed_report
 from .numerics import hermitize
-from .rng import substream
 from .sampling import estimates, sample_joint
 from .se_closed import se_centralized_closed, theorem1_kernel
-from .se_mc import batch_plan, centralized_mc_report, distributed_mc_report
+from .se_mc import centralized_mc_report, distributed_mc_report, mc_batches
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,21 @@ def desk_validation_config(cfg):
 
 def _kernel_mc(ctx, pairs, trials, seed):
     """Monte Carlo estimates of E[hhat_k^H h_i h_i^H hhat_k] for given
-    (k, i, l1, l2) tuples, accumulated batch-by-batch. Estimates are formed
-    only on the (k, l1) and (k, l2) pairs the tuples read."""
+    (k, i, l1, l2) tuples over the batches of ``mc_batches``, with estimates
+    formed only on the (k, l1) and (k, l2) pairs the tuples read."""
     ues = [k for k, _, _, _ in pairs for _ in range(2)]
     aps = [l for _, _, l1, l2 in pairs for l in (l1, l2)]
     sums = np.zeros(len(pairs), dtype=complex)
-    total = 0
-    for b_idx, (lo, hi) in enumerate(batch_plan(trials, ctx.K, ctx.L, ctx.N)):
-        rng = substream(seed, "kernel-oracle", b_idx)
-        h, z = sample_joint(ctx, rng, hi - lo)
+    batches, counts = mc_batches(ctx, trials, seed, "kernel-oracle")
+    for _, n, rng in batches:
+        h, z = sample_joint(ctx, rng, n)
         hhat = estimates(ctx, z, ues, aps)                       # (2J, N, n)
-        total += hi - lo
         for j, (k, i, l1, l2) in enumerate(pairs):
             left = np.einsum("nb,nb->b", np.conj(hhat[2 * j]), h[i, l1])
             right = np.einsum("nb,nb->b", np.conj(h[i, l2]), hhat[2 * j + 1])
             sums[j] += np.sum(left * right)
         del h, z, hhat
-    return sums / total
+    return sums / counts.sum()
 
 
 def theorem1_cases(plan):

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ def small_system(L=2, K=4, N=2, tau=2, b_da=1, b_ad=2, seed=7, fading="rician",
     ctx = build_estimation_context(stats, plan, powers, q, cfg.sigma2_mw)
     cluster = full_cluster_plan(stats)
     return cfg, stats, q, powers, plan, ctx, cluster
+
+
+def allow_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs as both pools see it: the
+    affinity set, and the machine count where the platform has no such set."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
 def lmmse_at_ap(hhat_l, l, ctx, cluster):

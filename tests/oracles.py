@@ -21,9 +21,10 @@ AP-local noise the context now holds as ``nx`` (``ap_local_noise``).
 scheduler, which ``scheduler.run_algorithm1`` runs as array steps;
 ``cluster_sets`` and ``copilot_sets`` are the former plans' eager sets,
 which the plans now derive on first read or their readers form in place. The
-Monte Carlo helpers give a batch in the full (n, K, L, N) layout the
-engines no longer build: every pair's estimates, the UE-last copy, and the
-former zero-filled local combiners. The single-link helpers (LOS steering
+Monte Carlo helpers give the stderr group of a batch (``group_of``) and a
+batch in the full (n, K, L, N) layout the engines no longer build: every
+pair's estimates, the UE-last copy, and the former zero-filled local
+combiners. The single-link helpers (LOS steering
 vector, PSD square root, one channel draw, one local MMSE estimate, the
 DAC/ADC models applied to one signal) are the textbook forms the batched
 code paths are checked against; ``toeplitz_psd`` is the former PSD assembly
@@ -44,7 +45,7 @@ from scfsim.pilots import PilotPlan, psi_matrix
 from scfsim.quantization import received_noise_covariance
 from scfsim.sampling import estimates, sample_data_noise, sample_joint
 from scfsim.scheduler import ClusterPlan
-from scfsim.se_mc import DistributedSums
+from scfsim.se_mc import STDERR_GROUPS, DistributedSums
 
 SUM_FIELDS = ("g_sum", "w_full", "w_overlap", "f_outer", "d_local")
 
@@ -130,6 +131,13 @@ def adc_apply(x, rho_ad, cov_diag_x, rng):
 # ---------------------------------------------------------------------------
 # Monte Carlo batches in the full (n, K, L, N) layout
 # ---------------------------------------------------------------------------
+
+def group_of(b_idx, n_batches):
+    """Batch ``b_idx``'s stderr group of a ``n_batches``-batch plan,
+    b G // B with G = min(STDERR_GROUPS, B): the rule written out, which
+    ``se_mc.mc_batches`` owns and the loop oracles do not read."""
+    return b_idx * min(STDERR_GROUPS, n_batches) // n_batches
+
 
 def joint_batch(ctx, rng, n_trials):
     """(h, hhat), both (n, K, L, N): ``sample_joint``'s true channels and

@@ -147,7 +147,11 @@ def test_cli_rejects_unknown_experiment():
     ({"sigma2_dbm": 4000}, "sigma2_dbm"), ({"sigma2_dbm": -4000}, "sigma2_dbm"),
     ({"noise_figure_db": 4000}, "noise_figure_db"), ({"b_ad": 10**400}, "b_ad"),
     # once loaded, then a prelog of 1.0 refused by SEReport
-    ({"L": 4, "K": 5, "N": 2, "tau": 3, "trials": 64, "tau_c": 10**20}, "tau_c")))
+    ({"L": 4, "K": 5, "N": 2, "tau": 3, "trials": 64, "tau_c": 10**20}, "tau_c"),
+    # once loaded, then a singular solve or a non-finite SE: the products of
+    # two path gains had underflowed to 0
+    ({"L": 4, "K": 5, "N": 2, "tau": 3, "trials": 64, "area_side": 1e44},
+     "area_side")))
 def test_bad_config_prints_one_line_and_exits_2(tmp_path, capsys, config, field):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

@@ -9,7 +9,6 @@ thread count.
 import functools
 import inspect
 import multiprocessing
-import os
 import sys
 import threading
 
@@ -22,6 +21,7 @@ from scfsim.channel import (QUAD_MAX_NODES, QUAD_RTOL, QuadratureError,
                             generate_scenario)
 from scfsim.config import SimConfig
 
+from conftest import allow_cpus
 from oracles import toeplitz_psd
 
 # The serial build's chunk: each chunk stops refining on its worst link, so
@@ -86,7 +86,7 @@ def test_threaded_build_matches_serial_oracle(monkeypatch, rayleigh, n_ant,
     oracle = _serial_correlation(stats, asd).view(float)
     assert np.array_equal(stats.R.view(float), oracle)
     for cpus in (1, 4):
-        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        allow_cpus(monkeypatch, cpus)
         again = _build(n_ant, asd, rayleigh)
         assert np.array_equal(again.R.view(float), oracle)
 
@@ -101,7 +101,7 @@ def test_worker_quadrature_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(channel, "_converged_rows", recording)
     monkeypatch.setattr(channel, "QUAD_MAX_NODES", 64)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    allow_cpus(monkeypatch, 1)
     with pytest.raises(QuadratureError):
         _build(3, np.radians(15))
     assert threads and threading.get_ident() not in threads
@@ -129,7 +129,7 @@ def test_public_functions_stay_on_the_calling_thread(monkeypatch):
         for attr, obj in list(vars(module).items()):
             if id(obj) in wrappers:
                 monkeypatch.setattr(module, attr, wrappers[id(obj)])
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    allow_cpus(monkeypatch, 4)
     _build(3, np.radians(15))
     names = {name for name, _ in calls}
     assert {"substream", "hermitize"} <= names
@@ -147,7 +147,7 @@ def test_pool_size(monkeypatch, in_child, cpus, expected):
             super().__init__(max_workers)
 
     monkeypatch.setattr(channel, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    allow_cpus(monkeypatch, cpus)
     if in_child:
         monkeypatch.setattr(multiprocessing, "parent_process",
                             multiprocessing.current_process)

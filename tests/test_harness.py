@@ -6,13 +6,17 @@ import os
 import numpy as np
 import pytest
 
-from scfsim.config import ConfigError, SimConfig, config_hash, load_config
+from scfsim.channel import SHADOW_STD_DB, large_scale_fading
+from scfsim.config import (MAX_AREA_SIDE, SHADOW_MARGIN_STD, ConfigError,
+                           SimConfig, config_hash, load_config)
 from scfsim.harness import (EXPERIMENTS, REGISTRY, ResultTable, build_system,
                             delta_se, emit_results, run_experiment, worker_count)
-from scfsim import harness, validation
+from scfsim import channel, harness, numerics, validation
 from scfsim.pilots import PilotPlan
 from scfsim.scheduler import ClusterPlan
 from scfsim.validation import run_invariant_checks
+
+from conftest import allow_cpus
 
 TINY = dict(L=5, K=6, N=2, tau=3, trials=256, b_da=4, b_ad=4, seed=13)
 
@@ -231,6 +235,32 @@ def test_worker_determinism(name, tmp_path):
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
+def test_area_side_bound_is_where_gain_products_stay_normal():
+    """Two path gains at the area diagonal, each SHADOW_MARGIN_STD shadow
+    standard deviations below the mean, multiply to the smallest normal
+    float at MAX_AREA_SIDE (to rounding), and fall below it past the bound."""
+    tiny = np.finfo(float).tiny
+    margin = -SHADOW_MARGIN_STD * SHADOW_STD_DB
+    at = large_scale_fading(np.sqrt(2.0) * MAX_AREA_SIDE, margin)
+    assert at * at == pytest.approx(tiny, rel=1e-9)
+    past = large_scale_fading(np.sqrt(2.0) * 1.01 * MAX_AREA_SIDE, margin)
+    assert past * past < tiny
+    # 1e44 loaded, then every run died in a singular solve or a non-finite SE
+    for side in (1e44, math.inf):
+        with pytest.raises(ConfigError, match="^area_side must be"):
+            SimConfig(area_side=side)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_largest_area_side_runs_and_the_next_is_refused(name):
+    cfg = SimConfig(**dict(TINY, area_side=MAX_AREA_SIDE))
+    table = run_experiment(name, cfg, workers=1)
+    assert table.rows
+    above = math.nextafter(MAX_AREA_SIDE, math.inf)
+    with pytest.raises(ConfigError, match="^area_side must be at most"):
+        SimConfig(**dict(TINY, area_side=above))
+
+
 # channel_statistics, run_algorithm1 and build_estimation_context calls on TINY
 BUILDS = (("sum-se-vs-N", (4, 4, 4)), ("sum-se-vs-bits", (1, 5, 5)),
           ("cdf-detectors-distributed", (4, 4, 4)),
@@ -300,7 +330,7 @@ def test_cdf_variants_override_only_what_a_drop_does_not_read():
 
 
 def test_worker_count_env(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    allow_cpus(monkeypatch, 16)
     monkeypatch.delenv("SCFSIM_WORKERS", raising=False)
     assert worker_count() == 1
     monkeypatch.setenv("SCFSIM_WORKERS", "8")
@@ -311,14 +341,38 @@ def test_worker_count_env(monkeypatch):
 
 
 def test_worker_count_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
     monkeypatch.setenv("SCFSIM_WORKERS", "64")
     assert worker_count() == 2
     monkeypatch.setenv("SCFSIM_WORKERS", "0")
     assert worker_count() == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)   # count unknown
+    # no affinity set on the platform, and the count unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     monkeypatch.setenv("SCFSIM_WORKERS", "4")
     assert worker_count() == 1
+
+
+@pytest.mark.parametrize("affinity, machine, expected", [
+    ({0}, 16, 1),              # taskset -c 0 on a 16-CPU machine
+    ({1, 3}, 4, 2),
+    (None, 6, 6),              # no affinity set on the platform
+    (None, None, 1),           # and the machine count unknown
+])
+def test_both_pools_size_from_the_usable_cpus(monkeypatch, affinity, machine,
+                                              expected):
+    """Both pools read the CPUs this process may run on. Read from
+    os.cpu_count(), both were 2 under taskset -c 0 with SCFSIM_WORKERS=2."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity,
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: machine)
+    assert numerics._usable_cpus() == expected
+    monkeypatch.setenv("SCFSIM_WORKERS", "64")
+    assert worker_count() == expected
+    assert channel._quadrature_threads(20) == expected
 
 
 def test_delta_se():

@@ -25,12 +25,12 @@ from scfsim.quantization import received_noise_covariance
 from scfsim.rng import substream
 from scfsim.sampling import estimates, estimates_ue_last, sample_joint
 from scfsim.scheduler import full_cluster_plan
-from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, _group_of,
-                          batch_plan, centralized_mc_report,
-                          distributed_mc_report, distributed_mc_sums)
+from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, batch_plan,
+                          centralized_mc_report, distributed_mc_report,
+                          distributed_mc_sums)
 
 from oracles import (SUM_FIELDS, ap_local_noise, cluster_sets,
-                     data_noise_batch, joint_batch, ue_row,
+                     data_noise_batch, group_of, joint_batch, ue_row,
                      zero_filled_local_combiners)
 
 SE_REL = 1e-12
@@ -79,14 +79,14 @@ def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
     overlap = [np.asarray(q, dtype=int) for q in sets.overlap]
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
     acc = DistributedSums(ctx, [len(s) for s in serving],
-                          min(STDERR_GROUPS, len(batches)))
+                          np.zeros(min(STDERR_GROUPS, len(batches))))
     p, nx = ctx.p_ddot, ap_local_noise(ctx)
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-distributed", b_idx)
         h, hhat = joint_batch(ctx, rng, hi - lo)
         noise = data_noise_batch(ctx, h, rng)
         v = zero_filled_local_combiners(hhat, ctx, cluster, detector)
-        g_idx = _group_of(b_idx, len(batches), acc.groups)
+        g_idx = group_of(b_idx, len(batches))
         acc.count[g_idx] += hi - lo
         for k in range(ctx.K):
             row = ue_row(acc, k)
@@ -203,7 +203,7 @@ def _centralized_report_loop(ctx, cluster, detector, trials, seed, prelog):
     for b_idx, (lo, hi) in enumerate(batches):
         rng = substream(seed, "mc-centralized", b_idx)
         _, hhat = joint_batch(ctx, rng, hi - lo)
-        g_idx = _group_of(b_idx, len(batches), groups)
+        g_idx = group_of(b_idx, len(batches))
         count[g_idx] += hi - lo
         for k, serving in enumerate(serving_sets):
             sub = hhat[:, :, serving, :].reshape(hhat.shape[0], ctx.K, -1)

@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from scfsim.harness import build_system
 from scfsim.pilots import build_estimation_context
 from scfsim.rng import substream
 from scfsim.scheduler import full_cluster_plan
-from scfsim.se_mc import (MC_BATCH_ELEMS, STDERR_GROUPS, _group_of,
-                          batch_plan, centralized_mc_report,
-                          distributed_mc_report, distributed_mc_sums)
+from scfsim.se_mc import (MC_BATCH_ELEMS, STDERR_GROUPS, batch_plan,
+                          centralized_mc_report, distributed_mc_report,
+                          distributed_mc_sums, mc_batches)
 
 from conftest import small_system
 
@@ -39,9 +40,12 @@ def test_batch_plan_groups_are_equal(trials, shape, count):
     assert max(sizes) <= max(64, MC_BATCH_ELEMS // np.prod(shape))
     groups = min(STDERR_GROUPS, count)
     assert count % groups == 0
-    per_group = np.zeros(groups)
-    for b_idx, size in enumerate(sizes):
-        per_group[_group_of(b_idx, count, groups)] += size
+    # the schedule's groups, each holding count // groups batches
+    net = SimpleNamespace(K=shape[0], L=shape[1], N=shape[2])
+    batches, per_group = mc_batches(net, trials, 0, "groups")
+    assert [g for g, _, _ in batches] == [b // (count // groups)
+                                          for b in range(count)]
+    assert per_group.shape == (groups,) and per_group.sum() == trials
     assert per_group.max() - per_group.min() <= count // groups
 
 
