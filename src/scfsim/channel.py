@@ -228,20 +228,20 @@ def _certified_gap(asd, n_antennas):
     return float(np.exp(np.min(log_gap))) + rounding
 
 
-def _converged_rows(thetas, asd, n_antennas, max_nodes):
-    """Node count doubled from 128 until successive evaluations agree to
-    QUAD_RTOL.
+def _converged_rows(thetas, asd, n_antennas):
+    """Node count doubled from 128 up to QUAD_MAX_NODES until successive
+    evaluations agree to QUAD_RTOL.
 
     Each row's largest entry, antenna 0's, is the Gaussian weight sum, about
     1, so a gap bound of QUAD_RTOL/2 from ``_certified_gap`` proves that the
     128 -> 256 comparison passes, and only the 256-node rows it would return
-    are computed. Where the bound is larger (wide ASD or many antennas) or
-    the budget is below 256 nodes, the doubling runs in full.
+    are computed. Where the bound is larger (wide ASD or many antennas), the
+    doubling runs in full.
     """
-    if max_nodes >= 256 and _certified_gap(asd, n_antennas) <= QUAD_RTOL / 2:
+    if _certified_gap(asd, n_antennas) <= QUAD_RTOL / 2:
         return _correlation_rows(thetas, asd, n_antennas, 256)
     rows, n_nodes = None, 128
-    while n_nodes <= max_nodes:
+    while n_nodes <= QUAD_MAX_NODES:
         refined = _correlation_rows(thetas, asd, n_antennas, n_nodes)
         if rows is not None:
             scale = np.maximum(np.max(np.abs(refined), axis=1), 1e-300)
@@ -249,7 +249,7 @@ def _converged_rows(thetas, asd, n_antennas, max_nodes):
                 return refined
         rows, n_nodes = refined, 2 * n_nodes
     raise QuadratureError(f"correlation quadrature did not reach rtol={QUAD_RTOL} "
-                          f"within {max_nodes} nodes at asd_deg="
+                          f"within {QUAD_MAX_NODES} nodes at asd_deg="
                           f"{np.degrees(asd):g}, N={n_antennas}: lower asd_deg or N")
 
 
@@ -310,19 +310,6 @@ def _check_asd(asd):
                          f"its square underflows")
 
 
-def spatial_correlation(theta, asd, beta_nlos, n_antennas,
-                        max_nodes=QUAD_MAX_NODES):
-    """Spatial correlation matrix of the NLOS component for a ULA.
-
-    The angular integral depends only on the antenna index difference, so a
-    single Toeplitz generator row is integrated and the matrix assembled
-    exactly Hermitian, then PSD-clipped against quadrature noise.
-    """
-    _check_asd(asd)
-    rows = _converged_rows([theta], asd, n_antennas, max_nodes)
-    return beta_nlos * _toeplitz_psd(rows)[0]
-
-
 # Links per quadrature task. Fixed, not derived from the thread count: each
 # chunk stops doubling its node count on the worst link in it, so moving a
 # boundary can change a link's node count and with it the bits of R.
@@ -366,7 +353,7 @@ def channel_statistics(scenario, seed, asd_rad, rayleigh=False):
     with ThreadPoolExecutor(_quadrature_threads(len(starts))) as pool:
         chunks = pool.map(
             lambda lo: _converged_rows(flat_theta[lo:lo + CORRELATION_CHUNK],
-                                       asd_rad, n_ant, QUAD_MAX_NODES),
+                                       asd_rad, n_ant),
             starts)
         for lo, rows in zip(starts, chunks):
             corr[lo:lo + CORRELATION_CHUNK] = _toeplitz_psd(rows)

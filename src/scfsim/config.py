@@ -9,7 +9,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .channel import PATHLOSS_INTERCEPT_DB, PATHLOSS_SLOPE_DB, SHADOW_STD_DB
+from .channel import (PATHLOSS_INTERCEPT_DB, PATHLOSS_SLOPE_DB, SHADOW_STD_DB,
+                      _check_asd)
 from .numerics import _is_integer
 from .quantization import distortion_factor
 
@@ -116,16 +117,11 @@ class SimConfig:
             value = getattr(self, name)
             if not (_is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("b_da", "b_ad"):
-            b = getattr(self, name)
-            if b is not None and not (_is_integer(b) and b >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1 or null "
-                                  f"(ideal), got {b!r}")
+        for name in ("b_da", "b_ad"):   # bits, or null for an ideal converter
             try:
-                distortion_factor(b)
-            except OverflowError:
-                raise ConfigError(f"{name} is too large for the distortion "
-                                  f"law sqrt(3) pi 2^(-2b-1)") from None
+                distortion_factor(getattr(self, name))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("area_side", "bandwidth_hz", "noise_figure_db", "sigma2_dbm",
@@ -135,7 +131,7 @@ class SimConfig:
                 continue
             if not _is_real(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        for name in ("area_side", "bandwidth_hz", "p_max_mw", "asd_deg"):
+        for name in ("area_side", "bandwidth_hz", "p_max_mw"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
@@ -146,13 +142,10 @@ class SimConfig:
                 f"{SHADOW_MARGIN_STD * SHADOW_STD_DB:g} dB of shadowing "
                 f"({SHADOW_MARGIN_STD} standard deviations) below the mean, "
                 f"still multiply to a normal float; got {self.area_side}")
-        # a spread wider than half a turn is outside the local-scattering
-        # model, and the quadrature takes minutes to give up on one
-        if self.asd_deg > 180.0:
-            raise ConfigError(f"asd_deg must be at most 180, got {self.asd_deg}")
-        if math.radians(self.asd_deg) ** 2 < sys.float_info.min:
-            raise ConfigError(f"asd_deg must be large enough that its square "
-                              f"in radians is a normal float, got {self.asd_deg}")
+        try:
+            _check_asd(self.asd_rad)
+        except ValueError as exc:
+            raise ConfigError(f"asd_deg is {self.asd_deg} degrees: {exc}") from None
         for name in ("noise_figure_db", "sigma2_dbm", "eta_db"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

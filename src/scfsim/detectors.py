@@ -26,7 +26,8 @@ estimation context holds as ``ctx.w``.
 
 Local combiners read and return trials-last (pairs, N, n) arrays: they read
 the estimates of ``local_pairs`` and return one vector per served pair, in
-the rows of ``ClusterPlan.pair_of``, so UE k's vectors are one slice. A
+the rows of ``ClusterPlan.pair_of``, so UE k's vectors are the slice
+``ClusterPlan.pair_rows[k]``. A
 centralized batch holds every estimate UE-last, (n, L, N, K), so each UE's
 subspace is one gather, or a view when M_k is every AP
 (``serving_subspace``).
@@ -125,13 +126,14 @@ def local_statics(ctx, cluster, method):
 
 
 def local_pairs(cluster, method):
-    """(UEs, APs) of the pairs whose estimates ``local_combiners`` reads,
-    UE-major: every pair for L-MMSE, whose estimate sets are every UE; the
-    served pairs for the others, whose estimate sets lie in the served sets.
+    """(UEs, APs) of the pairs whose estimates ``local_combiners`` reads:
+    every pair, UE-major, for L-MMSE, whose estimate sets are every UE; the
+    plan's served pairs (``ClusterPlan.pairs``) for the others, whose
+    estimate sets lie in the served sets.
     """
     if method == "lmmse":
-        return np.nonzero(np.ones_like(cluster.D))
-    return np.nonzero(cluster.D)
+        return np.divmod(np.arange(cluster.D.size), cluster.L)
+    return cluster.pairs
 
 
 def local_combiners(est, ctx, cluster, method, statics):
@@ -148,10 +150,12 @@ def local_combiners(est, ctx, cluster, method, statics):
     if method == "mrc":
         return est
 
-    row = np.full(cluster.D.shape, -1)
-    row[local_pairs(cluster, method)] = np.arange(len(est))
+    # each pair's row in ``est``: the plan's own rows, or for L-MMSE's
+    # every pair k L + l
+    row = (np.arange(cluster.D.size).reshape(cluster.D.shape)
+           if method == "lmmse" else cluster.pair_of)
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    v = np.empty((np.count_nonzero(cluster.D),) + est.shape[1:], dtype=complex)
+    v = np.empty((len(cluster.pairs[0]),) + est.shape[1:], dtype=complex)
     for l, (static, est_set) in enumerate(statics):
         served = cluster.served[l]
         if served.size == 0:

@@ -5,7 +5,8 @@ The distributed scheme is MRC at the APs followed by a second-stage
 weighting, applied to three second moments of UE k served by the AP set
 M_k: E[g_kk], the interference-plus-noise matrix C_k (sums over all UEs) and
 its overlap-restricted counterpart C_k^P (sums over Q_k). ``Moments`` holds
-them for a size class, the UEs sharing one |M_k| (``size_classes``);
+them for a size class, the UEs sharing one |M_k| (the cluster plan's
+``size_classes``);
 ``lsfd_weights`` maps a class and a weighting (checked against
 ``config.WEIGHTINGS``) to weights in one batched solve, ``se_from_moments``
 a tuple of classes to every UE's SE. ``build_ingredients`` builds the
@@ -62,13 +63,6 @@ class Moments:
     one_ad2: float             # (1 - rho_ad)^2
 
 
-def size_classes(sizes):
-    """The UEs of each serving-set size |M_k| in use: every UE once."""
-    sizes = np.asarray(sizes)
-    return tuple(np.flatnonzero(sizes == m)
-                 for m in np.flatnonzero(np.bincount(sizes)))
-
-
 def _ap_kernels(ctx, l, served, centralized=False):
     """Kernel blocks of AP l: column j is the served UE k = served[j], row i
     every UE. Returns two (K, |served|) blocks: g_kl^i = lambda_kl^i + b_kl^i
@@ -96,15 +90,13 @@ def _ap_kernels(ctx, l, served, centralized=False):
 
 def build_ingredients(ctx, cluster):
     """The closed-form Moments under the given plan, from one pass over the
-    APs: a tuple of size classes (``size_classes``)."""
+    APs: one per size class of the plan (``ClusterPlan.size_classes``), its
+    per-pair rows read from ``ClusterPlan.pair_of``."""
     stats, q = ctx.stats, ctx.q
-    sizes = cluster.D.sum(axis=1)
     one_ad2 = (1.0 - q.rho_ad) ** 2
     p = ctx.p_ddot
 
-    # served pairs (k, l), UE-major: UE k's pairs are first[k] + range(|M_k|)
-    kk, ll = np.nonzero(cluster.D)
-    first = np.cumsum(sizes) - sizes
+    kk, ll = cluster.pairs                                      # served pairs
     overlap = cluster.overlap_mask                              # i in Q_k
     g = np.empty((len(kk), ctx.K), dtype=complex)    # [(k, l), i] lambda + b
     c_full = np.empty(len(kk))                       # sum_i p̈_i c_kl^i
@@ -124,11 +116,10 @@ def build_ingredients(ctx, cluster):
 
     scale = one_ad2 / (1.0 - q.rho_da)
     classes = []
-    for ues in size_classes(sizes):
-        m = sizes[ues[0]]
-        rows = first[ues, None] + np.arange(m)                  # (n, m)
+    for ues in cluster.size_classes:
+        rows = cluster.pair_of[ues][cluster.D[ues]].reshape(len(ues), -1)  # (n, m)
         signal = g[rows, ues[:, None]]                          # E[g_kk], (n, m)
-        diag = np.arange(m)
+        diag = np.arange(rows.shape[1])
 
         def interference(weights, c_sum):   # weights (n or 1, K): p̈_i on S
             a = g[rows]                                         # (n, m, K)

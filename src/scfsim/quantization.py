@@ -7,7 +7,8 @@ covariance is set by the ensemble second moment of the converter input:
     ADC:  f(x) = (1 - rho_ad) x + n,      cov(n) = rho_ad (1 - rho_ad) diag(E[x x^H])
 
 The distortion factor rho comes from a fixed table for 1-5 bits and from the
-exponential law sqrt(3) pi 2^(-2b-1) above that; "ideal" converters have rho=0.
+exponential law sqrt(3) pi 2^(-2b-1) above that; ideal converters (``None``)
+have rho=0.
 
 ``received_noise_covariance`` is the one receive-noise function: the
 estimation context calls it for every UE on every AP, and each MMSE-family
@@ -26,8 +27,10 @@ DISTORTION_TABLE = {1: 0.3634, 2: 0.1175, 3: 0.03454, 4: 0.009497, 5: 0.002499}
 
 
 def distortion_factor(bits):
-    """Distortion factor for a b-bit converter; ``None`` or "ideal" gives 0."""
-    if bits is None or bits == "ideal":
+    """Distortion factor for a b-bit converter; ``None`` (ideal) gives 0.
+    A b that is not an integer >= 1, or too large for the law, raises
+    ``ValueError``."""
+    if bits is None:
         return 0.0
     if not _is_integer(bits):
         raise ValueError(f"converter resolution must be an integer, got {bits!r}")
@@ -36,7 +39,11 @@ def distortion_factor(bits):
         raise ValueError(f"converter resolution must be >= 1 bit, got {bits}")
     if bits in DISTORTION_TABLE:
         return DISTORTION_TABLE[bits]
-    return math.sqrt(3.0) * math.pi * 2.0 ** (-2 * bits - 1)
+    try:
+        return math.sqrt(3.0) * math.pi * 2.0 ** (-2 * bits - 1)
+    except OverflowError:   # -2b-1 past the float range
+        raise ValueError("converter resolution is too large for the distortion "
+                         "law sqrt(3) pi 2^(-2b-1)") from None
 
 
 @dataclass(frozen=True)
@@ -49,10 +56,6 @@ class QuantizerConfig:
     def __post_init__(self):
         object.__setattr__(self, "rho_da", distortion_factor(self.b_da))
         object.__setattr__(self, "rho_ad", distortion_factor(self.b_ad))
-
-    @classmethod
-    def ideal(cls):
-        return cls(b_da=None, b_ad=None)
 
 
 def received_noise_covariance(stats, p_ddot, q, sigma2, ues, aps):

@@ -18,8 +18,11 @@ they are built and keep read-only copies of them, so a plan that exists is
 well formed for its whole life: D is a (K, L) bool matrix and each UE's
 primary AP is an index in [0, L) that serves it. The sets read from a
 cluster plan are built once per plan, on first read, and are read-only:
-M_k, D_l, Q_k, the (K, K) overlap mask, and the numbering of the served
-pairs (``pair_of``) that both engines' per-pair arrays follow.
+M_k, D_l, Q_k, the (K, K) overlap mask, and the layout of the served pairs
+that both engines' per-pair arrays follow: the pair list (``pairs``), each
+pair's row (``pair_of``), each UE's rows (``pair_rows``) and the UEs of each
+serving-set size (``size_classes``). The rows run UE-major, but only this
+module relies on that; every reader goes through the plan.
 """
 
 import functools
@@ -43,7 +46,7 @@ class ClusterPlan:
     """Algorithm 1's service decisions, checked when the plan is built: a
     malformed D or primary, or a primary AP that does not serve its UE,
     raises ``ValueError``. The sets derived from them, M_k, D_l, Q_k, the
-    overlap mask and the served-pair numbering, are built on first read and
+    overlap mask and the served-pair layout, are built on first read and
     are read-only."""
 
     D: np.ndarray              # (K, L) bool service indicators
@@ -87,13 +90,31 @@ class ClusterPlan:
         return tuple(_read_only(np.flatnonzero(col)) for col in self.D.T)
 
     @functools.cached_property
+    def pairs(self):
+        """(UEs, APs) of the P served pairs, two read-only (P,) int arrays
+        in row order: UE-major, each UE's serving APs in order."""
+        return tuple(map(_read_only, np.nonzero(self.D)))
+
+    @functools.cached_property
     def pair_of(self):
-        """(K, L) int, read-only: each served pair's row in the UE-major
-        order of ``np.nonzero(D)``, -1 off D. UE k's rows are consecutive,
-        its serving APs in order, from the sum of |M_i| over i < k."""
-        pair_of = np.full(self.D.shape, -1)
-        pair_of[self.D] = np.arange(np.count_nonzero(self.D))
-        return _read_only(pair_of)
+        """(K, L) int, read-only: each served pair's row in ``pairs`` (the
+        count of served pairs before it in D's row-major order), -1 off D."""
+        rows = np.cumsum(self.D).reshape(self.D.shape) - 1
+        return _read_only(np.where(self.D, rows, -1))
+
+    @functools.cached_property
+    def pair_rows(self):
+        """Per UE, the slice of rows holding its served pairs, so that a
+        per-pair array's rows of one UE are a view."""
+        end = np.cumsum(self.D.sum(axis=1)).tolist()
+        return tuple(slice(e - m.size, e) for e, m in zip(end, self.serving))
+
+    @functools.cached_property
+    def size_classes(self):
+        """The UEs of each serving-set size |M_k| in use, by ascending size:
+        every UE once, each class a sorted, read-only int array."""
+        size = self.D.sum(axis=1)
+        return tuple(_read_only(np.flatnonzero(size == m)) for m in sorted(set(size)))
 
     @functools.cached_property
     def overlap_mask(self):

@@ -66,7 +66,7 @@ def se_centralized_closed(ctx, cluster, prelog):
     interference = f @ p
 
     # sum over l in M_k of tr(W_l E[hhat_kl hhat_kl^H]), over the served pairs
-    kk, ll = np.nonzero(cluster.D)
+    kk, ll = cluster.pairs
     h_bar = ctx.stats.h_bar[kk, ll]
     e_hh = h_bar[:, :, None] * np.conj(h_bar[:, None, :]) + ctx.c_hhat[kk, ll]
     noise = np.bincount(kk, np.einsum("pnm,pmn->p", ctx.w[ll], e_hh).real,

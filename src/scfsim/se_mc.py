@@ -30,7 +30,7 @@ from .config import check_weighting
 from .detectors import (centralized_combiners, centralized_system_matrices,
                         local_combiners, local_pairs, local_statics,
                         serving_subspace)
-from .lsfd import Moments, se_from_moments, size_classes
+from .lsfd import Moments, se_from_moments
 from .numerics import _is_integer
 from .pilots import block_diag_cov
 from .rng import substream
@@ -137,16 +137,16 @@ def _stderr(per_group):
 
 class DistributedSums:
     """Running sums of every Eq.-18 moment, split into stderr groups of
-    ``counts`` trials: one (groups, n, m[, m]) array per size class, row j
-    for UE ``ues[c][j]``."""
+    ``counts`` trials: one (groups, n, m[, m]) array per size class of the
+    cluster plan, row j for UE ``ues[c][j]``."""
 
-    def __init__(self, ctx, sizes, counts):
+    def __init__(self, ctx, cluster, counts):
         self.p = ctx.p_ddot
         self.one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
         self.rho_da = ctx.q.rho_da
         self.count = counts
-        self.ues = size_classes(sizes)
-        shapes = [(len(counts), len(ues), sizes[ues[0]]) for ues in self.ues]
+        self.ues = cluster.size_classes
+        shapes = [(len(counts), len(u), cluster.serving[u[0]].size) for u in self.ues]
         self.g_sum = [np.zeros(s, dtype=complex) for s in shapes]
         self.w_full = [np.zeros(s + s[-1:], dtype=complex) for s in shapes]
         self.w_overlap = [np.zeros(s + s[-1:], dtype=complex) for s in shapes]
@@ -197,7 +197,8 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     the pilot observations and the data noise, with the same streams and
     draws at any chunk size. It is consumed in the trial chunks of
     ``_chunks``; a chunk of c trials holds the estimates on ``local_pairs``
-    and the combiners on the served pairs, (P, N, c) in UE-major order.
+    and the combiners on the served pairs, (P, N, c) in the plan's pair
+    rows, so UE k's combiners are the view ``cluster.pair_rows[k]``.
     Each UE walks the chunk again in the sub-chunks of ``_ue_chunks``, at
     most CHUNK_ELEMS / (|M_k| K) trials each, which hold its effective
     channels g (|M_k|, K, c') of every UE and the conjugated copy its Grams
@@ -209,10 +210,8 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     """
     serving = cluster.serving
     overlap = [None if q.size == ctx.K else q for q in cluster.overlap]
-    sizes = [m.size for m in serving]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
     batches, counts = mc_batches(ctx, trials, seed, "mc-distributed")
-    acc = DistributedSums(ctx, sizes, counts)
+    acc = DistributedSums(ctx, cluster, counts)
     statics = local_statics(ctx, cluster, detector)
     pairs = local_pairs(cluster, detector)
     sqrt_p = np.sqrt(ctx.p_ddot)[:, None]
@@ -226,11 +225,10 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
             h_t = h[..., t]
             for cls, ues in enumerate(acc.ues):
                 for row, k in enumerate(ues):
-                    v_k = v[bounds[k]:bounds[k + 1]]             # (M, N, c)
+                    v_k = v[cluster.pair_rows[k]]                # (M, N, c)
                     cv = np.conj(v_k)
-                    for u in _ue_chunks(t.stop - t.start, sizes[k] * ctx.K):
-                        g = np.empty((sizes[k], ctx.K, u.stop - u.start),
-                                     dtype=complex)
+                    for u in _ue_chunks(t.stop - t.start, len(v_k) * ctx.K):
+                        g = np.empty((len(v_k), ctx.K, u.stop - u.start), complex)
                         for j, l in enumerate(serving[k]):
                             np.multiply(h_t[:, l, 0, u], cv[j, 0, u],
                                         out=g[j])                # (K, c')
@@ -238,12 +236,12 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
                                 g[j] += h_t[:, l, a, u] * cv[j, a, u]
                         acc.g_sum[cls][g_idx, row] += g[:, k].sum(axis=1)
                         g *= sqrt_p
-                        w_full = _gram(g.reshape(sizes[k], -1))
+                        w_full = _gram(g.reshape(len(g), -1))
                         acc.w_full[cls][g_idx, row] += w_full
                         q_idx = overlap[k]
                         acc.w_overlap[cls][g_idx, row] += (
                             w_full if q_idx is None
-                            else _gram(g[:, q_idx].reshape(sizes[k], -1)))
+                            else _gram(g[:, q_idx].reshape(len(g), -1)))
                         # freed before the next sub-chunk is formed
                         del g
                     f = np.sum(cv * noise[serving[k], :, t], axis=1)  # (M, c)

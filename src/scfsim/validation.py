@@ -145,9 +145,9 @@ def run_invariant_checks(cfg, seed):
     check("one-primary-per-ue",
           cluster.D[np.arange(cfg.K), cluster.primary].all())
     # at most one secondary UE per (AP, pilot)
-    ues, aps = np.nonzero(cluster.D & (cluster.primary[:, None] != np.arange(cfg.L)))
-    per_pilot = np.bincount(aps * plan.tau + plan.pilot_of[ues])
-    check("secondary-pilot-uniqueness", np.all(per_pilot <= 1))
+    ues, aps = cluster.pairs
+    key = (aps * plan.tau + plan.pilot_of[ues])[cluster.primary[ues] != aps]
+    check("secondary-pilot-uniqueness", np.all(np.bincount(key) <= 1))
     mask = cluster.overlap_mask
     check("overlap-symmetry", np.array_equal(mask, mask.T))
     full = cfg.p_max_mw * (1.0 - ctx.q.rho_da)

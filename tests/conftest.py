@@ -50,8 +50,7 @@ def lmmse_at_ap(hhat_l, l, ctx, cluster):
 
 def synthetic_stats(beta, kappa, theta, n_ant, asd_rad=np.radians(15.0)):
     """ChannelStatistics from explicit per-link large-scale arrays."""
-    from oracles import los_steering
-    from scfsim.channel import spatial_correlation
+    from oracles import los_steering, spatial_correlation
 
     beta = np.asarray(beta, dtype=float)
     kappa = np.asarray(kappa, dtype=float)

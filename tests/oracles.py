@@ -27,8 +27,10 @@ pair's estimates, the UE-last copy, and the former zero-filled local
 combiners. The single-link helpers (LOS steering
 vector, PSD square root, one channel draw, one local MMSE estimate, the
 DAC/ADC models applied to one signal) are the textbook forms the batched
-code paths are checked against; ``toeplitz_psd`` is the former PSD assembly
-of the correlation matrices, which ran ``eigh`` on every link.
+code paths are checked against; ``spatial_correlation`` is one link's R
+built from the simulator's own quadrature helpers, and ``toeplitz_psd`` the
+former PSD assembly of the correlation matrices, which ran ``eigh`` on every
+link.
 """
 
 import dataclasses
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scfsim import channel
 from scfsim.config import check_weighting
 from scfsim.detectors import local_combiners, local_pairs, local_statics
 from scfsim.lsfd import Moments
@@ -63,6 +66,18 @@ def los_steering(theta, n_antennas, beta_los):
         raise ValueError("need n_antennas >= 1 and beta_los >= 0")
     phases = -1j * np.pi * np.arange(n_antennas) * np.sin(theta)
     return np.sqrt(beta_los) * np.exp(phases)
+
+
+def spatial_correlation(theta, asd, beta_nlos, n_antennas):
+    """One link's NLOS spatial correlation matrix for a ULA, the way
+    ``channel.channel_statistics`` builds every link's: the ASD checked
+    (``channel._check_asd``), one Toeplitz generator row integrated to
+    convergence (``channel._converged_rows``, which reads
+    ``channel.QUAD_MAX_NODES`` when called) and the matrix assembled
+    Hermitian and PSD (``channel._toeplitz_psd``)."""
+    channel._check_asd(asd)
+    rows = channel._converged_rows([theta], asd, n_antennas)
+    return beta_nlos * channel._toeplitz_psd(rows)[0]
 
 
 def hermitian_sqrt(r):

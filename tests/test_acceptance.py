@@ -274,7 +274,7 @@ def test_criterion_09_degeneration_suite():
 
     cfg, stats, _, powers, plan, _, cluster = small_system(
         L=4, K=6, N=2, tau=3, seed=64, fading="rayleigh", b_da=None, b_ad=None)
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     p = powers
     ctx = build_estimation_context(stats, plan, p, q0, cfg.sigma2_mw)
     worst = 0.0

@@ -4,13 +4,14 @@ import pytest
 from scfsim import channel
 from scfsim.channel import (MIN_DISTANCE_M, Scenario, channel_statistics,
                             generate_scenario, large_scale_fading,
-                            rician_factor, spatial_correlation)
+                            rician_factor)
 from scfsim.config import SimConfig
 from scfsim.numerics import NotPositiveSemidefiniteError, hermitize
 from scfsim.rng import substream
 
 from conftest import small_system
-from oracles import los_steering, sample_channel, toeplitz_psd
+from oracles import (los_steering, sample_channel, spatial_correlation,
+                     toeplitz_psd)
 
 
 def test_generate_scenario_paper_scale():
@@ -118,20 +119,13 @@ def _no_quadrature(*args):
     raise AssertionError("quadrature reached with a bad ASD")
 
 
-def test_spatial_correlation_requires_positive_asd(monkeypatch):
-    monkeypatch.setattr(channel, "_converged_rows", _no_quadrature)
-    for asd in BAD_ASDS:
-        with pytest.raises(ValueError):
-            spatial_correlation(0.0, asd, 1.0, 2)
-    channel._check_asd(SimConfig(asd_deg=180).asd_rad)     # the widest one
-
-
 def test_channel_statistics_rejects_bad_asd(monkeypatch):
     monkeypatch.setattr(channel, "_converged_rows", _no_quadrature)
     scn = generate_scenario(SimConfig(L=3, K=4, N=3), 0)
     for asd in BAD_ASDS:
         with pytest.raises(ValueError):
             channel_statistics(scn, 0, asd)
+    channel._check_asd(SimConfig(asd_deg=180).asd_rad)     # the widest one
 
 
 def test_tiny_asd_whose_square_is_normal_builds_r():
@@ -144,12 +138,14 @@ def test_tiny_asd_whose_square_is_normal_builds_r():
         assert abs(np.trace(r).real - n_ant * 0.7) <= 1e-12 * n_ant * 0.7
 
 
-def test_spatial_correlation_node_budget_exhaustion():
+def test_spatial_correlation_node_budget_exhaustion(monkeypatch):
     """128 nodes is the first pass; with no budget for a second one, the
-    quadrature cannot check its convergence."""
-    from scfsim.channel import QuadratureError
-    with pytest.raises(QuadratureError):
-        spatial_correlation(0.3, np.radians(15), 1.0, 4, max_nodes=128)
+    quadrature cannot check its convergence. At N=8 and ASD 30 deg the
+    Gauss-Legendre bound certifies nothing, so the node doubling runs."""
+    assert channel._certified_gap(np.radians(30), 8) > channel.QUAD_RTOL / 2
+    monkeypatch.setattr(channel, "QUAD_MAX_NODES", 128)
+    with pytest.raises(channel.QuadratureError, match="within 128 nodes"):
+        spatial_correlation(0.3, np.radians(30), 1.0, 8)
 
 
 @pytest.mark.parametrize("asd_deg",
@@ -205,8 +201,7 @@ def test_certified_gap_never_contradicts_the_doubling(monkeypatch):
 
     def converged(a, n):
         calls.clear()
-        rows = channel._converged_rows(thetas, np.radians(a), n,
-                                       channel.QUAD_MAX_NODES)
+        rows = channel._converged_rows(thetas, np.radians(a), n)
         return rows, [args[3] for args in calls]
 
     fast = {}
@@ -222,8 +217,7 @@ def test_certified_gap_never_contradicts_the_doubling(monkeypatch):
 
 def _rows(asd_deg, n_ant):
     thetas = np.random.default_rng(7).uniform(-np.pi, np.pi, 512)
-    return channel._converged_rows(thetas, np.radians(asd_deg), n_ant,
-                                   channel.QUAD_MAX_NODES)
+    return channel._converged_rows(thetas, np.radians(asd_deg), n_ant)
 
 
 def test_toeplitz_psd_skips_eigh_where_cholesky_proves_no_clip(monkeypatch):

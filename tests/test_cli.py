@@ -236,14 +236,16 @@ def test_d_bar_without_candidates_exits_2(tmp_path, capsys, monkeypatch,
 def test_unconverged_quadrature_exits_2(tmp_path, capsys, monkeypatch, workers):
     """A correlation quadrature that runs out of nodes prints one error line
     naming asd_deg and N, also when a pool worker raises it. The node cap is
-    lowered to the first pass, so no real run out of nodes happens here."""
+    lowered to the first pass, so no real run out of nodes happens here. At
+    ASD 40 deg the quadrature bound certifies N=1, whose node doubling then
+    does not run, and not N=2: both commands fail at N=2."""
     monkeypatch.setattr(channel, "QUAD_MAX_NODES", 128)
     monkeypatch.setenv("SCFSIM_WORKERS", workers)
     cfg = tmp_path / "asd.json"
     cfg.write_text(json.dumps({"L": 3, "K": 4, "N": 2, "tau": 2, "asd_deg": 40}))
     out = tmp_path / "never.csv"
     for argv, n_ant in ((["run", "sum-se-vs-N", "--config", str(cfg),
-                          "--out", str(out)], 1),
+                          "--out", str(out)], 2),
                         (["validate", "--config", str(cfg)], 2)):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -102,8 +102,10 @@ def test_worker_quadrature_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(channel, "_converged_rows", recording)
     monkeypatch.setattr(channel, "QUAD_MAX_NODES", 64)
     allow_cpus(monkeypatch, 1)
+    # an (ASD, N) the quadrature bound does not certify: the node doubling
+    # runs, and finds no budget
     with pytest.raises(QuadratureError):
-        _build(3, np.radians(15))
+        _build(8, np.radians(30))
     assert threads and threading.get_ident() not in threads
 
 

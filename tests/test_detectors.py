@@ -41,7 +41,7 @@ def _instantaneous_sinr(v, hhat, k, static_err, p_ddot, one_ad2):
 def test_lmmse_k1_collinear_with_estimate():
     _, stats, _, powers, plan, _, cluster = small_system(
         L=1, K=1, N=3, tau=1, b_da=None, b_ad=None, seed=17)
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     ctx = build_estimation_context(stats, plan, powers, q0, 1e-2)
     # ideal hardware with the estimate treated as exact: R == C_hhat
     ctx.c_hhat[0, 0] = stats.R[0, 0]
@@ -76,7 +76,7 @@ def test_lmmse_matches_ideal_rayleigh_formula():
     from scfsim import rayleigh_ideal as ideal
     _, stats, _, _, plan, _, cluster = small_system(
         L=2, K=4, N=2, tau=2, seed=19, fading="rayleigh", b_da=None, b_ad=None)
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     p = np.full(4, 7.0)
     sigma2 = 3e-3
     ctx = build_estimation_context(stats, plan, p, q0, sigma2)

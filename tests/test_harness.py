@@ -2,9 +2,12 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfsim.channel import SHADOW_STD_DB, large_scale_fading
 from scfsim.config import (MAX_AREA_SIDE, SHADOW_MARGIN_STD, ConfigError,
@@ -109,7 +112,7 @@ def test_load_config_validation(tmp_path):
     for i, (value, n_ant) in enumerate(((1e6, 2), (1000, 8), (180.5, 2))):
         path = tmp_path / f"wide_asd_{i}.json"
         path.write_text(json.dumps({"asd_deg": value, "N": n_ant}))
-        with pytest.raises(ConfigError, match="asd_deg must be at most 180"):
+        with pytest.raises(ConfigError, match="asd_deg is .* at most pi rad"):
             load_config(path)
     widest = tmp_path / "widest_asd.json"
     widest.write_text(json.dumps({"asd_deg": 180, "N": 8}))
@@ -131,6 +134,47 @@ def test_load_config_validation(tmp_path):
     cfg = load_config(ok)
     assert (cfg.K, cfg.b_ad, cfg.b_da, cfg.seed) == (5, 2, None, 0)
     assert (cfg.d_bar, cfg.sigma2_dbm) == (None, -90)
+
+
+def _loads(**fields):
+    try:
+        SimConfig(**fields)
+    except ConfigError:
+        return False
+    return True
+
+
+# the narrowest ASD in degrees whose square in radians is a normal float
+_NARROWEST_ASD = math.degrees(math.sqrt(sys.float_info.min))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats() | st.sampled_from([
+    180.0, math.nextafter(180.0, math.inf), math.nextafter(180.0, 0.0),
+    _NARROWEST_ASD, math.nextafter(_NARROWEST_ASD, 0.0),
+    math.nextafter(_NARROWEST_ASD, math.inf), 1e-160, 1e-150, 5e-324]))
+def test_asd_accepted_set_is_the_former_config_rule(asd_deg):
+    """The config takes its ASD rule from ``channel._check_asd``, and
+    accepts the same values as the rule it once wrote out in degrees:
+    finite, > 0, at most 180, and a normal float once squared in radians."""
+    want = (math.isfinite(asd_deg) and 0.0 < asd_deg <= 180.0
+            and math.radians(asd_deg) ** 2 >= sys.float_info.min)
+    assert _loads(asd_deg=asd_deg) == want
+
+
+@pytest.mark.parametrize("bits", (
+    None, 1, 5, 6, 64, 10**4, 10**300, np.int8(3), np.uint8(200),
+    10**400, 0, -3, 2.0, 2.5, True, "4", "ideal", [4]))
+def test_bits_accepted_set_is_the_former_config_rule(bits):
+    """The config takes its bit-width rule from
+    ``quantization.distortion_factor`` and accepts the same values as the
+    rule it once wrote out: null, or an integer >= 1 whose 2^(-2b-1) is in
+    the float range."""
+    integer = (not isinstance(bits, (bool, np.bool_, float, str, list))
+               and bits is not None)
+    want = bits is None or (integer and 1 <= int(bits) < 2**1022)
+    for field in ("b_da", "b_ad"):
+        assert _loads(**{field: bits}) == want
 
 
 def test_load_config_single_override(tmp_path):

@@ -78,7 +78,7 @@ def _distributed_sums_loop(ctx, cluster, detector, trials, seed):
     serving = [np.asarray(m, dtype=int) for m in sets.serving]
     overlap = [np.asarray(q, dtype=int) for q in sets.overlap]
     batches = batch_plan(trials, ctx.K, ctx.L, ctx.N)
-    acc = DistributedSums(ctx, [len(s) for s in serving],
+    acc = DistributedSums(ctx, cluster,
                           np.zeros(min(STDERR_GROUPS, len(batches))))
     p, nx = ctx.p_ddot, ap_local_noise(ctx)
     for b_idx, (lo, hi) in enumerate(batches):
@@ -430,8 +430,8 @@ def test_served_pair_combiners_match_zero_filled(system, detector):
 def test_plan_numbers_the_served_pairs(system):
     """D_l is column l of D, and ``pair_of`` numbers the served pairs in the
     order of ``np.nonzero(D)``, -1 off D: UE k's rows are the slice of the
-    cumulative |M_k| sums that the distributed engine (``bounds``) and the
-    closed form (``first``) read. The numbering cannot be written."""
+    cumulative |M_k| sums, the plan's ``pair_rows[k]``, which the distributed
+    engine reads as a view. The numbering cannot be written."""
     ctx, cluster, _ = system
     d, pair_of = cluster.D, cluster.pair_of
     for l in range(ctx.L):
@@ -443,6 +443,7 @@ def test_plan_numbers_the_served_pairs(system):
     for k in range(ctx.K):
         assert np.array_equal(pair_of[k, cluster.serving[k]],
                               bounds[k] + np.arange(sizes[k]))
+        assert cluster.pair_rows[k] == slice(bounds[k], bounds[k + 1])
     with pytest.raises(ValueError, match="read-only"):
         pair_of[0, 0] = 0
 

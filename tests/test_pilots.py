@@ -79,7 +79,7 @@ def test_pilot_plan_owns_read_only_pilots():
 
 def test_psi_single_user_ideal():
     _, stats, _, _, _, _, _ = small_system(L=1, K=1, N=2, tau=1, seed=6)
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     p = np.array([2.0])
     plan = round_robin_pilots(1, 1)
     sigma2 = 0.3
@@ -231,7 +231,7 @@ def test_ideal_rayleigh_estimation_reduction():
     _, stats, _, _, plan, _, _ = small_system(L=2, K=4, N=2, tau=2, seed=13,
                                               fading="rayleigh",
                                               b_da=None, b_ad=None)
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     p = np.full(4, 3.0)
     sigma2 = 1e-2
     ctx = build_estimation_context(stats, plan, p, q0, sigma2)

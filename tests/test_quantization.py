@@ -25,10 +25,16 @@ def test_table_values(bits, rho):
 def test_formula_beyond_table():
     assert distortion_factor(6) == pytest.approx(math.sqrt(3) * math.pi * 2**-13,
                                                  rel=1e-15)
-    assert distortion_factor("ideal") == 0.0
     assert distortion_factor(None) == 0.0
     with pytest.raises(ValueError):
         distortion_factor(0)
+    # the one ideal form is None: the string "ideal" is no resolution
+    with pytest.raises(ValueError, match="must be an integer"):
+        distortion_factor("ideal")
+    # -2b-1 past the float range: refused, naming the law
+    with pytest.raises(ValueError, match=re.escape("sqrt(3) pi 2^(-2b-1)")):
+        distortion_factor(10**400)
+    assert distortion_factor(10**4) == 0.0      # 2^(-20001) underflows to 0
 
 
 @pytest.mark.parametrize("bits", (2.7, 2.0, 0.5, True, False, np.bool_(True),
@@ -65,7 +71,7 @@ def test_table_formula_boundary_jump_is_bounded():
 def test_quantizer_config_fields():
     q = QuantizerConfig(b_da=1, b_ad=3)
     assert q.rho_da == TABLE[1] and q.rho_ad == TABLE[3]
-    assert QuantizerConfig.ideal().rho_da == 0.0
+    assert QuantizerConfig().rho_da == QuantizerConfig().rho_ad == 0.0
 
 
 def test_dac_identity_when_ideal():
@@ -119,7 +125,7 @@ def test_quantization_noise_uncorrelated_with_input():
 
 def test_received_noise_ideal_hardware_reduces_to_thermal():
     _, stats, _, powers, _, _, _ = small_system(seed=1)
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     sigma2 = 0.123
     c = received_noise_covariance(stats, powers, q0, sigma2,
                                   np.arange(stats.K), np.arange(stats.L))

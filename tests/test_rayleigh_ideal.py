@@ -18,7 +18,7 @@ def _ideal_system(seed=60, L=3, K=5, N=2, tau=2):
     parts = small_system(L=L, K=K, N=N, tau=tau, seed=seed, fading="rayleigh",
                          b_da=None, b_ad=None)
     cfg, stats, _, powers, plan, _, cluster = parts
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     ctx = build_estimation_context(stats, plan, powers, q0, cfg.sigma2_mw)
     return cfg, stats, powers, plan, ctx, cluster
 

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +162,7 @@ def test_empty_candidate_set_raises():
     cfg = SimConfig(L=4, K=4, N=2, tau=2)
     scn = generate_scenario(cfg, 1)
     stats = channel_statistics(scn, 1, cfg.asd_rad)
-    q = QuantizerConfig.ideal()
+    q = QuantizerConfig()
     with pytest.raises(ValueError):
         run_algorithm1(stats, q, 2, 100.0, d_bar=1e-6)
     with pytest.raises(ConfigError, match=r"d_bar.*UEs \[0, 1, 2, 3\]"):
@@ -176,7 +178,7 @@ def test_d_bar_limits_the_primary_ap():
     d_bar = 1.01 * dist.min(axis=1).max()      # every UE keeps a candidate
     strongest = np.argmax(stats.beta, axis=1)
     assert np.any(dist[np.arange(cfg.K), strongest] > d_bar)
-    cluster, _, _ = run_algorithm1(stats, QuantizerConfig.ideal(), cfg.tau,
+    cluster, _, _ = run_algorithm1(stats, QuantizerConfig(), cfg.tau,
                                    100.0, d_bar=d_bar)
     for k in range(cfg.K):
         candidates = np.flatnonzero(dist[k] <= d_bar)
@@ -301,8 +303,96 @@ def _assert_views_match_eager_sets(plan):
         assert tuple(served.tolist()) == sets.served[l]
         assert tuple(primary.tolist()) == sets.served_primary[l]
         assert tuple(secondary.tolist()) == sets.served_secondary[l]
+    _assert_served_pair_layout(plan)
     # derived once: a second read returns the same object
     assert plan.overlap_mask is plan.overlap_mask and plan.serving is plan.serving
+
+
+def _assert_served_pair_layout(plan):
+    """The plan's served-pair layout: ``pairs`` is ``np.nonzero(D)``,
+    ``pair_of`` numbers it and ``pair_rows[k]`` is UE k's run of it; the
+    size classes split range(K) by |M_k|, ascending. None can be written,
+    and each is built once."""
+    ues, aps = plan.pairs
+    n_pairs = np.count_nonzero(plan.D)
+    assert np.array_equal(ues, np.nonzero(plan.D)[0])
+    assert np.array_equal(aps, np.nonzero(plan.D)[1])
+    assert ues.dtype == aps.dtype == np.intp
+    assert np.array_equal(plan.pair_of[plan.pairs], np.arange(n_pairs))
+    assert plan.pair_of.dtype == np.intp
+    assert np.all(plan.pair_of[~plan.D] == -1)
+    assert len(plan.pair_rows) == plan.K
+    for k, rows in enumerate(plan.pair_rows):
+        assert np.array_equal(np.arange(n_pairs)[rows],
+                              plan.pair_of[k, plan.serving[k]])
+        assert np.all(ues[rows] == k) and np.array_equal(aps[rows], plan.serving[k])
+    sizes = plan.D.sum(axis=1)
+    classes = plan.size_classes
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(plan.K))
+    class_sizes = [sizes[c[0]] for c in classes]
+    assert class_sizes == sorted(set(sizes.tolist()))
+    for members, m in zip(classes, class_sizes):
+        assert np.array_equal(members, np.flatnonzero(sizes == m))
+    for array in (ues, aps, plan.pair_of) + classes:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert isinstance(plan.pair_rows, tuple) and isinstance(classes, tuple)
+    assert plan.pairs is plan.pairs and plan.pair_rows is plan.pair_rows
+    assert plan.size_classes is classes
+
+
+# the calls that derive the served-pair layout, and the names whose read
+# makes them do so: finding or counting the pairs, or the serving-set sizes,
+# in D, and summing serving-set sizes into row offsets
+_LAYOUT_CALLS = {
+    "nonzero": {"D"}, "flatnonzero": {"D"}, "count_nonzero": {"D"},
+    "sum": {"D"}, "cumsum": {"D", "serving", "sizes", "size"}}
+
+
+def _layout_reads(source):
+    """Line numbers of the calls in ``source`` that derive the served-pair
+    layout: a call of ``_LAYOUT_CALLS`` whose operands read one of its
+    names, as an attribute or a variable."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        operands = node.args + [kw.value for kw in node.keywords]
+        if isinstance(func, ast.Attribute):
+            operands.append(func.value)
+        read = {getattr(n, "attr", getattr(n, "id", None))
+                for x in operands for n in ast.walk(x)}
+        if read & _LAYOUT_CALLS.get(name, set()):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_layout_reads_are_caught():
+    for line in ("kk, ll = np.nonzero(cluster.D)",
+                 "n = np.count_nonzero(cluster.D)",
+                 "sizes = cluster.D.sum(axis=1)",
+                 "bounds = np.concatenate(([0], np.cumsum(sizes)))",
+                 "end = np.cumsum([m.size for m in cluster.serving])"):
+        assert _layout_reads(line) == [1], line
+    for line in ("kk, ll = cluster.pairs", "g[:, k].sum(axis=1)",
+                 "np.flatnonzero(plan.pilot_of == t)",
+                 "f = np.sum(cv * noise[serving[k], :, t], axis=1)"):
+        assert _layout_reads(line) == [], line
+
+
+def test_only_the_scheduler_lays_out_the_served_pairs():
+    """Outside ``scheduler``, no module finds the served pairs, counts them
+    or sums serving-set sizes into row offsets: each reads the plan's
+    ``pairs``, ``pair_of``, ``pair_rows`` and ``size_classes``."""
+    package = Path(scheduler.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    hits = [f"{path.name}:{line}" for path in modules if path.name != "scheduler.py"
+            for line in _layout_reads(path.read_text())]
+    assert not hits
 
 
 @settings(max_examples=60, deadline=None)

@@ -100,7 +100,7 @@ def test_distributed_scalar_oracle():
     stats = synthetic_stats([[0.3]], [[5.0]], [[0.4]], 2)
     stats.R[0, 0][:] = 0.0
     stats.beta_nlos[0, 0] = 0.0
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     plan = round_robin_pilots(1, 1)
     p = np.array([4.0])
     sigma2 = 2e-3

@@ -163,7 +163,7 @@ def test_centralized_exact_mc_scalar_oracle():
     _, stats, _, powers, plan, _, cluster = small_system(
         L=1, K=1, N=2, tau=1, b_da=None, b_ad=None, seed=57)
     from scfsim.quantization import QuantizerConfig
-    q0 = QuantizerConfig.ideal()
+    q0 = QuantizerConfig()
     sigma2 = small_system(L=1, K=1, N=2, tau=1, seed=57)[0].sigma2_mw
     ctx = build_estimation_context(stats, plan, powers, q0, sigma2)
 
