@@ -4,7 +4,9 @@ Local (per-AP) detectors: MRC, L-MMSE, and the partial LP-MMSE that lets
 channel statistics stand in for the estimates of secondary-served UEs.
 Centralized detectors: MRC, MMSE and the partial P-MMSE, on the UE's
 serving-AP subspace, so a combining vector lives on its serving APs only.
-Every entry point takes each name ``config.check_detector`` takes.
+Only the statics builders (``local_statics``, ``centralized_system_matrices``)
+read a detector name, any ``config.check_detector`` takes; the combiners
+take a batch and the statics, None for MRC.
 
 Every MMSE-family detector is one formula on different sets.
 ``detector_sets`` is the table: for a method and an index (the AP of a
@@ -24,13 +26,12 @@ sqrt-power-scaled estimates of the estimate set. The MMSE blocks on every
 AP, with no statistics set, are the error-plus-noise matrices W_l that the
 estimation context holds as ``ctx.w``.
 
-Local combiners read and return trials-last (pairs, N, n) arrays: they read
-the estimates of ``local_pairs`` and return one vector per served pair, in
-the rows of ``ClusterPlan.pair_of``, so UE k's vectors are the slice
-``ClusterPlan.pair_rows[k]``. A
-centralized batch holds every estimate UE-last, (n, L, N, K), so each UE's
-subspace is one gather, or a view when M_k is every AP
-(``serving_subspace``).
+Local combiners take a trials-last pilot-observation batch, from which each
+AP forms its own estimates (``sampling.estimates``), and return one vector
+per served pair in the rows of ``ClusterPlan.pair_of``, so UE k's vectors
+are the slice ``ClusterPlan.pair_rows[k]``. A centralized batch holds every
+estimate UE-last, (n, L, N, K), so each UE's subspace is one gather, or a
+view when M_k is every AP (``serving_subspace``).
 """
 
 import numpy as np
@@ -39,6 +40,7 @@ from .config import check_detector
 from .numerics import hermitize
 from .pilots import block_diag_cov
 from .quantization import received_noise_covariance
+from .sampling import estimates
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +119,8 @@ def static_part(ctx, cluster, method, index):
 def local_statics(ctx, cluster, method):
     """Per AP, ``static_part``: (matrix, estimate set). None for MRC.
 
-    Validates ``method`` (see ``local_combiners``).
+    Validates ``method``: "mrc", "lmmse", "lpmmse" (partial) or
+    "lpmmse-full" (every served UE's estimate, the unreduced baseline).
     """
     check_detector("distributed", method)
     if method == "mrc":
@@ -125,46 +128,29 @@ def local_statics(ctx, cluster, method):
     return [static_part(ctx, cluster, method, l) for l in range(ctx.L)]
 
 
-def local_pairs(cluster, method):
-    """(UEs, APs) of the pairs whose estimates ``local_combiners`` reads:
-    every pair, UE-major, for L-MMSE, whose estimate sets are every UE; the
-    plan's served pairs (``ClusterPlan.pairs``) for the others, whose
-    estimate sets lie in the served sets.
-    """
-    if method == "lmmse":
-        return np.divmod(np.arange(cluster.D.size), cluster.L)
-    return cluster.pairs
-
-
-def local_combiners(est, ctx, cluster, method, statics):
+def local_combiners(z, ctx, cluster, statics):
     """Batched local combining vectors on the served pairs, (P, N, n).
 
-    ``est`` holds the estimates of the pairs ``local_pairs(cluster,
-    method)``, (pairs, N, n); the result's rows follow ``cluster.pair_of``.
-    ``method``: "mrc", "lmmse", "lpmmse" (partial), or "lpmmse-full"
-    (estimates for every served UE, the unreduced scalable baseline).
-    ``statics``: ``local_statics(ctx, cluster, method)``, which validates
-    ``method`` and is built once for every batch. AP l's solve reads AP l's
-    estimates only.
+    ``z`` is a pilot-observation batch, (tau, L, N, n); the result's rows
+    follow ``cluster.pair_of``. Each AP forms its estimates of the UEs it
+    serves, MRC's vectors when ``statics`` is None. Otherwise, with the
+    ``local_statics`` built once for every batch, AP l also forms those of
+    its estimate set, adds their Gram to its static part and solves: AP l's
+    combiners read AP l's observations only.
     """
-    if method == "mrc":
-        return est
-
-    # each pair's row in ``est``: the plan's own rows, or for L-MMSE's
-    # every pair k L + l
-    row = (np.arange(cluster.D.size).reshape(cluster.D.shape)
-           if method == "lmmse" else cluster.pair_of)
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2
-    v = np.empty((len(cluster.pairs[0]),) + est.shape[1:], dtype=complex)
-    for l, (static, est_set) in enumerate(statics):
-        served = cluster.served[l]
+    v = np.empty((len(cluster.pairs[0]), ctx.N, z.shape[-1]), dtype=complex)
+    for l, served in enumerate(cluster.served):
         if served.size == 0:
             continue
-        e = est[row[est_set, l]]                            # (|est|, N, n)
-        a = static[None] + one_ad2 * np.einsum(
-            "i,inb,imb->bnm", ctx.p_ddot[est_set], e, np.conj(e))
-        rhs = est[row[served, l]].T                         # (n, N, |served|)
-        v[cluster.pair_of[served, l]] = np.linalg.solve(a, rhs).T
+        rhs = estimates(ctx, z, served, l)                  # (|served|, N, n)
+        if statics is not None:
+            static, est_set = statics[l]
+            e = estimates(ctx, z, est_set, l)               # (|est|, N, n)
+            a = static[None] + one_ad2 * np.einsum(
+                "i,inb,imb->bnm", ctx.p_ddot[est_set], e, np.conj(e))
+            rhs = np.linalg.solve(a, rhs.T).T
+        v[cluster.pair_of[served, l]] = rhs
     return v
 
 
@@ -194,15 +180,14 @@ def serving_subspace(hhat_t, cluster, k):
     return hhat_t.reshape(hhat_t.shape[0], -1, hhat_t.shape[-1])
 
 
-def centralized_combiners(sub, ctx, method, k, static):
+def centralized_combiners(sub, ctx, k, static):
     """Batched combining vectors for UE k on its serving subspace, (n, m).
 
     ``sub`` is ``serving_subspace`` of the batch; ``static`` UE k's entry of
-    ``centralized_system_matrices``, built once for every batch (None for
-    MRC, which has no system matrix).
+    ``centralized_system_matrices``, built once for every batch. None (MRC,
+    which has no system matrix) gives UE k's own channels.
     """
-    check_detector("centralized", method)
-    if method == "mrc":
+    if static is None:
         return sub[..., k]
     mat, est_set = static
     one_ad2 = (1.0 - ctx.q.rho_ad) ** 2

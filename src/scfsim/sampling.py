@@ -18,10 +18,10 @@ through one reused float buffer. A draw block holds about
 64-trial paper-scale batch the buffer is a quarter of the batch. The pilot
 noise is transformed in place, one pilot at a time, and each data-noise
 draw is freed once it is mixed. A batch holds one copy of the true
-channels; estimates are formed from the pilot observations only on the
-(UE, AP) pairs an engine reads (``estimates``), or for every pair in the
-UE-last (n, L, N, K) layout of the centralized subspaces
-(``estimates_ue_last``).
+channels; estimates are formed from the pilot observations one AP at a
+time, as each AP forms its own (``estimates``): for the UEs an AP's
+combiners read, or for every UE in the UE-last (n, L, N, K) layout of the
+centralized subspaces (``estimates_ue_last``).
 """
 
 import numpy as np
@@ -70,20 +70,15 @@ def sample_joint(ctx, rng, n_trials):
     return h, z
 
 
-def estimates(ctx, z, ues, aps):
-    """MMSE estimates of the (UE, AP) pairs ``zip(ues, aps)``, (P, N, n).
+def estimates(ctx, z, ues, l):
+    """AP l's MMSE estimates of the UEs ``ues``, (|ues|, N, n).
 
-    ``z`` is the pilot-observation batch of ``sample_joint``. The pairs'
-    observations are gathered L pairs at a time, so the gather never holds
-    more than one UE's worth of a batch, however many pairs there are.
+    ``z`` is the pilot-observation batch of ``sample_joint``: the estimates
+    are one matmul of AP l's estimator gains with its observations of the
+    UEs' pilots, plus h̄, added in place.
     """
-    ues, aps = np.asarray(ues), np.asarray(aps)
-    est = np.empty((len(ues), ctx.N, z.shape[-1]), dtype=complex)
-    pilot_of = ctx.plan.pilot_of
-    for lo in range(0, len(ues), ctx.L):
-        u, a = ues[lo:lo + ctx.L], aps[lo:lo + ctx.L]
-        np.matmul(ctx.est_gain[u, a], z[pilot_of[u], a], out=est[lo:lo + ctx.L])
-    est += ctx.stats.h_bar[ues, aps, :, None]
+    est = ctx.est_gain[ues, l] @ z[ctx.plan.pilot_of[ues], l]
+    est += ctx.stats.h_bar[ues, l, :, None]
     return est
 
 
@@ -95,7 +90,7 @@ def estimates_ue_last(ctx, z):
     out = np.empty((n_trials, ctx.L, ctx.N, ctx.K), dtype=complex)
     every = np.arange(ctx.K)
     for l in range(ctx.L):
-        out[:, l] = estimates(ctx, z, every, np.full(ctx.K, l)).T
+        out[:, l] = estimates(ctx, z, every, l).T
     return out
 
 

@@ -19,7 +19,8 @@ trial chunks of at most about CHUNK_ELEMS elements (``distributed_mc_sums``,
 ``centralized_mc_report``). At paper scale (L=64, K=150) both engines then
 peak in the channel draw, within 0.3 batches of the channels. Estimate-free
 combiner parts (static matrices, error-plus-noise blocks) are built once per
-report, and detector and weighting names are checked before sampling.
+report by the one reader of the detector name; detector and weighting names
+are checked before sampling.
 """
 
 from dataclasses import dataclass
@@ -28,14 +29,12 @@ import numpy as np
 
 from .config import check_weighting
 from .detectors import (centralized_combiners, centralized_system_matrices,
-                        local_combiners, local_pairs, local_statics,
-                        serving_subspace)
+                        local_combiners, local_statics, serving_subspace)
 from .lsfd import Moments, se_from_moments
 from .numerics import _is_integer
 from .pilots import block_diag_cov
 from .rng import substream
-from .sampling import (estimates, estimates_ue_last, sample_data_noise,
-                       sample_joint)
+from .sampling import estimates_ue_last, sample_data_noise, sample_joint
 
 MC_BATCH_ELEMS = 1 << 21   # target complex elements per (trials x K x L x N) batch
 CHUNK_ELEMS = 1 << 16      # the same per distributed chunk of a batch, per UE
@@ -196,8 +195,8 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     A batch is drawn whole: the true channels, trials-last (K, L, N, n),
     the pilot observations and the data noise, with the same streams and
     draws at any chunk size. It is consumed in the trial chunks of
-    ``_chunks``; a chunk of c trials holds the estimates on ``local_pairs``
-    and the combiners on the served pairs, (P, N, c) in the plan's pair
+    ``_chunks``; a chunk of c trials holds the combiners on the served
+    pairs, each AP's from its own estimates, (P, N, c) in the plan's pair
     rows, so UE k's combiners are the view ``cluster.pair_rows[k]``.
     Each UE walks the chunk again in the sub-chunks of ``_ue_chunks``, at
     most CHUNK_ELEMS / (|M_k| K) trials each, which hold its effective
@@ -213,15 +212,13 @@ def distributed_mc_sums(ctx, cluster, detector, trials, seed):
     batches, counts = mc_batches(ctx, trials, seed, "mc-distributed")
     acc = DistributedSums(ctx, cluster, counts)
     statics = local_statics(ctx, cluster, detector)
-    pairs = local_pairs(cluster, detector)
     sqrt_p = np.sqrt(ctx.p_ddot)[:, None]
 
     for g_idx, n, rng in batches:
         h, z = sample_joint(ctx, rng, n)
         noise = sample_data_noise(ctx, h, rng)                   # (L, N, n)
         for t in _chunks(n, ctx.K * ctx.L * ctx.N):
-            v = local_combiners(estimates(ctx, z[..., t], *pairs), ctx,
-                                cluster, detector, statics)      # (P, N, c)
+            v = local_combiners(z[..., t], ctx, cluster, statics)  # (P, N, c)
             h_t = h[..., t]
             for cls, ues in enumerate(acc.ues):
                 for row, k in enumerate(ues):
@@ -303,7 +300,7 @@ def centralized_mc_report(ctx, cluster, detector, trials, seed, prelog):
             per_trial = cluster.serving[k].size * ctx.N * ctx.K
             for t in _ue_chunks(n, per_trial):
                 sub = serving_subspace(hhat_t[t], cluster, k)   # (c, m, K)
-                v = centralized_combiners(sub, ctx, detector, k, statics[k])
+                v = centralized_combiners(sub, ctx, k, statics[k])
                 cross2 = np.abs((np.conj(v)[:, None, :] @ sub)[:, 0]) ** 2
                 own = p[k] * cross2[:, k]
                 num = one_ad2 * own

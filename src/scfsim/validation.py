@@ -45,20 +45,19 @@ def desk_validation_config(cfg):
 
 def _kernel_mc(ctx, pairs, trials, seed):
     """Monte Carlo estimates of E[hhat_k^H h_i h_i^H hhat_k] for given
-    (k, i, l1, l2) tuples over the batches of ``mc_batches``, with estimates
-    formed only on the (k, l1) and (k, l2) pairs the tuples read."""
-    ues = [k for k, _, _, _ in pairs for _ in range(2)]
-    aps = [l for _, _, l1, l2 in pairs for l in (l1, l2)]
+    (k, i, l1, l2) tuples over the batches of ``mc_batches``, with only UE
+    k's estimates at APs l1 and l2 formed."""
     sums = np.zeros(len(pairs), dtype=complex)
     batches, counts = mc_batches(ctx, trials, seed, "kernel-oracle")
     for _, n, rng in batches:
         h, z = sample_joint(ctx, rng, n)
-        hhat = estimates(ctx, z, ues, aps)                       # (2J, N, n)
         for j, (k, i, l1, l2) in enumerate(pairs):
-            left = np.einsum("nb,nb->b", np.conj(hhat[2 * j]), h[i, l1])
-            right = np.einsum("nb,nb->b", np.conj(h[i, l2]), hhat[2 * j + 1])
+            left = np.einsum("nb,nb->b", np.conj(estimates(ctx, z, [k], l1)[0]),
+                             h[i, l1])
+            right = np.einsum("nb,nb->b", np.conj(h[i, l2]),
+                              estimates(ctx, z, [k], l2)[0])
             sums[j] += np.sum(left * right)
-        del h, z, hhat
+        del h, z
     return sums / counts.sum()
 
 

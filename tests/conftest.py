@@ -37,15 +37,12 @@ def allow_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
 
-def lmmse_at_ap(hhat_l, l, ctx, cluster):
-    """Every UE's L-MMSE vector at AP l, (K, N), from AP l's (K, N) estimates:
-    a one-trial batch holding them at AP l (AP l's solve reads no other AP's
-    estimates), through the batched ``local_combiners``."""
+def lmmse_at_ap(z, l, ctx, cluster):
+    """Every UE's L-MMSE vector at AP l, (K, N), from a one-trial pilot
+    batch z, through the batched ``local_combiners``."""
     from oracles import local_combiners_full
 
-    hhat = np.zeros((1, ctx.K, ctx.L, ctx.N), dtype=complex)
-    hhat[0, :, l] = hhat_l
-    return local_combiners_full(hhat, ctx, cluster, "lmmse")[0, :, l]
+    return local_combiners_full(z, ctx, cluster, "lmmse")[0, :, l]
 
 
 def synthetic_stats(beta, kappa, theta, n_ant, asd_rad=np.radians(15.0)):

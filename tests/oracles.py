@@ -23,8 +23,9 @@ scheduler, which ``scheduler.run_algorithm1`` runs as array steps;
 which the plans now derive on first read or their readers form in place. The
 Monte Carlo helpers give the stderr group of a batch (``group_of``) and a
 batch in the full (n, K, L, N) layout the engines no longer build: every
-pair's estimates, the UE-last copy, and the former zero-filled local
-combiners. The single-link helpers (LOS steering
+pair's estimates (``estimate_batch``), the UE-last copy, the former
+zero-filled local combiners, and the engine's local combiners scattered
+into that layout (``local_combiners_full``). The single-link helpers (LOS steering
 vector, PSD square root, one channel draw, one local MMSE estimate, the
 DAC/ADC models applied to one signal) are the textbook forms the batched
 code paths are checked against; ``spatial_correlation`` is one link's R
@@ -40,7 +41,7 @@ import numpy as np
 
 from scfsim import channel
 from scfsim.config import check_weighting
-from scfsim.detectors import local_combiners, local_pairs, local_statics
+from scfsim.detectors import local_combiners, local_statics
 from scfsim.lsfd import Moments
 from scfsim.numerics import (NotPositiveSemidefiniteError, crandn, hermitize,
                              linear_to_db, solve_hermitian)
@@ -156,11 +157,24 @@ def group_of(b_idx, n_batches):
 
 def joint_batch(ctx, rng, n_trials):
     """(h, hhat), both (n, K, L, N): ``sample_joint``'s true channels and
-    the estimates of every (UE, AP) pair, as views of trials-last arrays."""
+    the estimates of every (UE, AP) pair (``estimate_batch``)."""
     h, z = sample_joint(ctx, rng, n_trials)
-    hhat = estimates(ctx, z, *np.nonzero(np.ones((ctx.K, ctx.L), dtype=bool)))
-    hhat = hhat.reshape(ctx.K, ctx.L, ctx.N, n_trials)
-    return np.moveaxis(h, -1, 0), np.moveaxis(hhat, -1, 0)
+    return np.moveaxis(h, -1, 0), estimate_batch(ctx, z)
+
+
+def estimate_batch(ctx, z):
+    """(n, K, L, N) estimates of every (UE, AP) pair from a pilot batch z,
+    each AP's from its own observations."""
+    every = np.arange(ctx.K)
+    return np.stack([np.moveaxis(estimates(ctx, z, every, l), -1, 0)
+                     for l in range(ctx.L)], axis=2)
+
+
+def pilot_batch(ctx, rng, n_trials):
+    """(z, hhat): ``sample_joint``'s pilot observations, trials-last, and
+    the (n, K, L, N) estimates of every pair formed from them."""
+    z = sample_joint(ctx, rng, n_trials)[1]
+    return z, estimate_batch(ctx, z)
 
 
 def data_noise_batch(ctx, h, rng):
@@ -197,14 +211,13 @@ def zero_filled_local_combiners(hhat, ctx, cluster, method):
     return v
 
 
-def local_combiners_full(hhat, ctx, cluster, method):
-    """``detectors.local_combiners`` on an (n, K, L, N) estimate batch,
-    scattered into a zero-filled (n, K, L, N) array."""
-    est = np.moveaxis(hhat, 0, -1)[local_pairs(cluster, method)]
-    v = np.zeros_like(hhat)
-    v[(slice(None),) + np.nonzero(cluster.D)] = np.moveaxis(
-        local_combiners(est, ctx, cluster, method,
-                        local_statics(ctx, cluster, method)), -1, 0)
+def local_combiners_full(z, ctx, cluster, method):
+    """``detectors.local_combiners`` on a pilot batch z, scattered into a
+    zero-filled (n, K, L, N) array."""
+    v = np.zeros((z.shape[-1], ctx.K, ctx.L, ctx.N), dtype=complex)
+    v[(slice(None),) + cluster.pairs] = np.moveaxis(
+        local_combiners(z, ctx, cluster, local_statics(ctx, cluster, method)),
+        -1, 0)
     return v
 
 

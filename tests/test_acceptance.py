@@ -270,7 +270,7 @@ def test_criterion_09_degeneration_suite():
     """rho = 0, kappa = 0 reproduces the independent ideal-Rayleigh path (1e-8)."""
     from scfsim import rayleigh_ideal as ideal
     from scfsim.numerics import crandn
-    from oracles import estimate_local
+    from oracles import estimate_local, pilot_batch
 
     cfg, stats, _, powers, plan, _, cluster = small_system(
         L=4, K=6, N=2, tau=3, seed=64, fading="rayleigh", b_da=None, b_ad=None)
@@ -279,8 +279,9 @@ def test_criterion_09_degeneration_suite():
     ctx = build_estimation_context(stats, plan, p, q0, cfg.sigma2_mw)
     worst = 0.0
     z = crandn(substream(0, "z"), (stats.N,), 1e-10)
-    hhat_l = crandn(substream(1, "h"), (stats.K, stats.N), 1e-9)
-    v_ap0 = lmmse_at_ap(hhat_l, 0, ctx, cluster)
+    pilots, hhat = pilot_batch(ctx, substream(1, "h"), 1)
+    hhat_l = hhat[0, :, 0]
+    v_ap0 = lmmse_at_ap(pilots, 0, ctx, cluster)
     se = se_from_moments(build_ingredients(ctx, cluster), "lsfd", cfg.prelog)
     for k in range(stats.K):
         for l in range(stats.L):

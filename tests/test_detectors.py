@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scfsim.detectors import (centralized_combiners,
                               centralized_system_matrices, detector_sets,
                               local_statics, serving_subspace)
-from scfsim.numerics import crandn, hermitize
+from scfsim.numerics import hermitize
 from scfsim.pilots import build_estimation_context
 from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
@@ -14,7 +14,7 @@ from scfsim.scheduler import ClusterPlan
 
 from conftest import lmmse_at_ap, small_system
 from oracles import (cluster_sets, joint_batch, local_combiners_full,
-                     receive_noise, ue_last)
+                     pilot_batch, receive_noise, ue_last)
 
 
 LOCAL = ("lmmse", "lpmmse", "lpmmse-full")
@@ -25,7 +25,7 @@ def _centralized(method, k, hhat, ctx, cluster):
     """UE k's centralized combining vectors of a batch, on its subspace."""
     sub = serving_subspace(ue_last(hhat), cluster, k)
     static = centralized_system_matrices(ctx, cluster, method)[k]
-    return centralized_combiners(sub, ctx, method, k, static)
+    return centralized_combiners(sub, ctx, k, static)
 
 
 def _instantaneous_sinr(v, hhat, k, static_err, p_ddot, one_ad2):
@@ -45,8 +45,9 @@ def test_lmmse_k1_collinear_with_estimate():
     ctx = build_estimation_context(stats, plan, powers, q0, 1e-2)
     # ideal hardware with the estimate treated as exact: R == C_hhat
     ctx.c_hhat[0, 0] = stats.R[0, 0]
-    hhat_l = crandn(substream(0, "h"), (1, 3), 1e-9)
-    v = lmmse_at_ap(hhat_l, 0, ctx, cluster)[0]
+    z, hhat = pilot_batch(ctx, substream(0, "h"), 1)
+    hhat_l = hhat[0, :, 0]
+    v = lmmse_at_ap(z, 0, ctx, cluster)[0]
     cross = np.abs(np.vdot(v, hhat_l[0]))
     assert cross > (1 - 1e-10) * np.linalg.norm(v) * np.linalg.norm(hhat_l[0])
 
@@ -54,13 +55,13 @@ def test_lmmse_k1_collinear_with_estimate():
 def test_lmmse_beats_mrc_instantaneous():
     _, stats, q, powers, plan, ctx, cluster = small_system(seed=18)
     trials = 100
-    _, hhat = joint_batch(ctx, substream(1, "det"), trials)
+    z, hhat = pilot_batch(ctx, substream(1, "det"), trials)
     one_ad2 = (1 - q.rho_ad) ** 2
     l = 0
     static = receive_noise(ctx)[l]
     for i in range(stats.K):
         static += one_ad2 * powers[i] * (stats.R[i, l] - ctx.c_hhat[i, l])
-    v_all = local_combiners_full(hhat, ctx, cluster, "lmmse")
+    v_all = local_combiners_full(z, ctx, cluster, "lmmse")
     won = 0
     for b in range(trials):
         h_l = hhat[b, :, l]
@@ -80,8 +81,9 @@ def test_lmmse_matches_ideal_rayleigh_formula():
     p = np.full(4, 7.0)
     sigma2 = 3e-3
     ctx = build_estimation_context(stats, plan, p, q0, sigma2)
-    hhat_l = crandn(substream(2, "h"), (4, 2), 1e-9)
-    got = lmmse_at_ap(hhat_l, 1, ctx, cluster)[2]
+    z, hhat = pilot_batch(ctx, substream(2, "h"), 1)
+    hhat_l = hhat[0, :, 1]
+    got = lmmse_at_ap(z, 1, ctx, cluster)[2]
     want = ideal.ideal_lmmse(2, 1, hhat_l, stats, plan, p, sigma2)
     assert np.allclose(got, want, rtol=1e-8)
 
@@ -91,9 +93,9 @@ def test_lpmmse_reduces_to_lmmse_when_all_primary():
     # single AP serving everyone as primary: N_l^P covers all UEs
     cluster = ClusterPlan(np.ones((3, 1), dtype=bool),
                           np.zeros(3, dtype=int))
-    hhat = crandn(substream(3, "h"), (3, 2), 1e-9)[None, :, None]
-    got = local_combiners_full(hhat, ctx, cluster, "lpmmse")
-    want = local_combiners_full(hhat, ctx, cluster, "lmmse")
+    z = pilot_batch(ctx, substream(3, "h"), 1)[0]
+    got = local_combiners_full(z, ctx, cluster, "lpmmse")
+    want = local_combiners_full(z, ctx, cluster, "lmmse")
     assert np.allclose(got, want, rtol=1e-10)
     # a plan in which an AP would combine for a UE it does not serve (its
     # primary AP left out of its cluster) is rejected when it is built
@@ -114,9 +116,9 @@ def test_lpmmse_system_matrix_hermitian_pd():
 def test_centralized_mmse_single_ap_equals_local():
     _, stats, q, powers, plan, ctx, cluster = small_system(L=1, K=3, N=2,
                                                            tau=3, seed=22)
-    _, hhat = joint_batch(ctx, substream(4, "c"), 1)
+    z, hhat = pilot_batch(ctx, substream(4, "c"), 1)
     v_central = _centralized("mmse", 1, hhat, ctx, cluster)[0]
-    v_local = local_combiners_full(hhat, ctx, cluster, "lmmse")[0, 1, 0]
+    v_local = local_combiners_full(z, ctx, cluster, "lmmse")[0, 1, 0]
     assert np.allclose(v_central, v_local, rtol=1e-10)
 
 
@@ -141,7 +143,7 @@ def test_centralized_masking_and_residual():
     a = static + (1 - q.rho_ad) ** 2 * np.einsum(
         "i,in,im->nm", powers[est], sub[est], np.conj(sub[est]))
     v_sub = centralized_combiners(serving_subspace(ue_last(hhat), cluster, 1),
-                                  ctx, "mmse", 1, (static, est))[0]
+                                  ctx, 1, (static, est))[0]
     resid = np.linalg.norm(a @ v_sub - sub[1]) / np.linalg.norm(sub[1])
     assert resid < 1e-8
 
@@ -159,11 +161,7 @@ def test_pmmse_full_overlap_equals_mmse():
 
 def test_other_schemes_methods_are_rejected():
     _, _, _, _, _, ctx, cluster = small_system(seed=27)
-    _, hhat = joint_batch(ctx, substream(9, "c"), 1)
-    sub = serving_subspace(ue_last(hhat), cluster, 0)
     for method in ("lpmmse", "zf"):
-        with pytest.raises(ValueError, match="centralized detector"):
-            centralized_combiners(sub, ctx, method, 0, None)
         with pytest.raises(ValueError, match="centralized detector"):
             centralized_system_matrices(ctx, cluster, method)
     # MRC has no system matrix: one None per UE, as local_statics gives None
@@ -195,7 +193,7 @@ def test_sinr_scale_invariance():
 
     static = centralized_system_matrices(ctx, cluster, "mmse")[k]
     v = centralized_combiners(serving_subspace(ue_last(hhat), cluster, k),
-                              ctx, "mmse", k, static)[0]
+                              ctx, k, static)[0]
     assert sinr(v) == pytest.approx(sinr((0.3 - 2.2j) * v), rel=1e-10)
 
 

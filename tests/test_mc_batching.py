@@ -18,20 +18,20 @@ import pytest
 from scfsim import detectors, se_mc
 from scfsim.config import DETECTORS, SimConfig
 from scfsim.detectors import (centralized_system_matrices, local_combiners,
-                              local_pairs, local_statics)
+                              local_statics)
 from scfsim.harness import build_system
 from scfsim.numerics import crandn, hermitize
 from scfsim.quantization import received_noise_covariance
 from scfsim.rng import substream
-from scfsim.sampling import estimates, estimates_ue_last, sample_joint
+from scfsim.sampling import estimates_ue_last, sample_joint
 from scfsim.scheduler import full_cluster_plan
 from scfsim.se_mc import (STDERR_GROUPS, DistributedSums, batch_plan,
                           centralized_mc_report, distributed_mc_report,
                           distributed_mc_sums)
 
 from oracles import (SUM_FIELDS, ap_local_noise, cluster_sets,
-                     data_noise_batch, group_of, joint_batch, ue_row,
-                     zero_filled_local_combiners)
+                     data_noise_batch, estimate_batch, group_of, joint_batch,
+                     ue_row, zero_filled_local_combiners)
 
 SE_REL = 1e-12
 STDERR_REL = 1e-10
@@ -408,23 +408,40 @@ def test_serving_subspace_is_a_view_under_the_full_plan(system):
 @pytest.mark.parametrize("detector", DETECTORS["distributed"])
 def test_served_pair_combiners_match_zero_filled(system, detector):
     """Combiners on the served pairs, UE-major, are the former zero-filled
-    (n, K, L, N) combiners at those pairs; the estimates read are those of
-    ``local_pairs`` only."""
+    (n, K, L, N) combiners at those pairs, on the estimates formed from the
+    same pilot batch."""
     ctx, cluster, _ = system
     z = sample_joint(ctx, substream(9, "pairs"), 16)[1]
-    _, hhat = joint_batch(ctx, substream(9, "pairs"), 16)
-    pairs = local_pairs(cluster, detector)
-    if detector == "lmmse":
-        assert len(pairs[0]) == ctx.K * ctx.L
-    else:
-        assert np.array_equal(pairs, np.nonzero(cluster.D))
-    got = local_combiners(estimates(ctx, z, *pairs), ctx, cluster, detector,
+    got = local_combiners(z, ctx, cluster,
                           local_statics(ctx, cluster, detector))
     served = np.nonzero(cluster.D)
     assert got.shape == (len(served[0]), ctx.N, 16)
     assert np.all(np.diff(served[0]) >= 0)            # UE-major
-    want = zero_filled_local_combiners(hhat, ctx, cluster, detector)
+    want = zero_filled_local_combiners(estimate_batch(ctx, z), ctx, cluster,
+                                       detector)
     _assert_close(np.moveaxis(got, -1, 0), want[(slice(None),) + served], SE_REL)
+
+
+@pytest.mark.parametrize("detector", DETECTORS["distributed"])
+def test_each_ap_combines_from_its_own_pilot_observations(system, detector):
+    """AP l's combiners read AP l's pilot observations only: redrawing
+    every other AP's leaves AP l's rows bit for bit as they were, and those
+    rows are the zero-filled oracle's on the estimates formed from the
+    redrawn batch."""
+    ctx, cluster, _ = system
+    statics = local_statics(ctx, cluster, detector)
+    z = sample_joint(ctx, substream(10, "own"), 16)[1]
+    v = local_combiners(z, ctx, cluster, statics)
+    for l in range(ctx.L):
+        other = sample_joint(ctx, substream(11, "own", l), 16)[1]
+        other[:, l] = z[:, l]
+        got = local_combiners(other, ctx, cluster, statics)
+        ues = cluster.served[l]
+        rows = cluster.pair_of[ues, l]
+        assert np.array_equal(got[rows], v[rows])
+        want = zero_filled_local_combiners(estimate_batch(ctx, other), ctx,
+                                           cluster, detector)[:, ues, l]
+        _assert_close(np.moveaxis(got[rows], -1, 0), want, SE_REL)
 
 
 def test_plan_numbers_the_served_pairs(system):

@@ -130,18 +130,17 @@ def test_each_reader_takes_the_schedule_once_under_its_tag(validate_shape,
 def _kernel_mc_loop(ctx, pairs, trials, seed):
     """The Theorem-1 oracle's sample means as a plain loop over
     ``batch_plan`` and ``substream(seed, "kernel-oracle", b)``."""
-    ues = [k for k, _, _, _ in pairs for _ in range(2)]
-    aps = [l for _, _, l1, l2 in pairs for l in (l1, l2)]
     sums = np.zeros(len(pairs), dtype=complex)
     total = 0
     for b_idx, (lo, hi) in enumerate(batch_plan(trials, ctx.K, ctx.L, ctx.N)):
         h, z = sample_joint(ctx, substream(seed, "kernel-oracle", b_idx),
                             hi - lo)
-        hhat = estimates(ctx, z, ues, aps)
+        # every UE's estimates at each AP, of which the tuples read UE k's
+        hhat = [estimates(ctx, z, np.arange(ctx.K), l) for l in range(ctx.L)]
         total += hi - lo
         for j, (k, i, l1, l2) in enumerate(pairs):
-            left = np.einsum("nb,nb->b", np.conj(hhat[2 * j]), h[i, l1])
-            right = np.einsum("nb,nb->b", np.conj(h[i, l2]), hhat[2 * j + 1])
+            left = np.einsum("nb,nb->b", np.conj(hhat[l1][k]), h[i, l1])
+            right = np.einsum("nb,nb->b", np.conj(h[i, l2]), hhat[l2][k])
             sums[j] += np.sum(left * right)
     return sums / total
 

@@ -11,7 +11,7 @@ from scfsim.quantization import QuantizerConfig
 from scfsim.rng import substream
 
 from conftest import lmmse_at_ap, small_system
-from oracles import estimate_local
+from oracles import estimate_local, pilot_batch
 
 
 def _ideal_system(seed=60, L=3, K=5, N=2, tau=2):
@@ -41,10 +41,10 @@ def test_estimate_covariance_agrees():
 
 def test_lmmse_agrees():
     _, stats, p, plan, ctx, cluster = _ideal_system(seed=62)
-    hhat_l = crandn(substream(1, "h"), (stats.K, stats.N), 1e-9)
+    z, hhat = pilot_batch(ctx, substream(1, "h"), 1)
     for l in range(stats.L):
-        got = lmmse_at_ap(hhat_l, l, ctx, cluster)[1]
-        want = ideal.ideal_lmmse(1, l, hhat_l, stats, plan, p, ctx.sigma2)
+        got = lmmse_at_ap(z, l, ctx, cluster)[1]
+        want = ideal.ideal_lmmse(1, l, hhat[0, :, l], stats, plan, p, ctx.sigma2)
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
 

@@ -76,9 +76,9 @@ def test_sampler_matches_einsum_oracle(fading, bits, n_ant, n_trials):
     want_h, want_z, want_hhat = _oracle_joint(ctx, rng_oracle, n_trials)
     _assert_close(np.moveaxis(h, -1, 0), want_h)
     _assert_close(np.moveaxis(z, -1, 0), want_z)
-    every = np.nonzero(np.ones((ctx.K, ctx.L), dtype=bool))
-    hhat = estimates(ctx, z, *every).reshape(ctx.K, ctx.L, ctx.N, n_trials)
-    _assert_close(np.moveaxis(hhat, -1, 0), want_hhat)
+    for l in range(ctx.L):
+        _assert_close(np.moveaxis(estimates(ctx, z, np.arange(ctx.K), l), -1, 0),
+                      want_hhat[:, :, l])
     # the data noise continues the stream where the joint draw left it
     _assert_close(np.moveaxis(sample_data_noise(ctx, h, rng), -1, 0),
                   _oracle_data_noise(ctx, want_h, rng_oracle))
@@ -150,13 +150,14 @@ def test_shapes_and_repeatability():
 
 @pytest.mark.parametrize("fading", ["rician", "rayleigh"])
 def test_estimate_layouts_agree(fading):
-    """Estimates on a list of pairs and the UE-last batch are the full
-    estimate batch at those places."""
+    """One AP's estimates of any UEs, repeats and any order included, and
+    the UE-last batch are the full estimate batch at those places."""
     ctx = small_system(L=3, K=5, N=2, tau=2, fading=fading, seed=23)[5]
     _, hhat = joint_batch(ctx, substream(8, "layout"), 9)
     z = sample_joint(ctx, substream(8, "layout"), 9)[1]
-    ues, aps = np.array([4, 0, 0, 2, 4]), np.array([1, 2, 0, 2, 1])
-    got = estimates(ctx, z, ues, aps)
-    assert got.shape == (len(ues), ctx.N, 9)
-    _assert_close(np.moveaxis(got, -1, 0), hhat[:, ues, aps])
+    ues = np.array([4, 0, 0, 2])
+    for l in range(ctx.L):
+        got = estimates(ctx, z, ues, l)
+        assert got.shape == (len(ues), ctx.N, 9)
+        _assert_close(np.moveaxis(got, -1, 0), hhat[:, ues, l])
     _assert_close(estimates_ue_last(ctx, z), ue_last(hhat))

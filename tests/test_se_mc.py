@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scfsim import se_mc
-from scfsim.config import SimConfig
+from scfsim.config import DETECTORS, SimConfig
 from scfsim.harness import build_system
 from scfsim.pilots import build_estimation_context
 from scfsim.rng import substream
@@ -129,7 +129,7 @@ def test_weighting_ordering_under_mc():
 def test_mc_plsfd_matches_corollary_closed_form():
     # the generic moment-restricted weighting must land on the closed form
     # when the detector is MRC, also under genuinely partial clusters
-    from scfsim.config import SimConfig
+    from scfsim.config import DETECTORS, SimConfig
     from scfsim.harness import build_system, distributed_closed_report
     cfg = SimConfig(L=8, K=10, N=2, tau=4, b_da=1, b_ad=2)
     ctx, cluster, _ = build_system(cfg, seed=21)
@@ -142,7 +142,7 @@ def test_mc_plsfd_matches_corollary_closed_form():
 
 
 def test_lpmmse_close_to_lmmse_at_desk_scale():
-    from scfsim.config import SimConfig
+    from scfsim.config import DETECTORS, SimConfig
     from scfsim.harness import build_system
     cfg = SimConfig(L=16, K=20, N=3, tau=5, b_da=4, b_ad=4)
     ctx, cluster, _ = build_system(cfg, seed=42)
@@ -242,20 +242,19 @@ def test_report_peaks_stay_near_one_batch():
     # batch holds one copy of the channels plus only what its engine reads,
     # its draws pass through a float buffer of at most 32 trials, and the
     # per-UE work walks it in chunks of about CHUNK_ELEMS. The peaks read
-    # 1.35 batches (the distributed per-UE loop) and 1.29 (the channel
-    # draw); drawing each part whole and forming each UE's work on the
-    # whole batch peaked at 1.52 and 1.54
+    # 1.34-1.35 batches for every distributed detector (the per-UE loop)
+    # and 1.29 (the channel draw); drawing each part whole and forming each
+    # UE's work on the whole batch peaked at 1.52 and 1.54, and L-MMSE
+    # forming every (UE, AP) pair's estimates per chunk at 2.34
     cfg = SimConfig(L=32, K=60, N=3, tau=5, area_side=1000.0)
     ctx, cluster, _ = build_system(cfg, 5)
     assert all(len(m) < ctx.L for m in cluster.serving)
     assert [hi - lo for lo, hi in batch_plan(128, ctx.K, ctx.L, ctx.N)] == [64, 64]
     batch = ctx.K * ctx.L * ctx.N * 64 * np.dtype(complex).itemsize
-    calls = {
-        "distributed": (1.4, lambda: distributed_mc_report(
-            ctx, cluster, "lpmmse", "plsfd", 128, 1, 0.95)),
-        "centralized": (1.35, lambda: centralized_mc_report(
-            ctx, cluster, "pmmse", 128, 1, 0.95)),
-    }
+    calls = {("distributed", d): (1.4, lambda d=d: distributed_mc_report(
+        ctx, cluster, d, "plsfd", 128, 1, 0.95)) for d in DETECTORS["distributed"]}
+    calls["centralized", "pmmse"] = (1.35, lambda: centralized_mc_report(
+        ctx, cluster, "pmmse", 128, 1, 0.95))
     for name, (bound, call) in calls.items():
         call()                       # per-context memos are built outside the trace
         peak = _traced_peak(call)
